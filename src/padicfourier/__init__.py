@@ -3,7 +3,6 @@ associated homogeneous distributions and their stabilized asymptotics."""
 
 from .qp import (
     INFINITE_VALUATION,
-    Ball,
     Prime,
     Sphere,
     enumerate_cosets,
@@ -22,7 +21,6 @@ from .characters import (
     eval_pi_alpha,
     make_character,
     quadratic_character,
-    rank,
     table_character,
     trivial_character,
 )
@@ -70,7 +68,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "INFINITE_VALUATION",
-    "Ball",
     "Prime",
     "Sphere",
     "enumerate_cosets",
@@ -87,7 +84,6 @@ __all__ = [
     "eval_pi_alpha",
     "make_character",
     "quadratic_character",
-    "rank",
     "table_character",
     "trivial_character",
     "Jet",

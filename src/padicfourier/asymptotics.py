@@ -18,12 +18,21 @@ sums C(m,k) (log_p e)^k Gamma^{(k)} with (-log_p|t|)^{m-k} scale factors.
 Jets evaluate the product derivative directly, so no sign bookkeeping is
 done by hand.
 
-``verify_stabilization`` sweeps a t-grid (several unit directions per
-norm sphere), compares the exact J against the predicted right-hand side
-row by row, asserts equality beyond s(phi), and reports the empirically
-observed stabilization threshold.  ``erdelyi_check`` does the same for
-Re alpha > 0 with the left side computed as the absolutely convergent
-direct integral (no regularization) -- the p-adic Erdelyi lemma.
+Only |t|_p^{-alpha} and pi_1^{-1}(t) vary with t, so
+``predict_expansion(f, l, prime)`` builds the rest once: the Gamma jet
+(via ``gamma_pi``, which hands trivial pi_1 to ``gamma_p``) or the
+Bernoulli table, the predicted threshold exponent and the scale family.
+Its ``AsymptoticPrediction.rhs(phi0, t)`` is the only place the
+right-hand side is evaluated; ``rhs_predict`` is a one-shot wrapper.
+
+One private function, ``_sweep``, runs every sweep: it validates the
+t-grid (several unit directions per norm sphere), builds the prediction
+once, compares the left side with the right-hand side row by row,
+asserts equality beyond s(phi), and reports the empirically observed
+stabilization threshold.  ``verify_stabilization`` takes the left side
+from the exact split evaluator; ``erdelyi_check`` takes it, for
+Re alpha > 0, from the absolutely convergent direct integral (no
+regularization) -- the p-adic Erdelyi lemma.
 """
 
 from __future__ import annotations
@@ -41,8 +50,8 @@ from . import qp
 from .characters import MultChar, NormedMultChar, eval_pi1
 from .distributions import DiracDelta, PiAlphaLog, PLog, QahDistribution
 from .errors import BadAlpha, StabilizationMismatch
-from .gamma import bernoulli, gamma_p, gamma_pi, logp_scaled
-from .jets import p_power_jet
+from .gamma import bernoulli, gamma_pi, logp_scaled
+from .jets import Jet, p_power_jet
 from .qp import Prime, Rational
 from .singular import SingularIntegralRequest, brute_force_oracle, singular_fourier
 from .testfn import TestFunction
@@ -73,46 +82,6 @@ def rank_of(f: QahDistribution) -> int:
     return f.pi1.k0 if isinstance(f, PiAlphaLog) else 0
 
 
-def rhs_predict(
-    f: QahDistribution, phi0: complex, l: int, t: Rational, prime: Prime
-) -> complex:
-    """The theorem right-hand side at t (valid as an exact equality for
-    |t|_p > p^{-l + k0}; callers may probe below it)."""
-    t = Fraction(t)
-    if t == 0:
-        raise BadAlpha("t = 0 has no asymptotic side")
-    m_exp = -qp.valuation(t, prime)
-
-    if isinstance(f, DiracDelta):
-        return complex(phi0)
-
-    if isinstance(f, PiAlphaLog):
-        if f.pi1.is_trivial():
-            jet = gamma_p(prime, f.alpha, f.m)
-        else:
-            jet = gamma_pi(MultChar(f.alpha, f.pi1), f.m)
-        jet = jet * p_power_jet(prime.p, -m_exp, f.alpha, f.m)
-        value = phi0 * logp_scaled(jet, prime.p).coeffs[f.m]
-        if not f.pi1.is_trivial():
-            value *= eval_pi1(f.pi1, t).inverse().to_complex()
-        return value
-
-    # PLog(m): Bernoulli-term form of the theorem (at pinning level 0)
-    p = prime.p
-    s = f.m - 1
-    if s == 0:
-        return phi0 * complex(-Fraction(1, p) - (1 - Fraction(1, p)) * m_exp)
-    bracket = (-1) ** (s + 1) * Fraction(m_exp) ** (s + 1)
-    bracket -= (-1) ** s * comb(s + 1, 1) * bernoulli(1) * m_exp**s
-    for r in range(2, s + 1):
-        bracket += (
-            (-1) ** (s + 1 - r) * comb(s + 1, r) * bernoulli(r) * m_exp ** (s + 1 - r)
-        )
-    value = Fraction(1, p) * (-1) ** (s + 1) * (m_exp - 1) ** s
-    value += (1 - Fraction(1, p)) * bracket / (s + 1)
-    return phi0 * complex(value)
-
-
 def predicted_threshold_exponent(f: QahDistribution, l: int) -> int:
     """e with s(phi) = p^e: e = -l + k0."""
     return -l + rank_of(f)
@@ -120,15 +89,50 @@ def predicted_threshold_exponent(f: QahDistribution, l: int) -> int:
 
 @dataclass(frozen=True)
 class AsymptoticPrediction:
-    """The data behind the theorem right-hand side: the coefficient jet
-    (Gamma_p or Gamma_p(pi_alpha) with derivatives) or the Bernoulli term
-    table, the predicted stabilization exponent, and a description of the
-    asymptotic scale family."""
+    """The theorem right-hand side of f for test functions of constancy
+    level l: the coefficient jet (Gamma_p or Gamma_p(pi_alpha) with
+    derivatives) or the Bernoulli term table, built once; the predicted
+    stabilization exponent; and a description of the asymptotic scale
+    family.  ``rhs`` evaluates it at one t."""
 
+    f: QahDistribution
+    prime: Prime
     s_pred_exponent: int
     scale_family: str
     gamma_jet: tuple[complex, ...] | None = None
     bernoulli_terms: tuple[Fraction, ...] | None = None
+
+    def rhs(self, phi0: complex, t: Rational) -> complex:
+        """The right-hand side at t (an exact equality for
+        |t|_p > p^{s_pred_exponent}; callers may probe below it)."""
+        t = Fraction(t)
+        if t == 0:
+            raise BadAlpha("t = 0 has no asymptotic side")
+        m_exp = -qp.valuation(t, self.prime)
+        f, p = self.f, self.prime.p
+
+        if self.gamma_jet is not None:
+            jet = Jet(self.gamma_jet) * p_power_jet(p, -m_exp, f.alpha, f.m)
+            value = phi0 * logp_scaled(jet, p).coeffs[f.m]
+            if not f.pi1.is_trivial():
+                value *= eval_pi1(f.pi1, t).inverse().to_complex()
+            return value
+
+        if self.bernoulli_terms is None:
+            return complex(phi0)
+
+        # PLog(m) at pinning level 0, s = m - 1, M = log_p|t|_p: the printed
+        # Bernoulli form, whose term signs fold into one factor because
+        # B_r = 0 for odd r >= 3:
+        # (-1)^{s+1} [(M-1)^s / p + (1-1/p) sum_{r<=s} C(s+1,r) B_r M^{s+1-r} / (s+1)]
+        s = f.m - 1
+        power_sum = sum(
+            comb(s + 1, r) * b * Fraction(m_exp) ** (s + 1 - r)
+            for r, b in enumerate(self.bernoulli_terms)
+        )
+        value = Fraction((m_exp - 1) ** s, p)
+        value += (1 - Fraction(1, p)) * power_sum / (s + 1)
+        return phi0 * complex((-1) ** (s + 1) * value)
 
 
 def predict_expansion(
@@ -136,7 +140,7 @@ def predict_expansion(
 ) -> AsymptoticPrediction:
     e = predicted_threshold_exponent(f, l)
     if isinstance(f, DiracDelta):
-        return AsymptoticPrediction(e, "phi(0) (constant in t)")
+        return AsymptoticPrediction(f, prime, e, "phi(0) (constant in t)")
     if isinstance(f, PLog):
         # PLog(m) is P(log^{m-1}|x|/|x|): it pairs with the degree-pi_0
         # expansion at log-exponent m-1, so PLog(1) is the P(1/|x|) case
@@ -145,15 +149,20 @@ def predict_expansion(
             f"(PLog({f.m}) = P(log^{f.m - 1}|x|/|x|); Bernoulli terms B_0..B_{f.m - 1})"
         )
         return AsymptoticPrediction(
-            e, scale, bernoulli_terms=tuple(bernoulli(r) for r in range(f.m))
+            f, prime, e, scale, bernoulli_terms=tuple(bernoulli(r) for r in range(f.m))
         )
-    if f.pi1.is_trivial():
-        jet = gamma_p(prime, f.alpha, f.m)
-        scale = "phi(0) * |t|^-alpha log_p^{m-k}|t|, k = 0..m"
-    else:
-        jet = gamma_pi(MultChar(f.alpha, f.pi1), f.m)
-        scale = "phi(0) * |t|^-alpha pi_1^-1(t) log_p^{m-k}|t|, k = 0..m"
-    return AsymptoticPrediction(e, scale, gamma_jet=jet.coeffs)
+    twist = "" if f.pi1.is_trivial() else " pi_1^-1(t)"
+    scale = f"phi(0) * |t|^-alpha{twist} log_p^{{m-k}}|t|, k = 0..m"
+    jet = gamma_pi(MultChar(f.alpha, f.pi1), f.m)
+    return AsymptoticPrediction(f, prime, e, scale, gamma_jet=jet.coeffs)
+
+
+def rhs_predict(
+    f: QahDistribution, phi0: complex, l: int, t: Rational, prime: Prime
+) -> complex:
+    """The theorem right-hand side at one t; sweeps build the prediction
+    once with :func:`predict_expansion` instead."""
+    return predict_expansion(f, l, prime).rhs(phi0, t)
 
 
 @dataclass(frozen=True)
@@ -304,10 +313,39 @@ def _sweep_rows(evaluate, grid):
     return [evaluate(g) for g in grid]
 
 
-def _build_report(
-    f, phi, rows, M_min, theorem, tolerance_scale, strict
+def _sweep(
+    f: QahDistribution,
+    phi: TestFunction,
+    M_min: int,
+    M_max: int,
+    units_per_sphere: int,
+    evaluate_J,
+    theorem: str,
+    tolerance_scale: float,
+    strict: bool,
 ) -> StabilizationReport:
-    e_pred = predicted_threshold_exponent(f, phi.l)
+    """Compare evaluate_J(t) with the theorem right-hand side at every
+    t = u p^{-M} of the grid and assemble the report."""
+    if M_max < M_min:
+        raise ValueError(f"empty sweep: M_max = {M_max} < M_min = {M_min}")
+    if units_per_sphere < 1:
+        raise ValueError("units_per_sphere must be >= 1")
+    prime = phi.prime
+    prediction = predict_expansion(f, phi.l, prime)
+    units = unit_directions(prime, units_per_sphere)
+    grid = [(M, u) for M in range(M_min, M_max + 1) for u in units]
+
+    def evaluate(point):
+        M, u = point
+        t = Fraction(u) * Fraction(prime.p) ** (-M)
+        J = evaluate_J(t)
+        rhs = prediction.rhs(phi.at_zero, t)
+        err = abs(J - rhs)
+        tol = tolerance_scale * (1 + abs(rhs))
+        return ReportRow(M, u, J, rhs, err, err < tol)
+
+    rows = _sweep_rows(evaluate, grid)
+    e_pred = prediction.s_pred_exponent
     failing = [r.M for r in rows if not r.stabilized]
     e_emp = max(failing, default=M_min - 1)
     ok = all(r.stabilized for r in rows if r.M > e_pred)
@@ -322,7 +360,7 @@ def _build_report(
     if isinstance(f, PiAlphaLog):
         alpha = (complex(f.alpha).real, complex(f.alpha).imag)
     report = StabilizationReport(
-        prime=phi.prime.p,
+        prime=prime.p,
         theorem=theorem,
         variant=variant_name(f),
         alpha=alpha,
@@ -335,7 +373,7 @@ def _build_report(
         s_emp_exponent=e_emp,
         below_threshold_violation=below,
         ok=ok,
-        scale_family=predict_expansion(f, phi.l, phi.prime).scale_family,
+        scale_family=prediction.scale_family,
         rows=rows,
     )
     if strict and not ok:
@@ -366,26 +404,16 @@ def verify_stabilization(
     Below-threshold rows are reported, never asserted.  With strict=False
     the report is returned even when the assertion fails.
     """
-    if M_max < M_min:
-        raise ValueError(f"empty sweep: M_max = {M_max} < M_min = {M_min}")
-    if units_per_sphere < 1:
-        raise ValueError("units_per_sphere must be >= 1")
-    prime = phi.prime
-    units = unit_directions(prime, units_per_sphere)
-    grid = [(M, u) for M in range(M_min, M_max + 1) for u in units]
-
-    def evaluate(point):
-        M, u = point
-        t = Fraction(u) * Fraction(prime.p) ** (-M)
-        J = singular_fourier(SingularIntegralRequest(f, phi, t, split_level))
-        rhs = rhs_predict(f, phi.at_zero, phi.l, t, prime)
-        err = abs(J - rhs)
-        tol = tolerance_scale * (1 + abs(rhs))
-        return ReportRow(M, u, J, rhs, err, err < tol)
-
-    rows = _sweep_rows(evaluate, grid)
-    return _build_report(
-        f, phi, rows, M_min, theorem_family(f), tolerance_scale, strict
+    return _sweep(
+        f,
+        phi,
+        M_min,
+        M_max,
+        units_per_sphere,
+        lambda t: singular_fourier(SingularIntegralRequest(f, phi, t, split_level)),
+        theorem_family(f),
+        tolerance_scale,
+        strict,
     )
 
 
@@ -406,19 +434,15 @@ def erdelyi_check(
     if complex(alpha).real <= 0:
         raise BadAlpha(f"Erdelyi check requires Re alpha > 0, got {alpha}")
     f = PiAlphaLog(alpha, pi1, m)
-    prime = phi.prime
-    units = unit_directions(prime, units_per_sphere)
-    grid = [(M, u) for M in range(M_min, M_max + 1) for u in units]
-
-    def evaluate(point):
-        M, u = point
-        t = Fraction(u) * Fraction(prime.p) ** (-M)
-        # direct integral: no regularization enters for Re alpha > 0
-        J = brute_force_oracle(SingularIntegralRequest(f, phi, t))
-        rhs = rhs_predict(f, phi.at_zero, phi.l, t, prime)
-        err = abs(J - rhs)
-        tol = tolerance_scale * (1 + abs(rhs))
-        return ReportRow(M, u, J, rhs, err, err < tol)
-
-    rows = _sweep_rows(evaluate, grid)
-    return _build_report(f, phi, rows, M_min, "erdelyi", tolerance_scale, strict)
+    # direct integral: no regularization enters for Re alpha > 0
+    return _sweep(
+        f,
+        phi,
+        M_min,
+        M_max,
+        units_per_sphere,
+        lambda t: brute_force_oracle(SingularIntegralRequest(f, phi, t)),
+        "erdelyi",
+        tolerance_scale,
+        strict,
+    )

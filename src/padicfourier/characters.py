@@ -234,11 +234,6 @@ def make_character(prime: Prime, spec: dict) -> NormedMultChar:
     raise BadTable(f"unknown character kind: {kind!r}")
 
 
-def rank(chr_: NormedMultChar) -> int:
-    """Rank k0 of the character (0 for the trivial character)."""
-    return chr_.k0
-
-
 def eval_pi1(chr_: NormedMultChar, x: Rational) -> RootOfUnity:
     """pi_1(x) for x != 0; depends only on the unit part of x."""
     x = Fraction(x)

@@ -12,8 +12,9 @@ verify     sweep a t-grid and verify the stabilized asymptotic formula
 erdelyi    same sweep with the direct absolutely convergent integral
 
 Exit codes: 0 success; 1 validation error (bad flags or config, with a
-field-path message); 2 verification failure inside the stabilized region;
-3 numeric error (pole proximity, non-stabilized Gamma sum).
+field-path message, or a cell enumeration beyond 2^24 cosets); 2
+verification failure inside the stabilized region; 3 numeric error (pole
+proximity, non-stabilized Gamma sum).
 
 Configs are JSON; the schema is documented in the README.  Reports are
 CSV (fixed column schema) or JSON, to stdout or --out, and identical
@@ -295,55 +296,35 @@ def _emit_report(report, cfg: dict, args) -> None:
         raise ConfigError(f"output.format: unknown format {fmt!r}")
 
 
-def _cmd_verify(args) -> int:
+def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     prime = build_prime(cfg)
     f = build_distribution(prime, _require(cfg, "distribution", "config"), top=cfg)
+    erdelyi = args.command == "erdelyi"
+    if erdelyi and not isinstance(f, PiAlphaLog):
+        raise ConfigError(
+            "config.distribution: the Erdelyi check needs variant pi-alpha-log"
+        )
     phi = build_test_function(prime, _require(cfg, "test_function", "config"))
     family = theorem_family(f)
-    if args.theorem != "auto" and args.theorem != family:
+    if not erdelyi and args.theorem not in ("auto", family):
         raise ConfigError(
             f"--theorem {args.theorem} does not match the configured "
             f"distribution (family: {family})"
         )
     M_min, M_max, units = _grid(cfg)
     tol = cfg.get("tolerance")
-    report = verify_stabilization(
-        f,
-        phi,
-        M_min,
-        M_max,
+    options = dict(
         units_per_sphere=units,
-        split_level=cfg.get("split_level"),
         tolerance_scale=asymptotics.TOLERANCE_SCALE if tol is None else float(tol),
         strict=False,
     )
-    _emit_report(report, cfg, args)
-    return EXIT_OK if report.ok else EXIT_MISMATCH
-
-
-def _cmd_erdelyi(args) -> int:
-    cfg = load_config(args.config)
-    prime = build_prime(cfg)
-    f = build_distribution(prime, _require(cfg, "distribution", "config"), top=cfg)
-    if not isinstance(f, PiAlphaLog):
-        raise ConfigError(
-            "config.distribution: the Erdelyi check needs variant pi-alpha-log"
+    if erdelyi:
+        report = erdelyi_check(f.alpha, f.pi1, f.m, phi, M_min, M_max, **options)
+    else:
+        report = verify_stabilization(
+            f, phi, M_min, M_max, split_level=cfg.get("split_level"), **options
         )
-    phi = build_test_function(prime, _require(cfg, "test_function", "config"))
-    M_min, M_max, units = _grid(cfg)
-    tol = cfg.get("tolerance")
-    report = erdelyi_check(
-        f.alpha,
-        f.pi1,
-        f.m,
-        phi,
-        M_min,
-        M_max,
-        units_per_sphere=units,
-        tolerance_scale=asymptotics.TOLERANCE_SCALE if tol is None else float(tol),
-        strict=False,
-    )
     _emit_report(report, cfg, args)
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
@@ -402,13 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ve.add_argument("--format", choices=["csv", "json"])
     ve.add_argument("--out")
-    ve.set_defaults(func=_cmd_verify)
+    ve.set_defaults(func=_cmd_sweep)
 
     er = sub.add_parser("erdelyi", help="p-adic Erdelyi lemma check (Re alpha > 0)")
     er.add_argument("--config", required=True)
     er.add_argument("--format", choices=["csv", "json"])
     er.add_argument("--out")
-    er.set_defaults(func=_cmd_erdelyi)
+    er.set_defaults(func=_cmd_sweep)
 
     return parser
 

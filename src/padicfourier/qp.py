@@ -108,21 +108,6 @@ def fractional_part(x: Rational, prime: Prime) -> Fraction:
 
 
 @dataclass(frozen=True)
-class Ball:
-    """B_gamma(center) = {x : |x - center|_p <= p^gamma}."""
-
-    prime: Prime
-    gamma: int
-    center: Fraction = Fraction(0)
-
-    def measure(self) -> Fraction:
-        return Fraction(self.prime.p) ** self.gamma
-
-    def contains(self, x: Rational) -> bool:
-        return norm(Fraction(x) - self.center, self.prime) <= self.measure()
-
-
-@dataclass(frozen=True)
 class Sphere:
     """S_gamma(center) = B_gamma(center) \\ B_{gamma-1}(center)."""
 

@@ -17,6 +17,7 @@ from padicfourier import (
     delta_indicator,
     erdelyi_check,
     eval_pi1,
+    faulhaber_sum,
     fourier,
     gamma_p,
     quadratic_character,
@@ -209,6 +210,13 @@ def test_erdelyi_check_cases():
     assert rep.ok
     with pytest.raises(BadAlpha):
         erdelyi_check(-0.5, trivial_character(P2), 0, delta_indicator(P2, 0), 1, 3)
+    # an empty grid is rejected, not passed with zero rows
+    with pytest.raises(ValueError):
+        erdelyi_check(2, trivial_character(P2), 0, delta_indicator(P2, 0), 5, 1)
+    with pytest.raises(ValueError):
+        erdelyi_check(
+            2, trivial_character(P2), 0, delta_indicator(P2, 0), 1, 5, units_per_sphere=0
+        )
 
 
 def test_report_roundtrip_and_csv_schema():
@@ -263,6 +271,53 @@ def test_prediction_type_and_scale_family():
     assert "pi_1^-1(t)" in pred.scale_family
     rep = verify_stabilization(PLog(2), delta_indicator(P2, 0), 1, 4)
     assert "PLog(2)" in rep.scale_family
+    # the prediction's right-hand side is the one rhs_predict evaluates
+    families = [
+        (DiracDelta(), P2),
+        (PLog(1), P5),
+        (PLog(4), P2),
+        (PiAlphaLog(1.3 - 1.1j, trivial_character(P2), 2), P2),
+        (PiAlphaLog(1.5, quadratic_character(P3), 1), P3),
+        (PiAlphaLog(0.5 + 0.3j, cubic_mod9(), 1), P3),
+    ]
+    phi0 = 0.7 - 0.2j
+    for f, prime in families:
+        pred = predict_expansion(f, -1, prime)
+        for M in range(-2, 6):
+            for u in (1, 2):
+                t = Fr(u) * Fr(prime.p) ** (-M)
+                assert pred.rhs(phi0, t) == rhs_predict(f, phi0, -1, t, prime)
+
+
+def test_plog_rhs_is_the_power_sum_form():
+    # PLog(m) at pinning level 0: -(1/p)(1 - M)^{m-1} + (1 - 1/p) S_{m-1}(-M)
+    for prime, m in ((P2, 1), (P3, 2), (P2, 4), (P5, 3)):
+        p, s = prime.p, m - 1
+        for M in range(-3, 8):
+            want = -Fr(1, p) * (1 - M) ** s + (1 - Fr(1, p)) * faulhaber_sum(s, -M)
+            t = Fr(p) ** (-M)
+            assert rhs_predict(PLog(m), 1.0, 0, t, prime) == complex(want)
+
+
+def test_each_sweep_builds_its_prediction_once(monkeypatch):
+    from padicfourier import asymptotics
+
+    calls = []
+    real = asymptotics.gamma_pi
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "gamma_pi", counting)
+    quad = quadratic_character(P5)
+    phi = random_testfn(P5, 1, 0, seed=82)
+    rep = verify_stabilization(PiAlphaLog(0.5, quad, 1), phi, 0, 4)
+    assert rep.ok and len(rep.rows) == 15
+    assert len(calls) == 1
+    rep = erdelyi_check(0.5, quad, 1, phi, 0, 4)
+    assert rep.ok and len(rep.rows) == 15
+    assert len(calls) == 2
 
 
 def test_thread_cap_does_not_change_results(monkeypatch):

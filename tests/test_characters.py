@@ -15,7 +15,6 @@ from padicfourier import (
     eval_pi_alpha,
     make_character,
     quadratic_character,
-    rank,
     table_character,
     trivial_character,
 )
@@ -70,14 +69,14 @@ def test_chi_is_additive_and_trivial_on_integers():
 
 def test_make_character_kinds():
     triv = make_character(P3, {"kind": "trivial"})
-    assert rank(triv) == 0 and triv.is_trivial()
+    assert triv.k0 == 0 and triv.is_trivial()
     quad = make_character(P3, {"kind": "quadratic"})
-    assert rank(quad) == 1
+    assert quad.k0 == 1
     assert quad.value(1).angle == 0 and quad.value(2).angle == Fr(1, 2)
     tab = make_character(
         P2, {"kind": "table", "modulus_exponent": 2, "values": {1: Fr(0), 3: Fr(1, 2)}}
     )
-    assert rank(tab) == 2
+    assert tab.k0 == 2
 
 
 def test_quadratic_mod5_is_legendre():
@@ -103,9 +102,9 @@ def test_table_character_validation_errors():
 
 
 def test_rank_examples():
-    assert rank(trivial_character(P3)) == 0
-    assert rank(quadratic_character(P5)) == 1
-    assert rank(cubic_mod9()) == 2
+    assert trivial_character(P3).k0 == 0
+    assert quadratic_character(P5).k0 == 1
+    assert cubic_mod9().k0 == 2
     # nontrivial on 1 + 3Z as required by minimality
     assert cubic_mod9().value(4).angle == Fr(1, 3)
 

@@ -132,6 +132,13 @@ def test_singular_subcommand_with_oracle(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "J(t = 1/2)" in out and "oracle" in out
     assert "-0.333333333333" in out
+    # an oversize oracle refinement is a validation error, not a traceback
+    cfg = write_cfg(tmp_path, RAMIFIED_CFG, "ramified.json")
+    argv = ["singular", "--config", cfg, "--t", "1/3", "--oracle", "--refine", "30"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "coset enumeration too large: 3^31 words" in err
+    assert "Traceback" not in err
 
 
 def test_eval_dist_and_fourier_subcommands(tmp_path, capsys):
