@@ -248,6 +248,8 @@ def _cmd_eval_dist(args) -> int:
 
 
 def _cmd_singular(args) -> int:
+    if args.refine < 0:
+        raise ConfigError("--refine: must be >= 0")
     cfg = load_config(args.config)
     prime = build_prime(cfg)
     f = build_distribution(prime, _require(cfg, "distribution", "config"), top=cfg)

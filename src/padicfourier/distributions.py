@@ -37,7 +37,7 @@ from math import comb
 
 from . import qp
 from .characters import NormedMultChar, eval_pi1, trivial_character
-from .errors import ZeroArgument
+from .errors import BadWindow, ZeroArgument
 from .gamma import check_pole, faulhaber_sum, i0
 from .qp import Prime, Rational
 from .sums import sphere_cell_sum
@@ -92,6 +92,8 @@ def density_on_sphere(f: QahDistribution, prime: Prime, gamma: int) -> complex:
 
 def char_of(f: QahDistribution, prime: Prime) -> NormedMultChar:
     if isinstance(f, PiAlphaLog):
+        if f.pi1.prime != prime:
+            raise BadWindow(f"pi_1 is over p = {f.pi1.prime.p}, phi over p = {prime.p}")
         return f.pi1
     return trivial_character(prime)
 

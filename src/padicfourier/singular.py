@@ -144,10 +144,10 @@ def singular_fourier(req: SingularIntegralRequest) -> complex:
     prime = phi.prime
     if isinstance(f, DiracDelta):
         return phi.at(0)
+    chr_ = char_of(f, prime)
     if isinstance(f, PiAlphaLog) and f.pi1.is_trivial():
         check_pole(prime, f.alpha)
     l0 = req.level()
-    chr_ = char_of(f, prime)
     j1 = sum(
         density_on_sphere(f, prime, g)
         * sphere_cell_sum(phi, chr_, g, t, subtract_phi0=True)

@@ -57,14 +57,7 @@ def sphere_cell_sum(
         return 0j
     words = qp._sphere_words(p, gamma - lam)
 
-    if gamma > phi.N:
-        vals = np.zeros(words.shape, dtype=np.complex128)
-    elif gamma <= phi.l:
-        # the whole sphere sits inside the zero coset of B_l
-        vals = np.full(words.shape, phi.values[0])
-    else:
-        idx = (words % p ** (gamma - phi.l)) * p ** (phi.N - gamma)
-        vals = phi.values[idx]
+    vals = phi.sample(words, gamma)
     if subtract_phi0:
         vals = vals - phi.values[0]
 

@@ -9,13 +9,13 @@ The Fourier transform F[phi](xi) = integral of chi_p(xi x) phi(x) dx is
 computed exactly as a finite character sum: for |xi|_p <= p^{-l},
 F[phi](xi) = p^l * sum_c phi(c) chi_p(xi c), and F maps D^l_N onto
 D^{-N}_{-l} (support and constancy swap with a sign).  On the canonical
-coset words this is a plain DFT of length p^{N-l}.
+coset words (``TestFunction.sample``) this is a DFT of length p^{N-l},
+done by ``np.fft`` at any width; convolution is cyclic on Z/p^{N-l}.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -56,7 +56,23 @@ class TestFunction:
         x = Fraction(x)
         if qp.norm(x, self.prime) > Fraction(self.prime.p) ** self.N:
             return 0j
-        return complex(self.values[qp.coset_index(x, self.prime, self.N, self.l)])
+        word = qp.coset_index(x, self.prime, self.N, self.l)
+        return complex(self.sample(word, self.N))
+
+    def sample(self, words, level: int) -> np.ndarray:
+        """phi at x = w p^{-level} for integer words w; 0 outside B_N."""
+        words = np.asarray(words, dtype=np.int64)
+        p = self.prime.p
+        if level <= self.l:
+            return np.full(words.shape, self.values[0])  # all of B_l is one coset
+        if level > self.N:  # only multiples of p^(level-N) lie in B_N
+            q = p ** (level - self.N)
+            vals = np.zeros(words.shape, dtype=np.complex128)
+            inside = words % q == 0
+            vals[inside] = self.sample(words[inside] // q, self.N)
+            return vals
+        # only the digits above p^l select a coset
+        return self.values[(words % p ** (level - self.l)) * p ** (self.N - level)]
 
     def window(self) -> tuple[int, int]:
         return (self.N, self.l)
@@ -73,57 +89,39 @@ def delta_indicator(prime: Prime, k: int) -> TestFunction:
     return TestFunction(prime, k, k, [1.0])
 
 
-@lru_cache(maxsize=None)
-def _dft_matrix(p: int, n: int) -> np.ndarray:
-    # W[j, c] = chi(xi_j * x_c) = e^{2 pi i w_j w_c / p^n}
-    if p**n > 1 << 12:
-        raise BadWindow(
-            f"Fourier window too wide: p^(N-l) = {p}^{n} cosets"
-        )
-    w = np.arange(p**n, dtype=np.int64)
-    prod = np.outer(w, w) % p**n
-    return np.exp(2j * np.pi * prod / p**n)
-
-
 def fourier(phi: TestFunction) -> TestFunction:
-    """Exact Fourier transform; maps D^l_N into D^{-N}_{-l}."""
-    p = phi.prime.p
-    n = phi.N - phi.l
-    scale = float(Fraction(p) ** phi.l)
-    vals = scale * (_dft_matrix(p, n) @ phi.values)
+    """Exact Fourier transform; maps D^l_N onto D^{-N}_{-l}.  Words j, c
+    meet in chi_p(xi_j x_c) = e^{2 pi i jc / p^{N-l}}: an unscaled ifft."""
+    scale = float(Fraction(phi.prime.p) ** phi.l)
+    vals = scale * np.fft.ifft(phi.values, norm="forward")
     return TestFunction(phi.prime, -phi.l, -phi.N, vals)
 
 
 def convolve(phi: TestFunction, psi: TestFunction) -> TestFunction:
-    """(phi * psi)(x) = integral of phi(y) psi(x - y) dy, exactly;
-    the result lies in D^{max(l)}_{max(N)}."""
+    """(phi * psi)(x) = integral of phi(y) psi(x - y) dy, exactly; the
+    result lies in D^{max(l)}_{max(N)}.  A cyclic convolution of both
+    operands sampled on B_N / B_l = Z/p^{N-l} (max N, min l)."""
     if phi.prime != psi.prime:
         raise BadWindow("convolution operands live over different primes")
-    N = max(phi.N, psi.N)
-    l = max(phi.l, psi.l)
-    reps = qp.enumerate_cosets(phi.prime, N, l)
-    sources = qp.enumerate_cosets(phi.prime, phi.N, phi.l)
-    measure = float(Fraction(phi.prime.p) ** phi.l)
-    out = np.zeros(len(reps), dtype=np.complex128)
-    for i, r in enumerate(reps):
-        acc = 0j
-        for c, v in zip(sources, phi.values):
-            if v != 0:
-                acc += complex(v) * psi.at(r - c)
-        out[i] = acc * measure
-    return TestFunction(phi.prime, N, l, out)
+    p, N, l = phi.prime.p, max(phi.N, psi.N), min(phi.l, psi.l)
+    words = qp._coset_words(p, N - l)
+    spectrum = np.fft.fft(phi.sample(words, N)) * np.fft.fft(psi.sample(words, N))
+    vals = float(Fraction(p) ** l) * np.fft.ifft(spectrum)
+    coarse = max(phi.l, psi.l)
+    return TestFunction(phi.prime, N, coarse, vals[: p ** (N - coarse)])
 
 
 def dilate(phi: TestFunction, t: Rational) -> TestFunction:
-    """x |-> phi(x/t); for |t|_p = p^a the result lies in D^{l+a}_{N+a}."""
+    """x |-> phi(x/t); for t = u p^{-a}, u a unit, the result lies in
+    D^{l+a}_{N+a} and its word w is phi's word w u^{-1}."""
     t = Fraction(t)
     if t == 0:
         raise ZeroArgument("cannot dilate by t = 0")
-    a = -qp.valuation(t, phi.prime)
-    N, l = phi.N + a, phi.l + a
-    reps = qp.enumerate_cosets(phi.prime, N, l)
-    vals = [phi.at(c / t) for c in reps]
-    return TestFunction(phi.prime, N, l, vals)
+    prime, a = phi.prime, -qp.valuation(t, phi.prime)
+    u, mod = qp.unit_part(t, prime), len(phi.values)
+    u_inv = u.denominator * pow(u.numerator, -1, mod) % mod
+    vals = phi.sample(np.arange(mod) * u_inv % mod, phi.N)
+    return TestFunction(prime, phi.N + a, phi.l + a, vals)
 
 
 def random_testfn(prime: Prime, N: int, l: int, seed: int) -> TestFunction:

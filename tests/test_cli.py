@@ -139,6 +139,12 @@ def test_singular_subcommand_with_oracle(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "coset enumeration too large: 3^31 words" in err
     assert "Traceback" not in err
+    # so is a negative one
+    argv[-1] = "-5"
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "--refine: must be >= 0" in err
+    assert "Traceback" not in err
 
 
 def test_eval_dist_and_fourier_subcommands(tmp_path, capsys):
@@ -148,6 +154,16 @@ def test_eval_dist_and_fourier_subcommands(tmp_path, capsys):
     assert run(["fourier", "--config", cfg]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[1] == "coset,re,im"
+    # a table of 2^13 cosets has no width cap
+    table = {"kind": "table", "N": 5, "l": -8, "values": [[1.0, 0.0]] * 2**13}
+    wide = {"prime": 2, "test_function": table}
+    assert run(["fourier", "--config", write_cfg(tmp_path, wide, "wide.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# F[phi] in D^-5_8(Q_2)" and len(lines) == 2 + 2**13
+    # the indicator of B_5 has F = 2^5 on B_-5, the zero coset, and 0 elsewhere
+    rows = (line.split(",") for line in lines[2:])
+    values = [complex(float(re), float(im)) for _, re, im in rows]
+    assert abs(values[0] - 32) < 1e-12 and max(map(abs, values[1:])) < 1e-12
 
 
 def test_erdelyi_subcommand(tmp_path, capsys):

@@ -13,13 +13,16 @@ from padicfourier import (
     apply,
     brute_force_oracle,
     delta_indicator,
+    erdelyi_check,
     homogeneity_defect,
     quadratic_character,
     random_testfn,
+    singular_fourier,
     table_character,
     trivial_character,
+    verify_stabilization,
 )
-from padicfourier.errors import PoleProximity, ZeroArgument
+from padicfourier.errors import BadWindow, PoleProximity, ZeroArgument
 from padicfourier.singular import SingularIntegralRequest
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
@@ -141,3 +144,20 @@ def test_homogeneity_defect_all_variants():
                 t = Fr(rng.choice([1, 2])) * Fr(3) ** e
                 d = homogeneity_defect(f, phi, t)
                 assert abs(d) < 1e-10 * defect_scale(f, phi, t), (f, e, abs(d))
+
+
+def test_character_prime_must_match_test_function():
+    # a p = 5 pi_1 against a p = 3 phi is rejected, not summed to 0j
+    phi = delta_indicator(P3, 0)
+    for pi1 in (quadratic_character(P5), trivial_character(P5)):
+        f = PiAlphaLog(1.5, pi1, 0)
+        req = SingularIntegralRequest(f, phi, Fr(1, 3))
+        for call in (
+            lambda: apply(f, phi),
+            lambda: singular_fourier(req),
+            lambda: brute_force_oracle(req),
+            lambda: verify_stabilization(f, phi, 1, 3, strict=False),
+            lambda: erdelyi_check(1.5, pi1, 0, phi, 1, 3, strict=False),
+        ):
+            with pytest.raises(BadWindow, match="pi_1 is over p = 5, phi over p = 3"):
+                call()

@@ -5,10 +5,13 @@ from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicfourier import (
     Prime,
     TestFunction,
+    chi,
     convolve,
     delta_indicator,
     dilate,
@@ -121,15 +124,19 @@ def test_convolution_examples():
 
 def test_convolution_theorem():
     rng = random.Random(22)
-    phi = random_testfn(P3, 1, -1, seed=11)
-    psi = random_testfn(P3, 1, 0, seed=12)
-    conv = convolve(phi, psi)
-    F_conv = fourier(conv)
-    F_phi, F_psi = fourier(phi), fourier(psi)
-    for _ in range(20):
-        xi = Fr(rng.randint(-30, 30), 3 ** rng.randint(0, 2))
-        want = F_phi.at(xi) * F_psi.at(xi)
-        assert abs(F_conv.at(xi) - want) < 1e-11
+    a = random_testfn(P3, 1, -1, seed=11)
+    b = random_testfn(P3, 1, 0, seed=12)  # level gap 1
+    c = random_testfn(P3, 0, -3, seed=16)  # level gap 2 to a, 3 to b
+    # both operand orders: convolve must not depend on which is finer
+    for phi, psi in ((a, b), (b, a), (a, c), (c, a), (b, c)):
+        conv = convolve(phi, psi)
+        assert conv.window() == (max(phi.N, psi.N), max(phi.l, psi.l))
+        F_conv = fourier(conv)
+        F_phi, F_psi = fourier(phi), fourier(psi)
+        for _ in range(20):
+            xi = Fr(rng.randint(-30, 30), 3 ** rng.randint(0, 2))
+            want = F_phi.at(xi) * F_psi.at(xi)
+            assert abs(F_conv.at(xi) - want) < 1e-11
 
 
 def test_convolve_with_wide_ball_smooths():
@@ -154,10 +161,69 @@ def test_dilate_examples():
 
 def test_dilate_pointwise():
     phi = random_testfn(P3, 1, -1, seed=15)
-    t = Fr(1, 3)
-    d = dilate(phi, t)
-    for x in (0, 1, Fr(1, 3), Fr(5, 9), 3):
-        assert abs(d.at(x) - phi.at(x / t)) < 1e-14
+    # a pure power of p, then units that are not 1, with |t| = 3, 27, 1
+    for t in (Fr(1, 3), Fr(2, 3), Fr(5, 27), Fr(4)):
+        d = dilate(phi, t)
+        for x in (0, 1, Fr(1, 3), Fr(5, 9), 3, Fr(2, 27), Fr(7, 81)):
+            assert abs(d.at(x) - phi.at(x / t)) < 1e-14
+
+
+def test_fourier_beyond_4096_cosets():
+    # 2^13 cosets: a DFT of that length is one np.fft call
+    phi = random_testfn(P2, 5, -8, seed=17)
+    F = fourier(phi)
+    assert F.window() == (8, -5)
+    reps = enumerate_cosets(P2, phi.N, phi.l)
+    bound = 1e-12 * float(Fr(2) ** phi.l) * float(np.sum(np.abs(phi.values)))
+    for j in (0, 1, 3, 4095, 8191):
+        xi = Fr(j, 2**8)
+        direct = sum(
+            complex(v) * chi(xi * c, P2).to_complex() for c, v in zip(reps, phi.values)
+        ) * float(Fr(2) ** phi.l)
+        assert abs(F.at(xi) - direct) <= bound
+
+
+def l1_norm(phi):
+    """p^l * sum |values|, a bound on every value of F[phi]."""
+    return float(Fr(phi.prime.p) ** phi.l) * float(np.sum(np.abs(phi.values)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    data=st.data(),
+    seed=st.integers(0, 2**16),
+)
+def test_transform_laws(p, data, seed):
+    prime = Prime(p)
+    N = data.draw(st.integers(-3, 3))
+    l = N - data.draw(st.integers(0, 6))
+    gap = data.draw(st.integers(-2, 2))
+    psi_N = data.draw(st.integers(l + gap, l + gap + 3))
+    phi = random_testfn(prime, N, l, seed=seed)
+    psi = random_testfn(prime, psi_N, l + gap, seed=seed + 1)
+
+    # F[phi * psi] = F[phi] F[psi], on the words of F[phi * psi]'s window
+    F_conv = fourier(convolve(phi, psi))
+    words = np.arange(len(F_conv.values))
+    want = fourier(phi).sample(words, F_conv.N) * fourier(psi).sample(words, F_conv.N)
+    tol = 1e-12 * l1_norm(phi) * l1_norm(psi)
+    assert np.allclose(F_conv.values, want, rtol=0, atol=tol)
+
+    # F[F[phi]](x) = phi(-x)
+    FF = fourier(fourier(phi))
+    assert FF.window() == phi.window()
+    words = np.arange(len(phi.values))
+    assert np.allclose(
+        FF.values, phi.sample(-words, N), rtol=0, atol=1e-12 * l1_norm(fourier(phi))
+    )
+
+    # dilation by t and by 1/t: a word permutation and its inverse
+    factor = data.draw(st.sampled_from([1, -1, 2, Fr(1, 2), Fr(-7, 4), Fr(8, 11)]))
+    t = factor * Fr(p) ** data.draw(st.integers(-3, 3))
+    back = dilate(dilate(phi, t), 1 / t)
+    assert back.window() == phi.window()
+    assert np.array_equal(back.values, phi.values)
 
 
 def test_random_testfn_reproducible_and_seed_sensitive():
