@@ -27,12 +27,13 @@ right-hand side is evaluated; ``rhs_predict`` is a one-shot wrapper.
 
 One private function, ``_sweep``, runs every sweep: it validates the
 t-grid (several unit directions per norm sphere), builds the prediction
-once, compares the left side with the right-hand side row by row,
-asserts equality beyond s(phi), and reports the empirically observed
-stabilization threshold.  ``verify_stabilization`` takes the left side
-from the exact split evaluator; ``erdelyi_check`` takes it, for
+once, asks for the left side one norm sphere at a time, compares it with
+the right-hand side row by row, asserts equality beyond s(phi), and
+reports the empirically observed stabilization threshold.
+``verify_stabilization`` takes the left side from the exact split
+evaluator, one call per norm sphere; ``erdelyi_check`` takes it, for
 Re alpha > 0, from the absolutely convergent direct integral (no
-regularization) -- the p-adic Erdelyi lemma.
+regularization) -- the p-adic Erdelyi lemma -- one oracle call per t.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -298,21 +297,6 @@ def unit_directions(prime: Prime, count: int) -> list[int]:
     return units
 
 
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("PADIC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _sweep_rows(evaluate, grid):
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(evaluate, grid))
-    return [evaluate(g) for g in grid]
-
-
 def _sweep(
     f: QahDistribution,
     phi: TestFunction,
@@ -324,8 +308,9 @@ def _sweep(
     tolerance_scale: float,
     strict: bool,
 ) -> StabilizationReport:
-    """Compare evaluate_J(t) with the theorem right-hand side at every
-    t = u p^{-M} of the grid and assemble the report."""
+    """Compare evaluate_J with the theorem right-hand side at every
+    t = u p^{-M} of the grid and assemble the report.  evaluate_J takes
+    the t list of one norm sphere and returns one J per t."""
     if M_max < M_min:
         raise ValueError(f"empty sweep: M_max = {M_max} < M_min = {M_min}")
     if units_per_sphere < 1:
@@ -333,18 +318,14 @@ def _sweep(
     prime = phi.prime
     prediction = predict_expansion(f, phi.l, prime)
     units = unit_directions(prime, units_per_sphere)
-    grid = [(M, u) for M in range(M_min, M_max + 1) for u in units]
-
-    def evaluate(point):
-        M, u = point
-        t = Fraction(u) * Fraction(prime.p) ** (-M)
-        J = evaluate_J(t)
-        rhs = prediction.rhs(phi.at_zero, t)
-        err = abs(J - rhs)
-        tol = tolerance_scale * (1 + abs(rhs))
-        return ReportRow(M, u, J, rhs, err, err < tol)
-
-    rows = _sweep_rows(evaluate, grid)
+    rows = []
+    for M in range(M_min, M_max + 1):
+        ts = [Fraction(u) * Fraction(prime.p) ** (-M) for u in units]
+        for u, t, J in zip(units, ts, evaluate_J(ts)):
+            rhs = prediction.rhs(phi.at_zero, t)
+            err = abs(J - rhs)
+            tol = tolerance_scale * (1 + abs(rhs))
+            rows.append(ReportRow(M, u, J, rhs, err, err < tol))
     e_pred = prediction.s_pred_exponent
     failing = [r.M for r in rows if not r.stabilized]
     e_emp = max(failing, default=M_min - 1)
@@ -410,7 +391,7 @@ def verify_stabilization(
         M_min,
         M_max,
         units_per_sphere,
-        lambda t: singular_fourier(SingularIntegralRequest(f, phi, t, split_level)),
+        lambda ts: singular_fourier(SingularIntegralRequest(f, phi, ts, split_level)),
         theorem_family(f),
         tolerance_scale,
         strict,
@@ -441,7 +422,9 @@ def erdelyi_check(
         M_min,
         M_max,
         units_per_sphere,
-        lambda t: brute_force_oracle(SingularIntegralRequest(f, phi, t)),
+        lambda ts: [
+            brute_force_oracle(SingularIntegralRequest(f, phi, t)) for t in ts
+        ],
         "erdelyi",
         tolerance_scale,
         strict,

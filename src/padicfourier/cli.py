@@ -14,7 +14,8 @@ erdelyi    same sweep with the direct absolutely convergent integral
 Exit codes: 0 success; 1 validation error (bad flags or config, with a
 field-path message, or a cell enumeration beyond 2^24 cosets); 2
 verification failure inside the stabilized region; 3 numeric error (pole
-proximity, non-stabilized Gamma sum).
+proximity, non-stabilized Gamma sum, a p^(c*alpha) term beyond the
+floating range).
 
 Configs are JSON; the schema is documented in the README.  Reports are
 CSV (fixed column schema) or JSON, to stdout or --out, and identical
@@ -38,7 +39,7 @@ from .asymptotics import (
 from .characters import chi as chi_value
 from .characters import make_character, trivial_character
 from .distributions import DiracDelta, PiAlphaLog, PLog, apply
-from .errors import PadicError, PoleProximity, NotStabilized
+from .errors import NotStabilized, NumericOverflow, PadicError, PoleProximity
 from .gamma import bernoulli, gamma_p
 from .qp import Prime
 from .singular import SingularIntegralRequest, brute_force_oracle, singular_fourier
@@ -407,7 +408,7 @@ def run(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (PoleProximity, NotStabilized) as exc:
+    except (PoleProximity, NotStabilized, NumericOverflow) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except PadicError as exc:

@@ -108,18 +108,18 @@ def apply(f: QahDistribution, phi: TestFunction) -> complex:
         check_pole(prime, f.alpha)
     interior = sum(
         density_on_sphere(f, prime, g)
-        * sphere_cell_sum(phi, chr_, g, None, subtract_phi0=True)
+        * sphere_cell_sum(phi, chr_, g, None, subtract_phi0=True)[0]
         for g in range(phi.l + 1, 1)
     )
     exterior = sum(
-        density_on_sphere(f, prime, g) * sphere_cell_sum(phi, chr_, g, None)
+        density_on_sphere(f, prime, g) * sphere_cell_sum(phi, chr_, g, None)[0]
         for g in range(1, phi.N + 1)
     )
     if isinstance(f, PiAlphaLog):
         constant = phi.at_zero * i0(prime, f.pi1, f.alpha, f.m).coeffs[f.m]
     else:
         constant = 0j
-    return interior + exterior + constant
+    return complex(interior + exterior + constant)
 
 
 def homogeneity_defect(

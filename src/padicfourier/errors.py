@@ -23,6 +23,10 @@ class ZeroArgument(PadicError):
     """Zero passed where a nonzero p-adic point is required."""
 
 
+class MixedNorms(PadicError):
+    """A batch of points that must share one norm |t|_p does not."""
+
+
 class NotMultiplicative(PadicError):
     """A character table fails the multiplicativity law on some unit pair."""
 
@@ -38,6 +42,11 @@ class BadTable(PadicError):
 class PoleProximity(PadicError):
     """alpha is within pole tolerance of a pole 2*pi*i*j/ln(p) of the
     analytic continuation (1 - p^-alpha vanishes)."""
+
+
+class NumericOverflow(PadicError):
+    """A closed-form term such as p^{c*alpha} lies beyond the floating
+    range (e.g. Re alpha < 0 at a very large |t|_p)."""
 
 
 class NotStabilized(PadicError):

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from math import comb
 
+from .errors import NumericOverflow
+
 
 @dataclass(frozen=True)
 class Jet:
@@ -76,7 +78,17 @@ class Jet:
 
 
 def p_power_jet(p: int, c, alpha: complex, order: int) -> Jet:
-    """Jet of alpha |-> p^{c*alpha}; derivatives are (c ln p)^k p^{c*alpha}."""
+    """Jet of alpha |-> p^{c*alpha}; derivatives are (c ln p)^k p^{c*alpha}.
+    Raises NumericOverflow when a coefficient is not a finite float."""
     lnp = math.log(p)
-    base = cmath.exp(complex(alpha) * (c * lnp))
-    return Jet(tuple((c * lnp) ** k * base for k in range(order + 1)))
+    try:
+        base = cmath.exp(complex(alpha) * (c * lnp))
+        coeffs = tuple((c * lnp) ** k * base for k in range(order + 1))
+        if all(map(cmath.isfinite, coeffs)):
+            return Jet(coeffs)
+    except OverflowError:
+        pass
+    raise NumericOverflow(
+        f"{p}^(c*alpha) with c = {c}, alpha = {alpha} (order {order}) "
+        "is not a finite float"
+    )

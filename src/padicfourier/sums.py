@@ -1,76 +1,87 @@
-"""Vectorized exact sphere-by-coset sums shared by the evaluators.
+"""Vectorized exact sphere-by-coset sums for the split evaluator and the
+regularized pairings.
 
-The workhorse computes, for one sphere S_gamma,
+The kernel computes, for one sphere S_gamma and every t of a batch that
+shares one norm |t|_p = p^M,
 
     integral over S_gamma of g(x) pi_1(x) chi_p(x t) dx,
 
 with g either phi or phi - phi(0).  The sphere is covered by cosets of
-B_lambda with lambda <= min(l_phi, gamma - max(k0, 1)), so g and pi_1 are
+B_lambda with lambda = min(l_phi, gamma - max(k0, 1)), so g and pi_1 are
 constant per cell; chi_p is handled exactly through the per-cell ball
-integral chi_p(ct) * p^lambda * [lambda <= -M], which keeps every value a
-(root of unity) x (rational measure) product and makes the vanishing
-regions exact zeros rather than cancellation residues.
+integral chi_p(ct) * p^lambda * [lambda <= -M].
 
-Everything is integer word arithmetic on the canonical coset encoding
-(cell representative c = w p^{-gamma} with w coprime to p), so the sums
-vectorize with numpy.
+Exact zeros: for lambda > -M every per-cell ball integral vanishes, so
+the sum is returned as 0 without enumerating a cell (this covers every
+sphere beyond the stabilization threshold).  Outside B_N, g is 0, or the
+constant -phi(0), whose sphere integral is the closed form
+``characters.sphere_char_chi_integral``; no cell is enumerated there
+either.
+
+Fold and DFT: a cell is c = w p^{-gamma} with an integer word w coprime
+to p, and for t = u p^{-M} (u a unit) chi_p(ct) = e^{2 pi i w u / p^K},
+K = gamma + M, depends on w only modulo p^K.  The cell values are folded
+modulo p^K once, and one length-p^K inverse DFT (``np.fft.ifft``,
+unscaled) then holds the sphere sum for every unit direction u at index
+u mod p^K; the batch reads off its own directions.  For K <= 0, chi_p is
+1 on the sphere and the sum is the plain cell total.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
 
 from . import qp
-from .characters import NormedMultChar
+from .characters import NormedMultChar, sphere_char_chi_integral
+from .qp import Rational
 from .testfn import TestFunction
+
 
 def sphere_cell_sum(
     phi: TestFunction,
     chr_: NormedMultChar,
     gamma: int,
-    t: Fraction | None,
+    ts: Sequence[Rational] | None,
     *,
     subtract_phi0: bool = False,
-    extra_depth: int = 0,
-) -> complex:
-    """Exact integral over S_gamma of (phi - [subtract] phi(0)) pi_1 chi_p(.t).
-
-    ``t = None`` means chi_p == 1 (plain pairing sums).  ``extra_depth``
-    refines the cells beyond the coarsest correct level (the result is
-    invariant; used by the brute-force oracle).
-    """
+) -> np.ndarray:
+    """Exact integral over S_gamma of (phi - [subtract] phi(0)) pi_1 chi_p(.t),
+    one value per t of ``ts``, which must share one |t|_p (else
+    ``MixedNorms``).  ``ts = None`` means chi_p == 1 and gives one value."""
     prime = phi.prime
     p = prime.p
-    if gamma > phi.N and not subtract_phi0:
-        return 0j
-    k0 = chr_.k0
-    lam = min(phi.l, gamma - max(k0, 1)) - extra_depth
-    if t is None or t == 0:
-        m_exp = None
-        ball = Fraction(p) ** lam
-    else:
-        m_exp = -qp.valuation(t, prime)
-        ball = Fraction(p) ** lam if lam <= -m_exp else Fraction(0)
-    if ball == 0:
-        return 0j
+    points = (0,) if ts is None else tuple(ts)  # chi_p(x * 0) == 1
+    M, units = (None, None) if ts is None else qp.norm_and_units(points, prime)
+    if gamma > phi.N:
+        if not subtract_phi0:
+            return np.zeros(len(points), dtype=np.complex128)
+        return np.array(
+            [-phi.at_zero * sphere_char_chi_integral(chr_, gamma, t) for t in points]
+        )
+    lam = min(phi.l, gamma - max(chr_.k0, 1))
+    if M is not None and lam > -M:
+        return np.zeros(len(points), dtype=np.complex128)
     words = qp._sphere_words(p, gamma - lam)
-
     vals = phi.sample(words, gamma)
     if subtract_phi0:
         vals = vals - phi.values[0]
+    if chr_.k0 >= 1:
+        vals = vals * chr_.complex_table()[words % p**chr_.k0]
+    ball = float(Fraction(p) ** lam)
+    if M is None or gamma + M <= 0:
+        return np.full(len(points), vals.sum() * ball)
 
-    if k0 >= 1:
-        vals = vals * chr_.complex_table()[words % p**k0]
-
-    if m_exp is not None and gamma + m_exp > 0:
-        # lam <= -m_exp here, so den <= p^(gamma - lam), which the word
-        # enumeration already caps at 2^24: the int64 products stay exact
-        den = p ** (gamma + m_exp)
-        unit = qp.unit_part(t, prime)
-        w_t = (unit.numerator * pow(unit.denominator, -1, den)) % den
-        angles = (words % den) * w_t % den
-        vals = vals * np.exp(2j * np.pi * angles / den)
-
-    return complex(vals.sum()) * float(ball)
+    # the sphere words are 0 .. p^(gamma-lam) - 1 without the multiples of
+    # p, in order, so reshaped to rows of den - den/p they put each residue
+    # class mod den (den <= p^(gamma-lam) as lam <= -M) in one column
+    den = p ** (gamma + M)
+    folded = np.zeros((den // p, p), dtype=np.complex128)
+    folded[:, 1:] = vals.reshape(-1, den - den // p).sum(axis=0).reshape(-1, p - 1)
+    del vals  # an in-place transform with the cells freed keeps peak memory low
+    spectrum = folded.reshape(-1)
+    np.fft.ifft(spectrum, norm="forward", out=spectrum)
+    index = [u.numerator * pow(u.denominator, -1, den) % den for u in units]
+    return spectrum[index] * ball

@@ -275,12 +275,12 @@ def test_criterion_7_structural_identities():
             for M in (2, 4, 6):
                 t = Fr(p) ** (-M)
                 j2 = sum(
-                    density_on_sphere(f, prime, g) * sphere_cell_sum(phi, chr_, g, t)
+                    density_on_sphere(f, prime, g) * sphere_cell_sum(phi, chr_, g, [t])[0]
                     for g in range(l0 + 1, phi.N + 1)
                 )
                 j1 = sum(
                     density_on_sphere(f, prime, g)
-                    * sphere_cell_sum(phi, chr_, g, t, subtract_phi0=True)
+                    * sphere_cell_sum(phi, chr_, g, [t], subtract_phi0=True)[0]
                     for g in range(phi.l + 1, l0 + 2)
                 )
                 assert abs(j1) < 1e-12 and abs(j2) < 1e-12

@@ -320,15 +320,6 @@ def test_each_sweep_builds_its_prediction_once(monkeypatch):
     assert len(calls) == 2
 
 
-def test_thread_cap_does_not_change_results(monkeypatch):
-    f = PiAlphaLog(1.5, quadratic_character(P3), 1)
-    phi = random_testfn(P3, 1, -1, seed=81)
-    base = verify_stabilization(f, phi, 0, 5)
-    monkeypatch.setenv("PADIC_THREADS", "4")
-    threaded = verify_stabilization(f, phi, 0, 5)
-    assert threaded == base
-
-
 def test_verify_plog3_wide_grid_with_oracle():
     from padicfourier import brute_force_oracle
 

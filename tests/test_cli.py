@@ -112,6 +112,13 @@ def test_exit_code_three_on_pole(tmp_path, capsys):
     path = write_cfg(tmp_path, cfg)
     assert run(["verify", "--config", path]) == 3
     assert "numeric error" in capsys.readouterr().err
+    # p^(-M alpha) beyond the floating range: Re alpha < 0 at |t|_3 = 3^2100
+    cfg = dict(POWER_CFG, prime=3)
+    cfg["distribution"] = dict(cfg["distribution"], alpha=-0.5)
+    path = write_cfg(tmp_path, cfg, "overflow.json")
+    assert run(["singular", "--config", path, "--t", f"1/{3**2100}"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ") and "Traceback" not in err
 
 
 def test_exit_code_one_on_bad_config(tmp_path, capsys):

@@ -13,8 +13,11 @@ from padicfourier import (
     apply,
     brute_force_oracle,
     delta_indicator,
+    enumerate_sphere_cosets,
     erdelyi_check,
+    eval_pi1,
     homogeneity_defect,
+    i0,
     quadratic_character,
     random_testfn,
     singular_fourier,
@@ -22,6 +25,7 @@ from padicfourier import (
     trivial_character,
     verify_stabilization,
 )
+from padicfourier.distributions import density_on_sphere
 from padicfourier.errors import BadWindow, PoleProximity, ZeroArgument
 from padicfourier.singular import SingularIntegralRequest
 
@@ -161,3 +165,42 @@ def test_character_prime_must_match_test_function():
         ):
             with pytest.raises(BadWindow, match="pi_1 is over p = 5, phi over p = 3"):
                 call()
+
+
+def enumerated_pairing(f, phi):
+    """<f, phi> for N <= 0 by plain cell enumeration of the interior spheres
+    S_{l+1} .. S_0, where the integrand is (phi - phi(0)) pi_1."""
+    prime = phi.prime
+    chr_ = f.pi1 if isinstance(f, PiAlphaLog) else trivial_character(prime)
+    total = 0j
+    for g in range(phi.l + 1, 1):
+        lam = min(phi.l, g - max(chr_.k0, 1))
+        cells = sum(
+            (phi.at(c) - phi.at_zero) * eval_pi1(chr_, c).to_complex()
+            for c in enumerate_sphere_cosets(prime, g, lam)
+        )
+        total += density_on_sphere(f, prime, g) * cells * float(Fr(prime.p) ** lam)
+    if isinstance(f, PiAlphaLog):
+        total += phi.at_zero * i0(prime, f.pi1, f.alpha, f.m).coeffs[f.m]
+    return total
+
+
+def test_apply_beyond_the_support_matches_enumeration():
+    # for N < 0 the spheres S_{N+1} .. S_0 carry the constant -phi(0) pi_1,
+    # which apply takes in closed form instead of cell by cell
+    for p in (2, 3, 5):
+        prime = Prime(p)
+        chars = [trivial_character(prime)]
+        if p > 2:
+            chars.append(quadratic_character(prime))
+        variants = [PLog(1), PLog(3)] + [
+            PiAlphaLog(alpha, c, m)
+            for c in chars
+            for alpha, m in ((1.5, 0), (-0.3 + 0.2j, 1))
+        ]
+        for N, width in ((-1, 1), (-2, 2), (-3, 0)):
+            phi = random_testfn(prime, N, N - width, seed=900 + p - N)
+            scale = float(Fr(p) ** phi.l) * float(abs(phi.values).sum())
+            for f in variants:
+                err = abs(apply(f, phi) - enumerated_pairing(f, phi))
+                assert err <= 1e-12 * scale, (p, N, width, f)

@@ -147,11 +147,11 @@ def test_vanishing_lemmas_exact():
                 t = Fr(p) ** (-M)
                 j1 = sum(
                     density_on_sphere(f, prime, g)
-                    * sphere_cell_sum(phi, chr_, g, t, subtract_phi0=True)
+                    * sphere_cell_sum(phi, chr_, g, [t], subtract_phi0=True)[0]
                     for g in range(phi.l + 1, l0 + 1)
                 )
                 j2 = sum(
-                    density_on_sphere(f, prime, g) * sphere_cell_sum(phi, chr_, g, t)
+                    density_on_sphere(f, prime, g) * sphere_cell_sum(phi, chr_, g, [t])[0]
                     for g in range(l0 + 1, phi.N + 1)
                 )
                 assert abs(j1) < 1e-12 and abs(j2) < 1e-12
@@ -201,6 +201,30 @@ def test_oracle_agreement_and_refine_invariance():
         a = singular_fourier(req(fq, phi, t))
         b = brute_force_oracle(req(fq, phi, t), refine=1)
         assert abs(a - b) < 1e-9 * (1 + abs(a))
+
+
+def test_oracle_shares_no_kernel_with_the_split_evaluator(monkeypatch):
+    from padicfourier import singular, sums
+
+    phi = random_testfn(P3, 1, -2, seed=67)
+    cases = [
+        (PiAlphaLog(1.5, trivial_character(P3), 1), Fr(2, 27), 2),
+        (PiAlphaLog(0.9 + 0.4j, cubic_mod9(), 1), Fr(1, 9), 1),
+        (PiAlphaLog(1.2, quadratic_character(P3), 0), Fr(5, 3), 0),
+        (PLog(2), Fr(4, 81), 1),
+        (PLog(3), Fr(1, 2), 2),
+    ]
+    want = [brute_force_oracle(req(f, phi, t), refine=r) for f, t, r in cases]
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the oracle reached sums.sphere_cell_sum")
+
+    monkeypatch.setattr(sums, "sphere_cell_sum", broken)
+    monkeypatch.setattr(singular, "sphere_cell_sum", broken)
+    f, t, _ = cases[0]
+    with pytest.raises(AssertionError, match="reached"):
+        singular_fourier(req(f, phi, t))  # the patch is live
+    assert [brute_force_oracle(req(f, phi, t), refine=r) for f, t, r in cases] == want
 
 
 def test_reduces_to_pairing_for_tiny_t():
