@@ -33,7 +33,8 @@ reports the empirically observed stabilization threshold.
 ``verify_stabilization`` takes the left side from the exact split
 evaluator, one call per norm sphere; ``erdelyi_check`` takes it, for
 Re alpha > 0, from the absolutely convergent direct integral (no
-regularization) -- the p-adic Erdelyi lemma -- one oracle call per t.
+regularization) -- the p-adic Erdelyi lemma -- one oracle request per
+norm sphere.
 """
 
 from __future__ import annotations
@@ -422,9 +423,7 @@ def erdelyi_check(
         M_min,
         M_max,
         units_per_sphere,
-        lambda ts: [
-            brute_force_oracle(SingularIntegralRequest(f, phi, t)) for t in ts
-        ],
+        lambda ts: brute_force_oracle(SingularIntegralRequest(f, phi, ts)),
         "erdelyi",
         tolerance_scale,
         strict,

@@ -314,4 +314,4 @@ def sphere_char_chi_integral(
     for u in _units_mod(p, chr_.k0):
         angle = chr_.unit_values[u].angle + Fraction((u * w) % mod, mod)
         total += RootOfUnity(angle).to_complex()
-    return total * float(Fraction(p) ** (gamma - chr_.k0))
+    return total * qp.p_power(p, gamma - chr_.k0)

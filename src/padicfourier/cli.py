@@ -14,20 +14,26 @@ erdelyi    same sweep with the direct absolutely convergent integral
 Exit codes: 0 success; 1 validation error (bad flags or config, with a
 field-path message, or a cell enumeration beyond 2^24 cosets); 2
 verification failure inside the stabilized region; 3 numeric error (pole
-proximity, non-stabilized Gamma sum, a p^(c*alpha) term beyond the
-floating range).
+proximity, a p^(c*alpha) term or a sphere density p^((alpha-1) gamma)
+beyond the floating range).
 
-Configs are JSON; the schema is documented in the README.  Reports are
-CSV (fixed column schema) or JSON, to stdout or --out, and identical
-configs produce byte-identical output.
+Configs are JSON; the schema is documented in the README.  Every field is
+read through ``_field``: it parses, or raises ``ConfigError`` with its
+path.  Reports are CSV (fixed column schema) or JSON, to stdout or --out,
+and identical configs produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
+import os
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from . import asymptotics, qp
 from .asymptotics import (
@@ -39,7 +45,7 @@ from .asymptotics import (
 from .characters import chi as chi_value
 from .characters import make_character, trivial_character
 from .distributions import DiracDelta, PiAlphaLog, PLog, apply
-from .errors import NotStabilized, NumericOverflow, PadicError, PoleProximity
+from .errors import NumericOverflow, PadicError, PoleProximity
 from .gamma import bernoulli, gamma_p
 from .qp import Prime
 from .singular import SingularIntegralRequest, brute_force_oracle, singular_fourier
@@ -63,84 +69,98 @@ def _fmt_complex(z: complex) -> str:
     return f"{_fmt(z.real)}{'+' if z.imag >= 0 else '-'}{_fmt(abs(z.imag))}i"
 
 
-def parse_rational(text, path="value") -> Fraction:
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"{path}: not a rational 'a/b': {text!r}") from exc
+def parse_rational(text) -> Fraction:
+    return Fraction(str(text))  # ValueError or ZeroDivisionError otherwise
 
 
-def parse_complex(spec, path="alpha") -> complex:
-    if isinstance(spec, (int, float)):
-        return complex(spec)
+def _integer(value) -> int:
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
+def _real(value) -> float:
+    x = float(value)
+    if isinstance(value, bool) or not math.isfinite(x):
+        raise ValueError(f"not a finite number: {value!r}")
+    return x
+
+
+def parse_complex(spec) -> complex:
+    """A finite complex from a number, {re, im} or 'a+bi'."""
     if isinstance(spec, dict):
-        try:
-            return complex(float(spec["re"]), float(spec.get("im", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: expected {{re, im}}, got {spec!r}") from exc
-    if isinstance(spec, str):
-        text = spec.strip().replace("i", "j")
-        try:
-            return complex(text)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: not a complex 'a+bi': {spec!r}") from exc
-    raise ConfigError(f"{path}: cannot parse complex from {spec!r}")
+        return complex(_real(spec.get("re")), _real(spec.get("im", 0.0)))
+    if not isinstance(spec, str):
+        return complex(_real(spec))
+    z = complex(spec.strip().replace("i", "j"))
+    if not cmath.isfinite(z):
+        raise ValueError(f"not a finite number: {spec!r}")
+    return z
 
 
-def _require(cfg: dict, key: str, path: str):
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"expected an object, got {value!r}")
+    return value
+
+
+def _parse(value, where: str, parse):
+    """parse(value), with a parse failure a ConfigError naming ``where``."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError, ArithmeticError, PadicError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+_REQUIRED = object()
+
+
+def _field(cfg: dict, key: str, path: str, parse=lambda v: v, default=_REQUIRED):
+    """cfg[key] read through ``parse``; ``default`` when the field is
+    missing or null and has one, else a ConfigError naming path.key."""
+    if cfg.get(key) is None and default is not _REQUIRED:
+        return default
     if key not in cfg:
         raise ConfigError(f"{path}.{key}: missing required field")
-    return cfg[key]
+    return _parse(cfg[key], f"{path}.{key}", parse)
 
 
 def build_prime(cfg: dict) -> Prime:
-    try:
-        return Prime(int(_require(cfg, "prime", "config")))
-    except ValueError as exc:
-        raise ConfigError(f"config.prime: {exc}") from exc
+    return _field(cfg, "prime", "config", lambda v: Prime(_integer(v)))
 
 
 def build_character(prime: Prime, spec, path="config.character"):
     if spec is None:
         return trivial_character(prime)
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}: expected an object, got {spec!r}")
+    spec = _parse(spec, path, _object)
     if spec.get("kind") == "table":
-        values = _require(spec, "values", path)
-        spec = dict(spec)
-        spec["values"] = {
-            u: parse_rational(a, f"{path}.values[{u}]") for u, a in values.items()
+        values = _field(spec, "values", path, _object)
+        k0 = _field(spec, "modulus_exponent", path, _integer)
+        angles = {
+            _parse(u, f"{path}.values", _integer): _parse(
+                a, f"{path}.values[{u}]", parse_rational
+            )
+            for u, a in values.items()
         }
-    try:
-        return make_character(prime, spec)
-    except PadicError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        spec = dict(spec, modulus_exponent=k0, values=angles)
+    return _parse(spec, path, lambda s: make_character(prime, s))
 
 
 def build_distribution(prime: Prime, spec, path="config.distribution", top=None):
     # the flat form (alpha / m / character beside a bare variant name) is
     # accepted alongside the nested form
-    top = top or {}
     if isinstance(spec, str):
         spec = {"variant": spec}
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}: expected an object or variant name")
-    spec = dict(spec)
-    for key in ("alpha", "m", "character"):
-        if key not in spec and key in top:
-            spec[key] = top[key]
-    variant = _require(spec, "variant", path)
+    flat = {key: top[key] for key in ("alpha", "m", "character") if key in (top or {})}
+    spec = flat | _parse(spec, path, _object)
+    variant = _field(spec, "variant", path)
     if variant == "delta":
         return DiracDelta()
     if variant == "p-log":
-        m = int(_require(spec, "m", path))
-        try:
-            return PLog(m)
-        except ValueError as exc:
-            raise ConfigError(f"{path}.m: {exc}") from exc
+        return _field(spec, "m", path, lambda v: PLog(_integer(v)))
     if variant == "pi-alpha-log":
-        alpha = parse_complex(_require(spec, "alpha", path), f"{path}.alpha")
-        m = int(spec.get("m", 0))
+        alpha = _field(spec, "alpha", path, parse_complex)
+        m = _field(spec, "m", path, _integer, default=0)
         pi1 = build_character(prime, spec.get("character"), f"{path}.character")
         try:
             return PiAlphaLog(alpha, pi1, m)
@@ -149,19 +169,22 @@ def build_distribution(prime: Prime, spec, path="config.distribution", top=None)
     raise ConfigError(f"{path}.variant: unknown variant {variant!r}")
 
 
-def build_test_function(prime: Prime, spec: dict, path="config.test_function"):
-    kind = _require(spec, "kind", path)
+def _coset_values(raw) -> np.ndarray:
+    values = np.array([complex(float(x), float(y)) for x, y in raw])
+    if not np.isfinite(values).all():
+        raise ValueError("not a finite number among them")
+    return values
+
+
+def build_test_function(prime: Prime, spec, path="config.test_function"):
+    spec = _parse(spec, path, _object)
+    kind = _field(spec, "kind", path)
     if kind == "delta":
-        return delta_indicator(prime, int(_require(spec, "k", path)))
+        return delta_indicator(prime, _field(spec, "k", path, _integer))
     if kind == "table":
-        N = int(_require(spec, "N", path))
-        l = int(_require(spec, "l", path))
-        raw = _require(spec, "values", path)
-        try:
-            values = [complex(float(re), float(im)) for re, im in raw]
-            return TestFunction(prime, N, l, values)
-        except (TypeError, ValueError, PadicError) as exc:
-            raise ConfigError(f"{path}.values: {exc}") from exc
+        N, l = (_field(spec, key, path, _integer) for key in ("N", "l"))
+        values = _field(spec, "values", path, _coset_values)
+        return _parse(values, f"{path}.values", lambda v: TestFunction(prime, N, l, v))
     raise ConfigError(f"{path}.kind: unknown kind {kind!r}")
 
 
@@ -183,9 +206,12 @@ def _write_output(text: str, out: str | None):
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"output: cannot write {out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +219,10 @@ def _write_output(text: str, out: str | None):
 
 
 def _cmd_gamma(args) -> int:
-    prime = Prime(args.p)
-    alpha = parse_complex(args.alpha, "--alpha")
+    if args.order < 0:
+        raise ConfigError("--order: must be >= 0")
+    prime = _parse(args.p, "--p", Prime)
+    alpha = _parse(args.alpha, "--alpha", parse_complex)
     jet = gamma_p(prime, alpha, args.order)
     lines = [f"Gamma_{args.p}({_fmt_complex(alpha)}) = {_fmt_complex(jet.value)}"]
     for k in range(1, args.order + 1):
@@ -204,8 +232,8 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_chi(args) -> int:
-    prime = Prime(args.p)
-    x = parse_rational(args.x, "--x")
+    prime = _parse(args.p, "--p", Prime)
+    x = _parse(args.x, "--x", parse_rational)
     value = chi_value(x, prime)
     z = value.to_complex()
     _write_output(
@@ -229,7 +257,7 @@ def _cmd_bernoulli(args) -> int:
 def _cmd_fourier(args) -> int:
     cfg = load_config(args.config)
     prime = build_prime(cfg)
-    phi = build_test_function(prime, _require(cfg, "test_function", "config"))
+    phi = build_test_function(prime, _field(cfg, "test_function", "config"))
     out = fourier(phi)
     lines = [f"# F[phi] in D^{out.l}_{out.N}(Q_{prime.p})", "coset,re,im"]
     for rep, v in zip(qp.enumerate_cosets(prime, out.N, out.l), out.values):
@@ -241,8 +269,8 @@ def _cmd_fourier(args) -> int:
 def _cmd_eval_dist(args) -> int:
     cfg = load_config(args.config)
     prime = build_prime(cfg)
-    f = build_distribution(prime, _require(cfg, "distribution", "config"), top=cfg)
-    phi = build_test_function(prime, _require(cfg, "test_function", "config"))
+    f = build_distribution(prime, _field(cfg, "distribution", "config"), top=cfg)
+    phi = build_test_function(prime, _field(cfg, "test_function", "config"))
     value = apply(f, phi)
     _write_output(f"<f, phi> = {_fmt_complex(value)}", args.out)
     return EXIT_OK
@@ -253,12 +281,12 @@ def _cmd_singular(args) -> int:
         raise ConfigError("--refine: must be >= 0")
     cfg = load_config(args.config)
     prime = build_prime(cfg)
-    f = build_distribution(prime, _require(cfg, "distribution", "config"), top=cfg)
-    phi = build_test_function(prime, _require(cfg, "test_function", "config"))
-    t = parse_rational(args.t, "--t")
+    f = build_distribution(prime, _field(cfg, "distribution", "config"), top=cfg)
+    phi = build_test_function(prime, _field(cfg, "test_function", "config"))
+    t = _parse(args.t, "--t", parse_rational)
     split = args.split_level
     if split is None:
-        split = cfg.get("split_level")
+        split = _field(cfg, "split_level", "config", _integer, default=None)
     try:
         req = SingularIntegralRequest(f, phi, t, split)
     except PadicError as exc:
@@ -276,10 +304,10 @@ def _cmd_singular(args) -> int:
 
 
 def _grid(cfg: dict) -> tuple[int, int, int]:
-    grid = _require(cfg, "t_grid", "config")
-    M_min = int(_require(grid, "M_min", "config.t_grid"))
-    M_max = int(_require(grid, "M_max", "config.t_grid"))
-    units = int(grid.get("units_per_sphere", 3))
+    grid = _field(cfg, "t_grid", "config", _object)
+    M_min = _field(grid, "M_min", "config.t_grid", _integer)
+    M_max = _field(grid, "M_max", "config.t_grid", _integer)
+    units = _field(grid, "units_per_sphere", "config.t_grid", _integer, default=3)
     if M_max < M_min:
         raise ConfigError("config.t_grid: M_max < M_min")
     if units < 1:
@@ -288,9 +316,9 @@ def _grid(cfg: dict) -> tuple[int, int, int]:
 
 
 def _emit_report(report, cfg: dict, args) -> None:
-    output_cfg = cfg.get("output") or {}
+    output_cfg = _field(cfg, "output", "config", _object, default={})
     fmt = args.format or output_cfg.get("format") or "csv"
-    out = args.out or output_cfg.get("path")
+    out = args.out or _field(output_cfg, "path", "config.output", os.fspath, None)
     if fmt == "json":
         _write_output(report.to_json(), out)
     elif fmt == "csv":
@@ -302,13 +330,13 @@ def _emit_report(report, cfg: dict, args) -> None:
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     prime = build_prime(cfg)
-    f = build_distribution(prime, _require(cfg, "distribution", "config"), top=cfg)
+    f = build_distribution(prime, _field(cfg, "distribution", "config"), top=cfg)
     erdelyi = args.command == "erdelyi"
     if erdelyi and not isinstance(f, PiAlphaLog):
         raise ConfigError(
             "config.distribution: the Erdelyi check needs variant pi-alpha-log"
         )
-    phi = build_test_function(prime, _require(cfg, "test_function", "config"))
+    phi = build_test_function(prime, _field(cfg, "test_function", "config"))
     family = theorem_family(f)
     if not erdelyi and args.theorem not in ("auto", family):
         raise ConfigError(
@@ -316,17 +344,14 @@ def _cmd_sweep(args) -> int:
             f"distribution (family: {family})"
         )
     M_min, M_max, units = _grid(cfg)
-    tol = cfg.get("tolerance")
-    options = dict(
-        units_per_sphere=units,
-        tolerance_scale=asymptotics.TOLERANCE_SCALE if tol is None else float(tol),
-        strict=False,
-    )
+    tol = _field(cfg, "tolerance", "config", _real, default=asymptotics.TOLERANCE_SCALE)
+    options = dict(units_per_sphere=units, tolerance_scale=tol, strict=False)
     if erdelyi:
         report = erdelyi_check(f.alpha, f.pi1, f.m, phi, M_min, M_max, **options)
     else:
+        split = _field(cfg, "split_level", "config", _integer, default=None)
         report = verify_stabilization(
-            f, phi, M_min, M_max, split_level=cfg.get("split_level"), **options
+            f, phi, M_min, M_max, split_level=split, **options
         )
     _emit_report(report, cfg, args)
     return EXIT_OK if report.ok else EXIT_MISMATCH
@@ -408,7 +433,7 @@ def run(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (PoleProximity, NotStabilized, NumericOverflow) as exc:
+    except (PoleProximity, NumericOverflow) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except PadicError as exc:

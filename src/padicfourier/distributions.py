@@ -11,7 +11,29 @@ Three canonical variants exhaust the QAHDs up to lower-order terms:
   constant term;
 * ``DiracDelta``: the homogeneous distribution of degree pi_0.
 
-All pairings are finite exact sums: the subtracted interior integrand
+One sphere loop evaluates both the pairing <f, phi> and the singular
+integral J(t) = <f(x) chi_p(xt), phi(x)>: <f, phi> is J with chi_p == 1
+(``apply``, split at l0 = 0, where J0 is I_0).  Split at a level l0,
+J = (sphere sums) + phi(0) * J0: the sphere sums integrate
+f chi_p (phi - phi(0)) over B_{l0} and f chi_p phi beyond it, and J0
+(``j0_closed_form``) is the continued integral of f chi_p over B_{l0}:
+
+* |x|^{alpha-1} log^m, trivial pi_1: the two-branch formula
+  (1-1/p) (log_p e)^m d^m/dalpha^m [p^{alpha l0} / (1-p^{-alpha})] for
+  |t|_p <= p^{-l0} (and for chi_p == 1) and
+  (log_p e)^m d^m/dalpha^m [Gamma_p(alpha) |t|^{-alpha}] beyond, via jets;
+* P(log^{m-1}/|x|): -(1/p)(1-M)^{m-1} - (1-1/p)(S_{m-1}(l0) - S_{m-1}(-M))
+  for |t|_p = p^M > p^{-l0}, else 0 (exact rationals via Bernoulli /
+  power-sum polynomials), plus the pinning correction
+  (1-1/p) S_{m-1}(l0): the PLog regularization subtracts phi(0) over B_0,
+  not B_{l0}, and the exact difference is the integral of the density
+  over the annulus between the two balls (it vanishes at l0 = 0 and makes
+  J independent of the split level);
+* ramified pi_1: the terminating sphere sum -- every sphere with
+  |xt|_p != p^{k0} integrates to an exact zero, leaving at most one
+  finite Gauss sum, valid for all alpha since I_0 == 0.
+
+The sphere sums are finite exact sums: the subtracted interior integrand
 vanishes on B_l, the exterior integrand vanishes outside B_N, and each
 sphere is covered by cells on which the integrand is constant.
 
@@ -31,14 +53,23 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+
 from . import qp
-from .characters import NormedMultChar, eval_pi1, trivial_character
-from .errors import BadWindow, ZeroArgument
-from .gamma import check_pole, faulhaber_sum, i0
+from .characters import (
+    NormedMultChar,
+    eval_pi1,
+    sphere_char_chi_integral,
+    trivial_character,
+)
+from .errors import BadWindow, NumericOverflow, ZeroArgument
+from .gamma import ball_norm_power_jet, check_pole, faulhaber_sum, gamma_p, logp_scaled
+from .jets import p_power_jet
 from .qp import Prime, Rational
 from .sums import sphere_cell_sum
 from .testfn import TestFunction, dilate
@@ -82,11 +113,21 @@ QahDistribution = PiAlphaLog | PLog | DiracDelta
 
 
 def density_on_sphere(f: QahDistribution, prime: Prime, gamma: int) -> complex:
-    """The radial factor of f on S_gamma (|x|_p = p^gamma)."""
+    """The radial factor of f on S_gamma (|x|_p = p^gamma); NumericOverflow
+    when p^{(alpha-1) gamma} is not a finite float."""
     if isinstance(f, PiAlphaLog):
-        return cmath.exp((f.alpha - 1) * gamma * math.log(prime.p)) * gamma**f.m
+        try:
+            value = cmath.exp((f.alpha - 1) * gamma * math.log(prime.p)) * gamma**f.m
+        except OverflowError:
+            value = cmath.inf
+        if not cmath.isfinite(value):
+            raise NumericOverflow(
+                f"{prime.p}^((alpha-1)*gamma) with alpha = {f.alpha}, gamma = {gamma} "
+                "is not a finite float"
+            )
+        return value
     if isinstance(f, PLog):
-        return float(Fraction(prime.p) ** (-gamma)) * gamma ** (f.m - 1)
+        return qp.p_power(prime.p, -gamma) * gamma ** (f.m - 1)
     raise TypeError(f"no sphere density for {f!r}")
 
 
@@ -98,28 +139,81 @@ def char_of(f: QahDistribution, prime: Prime) -> NormedMultChar:
     return trivial_character(prime)
 
 
-def apply(f: QahDistribution, phi: TestFunction) -> complex:
-    """The regularized pairing <f, phi>, as an exact finite sum."""
-    prime = phi.prime
+def j0_closed_form(
+    f: QahDistribution, l0: int, t: Rational | None, prime: Prime
+) -> complex:
+    """The continued integral of f(x) chi_p(xt) over B_{l0} (for the PLog
+    family: of the chi_p(xt) - 1 variant, plus the pinning correction), in
+    closed form.  t = None means chi_p == 1; at l0 = 0 that is I_0."""
+    if t is not None:
+        t = Fraction(t)
+        if t == 0:
+            raise ZeroArgument("j0_closed_form requires t != 0")
+        m_exp = -qp.valuation(t, prime)  # log_p |t|_p
+    near = t is None or m_exp <= -l0  # chi_p == 1 on all of B_{l0}
+    p = prime.p
+
+    if isinstance(f, PLog):
+        s = f.m - 1
+        value = 0
+        if not near:
+            value = -Fraction(1, p) * (1 - m_exp) ** s - (1 - Fraction(1, p)) * (
+                faulhaber_sum(s, l0) - faulhaber_sum(s, -m_exp)
+            )
+        pinning = (1 - Fraction(1, p)) * faulhaber_sum(s, l0) if l0 else 0
+        return complex(value) + complex(pinning)
+
+    if not isinstance(f, PiAlphaLog):
+        raise TypeError(f"no J0 closed form for {f!r}")
+
+    if f.pi1.is_trivial():  # gamma_p and ball_norm_power_jet check the pole
+        if near:
+            jet = ball_norm_power_jet(prime, l0, f.alpha, f.m)
+        else:
+            jet = gamma_p(prime, f.alpha, f.m) * p_power_jet(
+                p, -m_exp, f.alpha, f.m
+            )
+        return logp_scaled(jet, p).coeffs[f.m]
+
+    # ramified pi_1: only the sphere with |xt|_p = p^{k0} can contribute;
+    # sphere_char_chi_integral is an exact zero everywhere else
+    if t is None:
+        return 0j
+    gamma_res = f.pi1.k0 - m_exp
+    if gamma_res > l0:
+        return 0j
+    return density_on_sphere(f, prime, gamma_res) * sphere_char_chi_integral(
+        f.pi1, gamma_res, t
+    )
+
+
+def _pairing(
+    f: QahDistribution, phi: TestFunction, ts: Sequence[Rational] | None, l0: int
+) -> list[complex]:
+    """<f(x) chi_p(xt), phi(x)> split at l0, one value per t of ``ts``
+    (which share one |t|_p), or the one value <f, phi> when ts is None."""
+    points = [None] if ts is None else ts
     if isinstance(f, DiracDelta):
-        return phi.at(0)
+        return [phi.at(0)] * len(points)
+    prime = phi.prime
     chr_ = char_of(f, prime)
     if isinstance(f, PiAlphaLog) and f.pi1.is_trivial():
         check_pole(prime, f.alpha)
-    interior = sum(
-        density_on_sphere(f, prime, g)
-        * sphere_cell_sum(phi, chr_, g, None, subtract_phi0=True)[0]
-        for g in range(phi.l + 1, 1)
-    )
-    exterior = sum(
-        density_on_sphere(f, prime, g) * sphere_cell_sum(phi, chr_, g, None)[0]
-        for g in range(1, phi.N + 1)
-    )
-    if isinstance(f, PiAlphaLog):
-        constant = phi.at_zero * i0(prime, f.pi1, f.alpha, f.m).coeffs[f.m]
-    else:
-        constant = 0j
-    return complex(interior + exterior + constant)
+    # (phi - phi(0)) on the spheres up to S_{l0}, phi beyond
+    split = np.zeros(len(points), dtype=np.complex128)
+    for g in range(min(phi.l, l0) + 1, max(phi.N, l0) + 1):
+        split += density_on_sphere(f, prime, g) * sphere_cell_sum(
+            phi, chr_, g, ts, subtract_phi0=g <= l0
+        )
+    return [
+        complex(s) + phi.at_zero * j0_closed_form(f, l0, t, prime)
+        for s, t in zip(split, points)
+    ]
+
+
+def apply(f: QahDistribution, phi: TestFunction) -> complex:
+    """The regularized pairing <f, phi>, as an exact finite sum."""
+    return _pairing(f, phi, None, 0)[0]
 
 
 def homogeneity_defect(

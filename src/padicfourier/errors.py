@@ -49,11 +49,6 @@ class NumericOverflow(PadicError):
     range (e.g. Re alpha < 0 at a very large |t|_p)."""
 
 
-class NotStabilized(PadicError):
-    """A stabilized improper integral did not stabilize within the
-    allotted shells."""
-
-
 class BadAlpha(PadicError):
     """alpha outside the admissible half-plane for a direct integral."""
 

@@ -4,10 +4,11 @@ Closed forms implemented here:
 
 * Gamma_p(alpha) = (1 - p^{alpha-1}) / (1 - p^{-alpha}), with
   alpha-derivatives to any order via jet arithmetic;
-* Gamma_p(pi_alpha) for a ramified pi_1, computed as the stabilized
-  improper integral sum_gamma p^{gamma(alpha-1)} G_gamma where G_gamma is
-  the exact Haar integral of pi_1 * chi_p over the sphere S_gamma (all but
-  one shell vanish exactly, so the partial sums stabilize exactly);
+* Gamma_p(pi_alpha) for a ramified pi_1 of rank k0, the improper
+  integral sum_gamma p^{gamma(alpha-1)} G_gamma where G_gamma is the exact
+  Haar integral of pi_1 * chi_p over the sphere S_gamma.  Every G_gamma
+  but G_{k0} is an exact zero, so the integral is its one resonant shell
+  p^{k0(alpha-1)} G_{k0}, a finite Gauss sum, and no shell is summed;
 * I_0(alpha; m), the regularized unit-ball integral of
   |x|^{alpha-1} pi_1(x) log_p^m |x|: identically zero for ramified pi_1,
   and the log_p e - scaled derivative jet of (1-1/p)/(1-p^{-alpha})
@@ -29,20 +30,12 @@ from functools import lru_cache
 from math import comb
 
 from .characters import MultChar, NormedMultChar, sphere_char_chi_integral
-from .errors import NotStabilized, PoleProximity
+from .errors import PoleProximity
 from .jets import Jet, p_power_jet
-from .qp import Prime
+from .qp import Prime, p_power
 
 #: hard-error radius around the poles of 1/(1 - p^{-alpha})
 POLE_TOLERANCE = 1e-12
-
-#: increment threshold certifying a stabilized improper integral
-STABILIZATION_EPS = 1e-13
-
-
-def logp_e(p: int) -> float:
-    """log_p e = 1 / ln p."""
-    return 1.0 / math.log(p)
 
 
 def check_pole(prime: Prime, alpha: complex) -> None:
@@ -76,7 +69,7 @@ def ball_norm_power_jet(prime: Prime, lam: int, alpha: complex, order: int) -> J
 def logp_scaled(jet: Jet, p: int) -> Jet:
     """Apply the log_p^k e factor to entry k, turning d^k/dalpha^k into
     the log_p-derivative normalization the asymptotic formulas use."""
-    s = logp_e(p)
+    s = 1.0 / math.log(p)  # log_p e
     return Jet(tuple(c * s**k for k, c in enumerate(jet.coeffs)))
 
 
@@ -89,39 +82,20 @@ def i0(prime: Prime, chr_: NormedMultChar, alpha: complex, order: int = 0) -> Je
     return logp_scaled(ball_norm_power_jet(prime, 0, alpha, order), prime.p)
 
 
-def gamma_pi(chr_: MultChar, order: int = 0, max_shell: int | None = None) -> Jet:
+def gamma_pi(chr_: MultChar, order: int = 0) -> Jet:
     """Jet of Gamma_p(pi_alpha) = F[pi_alpha](1).
 
     Trivial pi_1 delegates to the closed form :func:`gamma_p`.  Ramified
-    pi_1 sums the exact sphere integrals G_gamma of pi_1 * chi_p over
-    shells |gamma| <= K together with their term-wise alpha-derivatives
-    (gamma ln p)^k p^{gamma(alpha-1)} G_gamma; stabilization is certified
-    by the last two shell increments.
+    pi_1 of rank k0 is the resonant shell |x|_p = p^{k0} alone:
+    p^{k0(alpha-1)} G_{k0}, with derivatives (k0 ln p)^k times it.
     """
     pi1 = chr_.pi1
     prime = pi1.prime
     if pi1.is_trivial():
         return gamma_p(prime, chr_.alpha, order)
     k0 = pi1.k0
-    K = k0 + 4 if max_shell is None else int(max_shell)
-    if K < k0 + 2:
-        raise NotStabilized(f"max_shell K = {K} below k0 + 2 = {k0 + 2}")
-    p = prime.p
-    total = Jet.constant(0, order)
-    increments = []
-    for gamma in range(-K, K + 1):
-        g = sphere_char_chi_integral(pi1, gamma, 1)
-        term = p_power_jet(p, gamma, chr_.alpha, order).scale(
-            g * float(Fraction(p) ** (-gamma))
-        )
-        total = total + term
-        increments.append(max(abs(c) for c in term.coeffs))
-    if max(increments[-2:]) >= STABILIZATION_EPS:
-        raise NotStabilized(
-            f"Gamma_p(pi_alpha) partial sums not stabilized by shell {K}: "
-            f"last increments {increments[-2:]}"
-        )
-    return total
+    shell = sphere_char_chi_integral(pi1, k0, 1) * p_power(prime.p, -k0)
+    return p_power_jet(prime.p, k0, chr_.alpha, order).scale(shell)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,12 @@ def valuation(x: Rational, prime: Prime):
     return -_int_valuation(x.denominator, p)
 
 
+def p_power(p: int, e: int) -> float:
+    """p^e as a float: the correctly rounded float(Fraction(p) ** e),
+    without the Fraction arithmetic."""
+    return p**e / 1 if e >= 0 else 1 / p**-e
+
+
 def norm(x: Rational, prime: Prime) -> Fraction:
     """|x|_p = p^(-valuation), exactly; 0 for x = 0."""
     v = valuation(x, prime)

@@ -1,39 +1,13 @@
-"""Exact evaluation of the singular Fourier integral J(t) = <f(x) chi_p(xt), phi(x)>.
+"""The singular Fourier integral J(t) = <f(x) chi_p(xt), phi(x)>, exactly.
 
-The evaluator splits the pairing at a level l0 (default: phi's constancy
-parameter l) into
-
-    J = J1 + J2 + phi(0) * (J0 + pinning correction),
-
-where J1 integrates f(x) chi_p(xt) (phi(x) - phi(0)) over B_{l0}, J2
-integrates f(x) chi_p(xt) phi(x) outside B_{l0}, and J0 is the continued
-integral of f(x) chi_p(xt) over B_{l0}, evaluated in closed form:
-
-* |x|^{alpha-1} log^m, trivial pi_1: the two-branch formula
-  (1-1/p) (log_p e)^m d^m/dalpha^m [p^{alpha l0} / (1-p^{-alpha})] for
-  |t|_p <= p^{-l0} and (log_p e)^m d^m/dalpha^m [Gamma_p(alpha) |t|^{-alpha}]
-  beyond, via jets;
-* P(log^{m-1}/|x|): -(1/p)(1-M)^{m-1} - (1-1/p)(S_{m-1}(l0) - S_{m-1}(-M))
-  for |t|_p = p^M > p^{-l0}, else 0 (exact rationals via Bernoulli /
-  power-sum polynomials);
-* ramified pi_1: the terminating sphere sum -- every sphere with
-  |xt|_p != p^{k0} integrates to an exact zero, leaving at most one
-  finite Gauss sum, valid for all alpha since I_0 == 0.
-
-The pinning correction phi(0) (1-1/p) S_{m-1}(l0) applies to the PLog
-family only: its defining regularization subtracts phi(0) over B_0, not
-B_{l0}, and the exact difference is the integral of the density over the
-annulus between the two balls.  (It vanishes at l0 = 0 and makes the
-value independent of the split level, as it must be.)
-
-J1 and J2 are finite sphere-by-coset sums (``sums.sphere_cell_sum``,
-which serves every t of one norm sphere with one DFT); beyond the
-stabilization threshold they are exact zeros because every per-cell
-chi_p ball integral vanishes.  ``brute_force_oracle`` recomputes J on a
-structurally different path: its own plain value-times-chi_p-times-measure
-summation over refined cells on every sphere down to an analytic-tail
-boundary, plus the geometric-jet tail, with no split, no closed-form
-branches and no shared sphere kernel.
+``singular_fourier`` validates a request (one t, or the t of one norm
+sphere) and hands it to the pairing core in ``distributions``: sphere
+sums split at l0 plus phi(0) times the closed-form J0.
+``brute_force_oracle`` recomputes J on a structurally different path:
+its own plain value-times-chi_p-times-measure summation over refined
+cells on every sphere down to an analytic-tail boundary, plus the
+geometric-jet tail, with no split, no closed-form branches and no shared
+sphere kernel.
 """
 
 from __future__ import annotations
@@ -44,27 +18,19 @@ from fractions import Fraction
 import numpy as np
 
 from . import qp
+from .characters import NormedMultChar, sphere_chi_integral
 from .distributions import (
     DiracDelta,
-    PiAlphaLog,
     PLog,
     QahDistribution,
+    _pairing,
     char_of,
     density_on_sphere,
+    j0_closed_form,  # noqa: F401 -- part of this module's API
 )
-from .characters import NormedMultChar, sphere_char_chi_integral, sphere_chi_integral
 from .errors import BadWindow, ZeroArgument
-from .gamma import (
-    ball_norm_power_jet,
-    check_pole,
-    faulhaber_sum,
-    gamma_p,
-    logp_e,
-    logp_scaled,
-)
-from .jets import p_power_jet
-from .qp import Prime, Rational, Sphere
-from .sums import sphere_cell_sum
+from .gamma import ball_norm_power_jet, check_pole, faulhaber_sum, logp_scaled
+from .qp import Prime, Sphere
 from .testfn import TestFunction
 
 
@@ -99,93 +65,32 @@ class SingularIntegralRequest:
         return self.phi.l if self.split_level is None else int(self.split_level)
 
 
-def j0_closed_form(
-    f: QahDistribution, l0: int, t: Rational, prime: Prime
-) -> complex:
-    """The continued integral of f(x) chi_p(xt) over B_{l0} (the
-    chi_p(xt) - 1 variant for the PLog family), in closed form."""
-    t = Fraction(t)
-    if t == 0:
-        raise ZeroArgument("j0_closed_form requires t != 0")
-    p = prime.p
-    m_exp = -qp.valuation(t, prime)  # log_p |t|_p
-
-    if isinstance(f, PLog):
-        s = f.m - 1
-        if m_exp <= -l0:
-            return 0j  # chi == 1 on all of B_{l0}
-        value = -Fraction(1, p) * (1 - m_exp) ** s - (1 - Fraction(1, p)) * (
-            faulhaber_sum(s, l0) - faulhaber_sum(s, -m_exp)
-        )
-        return complex(value)
-
-    if not isinstance(f, PiAlphaLog):
-        raise TypeError(f"no J0 closed form for {f!r}")
-
-    if f.pi1.is_trivial():
-        check_pole(prime, f.alpha)
-        if m_exp <= -l0:
-            jet = ball_norm_power_jet(prime, l0, f.alpha, f.m)
-        else:
-            jet = gamma_p(prime, f.alpha, f.m) * p_power_jet(
-                p, -m_exp, f.alpha, f.m
-            )
-        return logp_scaled(jet, p).coeffs[f.m]
-
-    # ramified pi_1: only the sphere with |xt|_p = p^{k0} can contribute;
-    # sphere_char_chi_integral is an exact zero everywhere else
-    gamma_res = f.pi1.k0 - m_exp
-    if gamma_res > l0:
-        return 0j
-    return density_on_sphere(f, prime, gamma_res) * sphere_char_chi_integral(
-        f.pi1, gamma_res, t
-    )
-
-
-def _pinning_correction(f: QahDistribution, prime: Prime, l0: int) -> complex:
-    if isinstance(f, PLog) and l0 != 0:
-        return complex(
-            (1 - Fraction(1, prime.p)) * faulhaber_sum(f.m - 1, l0)
-        )
-    return 0j
-
-
 def singular_fourier(req: SingularIntegralRequest) -> complex | list[complex]:
     """J(t) = <f(x) chi_p(xt), phi(x)>, exactly (up to floating rounding).
     A tuple of t gives a list, one J per t: each sphere is enumerated once
     for the whole batch."""
-    f, phi, ts = req.f, req.phi, req.points()
-    prime = phi.prime
-    if isinstance(f, DiracDelta):
-        values = [phi.at(0)] * len(ts)
-    else:
-        chr_ = char_of(f, prime)
-        if isinstance(f, PiAlphaLog) and f.pi1.is_trivial():
-            check_pole(prime, f.alpha)
-        l0 = req.level()
-        # J1 on the spheres above S_l up to S_{l0}, J2 beyond S_{l0}
-        split = np.zeros(len(ts), dtype=np.complex128)
-        for g in range(min(phi.l, l0) + 1, phi.N + 1):
-            split += density_on_sphere(f, prime, g) * sphere_cell_sum(
-                phi, chr_, g, ts, subtract_phi0=g <= l0
-            )
-        correction = _pinning_correction(f, prime, l0)
-        values = [
-            complex(s) + phi.at_zero * (j0_closed_form(f, l0, t, prime) + correction)
-            for s, t in zip(split, ts)
-        ]
+    values = _pairing(req.f, req.phi, req.points(), req.level())
     return values if isinstance(req.t, tuple) else values[0]
 
 
-def brute_force_oracle(req: SingularIntegralRequest, refine: int = 0) -> complex:
+def brute_force_oracle(
+    req: SingularIntegralRequest, refine: int = 0
+) -> complex | list[complex]:
     """J(t) recomputed by direct refined-cell summation on every sphere
     down to the analytic-tail boundary gamma* = min(-log_p|t|_p, l) - refine,
     plus the closed-form tail below it (geometric jet for trivial pi_1,
     exact zero for ramified, finite power sum for PLog).  It shares no
-    sphere kernel with ``singular_fourier``."""
+    sphere kernel with ``singular_fourier``.  A tuple of t gives a list,
+    one J per t."""
     if refine < 0:
         raise ValueError(f"refine must be >= 0, got {refine}")
-    f, phi, t = req.f, req.phi, req.t
+    values = [_oracle_at(req.f, req.phi, t, refine) for t in req.points()]
+    return values if isinstance(req.t, tuple) else values[0]
+
+
+def _oracle_at(
+    f: QahDistribution, phi: TestFunction, t: Fraction, refine: int
+) -> complex:
     prime = phi.prime
     if isinstance(f, DiracDelta):
         return phi.at(0)

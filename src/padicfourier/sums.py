@@ -30,7 +30,6 @@ u mod p^K; the batch reads off its own directions.  For K <= 0, chi_p is
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 
 import numpy as np
 
@@ -70,7 +69,7 @@ def sphere_cell_sum(
         vals = vals - phi.values[0]
     if chr_.k0 >= 1:
         vals = vals * chr_.complex_table()[words % p**chr_.k0]
-    ball = float(Fraction(p) ** lam)
+    ball = qp.p_power(p, lam)
     if M is None or gamma + M <= 0:
         return np.full(len(points), vals.sum() * ball)
 

@@ -1,6 +1,10 @@
 """CLI driver: subcommands, configs, exit codes, determinism."""
 
+import copy
 import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from padicfourier import StabilizationReport
 from padicfourier.cli import run
@@ -238,3 +242,129 @@ def test_flat_config_form(tmp_path, capsys):
     # flat and nested configs agree row by row where grids overlap
     rows = [line for line in out.splitlines() if line and line[0].isdigit()]
     assert any(line.startswith("1,1,") for line in rows)
+
+
+def test_density_overflow_is_a_numeric_error(tmp_path, capsys):
+    # p^((alpha-1) gamma) on S_-1 is 3^801, beyond the floating range
+    cfg = dict(RAMIFIED_CFG, prime=3)
+    cfg["distribution"] = dict(cfg["distribution"], alpha=-800)
+    cfg["test_function"] = {"kind": "table", "N": 0, "l": -2, "values": [[1.0, 0.0]] * 9}
+    path = write_cfg(tmp_path, cfg)
+    for argv in (["eval-dist", "--config", path], ["singular", "--config", path, "--t", "1/3"]):
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ") and "Traceback" not in err
+
+
+def _set(cfg, path, value):
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+BAD_FIELDS = [
+    (PLOG_CFG, ("distribution", "m"), 1.5, "config.distribution.m"),
+    (RAMIFIED_CFG, ("distribution", "m"), "one", "config.distribution.m"),
+    (RAMIFIED_CFG, ("test_function", "N"), [1], "config.test_function.N"),
+    (RAMIFIED_CFG, ("test_function", "l"), None, "config.test_function.l"),
+    (POWER_CFG, ("test_function", "k"), "zero", "config.test_function.k"),
+    (RAMIFIED_CFG, ("t_grid", "M_min"), "0.5", "config.t_grid.M_min"),
+    (RAMIFIED_CFG, ("t_grid", "M_max"), {}, "config.t_grid.M_max"),
+    (RAMIFIED_CFG, ("t_grid", "units_per_sphere"), "two", "config.t_grid.units_per_sphere"),
+    (RAMIFIED_CFG, ("split_level",), "low", "config.split_level"),
+    (RAMIFIED_CFG, ("tolerance",), "tight", "config.tolerance"),
+    (RAMIFIED_CFG, ("test_function",), [1, 2], "config.test_function"),
+    (RAMIFIED_CFG, ("distribution", "alpha"), "nan", "config.distribution.alpha"),
+    (RAMIFIED_CFG, ("distribution", "alpha"), {"re": "inf"}, "config.distribution.alpha"),
+    (POWER_CFG, ("distribution", "alpha"), float("nan"), "config.distribution.alpha"),
+]
+
+
+def test_every_config_field_parses_or_names_itself(tmp_path, capsys):
+    for base, field, value, where in BAD_FIELDS:
+        cfg = copy.deepcopy(base)
+        _set(cfg, field, value)
+        path = write_cfg(tmp_path, cfg)
+        commands = [["verify", "--config", path]]
+        if field[0] not in ("t_grid", "tolerance"):  # fields singular reads too
+            commands.append(["singular", "--config", path, "--t", "1/9"])
+        for argv in commands:
+            assert run(argv) == 1, (field, value, argv[0])
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {where}: "), (err, where)
+            assert "Traceback" not in err
+
+
+def _paths(node, prefix=()):
+    """Every key path of a config tree, into the first entry of each list."""
+    items = node.items() if isinstance(node, dict) else list(enumerate(node))[:1]
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+#: small windows and grids, so one mutated field keeps every enumeration
+#: far below the 2^24-word cap
+FUZZ_BASES = [
+    POWER_CFG,
+    PLOG_CFG,
+    dict(
+        RAMIFIED_CFG,
+        test_function={"kind": "table", "N": -1, "l": -3, "values": [[0.5, 0.25]] * 9},
+        t_grid={"M_min": 0, "M_max": 4, "units_per_sphere": 2},
+    ),
+]
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-12, 12),
+    st.floats(-12, 12),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    st.sampled_from(["nan", "inf", "-Infinity", "1e999", "1/0", "2/3", "", "x"]),
+    st.text(alphabet="ab1.-", max_size=3),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.sampled_from(["re", "im", "kind"]), st.integers(-2, 2), max_size=2),
+)
+
+
+@st.composite
+def mutated_configs(draw):
+    cfg = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    path = draw(st.sampled_from(list(_paths(cfg))))
+    if draw(st.booleans()) and not isinstance(path[-1], int):
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+    else:
+        _set(cfg, path, draw(JUNK))
+    command = draw(st.sampled_from(["verify", "erdelyi", "eval-dist", "singular", "fourier"]))
+    argv = [command]
+    if command == "verify":
+        argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    if command == "singular":
+        # an integer t has |t|_p <= 1 for every p, which keeps the oracle's
+        # refined cells at most p^N per sphere
+        argv += ["--t", str(draw(st.sampled_from([1, -1, 2, 3, 18, 25, 0])))]
+        if draw(st.booleans()):
+            argv += ["--oracle"]
+    return cfg, argv
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(mutated_configs())
+def test_fuzzed_configs_exit_with_a_documented_code(tmp_path, monkeypatch, capsys, case):
+    cfg, argv = case
+    monkeypatch.chdir(tmp_path)  # an "output.path" lands here
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(cfg))
+    argv = argv[:1] + ["--config", str(path)] + argv[1:]
+    assert run(argv) in (0, 1, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err

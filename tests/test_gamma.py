@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 from padicfourier import (
+    Jet,
     MultChar,
     Prime,
     bernoulli,
@@ -15,13 +16,15 @@ from padicfourier import (
     gamma_p,
     gamma_pi,
     i0,
+    p_power_jet,
     quadratic_character,
     table_character,
     trivial_character,
 )
-from padicfourier.errors import NotStabilized, PoleProximity
+from padicfourier.characters import sphere_char_chi_integral
+from padicfourier.errors import PoleProximity
 
-P2, P3, P5 = Prime(2), Prime(3), Prime(5)
+P2, P3, P5, P7 = Prime(2), Prime(3), Prime(5), Prime(7)
 
 
 def cubic_mod9():
@@ -143,14 +146,37 @@ def test_gamma_pi_ramified_jets_match_finite_differences():
         assert abs(jet.coeffs[1] - want) < 1e-12 * (1 + abs(want))
 
 
-def test_gamma_pi_shell_budget():
+def shell_sum(chr_, alpha, order):
+    """The improper integral summed shell by shell over |gamma| <= k0 + 4,
+    with the term-wise alpha-derivatives (gamma ln p)^k p^{gamma(alpha-1)} G_gamma."""
+    p, k0 = chr_.prime.p, chr_.k0
+    total = Jet.constant(0, order)
+    for gamma in range(-k0 - 4, k0 + 5):
+        g = sphere_char_chi_integral(chr_, gamma, 1)
+        term = p_power_jet(p, gamma, alpha, order).scale(g * float(Fr(p) ** (-gamma)))
+        total = total + term
+    return total
+
+
+def test_gamma_pi_is_its_one_resonant_shell():
+    # every shell but |x|_p = p^{k0} is an exact zero, so the shell sum and
+    # the one-shell jet agree to the last bit
+    chars = [quadratic_character(P) for P in (P3, P5, P7)] + [cubic_mod9()]
+    for chr_ in chars:
+        for alpha in (1, 1.5, 0.7 + 0.4j, -1.3 - 0.2j):
+            for order in range(4):
+                want = shell_sum(chr_, alpha, order)
+                assert gamma_pi(MultChar(alpha, chr_), order) == want, (chr_, alpha)
+
+
+def test_gamma_pi_evaluates_no_zero_shell():
+    # a shell sum down to |x|_p = 3^-5 meets 3^(5 * 400), beyond the floating
+    # range, on a shell whose Gauss sum is an exact zero
     quad = quadratic_character(P3)
-    with pytest.raises(NotStabilized):
-        gamma_pi(MultChar(1, quad), 0, max_shell=2)
-    # K = k0 + 2 is the documented minimum
-    assert gamma_pi(MultChar(1, quad), 0, max_shell=3).value == pytest.approx(
-        gamma_pi(MultChar(1, quad), 0).value
-    )
+    g = gamma_pi(MultChar(-400, quad), 2)
+    want = 3 ** -400.5  # |Gamma_p(pi_alpha)| = p^{k0 (Re alpha - 1/2)}
+    assert abs(abs(g.value) - want) < 1e-10 * want
+    assert g.coeffs[2] == pytest.approx(math.log(3) ** 2 * g.value, rel=1e-12)
 
 
 def test_bernoulli_values():

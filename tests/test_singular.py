@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicfourier import (
     DiracDelta,
@@ -23,8 +25,10 @@ from padicfourier import (
     singular_fourier,
     table_character,
     trivial_character,
+    valuation,
 )
-from padicfourier.errors import BadWindow, PoleProximity, ZeroArgument
+from padicfourier.distributions import density_on_sphere
+from padicfourier.errors import BadWindow, MixedNorms, PoleProximity, ZeroArgument
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -204,7 +208,7 @@ def test_oracle_agreement_and_refine_invariance():
 
 
 def test_oracle_shares_no_kernel_with_the_split_evaluator(monkeypatch):
-    from padicfourier import singular, sums
+    from padicfourier import distributions, sums
 
     phi = random_testfn(P3, 1, -2, seed=67)
     cases = [
@@ -220,7 +224,7 @@ def test_oracle_shares_no_kernel_with_the_split_evaluator(monkeypatch):
         raise AssertionError("the oracle reached sums.sphere_cell_sum")
 
     monkeypatch.setattr(sums, "sphere_cell_sum", broken)
-    monkeypatch.setattr(singular, "sphere_cell_sum", broken)
+    monkeypatch.setattr(distributions, "sphere_cell_sum", broken)
     f, t, _ = cases[0]
     with pytest.raises(AssertionError, match="reached"):
         singular_fourier(req(f, phi, t))  # the patch is live
@@ -280,3 +284,83 @@ def test_pole_proximity_propagates():
     f = PiAlphaLog(1e-14, trivial_character(P2), 0)
     with pytest.raises(PoleProximity):
         singular_fourier(req(f, delta_indicator(P2, 0), Fr(1, 2)))
+
+
+def test_oracle_takes_a_batch():
+    phi = random_testfn(P3, 1, -2, seed=68)
+    ts = (Fr(1, 27), Fr(2, 27), Fr(5, 27), Fr(-1, 54))
+    for f in (
+        PiAlphaLog(1.5, trivial_character(P3), 1),
+        PiAlphaLog(0.9 + 0.4j, cubic_mod9(), 0),
+        PLog(2),
+        DiracDelta(),
+    ):
+        batch = brute_force_oracle(req(f, phi, ts), refine=1)
+        assert batch == [brute_force_oracle(req(f, phi, t), refine=1) for t in ts]
+    with pytest.raises(MixedNorms):
+        brute_force_oracle(req(PLog(1), phi, (Fr(1, 9), Fr(1, 27))))
+
+
+def primitive_rank2(prime):
+    """A character of (Z/p^2)^* of rank 2: pi_1(g^j) = e^(2 pi i j / phi(p^2))."""
+    p = prime.p
+    mod, order = p * p, p * (p - 1)
+    g = next(
+        g for g in range(2, mod)
+        if g % p and len({pow(g, j, mod) for j in range(order)}) == order
+    )
+    return table_character(prime, 2, {pow(g, j, mod): Fr(j, order) for j in range(order)})
+
+
+@st.composite
+def whole_j_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    prime = Prime(p)
+    kinds = ["trivial", "rank2", "plog"] + (["quadratic"] if p > 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "plog":
+        f = PLog(draw(st.integers(1, 4)))
+    else:
+        chr_ = {
+            "trivial": trivial_character,
+            "quadratic": quadratic_character,
+            "rank2": primitive_rank2,
+        }[kind](prime)
+        alpha = complex(
+            draw(st.floats(0.2, 2.5, exclude_min=True, exclude_max=True)),
+            draw(st.floats(-1, 1)),
+        )
+        f = PiAlphaLog(alpha, chr_, draw(st.integers(0, 3)))
+    # at most 3^5 cosets
+    width = draw(st.integers(0, {2: 7, 3: 5, 5: 3}[p]))
+    l = draw(st.integers(-3, 1))
+    phi = random_testfn(prime, l + width, l, seed=draw(st.integers(0, 2**16)))
+    l0 = draw(st.integers(l, phi.N))
+    k0 = f.pi1.k0 if isinstance(f, PiAlphaLog) else 0
+    M = draw(st.integers(-phi.N - 2, -l + k0 + 2))  # threshold -l + k0 inside
+    u = draw(st.sampled_from([1, 2, -1, Fr(1, 2 if p > 2 else 3)]))
+    if u % p == 0:
+        u = 1
+    return f, phi, l0, u * Fr(p) ** (-M)
+
+
+def pairing_scale(f, phi, spheres):
+    """1 + p^l sum|phi| max|density| over the given spheres."""
+    prime = phi.prime
+    mass = float(Fr(prime.p) ** phi.l) * float(abs(phi.values).sum())
+    return 1 + mass * max(abs(density_on_sphere(f, prime, g)) for g in spheres)
+
+
+@settings(max_examples=150, deadline=None)
+@given(whole_j_cases())
+def test_whole_j_matches_the_oracle(case):
+    f, phi, l0, t = case
+    p = phi.prime.p
+    M = -valuation(t, phi.prime)
+    spheres = range(min(phi.l, -M) - 2, max(phi.N, 0) + 3)
+    scale = pairing_scale(f, phi, spheres)
+    J = singular_fourier(req(f, phi, t, l0))
+    assert abs(J - brute_force_oracle(req(f, phi, t))) <= 1e-12 * scale, (J, l0)
+    # the pairing is J where chi_p == 1 on B_max(N, 0)
+    tiny = Fr(p) ** (max(phi.N, 0) + 1)
+    assert abs(apply(f, phi) - brute_force_oracle(req(f, phi, tiny))) <= 1e-12 * scale
