@@ -31,7 +31,6 @@ from .gamma import (
     faulhaber_sum,
     gamma_p,
     gamma_pi,
-    i0,
 )
 from .testfn import (
     TestFunction,
@@ -93,7 +92,6 @@ __all__ = [
     "faulhaber_sum",
     "gamma_p",
     "gamma_pi",
-    "i0",
     "TestFunction",
     "convolve",
     "delta_indicator",

@@ -27,14 +27,14 @@ right-hand side is evaluated; ``rhs_predict`` is a one-shot wrapper.
 
 One private function, ``_sweep``, runs every sweep: it validates the
 t-grid (several unit directions per norm sphere), builds the prediction
-once, asks for the left side one norm sphere at a time, compares it with
-the right-hand side row by row, asserts equality beyond s(phi), and
+once, asks for the left side of the whole grid in one call, compares it
+with the right-hand side row by row, asserts equality beyond s(phi), and
 reports the empirically observed stabilization threshold.
 ``verify_stabilization`` takes the left side from the exact split
-evaluator, one call per norm sphere; ``erdelyi_check`` takes it, for
-Re alpha > 0, from the absolutely convergent direct integral (no
-regularization) -- the p-adic Erdelyi lemma -- one oracle request per
-norm sphere.
+evaluator, one request (one Fourier transform) per sweep;
+``erdelyi_check`` takes it, for Re alpha > 0, from the absolutely
+convergent direct integral (no regularization) -- the p-adic Erdelyi
+lemma -- one oracle request per sweep.
 """
 
 from __future__ import annotations
@@ -311,7 +311,7 @@ def _sweep(
 ) -> StabilizationReport:
     """Compare evaluate_J with the theorem right-hand side at every
     t = u p^{-M} of the grid and assemble the report.  evaluate_J takes
-    the t list of one norm sphere and returns one J per t."""
+    the t list of the whole grid and returns one J per t."""
     if M_max < M_min:
         raise ValueError(f"empty sweep: M_max = {M_max} < M_min = {M_min}")
     if units_per_sphere < 1:
@@ -319,14 +319,17 @@ def _sweep(
     prime = phi.prime
     prediction = predict_expansion(f, phi.l, prime)
     units = unit_directions(prime, units_per_sphere)
+    grid = [
+        (M, u, Fraction(u) * Fraction(prime.p) ** (-M))
+        for M in range(M_min, M_max + 1)
+        for u in units
+    ]
     rows = []
-    for M in range(M_min, M_max + 1):
-        ts = [Fraction(u) * Fraction(prime.p) ** (-M) for u in units]
-        for u, t, J in zip(units, ts, evaluate_J(ts)):
-            rhs = prediction.rhs(phi.at_zero, t)
-            err = abs(J - rhs)
-            tol = tolerance_scale * (1 + abs(rhs))
-            rows.append(ReportRow(M, u, J, rhs, err, err < tol))
+    for (M, u, t), J in zip(grid, evaluate_J([t for _, _, t in grid])):
+        rhs = prediction.rhs(phi.at_zero, t)
+        err = abs(J - rhs)
+        tol = tolerance_scale * (1 + abs(rhs))
+        rows.append(ReportRow(M, u, J, rhs, err, err < tol))
     e_pred = prediction.s_pred_exponent
     failing = [r.M for r in rows if not r.stabilized]
     e_emp = max(failing, default=M_min - 1)

@@ -12,7 +12,8 @@ verify     sweep a t-grid and verify the stabilized asymptotic formula
 erdelyi    same sweep with the direct absolutely convergent integral
 
 Exit codes: 0 success; 1 validation error (bad flags or config, with a
-field-path message, or a cell enumeration beyond 2^24 cosets); 2
+field-path message, a log order m or ``gamma --order`` above
+``MAX_JET_ORDER``, or a cell enumeration beyond 2^24 cosets); 2
 verification failure inside the stabilized region; 3 numeric error (pole
 proximity, a p^(c*alpha) term or a sphere density p^((alpha-1) gamma)
 beyond the floating range).
@@ -56,6 +57,10 @@ EXIT_VALIDATION = 1
 EXIT_MISMATCH = 2
 EXIT_NUMERIC = 3
 
+#: the largest log order m of a distribution and the largest ``gamma
+#: --order``: a jet of order m costs O(m^2) per product
+MAX_JET_ORDER = 64
+
 
 class ConfigError(PadicError):
     """Invalid configuration; the message names the offending field."""
@@ -77,6 +82,13 @@ def _integer(value) -> int:
     if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"not an integer: {value!r}")
     return int(value)
+
+
+def _jet_order(value) -> int:
+    m = _integer(value)
+    if m > MAX_JET_ORDER:
+        raise ValueError(f"order {m} exceeds the bound {MAX_JET_ORDER}")
+    return m
 
 
 def _real(value) -> float:
@@ -157,10 +169,10 @@ def build_distribution(prime: Prime, spec, path="config.distribution", top=None)
     if variant == "delta":
         return DiracDelta()
     if variant == "p-log":
-        return _field(spec, "m", path, lambda v: PLog(_integer(v)))
+        return _field(spec, "m", path, lambda v: PLog(_jet_order(v)))
     if variant == "pi-alpha-log":
         alpha = _field(spec, "alpha", path, parse_complex)
-        m = _field(spec, "m", path, _integer, default=0)
+        m = _field(spec, "m", path, _jet_order, default=0)
         pi1 = build_character(prime, spec.get("character"), f"{path}.character")
         try:
             return PiAlphaLog(alpha, pi1, m)
@@ -219,8 +231,8 @@ def _write_output(text: str, out: str | None):
 
 
 def _cmd_gamma(args) -> int:
-    if args.order < 0:
-        raise ConfigError("--order: must be >= 0")
+    if not 0 <= args.order <= MAX_JET_ORDER:
+        raise ConfigError(f"--order: must be in [0, {MAX_JET_ORDER}]")
     prime = _parse(args.p, "--p", Prime)
     alpha = _parse(args.alpha, "--alpha", parse_complex)
     jet = gamma_p(prime, alpha, args.order)

@@ -11,12 +11,20 @@ Three canonical variants exhaust the QAHDs up to lower-order terms:
   constant term;
 * ``DiracDelta``: the homogeneous distribution of degree pi_0.
 
-One sphere loop evaluates both the pairing <f, phi> and the singular
-integral J(t) = <f(x) chi_p(xt), phi(x)>: <f, phi> is J with chi_p == 1
-(``apply``, split at l0 = 0, where J0 is I_0).  Split at a level l0,
-J = (sphere sums) + phi(0) * J0: the sphere sums integrate
-f chi_p (phi - phi(0)) over B_{l0} and f chi_p phi beyond it, and J0
-(``j0_closed_form``) is the continued integral of f chi_p over B_{l0}:
+One core evaluates both the pairing <f, phi> and the singular integral
+J(t) = <f(x) chi_p(xt), phi(x)>: <f, phi> is J with chi_p == 1 (``apply``).
+Split at a level l0 in [l, N] (phi in D^l_N),
+
+    J(t) = F[h](t) + phi(0) * J0(l0, t),
+    h = f (phi - phi(0) 1_{B_{l0}}) on |x|_p > p^l, and 0 on B_l.
+
+h is a test function in D^lam_N with lam = l + 1 - max(k0, 1) (pi_1 of
+rank k0 is constant on cosets of B_{gamma-k0} inside S_gamma), so F[h] is
+one ``testfn.fourier`` table, read at every t of a batch, and it vanishes
+for |t|_p > p^-lam: beyond that J(t) = phi(0) J0(t), the cause of the
+stabilization theorem.  <f, phi> is F[h](0) = p^lam * sum(h) plus
+phi(0) J0(l0, None).  J0 (``j0_closed_form``) is the continued integral of
+f chi_p over B_{l0}:
 
 * |x|^{alpha-1} log^m, trivial pi_1: the two-branch formula
   (1-1/p) (log_p e)^m d^m/dalpha^m [p^{alpha l0} / (1-p^{-alpha})] for
@@ -33,9 +41,10 @@ f chi_p (phi - phi(0)) over B_{l0} and f chi_p phi beyond it, and J0
   |xt|_p != p^{k0} integrates to an exact zero, leaving at most one
   finite Gauss sum, valid for all alpha since I_0 == 0.
 
-The sphere sums are finite exact sums: the subtracted interior integrand
-vanishes on B_l, the exterior integrand vanishes outside B_N, and each
-sphere is covered by cells on which the integrand is constant.
+Only the ramified J0 depends on the direction of t; the others are
+evaluated once per norm sphere of a batch.  J does not depend on l0; a
+level outside [l, N] is evaluated at the nearest end, so the table never
+exceeds p^(N-l+max(k0,1)-1) entries.
 
 ``homogeneity_defect`` checks the graded scaling law.  The lower-order
 companion families are not printed in the source material; they are
@@ -68,11 +77,10 @@ from .characters import (
     trivial_character,
 )
 from .errors import BadWindow, NumericOverflow, ZeroArgument
-from .gamma import ball_norm_power_jet, check_pole, faulhaber_sum, gamma_p, logp_scaled
+from .gamma import ball_norm_power_jet, faulhaber_sum, gamma_p, logp_scaled
 from .jets import p_power_jet
 from .qp import Prime, Rational
-from .sums import sphere_cell_sum
-from .testfn import TestFunction, dilate
+from .testfn import TestFunction, dilate, fourier
 
 
 @dataclass(frozen=True)
@@ -187,28 +195,54 @@ def j0_closed_form(
     )
 
 
+def _annulus_product(
+    f: QahDistribution, phi: TestFunction, chr_: NormedMultChar, l0: int
+) -> TestFunction:
+    """h = f (phi - phi(0) 1_{B_l0}) outside B_l and 0 on B_l, as a member
+    of D^lam_N, lam = l + 1 - max(k0, 1); l <= l0 <= N."""
+    prime = phi.prime
+    p, N, l = prime.p, phi.N, phi.l
+    k = max(chr_.k0, 1)
+    # word w of B_N / B_lam is x = w p^-N; phi reads it modulo p^(N-l), so
+    # subtracting phi(0) on B_l0 leaves exact zeros on B_l
+    out = np.tile(phi.values, p ** (k - 1))
+    out[:: p ** (N - l0)] -= phi.values[0]
+    # the view out[::p^v] holds the words p^v w'; those with w' a unit lie
+    # on S_{N-v}.  In rows of p^k of them, w' mod p^k is the position in
+    # the row: a nonzero last digit selects S_{N-v}, and pi_1(x) is the
+    # character table at w' mod p^k0
+    pi1 = np.resize(chr_.complex_table(), p**k).reshape(-1, p)[:, 1:]
+    for v in range(N - l):
+        sphere = out[:: p**v].reshape(-1, p ** (k - 1), p)[..., 1:]
+        sphere *= density_on_sphere(f, prime, N - v) * pi1
+    return TestFunction(prime, N, l + 1 - k, out)
+
+
 def _pairing(
     f: QahDistribution, phi: TestFunction, ts: Sequence[Rational] | None, l0: int
 ) -> list[complex]:
-    """<f(x) chi_p(xt), phi(x)> split at l0, one value per t of ``ts``
-    (which share one |t|_p), or the one value <f, phi> when ts is None."""
+    """<f(x) chi_p(xt), phi(x)> split at l0 (clamped into [l, N]), one value
+    per t of ``ts``, or the one value <f, phi> when ts is None."""
     points = [None] if ts is None else ts
     if isinstance(f, DiracDelta):
         return [phi.at(0)] * len(points)
     prime = phi.prime
     chr_ = char_of(f, prime)
-    if isinstance(f, PiAlphaLog) and f.pi1.is_trivial():
-        check_pole(prime, f.alpha)
-    # (phi - phi(0)) on the spheres up to S_{l0}, phi beyond
-    split = np.zeros(len(points), dtype=np.complex128)
-    for g in range(min(phi.l, l0) + 1, max(phi.N, l0) + 1):
-        split += density_on_sphere(f, prime, g) * sphere_cell_sum(
-            phi, chr_, g, ts, subtract_phi0=g <= l0
-        )
-    return [
-        complex(s) + phi.at_zero * j0_closed_form(f, l0, t, prime)
-        for s, t in zip(split, points)
-    ]
+    l0 = min(max(l0, phi.l), phi.N)
+    h = _annulus_product(f, phi, chr_, l0)
+    if ts is None:
+        split = [h.values.sum() * qp.p_power(prime.p, h.l)]
+    else:
+        transform = fourier(h)
+        split = [transform.at(t) for t in ts]
+    j0 = {}  # J0 depends on t only through |t|_p unless pi_1 is ramified
+    values = []
+    for s, t in zip(split, points):
+        key = t if chr_.k0 or t is None else qp.valuation(t, prime)
+        if key not in j0:
+            j0[key] = j0_closed_form(f, l0, t, prime)
+        values.append(complex(s) + phi.at_zero * j0[key])
+    return values
 
 
 def apply(f: QahDistribution, phi: TestFunction) -> complex:

@@ -23,10 +23,6 @@ class ZeroArgument(PadicError):
     """Zero passed where a nonzero p-adic point is required."""
 
 
-class MixedNorms(PadicError):
-    """A batch of points that must share one norm |t|_p does not."""
-
-
 class NotMultiplicative(PadicError):
     """A character table fails the multiplicativity law on some unit pair."""
 

@@ -9,10 +9,9 @@ Closed forms implemented here:
   Haar integral of pi_1 * chi_p over the sphere S_gamma.  Every G_gamma
   but G_{k0} is an exact zero, so the integral is its one resonant shell
   p^{k0(alpha-1)} G_{k0}, a finite Gauss sum, and no shell is summed;
-* I_0(alpha; m), the regularized unit-ball integral of
-  |x|^{alpha-1} pi_1(x) log_p^m |x|: identically zero for ramified pi_1,
-  and the log_p e - scaled derivative jet of (1-1/p)/(1-p^{-alpha})
-  otherwise;
+* the continued ball integral (1-1/p) p^{lam alpha} / (1-p^{-alpha}) of
+  |x|^{alpha-1} over B_lam as a jet, whose log_p e - scaled entry m at
+  lam = 0 is I_0(alpha; m) for trivial pi_1 (``j0_closed_form`` reads it);
 * Bernoulli numbers from the binomial recurrence, and the power-sum
   polynomial S_s(n) = 1^s + ... + n^s evaluated as a polynomial at any
   integer (for n <= -1 it gives -sum_{n+1 <= g <= 0} g^s).
@@ -29,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .characters import MultChar, NormedMultChar, sphere_char_chi_integral
+from .characters import MultChar, sphere_char_chi_integral
 from .errors import PoleProximity
 from .jets import Jet, p_power_jet
 from .qp import Prime, p_power
@@ -71,15 +70,6 @@ def logp_scaled(jet: Jet, p: int) -> Jet:
     the log_p-derivative normalization the asymptotic formulas use."""
     s = 1.0 / math.log(p)  # log_p e
     return Jet(tuple(c * s**k for k, c in enumerate(jet.coeffs)))
-
-
-def i0(prime: Prime, chr_: NormedMultChar, alpha: complex, order: int = 0) -> Jet:
-    """Jet whose entry k is log_p^k e * d^k I_0(alpha)/dalpha^k, where
-    I_0(alpha) is the unit-ball integral of |x|^{alpha-1} pi_1(x):
-    zero for ramified pi_1, (1-1/p)/(1-p^{-alpha}) for trivial pi_1."""
-    if not chr_.is_trivial():
-        return Jet.constant(0, order)
-    return logp_scaled(ball_norm_power_jet(prime, 0, alpha, order), prime.p)
 
 
 def gamma_pi(chr_: MultChar, order: int = 0) -> Jet:

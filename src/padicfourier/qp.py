@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadWindow, MixedNorms, NonPadicDenominator, ZeroArgument
+from .errors import BadWindow, NonPadicDenominator
 
 #: Sentinel returned by :func:`valuation` at x = 0 (convention |0|_p = 0).
 INFINITE_VALUATION = math.inf
@@ -83,22 +83,6 @@ def norm(x: Rational, prime: Prime) -> Fraction:
     if v is INFINITE_VALUATION:
         return Fraction(0)
     return Fraction(prime.p) ** (-v)
-
-
-def norm_and_units(ts, prime: Prime) -> tuple[int, list[Fraction]]:
-    """(M, [u, ...]) with t = u p^(-M), u a unit, for every t of the
-    nonempty sequence ts; MixedNorms unless they share one |t|_p = p^M."""
-    if not ts or 0 in ts:
-        raise ZeroArgument("a batch of points needs at least one t, all t != 0")
-    M = -valuation(ts[0], prime)
-    scale = Fraction(prime.p) ** M
-    units = [Fraction(t) * scale for t in ts]
-    if any(u.numerator % prime.p == 0 or u.denominator % prime.p == 0 for u in units):
-        exponents = sorted({-valuation(t, prime) for t in ts})
-        raise MixedNorms(
-            f"expected one |t|_{prime.p} for the batch, got exponents {exponents}"
-        )
-    return M, units
 
 
 def unit_part(x: Rational, prime: Prime) -> Fraction:

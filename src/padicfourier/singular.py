@@ -1,8 +1,9 @@
 """The singular Fourier integral J(t) = <f(x) chi_p(xt), phi(x)>, exactly.
 
-``singular_fourier`` validates a request (one t, or the t of one norm
-sphere) and hands it to the pairing core in ``distributions``: sphere
-sums split at l0 plus phi(0) times the closed-form J0.
+``singular_fourier`` validates a request (one t, or a batch of any
+nonzero t) and hands it to the pairing core in ``distributions``: one
+Fourier transform of the annulus product h, read at every t, plus phi(0)
+times the closed-form J0.
 ``brute_force_oracle`` recomputes J on a structurally different path:
 its own plain value-times-chi_p-times-measure summation over refined
 cells on every sphere down to an analytic-tail boundary, plus the
@@ -36,8 +37,8 @@ from .testfn import TestFunction
 
 @dataclass(frozen=True)
 class SingularIntegralRequest:
-    """One evaluation J_{f, phi}(t), or one per t of a tuple of points that
-    share one |t|_p; split_level defaults to phi's l."""
+    """One evaluation J_{f, phi}(t), or one per t of a tuple of nonzero
+    points; split_level defaults to phi's l."""
 
     f: QahDistribution
     phi: TestFunction
@@ -49,9 +50,10 @@ class SingularIntegralRequest:
             object.__setattr__(self, "t", tuple(Fraction(t) for t in self.t))
         else:
             object.__setattr__(self, "t", Fraction(self.t))
+        if not self.points():
+            raise ZeroArgument("a batch of points needs at least one t")
         if 0 in self.points():
             raise ZeroArgument("singular integral requires t != 0")
-        qp.norm_and_units(self.points(), self.phi.prime)
         l0 = self.level()
         if l0 > self.phi.N:
             raise BadWindow(
@@ -67,8 +69,7 @@ class SingularIntegralRequest:
 
 def singular_fourier(req: SingularIntegralRequest) -> complex | list[complex]:
     """J(t) = <f(x) chi_p(xt), phi(x)>, exactly (up to floating rounding).
-    A tuple of t gives a list, one J per t: each sphere is enumerated once
-    for the whole batch."""
+    A tuple of t gives a list, one J per t, all read off one transform."""
     values = _pairing(req.f, req.phi, req.points(), req.level())
     return values if isinstance(req.t, tuple) else values[0]
 

@@ -11,6 +11,9 @@ F[phi](xi) = p^l * sum_c phi(c) chi_p(xi c), and F maps D^l_N onto
 D^{-N}_{-l} (support and constancy swap with a sign).  On the canonical
 coset words (``TestFunction.sample``) this is a DFT of length p^{N-l},
 done by ``np.fft`` at any width; convolution is cyclic on Z/p^{N-l}.
+The singular integral is one such transform too: its sphere part is
+F[h] of the annulus product h in ``distributions``, and it vanishes for
+|xi|_p > p^{-l} because F[h] lives in D^{-N}_{-l}.
 """
 
 from __future__ import annotations

@@ -35,8 +35,7 @@ from padicfourier import (
     trivial_character,
     verify_stabilization,
 )
-from padicfourier.distributions import density_on_sphere
-from padicfourier.sums import sphere_cell_sum
+from padicfourier.singular import j0_closed_form
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -265,25 +264,18 @@ def test_criterion_7_structural_identities():
                 d = homogeneity_defect(f, phi, Fr(3) ** e)
                 scale = 1 + abs(apply(f, phi)) + abs(phi.at_zero)
                 assert abs(d) < 1e-10 * scale
-    # vanishing lemmas J1 = J2 = 0 beyond p^-l, computed values below 1e-12
+    # vanishing lemma: the sphere part F[h] is an exact zero beyond p^-l
+    # (trivial pi_1), so J = phi(0) J0 exactly, at the splits l and l + 1
     for p in (2, 3):
         prime = Prime(p)
         phi = random_testfn(prime, 1, -1, seed=7000 + p)
         chr_ = trivial_character(prime)
-        l0 = phi.l
         for f in (PiAlphaLog(1.3, chr_, 1), PLog(2)):
             for M in (2, 4, 6):
                 t = Fr(p) ** (-M)
-                j2 = sum(
-                    density_on_sphere(f, prime, g) * sphere_cell_sum(phi, chr_, g, [t])[0]
-                    for g in range(l0 + 1, phi.N + 1)
-                )
-                j1 = sum(
-                    density_on_sphere(f, prime, g)
-                    * sphere_cell_sum(phi, chr_, g, [t], subtract_phi0=True)[0]
-                    for g in range(phi.l + 1, l0 + 2)
-                )
-                assert abs(j1) < 1e-12 and abs(j2) < 1e-12
+                for l0 in (phi.l, phi.l + 1):
+                    J = singular_fourier(SingularIntegralRequest(f, phi, t, l0))
+                    assert J == phi.at_zero * j0_closed_form(f, l0, t, prime)
     # log-Fourier identity on 10 pairings
     for p in (2, 3):
         prime = Prime(p)

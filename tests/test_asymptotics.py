@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicfourier import (
     DiracDelta,
@@ -331,3 +333,95 @@ def test_verify_plog3_wide_grid_with_oracle():
         t = Fr(r.t_unit) * Fr(2) ** (-r.M)
         oracle = brute_force_oracle(SingularIntegralRequest(f, d0, t))
         assert abs(r.J - oracle) < 1e-10 * (1 + abs(r.J))
+
+
+def test_each_sweep_runs_one_fourier_transform(monkeypatch):
+    from padicfourier import distributions
+
+    calls = []
+    real = distributions.fourier
+
+    def counting(phi):
+        calls.append(phi)
+        return real(phi)
+
+    monkeypatch.setattr(distributions, "fourier", counting)
+    phi = random_testfn(P3, 2, -3, seed=83)
+    for f in (
+        PiAlphaLog(1.5, trivial_character(P3), 1),
+        PiAlphaLog(0.7 + 0.3j, cubic_mod9(), 0),
+        PLog(2),
+    ):
+        calls.clear()
+        rep = verify_stabilization(f, phi, -3, 6, 3, strict=False)
+        assert len(rep.rows) == 30 and len(calls) == 1
+
+
+def test_j0_once_per_norm_sphere(monkeypatch):
+    from padicfourier import distributions
+
+    calls = []
+    real = distributions.j0_closed_form
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(distributions, "j0_closed_form", counting)
+    phi = random_testfn(P2, 1, -1, seed=84)
+    rep = verify_stabilization(PiAlphaLog(1.5, trivial_character(P2), 1), phi, -2, 5, 3)
+    assert len(rep.rows) == 24 and len(calls) == 8
+    # ramified J0 depends on the direction of t: one call per row
+    calls.clear()
+    phi = random_testfn(P3, 1, -1, seed=85)
+    f = PiAlphaLog(1.5, quadratic_character(P3), 0)
+    rep = verify_stabilization(f, phi, -2, 5, 3)
+    assert len(rep.rows) == 24 and len(calls) == 24
+
+
+def rank2_character(prime):
+    """A primitive character of (Z/p^2)^*: pi_1(g^j) = e^(2 pi i j / phi(p^2))."""
+    p = prime.p
+    mod, order = p * p, p * (p - 1)
+    g = next(
+        g for g in range(2, mod)
+        if g % p and len({pow(g, j, mod) for j in range(order)}) == order
+    )
+    return table_character(
+        prime, 2, {pow(g, j, mod): Fr(j, order) for j in range(order)}
+    )
+
+
+@st.composite
+def sweep_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    prime = Prime(p)
+    kinds = ["trivial", "rank2", "plog"] + (["quadratic"] if p > 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "plog":
+        f = PLog(draw(st.integers(1, 3)))
+    else:
+        chr_ = {
+            "trivial": trivial_character,
+            "quadratic": quadratic_character,
+            "rank2": rank2_character,
+        }[kind](prime)
+        alpha = draw(st.sampled_from([1.5, 0.7 + 0.3j, -0.4]))
+        f = PiAlphaLog(alpha, chr_, draw(st.integers(0, 2)))
+    width = draw(st.integers(0, {2: 5, 3: 3, 5: 2}[p]))
+    l = draw(st.integers(-2, 1))
+    phi = random_testfn(prime, l + width, l, seed=draw(st.integers(0, 2**16)))
+    return f, phi, draw(st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sweep_cases())
+def test_sweep_rows_equal_single_t_evaluations(case):
+    f, phi, units = case
+    p = phi.prime.p
+    rep = verify_stabilization(f, phi, -phi.l - 2, -phi.l + 3, units, strict=False)
+    scale = float(Fr(p) ** phi.l) * float(abs(phi.values).sum())
+    for row in rep.rows:
+        t = row.t_unit * Fr(p) ** (-row.M)
+        single = singular_fourier(SingularIntegralRequest(f, phi, t))
+        assert abs(row.J - single) <= 1e-12 * scale, (row.M, row.t_unit)

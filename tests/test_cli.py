@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from padicfourier import StabilizationReport
-from padicfourier.cli import run
+from padicfourier.cli import MAX_JET_ORDER, run
 
 POWER_CFG = {
     "prime": 2,
@@ -123,6 +123,26 @@ def test_exit_code_three_on_pole(tmp_path, capsys):
     assert run(["singular", "--config", path, "--t", f"1/{3**2100}"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric error: ") and "Traceback" not in err
+
+
+def test_jet_order_is_bounded(tmp_path, capsys):
+    for base in (RAMIFIED_CFG, PLOG_CFG):
+        for m in (MAX_JET_ORDER + 1, 13540, 297170148.0):
+            cfg = copy.deepcopy(base)
+            cfg["distribution"]["m"] = m
+            path = write_cfg(tmp_path, cfg)
+            for argv in (["verify", "--config", path], ["eval-dist", "--config", path]):
+                assert run(argv) == 1
+                err = capsys.readouterr().err
+                assert err.startswith("error: config.distribution.m: "), err
+        cfg = copy.deepcopy(base)
+        cfg["distribution"]["m"] = MAX_JET_ORDER
+        path = write_cfg(tmp_path, cfg)
+        assert run(["singular", "--config", path, "--t", "1/9"]) == 0
+    argv = ["gamma", "--p", "2", "--alpha", "2", "--order"]
+    assert run(argv + [str(MAX_JET_ORDER + 1)]) == 1
+    assert capsys.readouterr().err.startswith("error: --order: ")
+    assert run(argv + [str(MAX_JET_ORDER)]) == 0
 
 
 def test_exit_code_one_on_bad_config(tmp_path, capsys):

@@ -17,7 +17,7 @@ from padicfourier import (
     erdelyi_check,
     eval_pi1,
     homogeneity_defect,
-    i0,
+    j0_closed_form,
     quadratic_character,
     random_testfn,
     singular_fourier,
@@ -181,7 +181,7 @@ def enumerated_pairing(f, phi):
         )
         total += density_on_sphere(f, prime, g) * cells * float(Fr(prime.p) ** lam)
     if isinstance(f, PiAlphaLog):
-        total += phi.at_zero * i0(prime, f.pi1, f.alpha, f.m).coeffs[f.m]
+        total += phi.at_zero * j0_closed_form(f, 0, None, prime)  # I_0
     return total
 
 
@@ -204,3 +204,16 @@ def test_apply_beyond_the_support_matches_enumeration():
             for f in variants:
                 err = abs(apply(f, phi) - enumerated_pairing(f, phi))
                 assert err <= 1e-12 * scale, (p, N, width, f)
+
+
+def test_apply_below_the_unit_ball_is_the_ball_jet():
+    # phi = Delta_{-8}: <f, phi> is phi(0) times the continued integral of
+    # |x|^{alpha-1} over B_{-8}, (1-1/p) p^{-8 alpha} / (1-p^{-alpha}), with no
+    # cancellation between sphere sums and I_0
+    eps = 2.0**-52
+    for p in (2, 3, 5):
+        prime = Prime(p)
+        f = PiAlphaLog(1.4, trivial_character(prime), 0)
+        want = (1 - 1 / p) * p ** (-11.2) / (1 - p ** (-1.4))
+        got = apply(f, delta_indicator(prime, -8))
+        assert abs(got - want) <= 8 * eps * abs(want), (p, got, want)

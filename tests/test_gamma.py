@@ -10,12 +10,13 @@ import pytest
 from padicfourier import (
     Jet,
     MultChar,
+    PiAlphaLog,
     Prime,
     bernoulli,
     faulhaber_sum,
     gamma_p,
     gamma_pi,
-    i0,
+    j0_closed_form,
     p_power_jet,
     quadratic_character,
     table_character,
@@ -25,6 +26,18 @@ from padicfourier.characters import sphere_char_chi_integral
 from padicfourier.errors import PoleProximity
 
 P2, P3, P5, P7 = Prime(2), Prime(3), Prime(5), Prime(7)
+
+
+def i0(prime, chr_, alpha, order):
+    """Jet whose entry k is log_p^k e * d^k I_0(alpha)/dalpha^k, where I_0 is
+    the regularized unit-ball integral of |x|^{alpha-1} pi_1(x) log_p^k |x|:
+    J0 at l0 = 0 with chi_p == 1."""
+    return Jet(
+        tuple(
+            j0_closed_form(PiAlphaLog(alpha, chr_, k), 0, None, prime)
+            for k in range(order + 1)
+        )
+    )
 
 
 def cubic_mod9():
@@ -57,7 +70,7 @@ def test_pole_proximity():
     with pytest.raises(PoleProximity):
         gamma_p(P3, 2j * math.pi / math.log(3), 1)
     with pytest.raises(PoleProximity):
-        i0(P2, trivial_character(P2), 1e-14, 0)
+        j0_closed_form(PiAlphaLog(1e-14, trivial_character(P2)), 0, None, P2)
 
 
 def jet_fd_check(fn, alpha, order, h=1e-5, tol=1e-4):

@@ -16,7 +16,10 @@ from padicfourier import (
     SingularIntegralRequest,
     apply,
     brute_force_oracle,
+    chi,
     delta_indicator,
+    enumerate_sphere_cosets,
+    eval_pi1,
     fourier,
     gamma_p,
     j0_closed_form,
@@ -28,7 +31,7 @@ from padicfourier import (
     valuation,
 )
 from padicfourier.distributions import density_on_sphere
-from padicfourier.errors import BadWindow, MixedNorms, PoleProximity, ZeroArgument
+from padicfourier.errors import BadWindow, PoleProximity, ZeroArgument
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -48,6 +51,8 @@ def test_request_validation():
     f = PiAlphaLog(2, trivial_character(P2), 0)
     with pytest.raises(ZeroArgument):
         SingularIntegralRequest(f, d0, 0)
+    with pytest.raises(ZeroArgument):
+        SingularIntegralRequest(f, d0, ())
     with pytest.raises(BadWindow):
         SingularIntegralRequest(f, d0, Fr(1, 2), split_level=1)
 
@@ -137,28 +142,24 @@ def test_j0_near_branch_with_log_weight():
 
 
 def test_vanishing_lemmas_exact():
-    # J1 = J2 = 0 for |t|_p > p^{-l} at split level l (trivial pi_1)
-    from padicfourier.distributions import density_on_sphere
-    from padicfourier.sums import sphere_cell_sum
-
+    # F[h] vanishes beyond p^-lam, lam = l + 1 - max(k0, 1), at any split
+    # l0 in [l, N]: there J is phi(0) J0 exactly, with no rounding
     for p, seed in ((2, 51), (3, 52)):
         prime = Prime(p)
         phi = random_testfn(prime, 1, -1, seed=seed)
-        chr_ = trivial_character(prime)
-        l0 = phi.l + 1  # split one level up so J1 has an actual sphere
-        for f in (PiAlphaLog(1.3, chr_, 1), PLog(2)):
-            for M in (2, 3, 5):
-                t = Fr(p) ** (-M)
-                j1 = sum(
-                    density_on_sphere(f, prime, g)
-                    * sphere_cell_sum(phi, chr_, g, [t], subtract_phi0=True)[0]
-                    for g in range(phi.l + 1, l0 + 1)
-                )
-                j2 = sum(
-                    density_on_sphere(f, prime, g) * sphere_cell_sum(phi, chr_, g, [t])[0]
-                    for g in range(l0 + 1, phi.N + 1)
-                )
-                assert abs(j1) < 1e-12 and abs(j2) < 1e-12
+        chars = [trivial_character(prime)]
+        if p == 3:
+            chars += [quadratic_character(prime), cubic_mod9()]
+        variants = [PLog(2)] + [PiAlphaLog(1.3, c, 1) for c in chars]
+        for f in variants:
+            k0 = f.pi1.k0 if isinstance(f, PiAlphaLog) else 0
+            lam = phi.l + 1 - max(k0, 1)
+            for l0 in (phi.l, phi.l + 1):
+                for M in (-lam + 1, -lam + 2, -lam + 4):
+                    for u in (1, -1, Fr(1, p + 1)):
+                        t = u * Fr(p) ** (-M)
+                        J = singular_fourier(req(f, phi, t, l0))
+                        assert J == phi.at_zero * j0_closed_form(f, l0, t, prime)
 
 
 def test_split_level_independence():
@@ -208,7 +209,7 @@ def test_oracle_agreement_and_refine_invariance():
 
 
 def test_oracle_shares_no_kernel_with_the_split_evaluator(monkeypatch):
-    from padicfourier import distributions, sums
+    from padicfourier import distributions
 
     phi = random_testfn(P3, 1, -2, seed=67)
     cases = [
@@ -221,10 +222,9 @@ def test_oracle_shares_no_kernel_with_the_split_evaluator(monkeypatch):
     want = [brute_force_oracle(req(f, phi, t), refine=r) for f, t, r in cases]
 
     def broken(*args, **kwargs):
-        raise AssertionError("the oracle reached sums.sphere_cell_sum")
+        raise AssertionError("the oracle reached the core's fourier")
 
-    monkeypatch.setattr(sums, "sphere_cell_sum", broken)
-    monkeypatch.setattr(distributions, "sphere_cell_sum", broken)
+    monkeypatch.setattr(distributions, "fourier", broken)
     f, t, _ = cases[0]
     with pytest.raises(AssertionError, match="reached"):
         singular_fourier(req(f, phi, t))  # the patch is live
@@ -297,8 +297,10 @@ def test_oracle_takes_a_batch():
     ):
         batch = brute_force_oracle(req(f, phi, ts), refine=1)
         assert batch == [brute_force_oracle(req(f, phi, t), refine=1) for t in ts]
-    with pytest.raises(MixedNorms):
-        brute_force_oracle(req(PLog(1), phi, (Fr(1, 9), Fr(1, 27))))
+    # a batch may mix norms: each t is its own evaluation
+    mixed = (Fr(1, 9), Fr(1, 27), Fr(5, 3), Fr(-2, 81))
+    batch = brute_force_oracle(req(PLog(1), phi, mixed))
+    assert batch == [brute_force_oracle(req(PLog(1), phi, t)) for t in mixed]
 
 
 def primitive_rank2(prime):
@@ -364,3 +366,120 @@ def test_whole_j_matches_the_oracle(case):
     # the pairing is J where chi_p == 1 on B_max(N, 0)
     tiny = Fr(p) ** (max(phi.N, 0) + 1)
     assert abs(apply(f, phi) - brute_force_oracle(req(f, phi, tiny))) <= 1e-12 * scale
+
+
+def test_mixed_batch_equals_its_single_t_evaluations():
+    phi = random_testfn(P3, 1, -2, seed=5)
+    mixed = (Fr(1, 9), Fr(2, 27), Fr(1, 18), Fr(5), Fr(-4, 243), Fr(2, 9))
+    for f in (
+        PiAlphaLog(1.5, trivial_character(P3), 1),
+        PiAlphaLog(0.9 + 0.4j, cubic_mod9(), 1),
+        PLog(2),
+        DiracDelta(),
+    ):
+        batch = singular_fourier(req(f, phi, mixed))
+        assert batch == [singular_fourier(req(f, phi, t)) for t in mixed]
+
+
+#: reference (cell, t) evaluations allowed per example
+BUDGET = 5000
+
+
+def character_of_kind(prime, kind):
+    if kind == "trivial":
+        return trivial_character(prime)
+    if kind == "quadratic":
+        return quadratic_character(prime)
+    return primitive_rank2(prime)
+
+
+def cell_level(phi, chr_, gamma, t):
+    """A level whose cells carry constant phi, pi_1 and chi_p(.t)."""
+    lam = min(phi.l, gamma - max(chr_.k0, 1))
+    return lam if t is None else min(lam, valuation(t, phi.prime))
+
+
+def split_spheres(phi, l0):
+    """The spheres of the split at l0: phi - phi(0) up to S_l0, phi beyond."""
+    return range(min(phi.l, l0) + 1, max(phi.N, l0) + 1)
+
+
+def p_power_denominator(x, p):
+    """The rational with a p-power denominator that x equals modulo Z_p."""
+    q = x.denominator
+    while q % p == 0:
+        q //= p
+    pk = x.denominator // q
+    return Fr(x.numerator * pow(q, -1, pk) % pk, pk)
+
+
+def reference_j(f, chr_, phi, t, l0):
+    """(J, sum of |terms|) split at l0: one exact-angle term per cell of every
+    sphere, plus phi(0) J0(l0, t); t = None is the pairing <f, phi>."""
+    prime = phi.prime
+    terms = [phi.at_zero * j0_closed_form(f, l0, t, prime)]
+    for g in split_spheres(phi, l0):
+        lam = cell_level(phi, chr_, g, t)
+        weight = density_on_sphere(f, prime, g) * float(Fr(prime.p) ** lam)
+        for c in enumerate_sphere_cosets(prime, g, lam):
+            value = phi.at(c) - (phi.at_zero if g <= l0 else 0)
+            angle = eval_pi1(chr_, c)
+            if t is not None:
+                angle = angle * chi(p_power_denominator(c * t, prime.p), prime)
+            terms.append(weight * value * angle.to_complex())
+    return sum(terms), sum(map(abs, terms))
+
+
+@st.composite
+def batch_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    prime = Prime(p)
+    kinds = ["trivial", "rank2", "plog"] + (["quadratic"] if p > 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    chr_ = character_of_kind(prime, "trivial" if kind == "plog" else kind)
+    if kind == "plog":
+        f = PLog(draw(st.integers(1, 3)))
+    else:
+        alpha = draw(st.sampled_from([1.5, 0.7 + 0.3j, -0.4]))
+        f = PiAlphaLog(alpha, chr_, draw(st.integers(0, 2)))
+    width = draw(st.integers(0, {2: 5, 3: 3, 5: 2}[p]))
+    l = draw(st.integers(-3, 1))
+    phi = random_testfn(prime, l + width, l, seed=draw(st.integers(0, 2**16)))
+    if draw(st.integers(0, 3)) == 0:
+        return f, chr_, phi, None, 0  # the pairing, defined at the split 0
+    l0 = draw(st.integers(l - 2, phi.N))
+
+    def cells(t):
+        spheres = split_spheres(phi, l0)
+        return sum(p ** (g - cell_level(phi, chr_, g, t)) for g in spheres)
+
+    # mixed norms on both sides of the threshold -l + k0, mixed directions
+    q = 3 if p == 2 else 2
+    unit = st.builds(
+        Fr,
+        st.integers(-(p**4), p**4).filter(lambda n: n % p),
+        st.sampled_from([1, q, q * q]),
+    )
+    norms = st.integers(-phi.N - 2, -l + chr_.k0 + 2)
+    point = st.builds(lambda u, M: u * Fr(p) ** (-M), unit, norms)
+    points = draw(st.lists(point, min_size=1, max_size=12))
+    ts, cost = [], 0
+    for t in sorted(points, key=cells):
+        if cost + cells(t) <= BUDGET:
+            ts.append(t)
+            cost += cells(t)
+    return f, chr_, phi, tuple(ts), l0
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch_cases())
+def test_batched_j_matches_exact_angle_reference(case):
+    f, chr_, phi, ts, l0 = case
+    if ts is None:
+        want, mass = reference_j(f, chr_, phi, None, l0)
+        assert abs(apply(f, phi) - want) <= 1e-12 * mass, (apply(f, phi), want)
+        return
+    got = singular_fourier(req(f, phi, ts, l0))
+    for t, J in zip(ts, got):
+        want, mass = reference_j(f, chr_, phi, t, l0)
+        assert abs(J - want) <= 1e-12 * mass, (t, J, want)
