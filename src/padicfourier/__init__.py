@@ -58,7 +58,7 @@ from .asymptotics import (
     ReportRow,
     StabilizationReport,
     erdelyi_check,
-    rhs_predict,
+    predict_expansion,
     verify_stabilization,
 )
 from . import errors
@@ -111,7 +111,7 @@ __all__ = [
     "ReportRow",
     "StabilizationReport",
     "erdelyi_check",
-    "rhs_predict",
+    "predict_expansion",
     "verify_stabilization",
     "errors",
 ]

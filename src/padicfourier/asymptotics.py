@@ -23,7 +23,7 @@ Only |t|_p^{-alpha} and pi_1^{-1}(t) vary with t, so
 (via ``gamma_pi``, which hands trivial pi_1 to ``gamma_p``) or the
 Bernoulli table, the predicted threshold exponent and the scale family.
 Its ``AsymptoticPrediction.rhs(phi0, t)`` is the only place the
-right-hand side is evaluated; ``rhs_predict`` is a one-shot wrapper.
+right-hand side is evaluated.
 
 One private function, ``_sweep``, runs every sweep: it validates the
 t-grid (several unit directions per norm sphere), builds the prediction
@@ -42,9 +42,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import comb
+from typing import get_type_hints
 
 from . import qp
 from .characters import MultChar, NormedMultChar, eval_pi1
@@ -157,14 +158,6 @@ def predict_expansion(
     return AsymptoticPrediction(f, prime, e, scale, gamma_jet=jet.coeffs)
 
 
-def rhs_predict(
-    f: QahDistribution, phi0: complex, l: int, t: Rational, prime: Prime
-) -> complex:
-    """The theorem right-hand side at one t; sweeps build the prediction
-    once with :func:`predict_expansion` instead."""
-    return predict_expansion(f, l, prime).rhs(phi0, t)
-
-
 @dataclass(frozen=True)
 class ReportRow:
     M: int
@@ -221,69 +214,42 @@ class StabilizationReport:
             )
         return out.getvalue()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "prime": self.prime,
-            "theorem": self.theorem,
-            "variant": self.variant,
-            "alpha": list(self.alpha) if self.alpha is not None else None,
-            "m": self.m,
-            "k0": self.k0,
-            "l": self.l,
-            "N": self.N,
-            "tolerance_scale": self.tolerance_scale,
-            "s_pred_exponent": self.s_pred_exponent,
-            "s_emp_exponent": self.s_emp_exponent,
-            "below_threshold_violation": self.below_threshold_violation,
-            "ok": self.ok,
-            "scale_family": self.scale_family,
-            "rows": [
-                {
-                    "M": r.M,
-                    "t_unit": r.t_unit,
-                    "J": [r.J.real, r.J.imag],
-                    "rhs": [r.rhs.real, r.rhs.imag],
-                    "abs_err": r.abs_err,
-                    "stabilized": r.stabilized,
-                }
-                for r in self.rows
-            ],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+        """The fields as JSON: each row as its own field dict, each complex
+        as [re, im]."""
+        return json.dumps(self, default=_json_default, sort_keys=True, indent=2)
 
-    @staticmethod
-    def from_json(text: str) -> "StabilizationReport":
-        d = json.loads(text)
-        rows = [
-            ReportRow(
-                M=r["M"],
-                t_unit=r["t_unit"],
-                J=complex(*r["J"]),
-                rhs=complex(*r["rhs"]),
-                abs_err=r["abs_err"],
-                stabilized=r["stabilized"],
-            )
-            for r in d["rows"]
-        ]
-        return StabilizationReport(
-            prime=d["prime"],
-            theorem=d["theorem"],
-            variant=d["variant"],
-            alpha=tuple(d["alpha"]) if d["alpha"] is not None else None,
-            m=d["m"],
-            k0=d["k0"],
-            l=d["l"],
-            N=d["N"],
-            tolerance_scale=d["tolerance_scale"],
-            s_pred_exponent=d["s_pred_exponent"],
-            s_emp_exponent=d["s_emp_exponent"],
-            below_threshold_violation=d["below_threshold_violation"],
-            ok=d["ok"],
-            scale_family=d.get("scale_family", ""),
-            rows=rows,
-        )
+    @classmethod
+    def from_json(cls, text: str) -> "StabilizationReport":
+        return _from_fields(cls, json.loads(text))
+
+
+def _json_default(value):
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return {f.name: getattr(value, f.name) for f in fields(value)}
+
+
+def _from_fields(cls, data: dict):
+    """cls rebuilt from the JSON of its fields: unknown keys are ignored, a
+    missing field takes its default, and a JSON list becomes the field's
+    type (complex from [re, im], report rows, else a tuple)."""
+    hints = get_type_hints(cls)
+    return cls(
+        **{
+            f.name: _decode(hints[f.name], data[f.name])
+            for f in fields(cls)
+            if f.name in data
+        }
+    )
+
+
+def _decode(hint, value):
+    if hint is complex:
+        return complex(*value)
+    if hint == list[ReportRow]:
+        return [_from_fields(ReportRow, row) for row in value]
+    return tuple(value) if isinstance(value, list) else value
 
 
 def unit_directions(prime: Prime, count: int) -> list[int]:

@@ -39,7 +39,7 @@ import numpy as np
 from . import asymptotics, qp
 from .asymptotics import (
     erdelyi_check,
-    rhs_predict,
+    predict_expansion,
     theorem_family,
     verify_stabilization,
 )
@@ -299,17 +299,14 @@ def _cmd_singular(args) -> int:
     split = args.split_level
     if split is None:
         split = _field(cfg, "split_level", "config", _integer, default=None)
-    try:
-        req = SingularIntegralRequest(f, phi, t, split)
-    except PadicError as exc:
-        raise ConfigError(str(exc)) from exc
+    req = SingularIntegralRequest(f, phi, t, split)
     J = singular_fourier(req)
     lines = [f"J(t = {t}) = {_fmt_complex(J)}"]
     if args.oracle:
         O = brute_force_oracle(req, refine=args.refine)
         lines.append(f"oracle    = {_fmt_complex(O)}")
         lines.append(f"|J - oracle| = {_fmt(abs(J - O))}")
-    rhs = rhs_predict(f, phi.at_zero, phi.l, t, prime)
+    rhs = predict_expansion(f, phi.l, prime).rhs(phi.at_zero, t)
     lines.append(f"rhs       = {_fmt_complex(rhs)}")
     _write_output("\n".join(lines), args.out)
     return EXIT_OK
@@ -434,10 +431,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: built once per process: building takes some 20 times as long as a parse
+_PARSER = build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code else EXIT_OK
     try:

@@ -229,11 +229,14 @@ def _pairing(
     prime = phi.prime
     chr_ = char_of(f, prime)
     l0 = min(max(l0, phi.l), phi.N)
-    h = _annulus_product(f, phi, chr_, l0)
+    lam = phi.l + 1 - max(chr_.k0, 1)
     if ts is None:
-        split = [h.values.sum() * qp.p_power(prime.p, h.l)]
+        h = _annulus_product(f, phi, chr_, l0)
+        split = [h.values.sum() * qp.p_power(prime.p, lam)]
+    elif all(qp.valuation(t, prime) < lam for t in ts):
+        split = [0j] * len(ts)  # F[h] vanishes for |t|_p > p^-lam
     else:
-        transform = fourier(h)
+        transform = fourier(_annulus_product(f, phi, chr_, l0))
         split = [transform.at(t) for t in ts]
     j0 = {}  # J0 depends on t only through |t|_p unless pi_1 is ramified
     values = []

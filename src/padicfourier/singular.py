@@ -30,7 +30,7 @@ from .distributions import (
     j0_closed_form,  # noqa: F401 -- part of this module's API
 )
 from .errors import BadWindow, ZeroArgument
-from .gamma import ball_norm_power_jet, check_pole, faulhaber_sum, logp_scaled
+from .gamma import ball_norm_power_jet, faulhaber_sum, logp_scaled
 from .qp import Prime, Sphere
 from .testfn import TestFunction
 
@@ -105,10 +105,9 @@ def _oracle_at(
     top = max(phi.N, 0) if is_plog else phi.N
     total = 0j
     for g in range(gamma_star + 1, top + 1):
-        base_level = min(l, g - max(chr_.k0, 1))
-        target_level = min(l, -m_exp, g - max(chr_.k0, 1)) - refine
+        lam = min(l, -m_exp, g - max(chr_.k0, 1)) - refine
         subtract = is_plog and g <= 0
-        cell = _refined_cell_sum(phi, chr_, g, t, subtract, base_level - target_level)
+        cell = _refined_cell_sum(phi, chr_, g, t, subtract, lam)
         if subtract:
             # interior PLog integrand is phi*chi - phi(0), i.e. the
             # (phi - phi(0))*chi cells plus phi(0)*(chi - 1)
@@ -126,17 +125,13 @@ def _refined_cell_sum(
     gamma: int,
     t: Fraction,
     subtract_phi0: bool,
-    extra_depth: int,
+    lam: int,
 ) -> complex:
     # the oracle's own sphere sum: value x chi_p(ct) x measure on every cell
-    # of B_lam, lam = min(l, gamma - max(k0, 1)) - extra_depth, one exp each
+    # of B_lam in S_gamma, one exp each; lam <= -log_p|t|_p, so chi_p(xt)
+    # is constant on every cell
     p = phi.prime.p
-    if gamma > phi.N and not subtract_phi0:
-        return 0j
-    lam = min(phi.l, gamma - max(chr_.k0, 1)) - extra_depth
     m_exp = -qp.valuation(t, phi.prime)
-    if lam > -m_exp:
-        return 0j  # every cell's ball integral of chi_p vanishes
     words = qp._sphere_words(p, gamma - lam)
     vals = phi.sample(words, gamma)
     if subtract_phi0:
@@ -162,7 +157,6 @@ def _oracle_tail(f: QahDistribution, prime: Prime, gamma_star: int) -> complex:
             (1 - Fraction(1, prime.p)) * faulhaber_sum(f.m - 1, gamma_star)
         )
     if f.pi1.is_trivial():
-        check_pole(prime, f.alpha)
         jet = ball_norm_power_jet(prime, gamma_star, f.alpha, f.m)
         return logp_scaled(jet, prime.p).coeffs[f.m]
     return 0j  # ramified: every sphere integral of pi_1 vanishes

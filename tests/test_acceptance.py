@@ -29,7 +29,6 @@ from padicfourier import (
     homogeneity_defect,
     quadratic_character,
     random_testfn,
-    rhs_predict,
     singular_fourier,
     table_character,
     trivial_character,

@@ -1,5 +1,7 @@
 """Theorem right-hand sides, the stabilization verifier, Erdelyi check."""
 
+import dataclasses
+import json
 import math
 import random
 from fractions import Fraction as Fr
@@ -23,8 +25,8 @@ from padicfourier import (
     fourier,
     gamma_p,
     quadratic_character,
+    predict_expansion,
     random_testfn,
-    rhs_predict,
     singular_fourier,
     table_character,
     trivial_character,
@@ -44,19 +46,20 @@ def cubic_mod9():
 
 def test_rhs_examples():
     f = PiAlphaLog(2, trivial_character(P2), 0)
-    assert rhs_predict(f, 1.0, 0, Fr(1, 2), P2) == pytest.approx(-1 / 3)
-    assert rhs_predict(PLog(1), 1.0, 0, Fr(1, 3), P3) == pytest.approx(-1)
+    assert predict_expansion(f, 0, P2).rhs(1.0, Fr(1, 2)) == pytest.approx(-1 / 3)
+    assert predict_expansion(PLog(1), 0, P3).rhs(1.0, Fr(1, 3)) == pytest.approx(-1)
     f1 = PiAlphaLog(1, trivial_character(P3), 0)
     for M in (1, 2, 5):
-        assert abs(rhs_predict(f1, 2.3 - 1j, 0, Fr(3) ** (-M), P3)) < 1e-13
-    assert rhs_predict(DiracDelta(), 0.7j, 0, Fr(1, 2), P2) == pytest.approx(0.7j)
+        assert abs(predict_expansion(f1, 0, P3).rhs(2.3 - 1j, Fr(3) ** (-M))) < 1e-13
+    delta = predict_expansion(DiracDelta(), 0, P2)
+    assert delta.rhs(0.7j, Fr(1, 2)) == pytest.approx(0.7j)
 
 
 def test_rhs_ramified_includes_unit_direction():
     quad = quadratic_character(P3)
     f = PiAlphaLog(1.5, quad, 0)
-    a = rhs_predict(f, 1.0, 0, Fr(1, 27), P3)
-    b = rhs_predict(f, 1.0, 0, Fr(2, 27), P3)
+    pred = predict_expansion(f, 0, P3)
+    a, b = pred.rhs(1.0, Fr(1, 27)), pred.rhs(1.0, Fr(2, 27))
     want = eval_pi1(quad, 2).inverse().to_complex() / eval_pi1(quad, 1).to_complex()
     assert a != b
     assert b / a == pytest.approx(want)
@@ -194,7 +197,7 @@ def test_alpha_one_reproduces_fourier_support():
         t = Fr(2) * Fr(3) ** (-M)
         assert F.at(t) == 0
         assert abs(singular_fourier(SingularIntegralRequest(f, phi, t))) < 1e-12
-        assert abs(rhs_predict(f, phi.at_zero, phi.l, t, P3)) < 1e-13
+        assert abs(predict_expansion(f, phi.l, P3).rhs(phi.at_zero, t)) < 1e-13
 
 
 def test_erdelyi_check_cases():
@@ -239,6 +242,16 @@ def test_report_roundtrip_and_csv_schema():
     assert len(csv_text.splitlines()) == 1 + len(rep.rows)
 
 
+def test_from_json_ignores_unknown_keys_and_defaults_scale_family():
+    rep = verify_stabilization(PLog(2), delta_indicator(P2, 0), 1, 3)
+    data = json.loads(rep.to_json())
+    del data["scale_family"]
+    data["meta"] = {"version": "0"}
+    data["rows"][0]["path"] = "faulhaber"
+    again = StabilizationReport.from_json(json.dumps(data))
+    assert again == dataclasses.replace(rep, scale_family="")
+
+
 def test_s_emp_never_exceeds_s_pred_on_verified_cases():
     reps = [
         verify_stabilization(
@@ -261,8 +274,6 @@ def test_s_emp_never_exceeds_s_pred_on_verified_cases():
 
 
 def test_prediction_type_and_scale_family():
-    from padicfourier.asymptotics import predict_expansion
-
     pred = predict_expansion(PLog(3), -1, P2)
     assert pred.s_pred_exponent == 1
     assert pred.bernoulli_terms == (Fr(1), Fr(-1, 2), Fr(1, 6))
@@ -273,7 +284,7 @@ def test_prediction_type_and_scale_family():
     assert "pi_1^-1(t)" in pred.scale_family
     rep = verify_stabilization(PLog(2), delta_indicator(P2, 0), 1, 4)
     assert "PLog(2)" in rep.scale_family
-    # the prediction's right-hand side is the one rhs_predict evaluates
+    # l moves only the threshold: the right-hand side is the same
     families = [
         (DiracDelta(), P2),
         (PLog(1), P5),
@@ -288,7 +299,7 @@ def test_prediction_type_and_scale_family():
         for M in range(-2, 6):
             for u in (1, 2):
                 t = Fr(u) * Fr(prime.p) ** (-M)
-                assert pred.rhs(phi0, t) == rhs_predict(f, phi0, -1, t, prime)
+                assert pred.rhs(phi0, t) == predict_expansion(f, 2, prime).rhs(phi0, t)
 
 
 def test_plog_rhs_is_the_power_sum_form():
@@ -298,7 +309,7 @@ def test_plog_rhs_is_the_power_sum_form():
         for M in range(-3, 8):
             want = -Fr(1, p) * (1 - M) ** s + (1 - Fr(1, p)) * faulhaber_sum(s, -M)
             t = Fr(p) ** (-M)
-            assert rhs_predict(PLog(m), 1.0, 0, t, prime) == complex(want)
+            assert predict_expansion(PLog(m), 0, prime).rhs(1.0, t) == complex(want)
 
 
 def test_each_sweep_builds_its_prediction_once(monkeypatch):

@@ -1,5 +1,6 @@
 """CLI driver: subcommands, configs, exit codes, determinism."""
 
+import argparse
 import copy
 import json
 
@@ -45,6 +46,68 @@ PLOG_CFG = {
     "test_function": {"kind": "delta", "k": 0},
     "t_grid": {"M_min": 1, "M_max": 6},
 }
+
+
+DELTA_CFG = {
+    "prime": 2,
+    "distribution": {"variant": "pi-alpha-log", "alpha": 2, "m": 0},
+    "test_function": {"kind": "delta", "k": 0},
+    "t_grid": {"M_min": 0, "M_max": 1, "units_per_sphere": 1},
+}
+
+#: ``verify --format json`` on DELTA_CFG: key names and order, indentation,
+#: float repr and complex numbers as [re, im]
+DELTA_JSON = """\
+{
+  "N": 0,
+  "alpha": [
+    2.0,
+    0.0
+  ],
+  "below_threshold_violation": null,
+  "k0": 0,
+  "l": 0,
+  "m": 0,
+  "ok": true,
+  "prime": 2,
+  "rows": [
+    {
+      "J": [
+        0.6666666666666666,
+        0.0
+      ],
+      "M": 0,
+      "abs_err": 2.0,
+      "rhs": [
+        -1.3333333333333333,
+        0.0
+      ],
+      "stabilized": false,
+      "t_unit": 1
+    },
+    {
+      "J": [
+        -0.3333333333333333,
+        0.0
+      ],
+      "M": 1,
+      "abs_err": 0.0,
+      "rhs": [
+        -0.3333333333333333,
+        0.0
+      ],
+      "stabilized": true,
+      "t_unit": 1
+    }
+  ],
+  "s_emp_exponent": 0,
+  "s_pred_exponent": 0,
+  "scale_family": "phi(0) * |t|^-alpha log_p^{m-k}|t|, k = 0..m",
+  "theorem": "unramified",
+  "tolerance_scale": 1e-09,
+  "variant": "pi-alpha-log"
+}
+"""
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -95,6 +158,26 @@ def test_verify_json_report_roundtrip(tmp_path):
     report = StabilizationReport.from_json(out.read_text())
     assert report.ok and report.variant == "pi-alpha-log" and report.k0 == 1
     assert report.s_pred_exponent == 2
+
+
+def test_verify_json_layout_is_pinned(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, DELTA_CFG)
+    assert run(["verify", "--config", cfg, "--format", "json"]) == 0
+    assert capsys.readouterr().out == DELTA_JSON
+
+
+def test_run_builds_no_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(["chi", "--p", "3", "--x", "1/3"]) == 0
+    assert run(["bernoulli", "--upto", "2"]) == 0
+    assert built == []
 
 
 def test_verify_theorem_flag_mismatch(tmp_path):

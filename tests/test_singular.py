@@ -225,10 +225,35 @@ def test_oracle_shares_no_kernel_with_the_split_evaluator(monkeypatch):
         raise AssertionError("the oracle reached the core's fourier")
 
     monkeypatch.setattr(distributions, "fourier", broken)
-    f, t, _ = cases[0]
     with pytest.raises(AssertionError, match="reached"):
-        singular_fourier(req(f, phi, t))  # the patch is live
+        # the patch is live: |t|_3 = 9 lies inside F[h]'s support
+        singular_fourier(req(cases[0][0], phi, Fr(1, 9)))
     assert [brute_force_oracle(req(f, phi, t), refine=r) for f, t, r in cases] == want
+
+
+def test_deep_request_skips_the_transform(monkeypatch):
+    # every |t|_p > p^-lam, lam = l + 1 - max(k0, 1): F[h] vanishes there,
+    # so J is phi(0) J0 with no annulus product and no transform
+    from padicfourier import distributions
+
+    phi = random_testfn(P3, 2, -1, seed=68)
+    cases = [
+        (PiAlphaLog(1.5, trivial_character(P3), 1), Fr(1, 9)),
+        (PiAlphaLog(1.2, quadratic_character(P3), 0), (Fr(2, 9), Fr(1, 3**12))),
+        (PiAlphaLog(0.9 + 0.4j, cubic_mod9(), 1), (Fr(1, 27), Fr(5, 81))),
+        (PLog(2), Fr(1, 3**12)),
+    ]
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a deep request built h or ran fourier")
+
+    monkeypatch.setattr(distributions, "_annulus_product", unreachable)
+    monkeypatch.setattr(distributions, "fourier", unreachable)
+    for f, t in cases:
+        ts = t if isinstance(t, tuple) else (t,)
+        want = [phi.at_zero * j0_closed_form(f, phi.l, s, P3) for s in ts]
+        got = singular_fourier(req(f, phi, t))
+        assert (got if isinstance(t, tuple) else [got]) == want
 
 
 def test_reduces_to_pairing_for_tiny_t():
