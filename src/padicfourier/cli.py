@@ -15,8 +15,8 @@ Exit codes: 0 success; 1 validation error (bad flags or config, with a
 field-path message, a log order m or ``gamma --order`` above
 ``MAX_JET_ORDER``, or a cell enumeration beyond 2^24 cosets); 2
 verification failure inside the stabilized region; 3 numeric error (pole
-proximity, a p^(c*alpha) term or a sphere density p^((alpha-1) gamma)
-beyond the floating range).
+proximity, a p^(c*alpha) or p^-alpha term or a sphere density beyond the
+floating range).
 
 Configs are JSON; the schema is documented in the README.  Every field is
 read through ``_field``: it parses, or raises ``ConfigError`` with its

@@ -122,21 +122,25 @@ QahDistribution = PiAlphaLog | PLog | DiracDelta
 
 def density_on_sphere(f: QahDistribution, prime: Prime, gamma: int) -> complex:
     """The radial factor of f on S_gamma (|x|_p = p^gamma); NumericOverflow
-    when p^{(alpha-1) gamma} is not a finite float."""
-    if isinstance(f, PiAlphaLog):
-        try:
-            value = cmath.exp((f.alpha - 1) * gamma * math.log(prime.p)) * gamma**f.m
-        except OverflowError:
-            value = cmath.inf
-        if not cmath.isfinite(value):
-            raise NumericOverflow(
-                f"{prime.p}^((alpha-1)*gamma) with alpha = {f.alpha}, gamma = {gamma} "
-                "is not a finite float"
-            )
-        return value
-    if isinstance(f, PLog):
-        return qp.p_power(prime.p, -gamma) * gamma ** (f.m - 1)
-    raise TypeError(f"no sphere density for {f!r}")
+    when it is not a finite float."""
+    p = prime.p
+    try:
+        if isinstance(f, PiAlphaLog):
+            value = cmath.exp((f.alpha - 1) * gamma * math.log(p)) * gamma**f.m
+        elif isinstance(f, PLog):
+            value = qp.p_power(p, -gamma) * gamma ** (f.m - 1)
+        else:
+            raise TypeError(f"no sphere density for {f!r}")
+    except OverflowError:
+        value = cmath.inf
+    if not cmath.isfinite(value):
+        what = (
+            f"{p}^((alpha-1)*gamma) with alpha = {f.alpha}"
+            if isinstance(f, PiAlphaLog)
+            else f"{p}^-gamma gamma^(m-1) with m = {f.m}"
+        )
+        raise NumericOverflow(f"{what}, gamma = {gamma} is not a finite float")
+    return value
 
 
 def char_of(f: QahDistribution, prime: Prime) -> NormedMultChar:

@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import comb
 
 from .characters import MultChar, sphere_char_chi_integral
-from .errors import PoleProximity
+from .errors import NumericOverflow, PoleProximity
 from .jets import Jet, p_power_jet
 from .qp import Prime, p_power
 
@@ -38,7 +38,12 @@ POLE_TOLERANCE = 1e-12
 
 
 def check_pole(prime: Prime, alpha: complex) -> None:
-    d = 1 - cmath.exp(-complex(alpha) * math.log(prime.p))
+    try:
+        d = 1 - cmath.exp(-complex(alpha) * math.log(prime.p))
+    except OverflowError:
+        raise NumericOverflow(
+            f"{prime.p}^-alpha with alpha = {alpha} is not a finite float"
+        ) from None
     if abs(d) <= POLE_TOLERANCE:
         raise PoleProximity(
             f"alpha = {alpha} is within {POLE_TOLERANCE} of a pole "

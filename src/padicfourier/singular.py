@@ -8,7 +8,8 @@ times the closed-form J0.
 its own plain value-times-chi_p-times-measure summation over refined
 cells on every sphere down to an analytic-tail boundary, plus the
 geometric-jet tail, with no split, no closed-form branches and no shared
-sphere kernel.
+sphere kernel.  Each cell's chi_p(ct) is a root of unity read off one
+table of p^E-th roots per t, not one complex exp per cell.
 """
 
 from __future__ import annotations
@@ -95,19 +96,33 @@ def _oracle_at(
     prime = phi.prime
     if isinstance(f, DiracDelta):
         return phi.at(0)
+    p, l = prime.p, phi.l
     m_exp = -qp.valuation(t, prime)
-    l = phi.l
     gamma_star = min(-m_exp, l) - refine
     chr_ = char_of(f, prime)
     is_plog = isinstance(f, PLog)
     # the PLog regularization subtracts phi(0) over all of B_0, so its
     # sphere sums run to S_0 even when phi's support stops below it
     top = max(phi.N, 0) if is_plog else phi.N
+    # on a cell c = w p^-g, chi_p(ct) = e^(2 pi i w u / p^(g+m)) with u the
+    # unit part of t: with E = top + m that is roots[w u p^(top-g) mod p^E],
+    # one table for every sphere.  The top sphere's words run to
+    # p^(top-lam) >= p^E, which the enumeration caps at 2^24; past that no
+    # table is built, as the top sphere raises BadWindow before any sum
+    # is returned
+    E = top + m_exp
+    roots, u, mod = None, 0, 1
+    if 0 < E and p**E <= 1 << 24:
+        mod = p**E
+        roots = _roots(p, E)
+        unit = qp.unit_part(t, prime)
+        u = unit.numerator * pow(unit.denominator, -1, mod) % mod
     total = 0j
     for g in range(gamma_star + 1, top + 1):
         lam = min(l, -m_exp, g - max(chr_.k0, 1)) - refine
         subtract = is_plog and g <= 0
-        cell = _refined_cell_sum(phi, chr_, g, t, subtract, lam)
+        step = u * pow(p, top - g, mod) % mod
+        cell = _refined_cell_sum(phi, chr_, g, lam, subtract, roots, step)
         if subtract:
             # interior PLog integrand is phi*chi - phi(0), i.e. the
             # (phi - phi(0))*chi cells plus phi(0)*(chi - 1)
@@ -123,29 +138,52 @@ def _refined_cell_sum(
     phi: TestFunction,
     chr_: NormedMultChar,
     gamma: int,
-    t: Fraction,
-    subtract_phi0: bool,
     lam: int,
+    subtract_phi0: bool,
+    roots: np.ndarray | None,
+    step: int,
 ) -> complex:
     # the oracle's own sphere sum: value x chi_p(ct) x measure on every cell
-    # of B_lam in S_gamma, one exp each; lam <= -log_p|t|_p, so chi_p(xt)
+    # c = w p^-gamma of B_lam in S_gamma, chi_p(ct) = roots[w step mod p^E]
+    # (step = 0: chi_p == 1 on S_gamma); lam <= -log_p|t|_p, so chi_p(xt)
     # is constant on every cell
     p = phi.prime.p
-    m_exp = -qp.valuation(t, phi.prime)
     words = qp._sphere_words(p, gamma - lam)
     vals = phi.sample(words, gamma)
     if subtract_phi0:
-        vals = vals - phi.values[0]
+        vals -= phi.values[0]
     if chr_.k0 >= 1:
-        vals = vals * chr_.complex_table()[words % p**chr_.k0]
-    if gamma + m_exp > 0:
-        # lam <= -m_exp here, so den <= p^(gamma - lam), which the word
-        # enumeration caps at 2^24: the int64 products stay exact
-        den = p ** (gamma + m_exp)
-        unit = qp.unit_part(t, phi.prime)
-        w_t = (unit.numerator * pow(unit.denominator, -1, den)) % den
-        vals = vals * np.exp(2j * np.pi * ((words % den) * w_t % den) / den)
-    return complex(vals.sum()) * float(Fraction(p) ** lam)
+        vals *= chr_.complex_table()[words % p**chr_.k0]
+    if step:
+        # w < p^(gamma - lam) and step < p^E, both at most 2^24: the int64
+        # products stay exact
+        index = words * step
+        index %= roots.size
+        vals *= roots[index]
+    return complex(vals.sum()) * qp.p_power(p, lam)
+
+
+#: i^q for a quarter turn q
+_QUARTER = np.array([1, 1j, -1, -1j])
+
+
+def _turns(n: int, count: int) -> np.ndarray:
+    # e^(2 pi i k / n) for k < count, as i^q e^(2 pi i r) with q the nearest
+    # quarter turn and r = k/n - q/4 in [-1/8, 1/8] rounded once: the small
+    # angle keeps each root within about 1.3 eps, where exp(2 pi i k / n)
+    # is off by up to 7 eps near a full turn
+    k = np.arange(count)
+    q = (4 * k + n // 2) // n
+    return np.exp(2j * np.pi * ((4 * k - q * n) / (4 * n))) * _QUARTER[q % 4]
+
+
+def _roots(p: int, E: int) -> np.ndarray:
+    """The p^E-th roots of unity e^(2 pi i k / p^E), k < p^E: the outer
+    product of the p^(E-h)-th roots and the first p^h of the p^E-th roots,
+    h = E // 2, so about 2 p^(E/2) exps."""
+    h = E // 2
+    coarse = _turns(p ** (E - h), p ** (E - h))
+    return np.multiply.outer(coarse, _turns(p**E, p**h)).ravel()
 
 
 def _oracle_tail(f: QahDistribution, prime: Prime, gamma_star: int) -> complex:

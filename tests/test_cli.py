@@ -359,6 +359,26 @@ def test_density_overflow_is_a_numeric_error(tmp_path, capsys):
         assert err.startswith("numeric error: ") and "Traceback" not in err
 
 
+
+def test_plog_oracle_density_overflow_is_a_numeric_error(tmp_path, capsys):
+    # the oracle sums down to S_-699 at |t|_3 = 3^700, where the PLog
+    # density 3^-gamma gamma is beyond the floating range
+    path = write_cfg(tmp_path, PLOG_CFG)
+    assert run(["singular", "--config", path, "--t", f"1/{3**700}", "--oracle"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ") and "Traceback" not in err
+
+
+def test_pole_check_overflow_is_a_numeric_error(tmp_path, capsys):
+    # the pole check's 7^-alpha at alpha = -400 is beyond the floating range
+    cfg = dict(POWER_CFG, prime=7)
+    cfg["distribution"] = dict(cfg["distribution"], alpha=-400)
+    path = write_cfg(tmp_path, cfg)
+    for argv in (["verify", "--config", path], ["eval-dist", "--config", path]):
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ") and "Traceback" not in err
+
 def _set(cfg, path, value):
     node = cfg
     for key in path[:-1]:

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,7 @@ from padicfourier import (
 )
 from padicfourier.distributions import density_on_sphere
 from padicfourier.errors import BadWindow, PoleProximity, ZeroArgument
+from padicfourier.singular import _oracle_tail, _roots
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -508,3 +510,123 @@ def test_batched_j_matches_exact_angle_reference(case):
     for t, J in zip(ts, got):
         want, mass = reference_j(f, chr_, phi, t, l0)
         assert abs(J - want) <= 1e-12 * mass, (t, J, want)
+
+
+#: per-cell reference evaluations allowed per oracle example
+ORACLE_BUDGET = 2200
+
+
+def oracle_cells(f, phi, t, refine):
+    """The oracle's spheres with their cell levels, [(g, lam)], and its
+    tail boundary gamma*."""
+    M = -valuation(t, phi.prime)
+    gamma_star = min(-M, phi.l) - refine
+    k = max(f.pi1.k0, 1) if isinstance(f, PiAlphaLog) else 1
+    top = max(phi.N, 0) if isinstance(f, PLog) else phi.N
+    spheres = range(gamma_star + 1, top + 1)
+    return [(g, min(phi.l, -M, g - k) - refine) for g in spheres], gamma_star
+
+
+def reference_oracle(f, phi, t, refine):
+    """(J, sum of |terms|) on the oracle's cells, one exact-angle term per
+    cell, plus the oracle's closed-form tail."""
+    prime = phi.prime
+    chr_ = f.pi1 if isinstance(f, PiAlphaLog) else trivial_character(prime)
+    spheres, gamma_star = oracle_cells(f, phi, t, refine)
+    terms = [phi.at_zero * _oracle_tail(f, prime, gamma_star)]
+    for g, lam in spheres:
+        weight = density_on_sphere(f, prime, g) * float(Fr(prime.p) ** lam)
+        # the PLog integrand on B_0 is phi(x) chi_p(xt) - phi(0)
+        pinned = phi.at_zero if isinstance(f, PLog) and g <= 0 else 0
+        for c in enumerate_sphere_cosets(prime, g, lam):
+            ct = p_power_denominator(c * t, prime.p)
+            angle = eval_pi1(chr_, c) * chi(ct, prime)
+            terms.append(weight * (phi.at(c) * angle.to_complex() - pinned))
+    return sum(terms), sum(map(abs, terms))
+
+
+@st.composite
+def oracle_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    prime = Prime(p)
+    kinds = ["trivial", "plog"] + ["quadratic"] * (p > 2) + ["cubic"] * (p == 3)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "plog":
+        f = PLog(draw(st.integers(1, 3)))
+    else:
+        chr_ = {
+            "trivial": trivial_character,
+            "quadratic": quadratic_character,
+            "cubic": lambda _: cubic_mod9(),
+        }[kind](prime)
+        alpha = draw(st.sampled_from([1.5, 0.7 + 0.3j, -0.4]))
+        f = PiAlphaLog(alpha, chr_, draw(st.integers(0, 2)))
+    # E = N + log_p|t|_p: a table of at least p^6 roots; p^3 for p = 5,
+    # whose 5^6 cells would cost the reference about a second per example
+    E = draw(st.integers(*{2: (6, 8), 3: (6, 7), 5: (3, 4)}[p]))
+    # phi's width is E - 1, E or E + 1 digits: from E on, chi_p(xt) turns
+    # within phi's cosets, so the sum carries the direction of t
+    widths = [w for w in (E - 1, E, E + 1) if p**w <= ORACLE_BUDGET]
+    width = draw(st.sampled_from(widths))
+    N = draw(st.integers(0, 1))
+    phi = random_testfn(prime, N, N - width, seed=draw(st.integers(0, 2**16)))
+    q = 3 if p == 2 else 2
+    unit = st.integers(-(p**4), p**4).filter(lambda n: n % p)
+    t = Fr(draw(unit), draw(st.sampled_from([1, q, q * q]))) * Fr(p) ** (N - E)
+
+    def cells(refine):
+        spheres, _ = oracle_cells(f, phi, t, refine)
+        return sum((p - 1) * p ** (g - lam - 1) for g, lam in spheres)
+
+    refine = draw(st.integers(0, max(r for r in range(3) if cells(r) <= ORACLE_BUDGET)))
+    return f, phi, t, refine
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_cases())
+def test_oracle_matches_exact_angle_cells(case):
+    f, phi, t, refine = case
+    want, mass = reference_oracle(f, phi, t, refine)
+    got = brute_force_oracle(req(f, phi, t), refine=refine)
+    assert abs(got - want) <= 1e-12 * mass, (got, want)
+
+
+def test_root_table_is_exact_to_a_few_ulps():
+    if np.finfo(np.longdouble).precision <= np.finfo(float).precision:
+        pytest.skip("the reference needs an extended-precision long double")
+    eps = np.finfo(float).eps
+    turn = 8 * np.arctan(np.longdouble(1))
+    for p in (2, 3, 5, 7):
+        for E in range(9):
+            roots, n = _roots(p, E), p**E
+            assert roots.shape == (n,)
+            for lo in range(0, n, 1 << 18):
+                k = np.arange(lo, min(n, lo + (1 << 18)))
+                angle = turn * k / n
+                err = np.hypot(
+                    roots[k].real - np.cos(angle), roots[k].imag - np.sin(angle)
+                )
+                assert err.max() <= 4 * eps, (p, E, err.max() / eps)
+
+
+def test_oracle_builds_one_root_table_per_t(monkeypatch):
+    from padicfourier import singular
+
+    built = []
+
+    def counted(p, E):
+        built.append((p, E))
+        return _roots(p, E)
+
+    monkeypatch.setattr(singular, "_roots", counted)
+    phi = random_testfn(P3, 1, -2, seed=5)
+    ts = (Fr(1, 9), Fr(2, 27), Fr(1, 18), Fr(-4, 243), Fr(2, 9))
+    for f in (
+        PiAlphaLog(1.5, trivial_character(P3), 1),
+        PiAlphaLog(0.9 + 0.4j, cubic_mod9(), 1),
+        PLog(2),
+    ):
+        built.clear()
+        brute_force_oracle(req(f, phi, ts), refine=1)
+        # E = N - v_3(t), one table per t
+        assert built == [(3, phi.N - valuation(t, P3)) for t in ts]
