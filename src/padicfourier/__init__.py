@@ -4,7 +4,6 @@ associated homogeneous distributions and their stabilized asymptotics."""
 from .qp import (
     INFINITE_VALUATION,
     Prime,
-    Sphere,
     enumerate_cosets,
     enumerate_sphere_cosets,
     fractional_part,
@@ -18,7 +17,6 @@ from .characters import (
     RootOfUnity,
     chi,
     eval_pi1,
-    eval_pi_alpha,
     make_character,
     quadratic_character,
     table_character,
@@ -68,7 +66,6 @@ __version__ = "1.0.0"
 __all__ = [
     "INFINITE_VALUATION",
     "Prime",
-    "Sphere",
     "enumerate_cosets",
     "enumerate_sphere_cosets",
     "fractional_part",
@@ -80,7 +77,6 @@ __all__ = [
     "RootOfUnity",
     "chi",
     "eval_pi1",
-    "eval_pi_alpha",
     "make_character",
     "quadratic_character",
     "table_character",

@@ -18,10 +18,13 @@ the closed-form evaluators rely on:
 * integral of pi_1(x) chi_p(xt) over a sphere, which vanishes exactly
   unless |t|_p * p^gamma = p^{k0} and is a finite Gauss sum there.
 
-The exact-zero branches rest on two facts validated eagerly at character
-construction: full-period additive character sums vanish, and the
-restriction of a ramified pi_1 to every subgroup 1 + p^j Z_p with j < k0
-takes each value of a cyclic group mu_d (d >= 2) equally often.
+The exact-zero branches rest on two facts: full-period additive
+character sums vanish, and a ramified pi_1 sums to zero over every
+subgroup 1 + p^j Z_p with j < k0.  The second follows from the two
+properties checked at character construction, the group law and rank
+minimality: a homomorphism maps a finite group onto a cyclic group mu_d
+and takes each value |kernel| times, and 1 + p^j Z_p contains
+1 + p^{k0-1} Z_p, on which pi_1 is not trivial, so d >= 2.
 """
 
 from __future__ import annotations
@@ -79,30 +82,16 @@ def _units_mod(p: int, k: int) -> list[int]:
     return [u for u in range(1, p**k) if u % p != 0]
 
 
-def _check_balanced_image(values: list[RootOfUnity]) -> int:
-    """Number of distinct values if they form a full cyclic group mu_d hit
-    with uniform multiplicity, else 0.  Certifies sum(values) == 0 exactly
-    for d >= 2."""
-    angles = sorted({v.angle for v in values})
-    d = len(angles)
-    if angles != [Fraction(k, d) for k in range(d)]:
-        return 0
-    counts = {a: 0 for a in angles}
-    for v in values:
-        counts[v.angle] += 1
-    if len(set(counts.values())) != 1:
-        return 0
-    return d
-
-
 class NormedMultChar:
     """pi_1 given by exact values on the units modulo p^{k0}.
 
     ``unit_values`` maps every unit u in (Z/p^{k0})^* to a RootOfUnity;
     an empty table with k0 = 0 is the trivial character.  Construction
-    validates multiplicativity, normalization pi_1(1) = 1, rank
-    minimality, and the subgroup-orthogonality structure used by the
-    exact sphere integrals.
+    validates normalization pi_1(1) = 1, multiplicativity and rank
+    minimality (pi_1 is not trivial on 1 + p^{k0-1} Z_p).  Together these
+    make pi_1 a nontrivial homomorphism on every subgroup 1 + p^j Z_p with
+    j < k0, so its values there cover some mu_d, d >= 2, uniformly and sum
+    to zero: the exact zeros of the sphere integrals.
     """
 
     def __init__(self, prime: Prime, k0: int, unit_values: dict[int, RootOfUnity]):
@@ -115,6 +104,7 @@ class NormedMultChar:
             if unit_values:
                 raise BadTable("trivial character must have an empty table")
             self.unit_values = {}
+            self._key = (prime, 0, ())
             self._table = np.ones(1, dtype=np.complex128)
             return
         mod = p**self.k0
@@ -133,31 +123,17 @@ class NormedMultChar:
                     raise NotMultiplicative(
                         f"pi_1({u}*{v}) != pi_1({u})*pi_1({v}) mod {mod}"
                     )
-        # subgroup orthogonality on 1 + p^j Z for every j < k0; j = k0-1
-        # failing means the table factors through p^{k0-1} (rank not minimal)
-        for j in range(self.k0):
-            sub = [u for u in units if (u - 1) % p**j == 0]
-            vals = [unit_values[u] for u in sub]
-            d = _check_balanced_image(vals)
-            if d < 2:
-                if j == self.k0 - 1 and all(v.angle == 0 for v in vals):
-                    raise RankNotMinimal(
-                        f"character is trivial on 1 + {p}^{j} Z: rank < {self.k0}"
-                    )
-                raise BadTable(
-                    f"values on 1 + {p}^{j} Z do not cover a cyclic group uniformly"
-                )
+        j = self.k0 - 1
+        if all(unit_values[u].angle == 0 for u in units if (u - 1) % p**j == 0):
+            raise RankNotMinimal(
+                f"character is trivial on 1 + {p}^{j} Z: rank < {self.k0}"
+            )
         self.unit_values = dict(unit_values)
+        self._key = (prime, self.k0, tuple(unit_values[u].angle for u in units))
         table = np.zeros(mod, dtype=np.complex128)
         for u in units:
             table[u] = unit_values[u].to_complex()
         self._table = table
-
-    def value(self, u: int) -> RootOfUnity:
-        """Value at a unit residue (any integer coprime to p)."""
-        if self.k0 == 0:
-            return RootOfUnity.one()
-        return self.unit_values[u % (self.prime.p**self.k0)]
 
     def complex_table(self) -> np.ndarray:
         """Complex values indexed by residue mod p^{k0} (mod 1 for k0 = 0)."""
@@ -167,21 +143,11 @@ class NormedMultChar:
         return self.k0 == 0
 
     def __eq__(self, other):
-        return (
-            isinstance(other, NormedMultChar)
-            and self.prime == other.prime
-            and self.k0 == other.k0
-            and all(
-                self.unit_values[u].angle == other.unit_values[u].angle
-                for u in self.unit_values
-            )
-        )
+        return isinstance(other, NormedMultChar) and self._key == other._key
 
     def __hash__(self):
         # frozen dataclasses (MultChar, PiAlphaLog) embed characters
-        return hash((self.prime, self.k0, tuple(sorted(
-            (u, v.angle) for u, v in self.unit_values.items()
-        ))))
+        return hash(self._key)
 
     def __repr__(self):
         if self.k0 == 0:
@@ -241,10 +207,7 @@ def eval_pi1(chr_: NormedMultChar, x: Rational) -> RootOfUnity:
         raise ZeroArgument("pi_1 is undefined at 0")
     if chr_.k0 == 0:
         return RootOfUnity.one()
-    u = qp.unit_part(x, chr_.prime)
-    mod = chr_.prime.p**chr_.k0
-    residue = (u.numerator * pow(u.denominator, -1, mod)) % mod
-    return chr_.unit_values[residue]
+    return chr_.unit_values[qp.unit_residue(x, chr_.prime, chr_.k0)]
 
 
 @dataclass(frozen=True)
@@ -253,17 +216,6 @@ class MultChar:
 
     alpha: complex
     pi1: NormedMultChar
-
-
-def eval_pi_alpha(chr_: MultChar, x: Rational) -> complex:
-    """pi_alpha(x) = |x|_p^{alpha-1} pi_1(x) for x != 0."""
-    x = Fraction(x)
-    if x == 0:
-        raise ZeroArgument("pi_alpha is undefined at 0")
-    prime = chr_.pi1.prime
-    v = qp.valuation(x, prime)
-    power = cmath.exp(-(chr_.alpha - 1) * v * cmath.log(prime.p))
-    return power * eval_pi1(chr_.pi1, x).to_complex()
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +260,7 @@ def sphere_char_chi_integral(
         # or sums to zero inside each pi_1-cell (gamma+M > k0)
         return 0j
     mod = p**chr_.k0
-    unit = qp.unit_part(t, prime)
-    w = (unit.numerator * pow(unit.denominator, -1, mod)) % mod
+    w = qp.unit_residue(t, prime, chr_.k0)
     total = 0j
     for u in _units_mod(p, chr_.k0):
         angle = chr_.unit_values[u].angle + Fraction((u * w) % mod, mod)

@@ -93,6 +93,16 @@ def unit_part(x: Rational, prime: Prime) -> Fraction:
     return x * Fraction(prime.p) ** (-valuation(x, prime))
 
 
+def unit_residue(x: Rational, prime: Prime, k: int) -> int:
+    """u mod p^k for x = p^v u with u a unit (x != 0)."""
+    return _residue(unit_part(x, prime), prime.p**k)
+
+
+def _residue(q: Fraction, mod: int) -> int:
+    # q mod `mod` for a rational whose denominator is coprime to mod
+    return q.numerator * pow(q.denominator, -1, mod) % mod
+
+
 def fractional_part(x: Rational, prime: Prime) -> Fraction:
     """The p-adic fractional part {x}_p, the sum of the negative-power
     digits of the expansion of x.
@@ -113,24 +123,9 @@ def fractional_part(x: Rational, prime: Prime) -> Fraction:
     return Fraction(x.numerator % q, q)
 
 
-@dataclass(frozen=True)
-class Sphere:
-    """S_gamma(center) = B_gamma(center) \\ B_{gamma-1}(center)."""
-
-    prime: Prime
-    gamma: int
-    center: Fraction = Fraction(0)
-
-    def measure(self) -> Fraction:
-        p = self.prime.p
-        return Fraction(p) ** self.gamma * (1 - Fraction(1, p))
-
-    def contains(self, x: Rational) -> bool:
-        r = norm(Fraction(x) - self.center, self.prime)
-        return r == Fraction(self.prime.p) ** self.gamma
-
-
-@lru_cache(maxsize=None)
+# both word caches are bounded: one entry can reach 2^24 words (128 MiB),
+# and an oracle sweep touches a few dozen (p, n) keys
+@lru_cache(maxsize=64)
 def _coset_words(p: int, n: int) -> np.ndarray:
     # all digit words of length n, as integers 0 .. p^n - 1
     if p**n > 1 << 24:
@@ -138,7 +133,7 @@ def _coset_words(p: int, n: int) -> np.ndarray:
     return np.arange(p**n, dtype=np.int64)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _sphere_words(p: int, n: int) -> np.ndarray:
     # words of length n with nonzero leading (lowest-power) digit
     w = _coset_words(p, n)
@@ -177,7 +172,4 @@ def coset_index(x: Rational, prime: Prime, N: int, l: int) -> int:
     p = prime.p
     if norm(x, prime) > Fraction(p) ** N:
         raise BadWindow(f"|{x}|_p > p^{N}: point outside B_{N}")
-    mod = p ** (N - l)
-    w = x * Fraction(p) ** N
-    num, den = w.numerator, w.denominator  # den coprime to p here
-    return (num * pow(den, -1, mod)) % mod
+    return _residue(x * Fraction(p) ** N, p ** (N - l))

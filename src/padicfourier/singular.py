@@ -32,7 +32,7 @@ from .distributions import (
 )
 from .errors import BadWindow, ZeroArgument
 from .gamma import ball_norm_power_jet, faulhaber_sum, logp_scaled
-from .qp import Prime, Sphere
+from .qp import Prime
 from .testfn import TestFunction
 
 
@@ -115,8 +115,7 @@ def _oracle_at(
     if 0 < E and p**E <= 1 << 24:
         mod = p**E
         roots = _roots(p, E)
-        unit = qp.unit_part(t, prime)
-        u = unit.numerator * pow(unit.denominator, -1, mod) % mod
+        u = qp.unit_residue(t, prime, E)
     total = 0j
     for g in range(gamma_star + 1, top + 1):
         lam = min(l, -m_exp, g - max(chr_.k0, 1)) - refine
@@ -127,7 +126,7 @@ def _oracle_at(
             # interior PLog integrand is phi*chi - phi(0), i.e. the
             # (phi - phi(0))*chi cells plus phi(0)*(chi - 1)
             cell += phi.at_zero * float(
-                sphere_chi_integral(prime, g, t) - Sphere(prime, g).measure()
+                sphere_chi_integral(prime, g, t) - sphere_chi_integral(prime, g, 0)
             )
         total += density_on_sphere(f, prime, g) * cell
     total += phi.at_zero * _oracle_tail(f, prime, gamma_star)

@@ -121,8 +121,8 @@ def dilate(phi: TestFunction, t: Rational) -> TestFunction:
     if t == 0:
         raise ZeroArgument("cannot dilate by t = 0")
     prime, a = phi.prime, -qp.valuation(t, phi.prime)
-    u, mod = qp.unit_part(t, prime), len(phi.values)
-    u_inv = u.denominator * pow(u.numerator, -1, mod) % mod
+    mod = len(phi.values)
+    u_inv = pow(qp.unit_residue(t, prime, phi.N - phi.l), -1, mod)
     vals = phi.sample(np.arange(mod) * u_inv % mod, phi.N)
     return TestFunction(prime, phi.N + a, phi.l + a, vals)
 

@@ -1,18 +1,17 @@
 """Additive and multiplicative characters; exact sphere integrals."""
 
+import itertools
 import random
 from fractions import Fraction as Fr
 
 import pytest
 
 from padicfourier import (
-    MultChar,
     Prime,
     RootOfUnity,
     chi,
     enumerate_sphere_cosets,
     eval_pi1,
-    eval_pi_alpha,
     make_character,
     quadratic_character,
     table_character,
@@ -72,7 +71,7 @@ def test_make_character_kinds():
     assert triv.k0 == 0 and triv.is_trivial()
     quad = make_character(P3, {"kind": "quadratic"})
     assert quad.k0 == 1
-    assert quad.value(1).angle == 0 and quad.value(2).angle == Fr(1, 2)
+    assert quad.unit_values[1].angle == 0 and quad.unit_values[2].angle == Fr(1, 2)
     tab = make_character(
         P2, {"kind": "table", "modulus_exponent": 2, "values": {1: Fr(0), 3: Fr(1, 2)}}
     )
@@ -84,7 +83,7 @@ def test_quadratic_mod5_is_legendre():
     squares = {1, 4}
     for u in range(1, 5):
         want = Fr(0) if u in squares else Fr(1, 2)
-        assert quad.value(u).angle == want
+        assert quad.unit_values[u].angle == want
 
 
 def test_table_character_validation_errors():
@@ -99,6 +98,79 @@ def test_table_character_validation_errors():
         )
     with pytest.raises(BadTable):
         table_character(P3, 1, {1: Fr(1, 2), 2: Fr(0)})  # pi_1(1) != 1
+    with pytest.raises(RankNotMinimal):
+        # trivial on all of (Z/9)^*, so on 1 + 3Z as well
+        table_character(P3, 2, {u: Fr(0) for u in (1, 2, 4, 5, 7, 8)})
+
+
+def balanced_image_size(angles):
+    """Number of distinct angles if they form a full cyclic group mu_d hit
+    with uniform multiplicity, else 0 (the per-subgroup check the
+    constructor made before it relied on the group law alone)."""
+    distinct = sorted(set(angles))
+    d = len(distinct)
+    if distinct != [Fr(k, d) for k in range(d)]:
+        return 0
+    if len({angles.count(a) for a in distinct}) != 1:
+        return 0
+    return d
+
+
+def reference_accepts(p, k0, angles):
+    """The former construction check: multiplicative, and on every
+    1 + p^j Z with j < k0 the values cover some mu_d, d >= 2, uniformly."""
+    mod = p**k0
+    for u, v in itertools.product(angles, repeat=2):
+        if (angles[u * v % mod] - angles[u] - angles[v]) % 1:
+            return False
+    for j in range(k0):
+        sub = [a % 1 for u, a in angles.items() if (u - 1) % p**j == 0]
+        if balanced_image_size(sub) < 2:
+            return False
+    return True
+
+
+def all_character_tables(p, k0):
+    """Every character of (Z/p^k0)^* as a table of angles, with the
+    generator whose angle a perturbation moves: pi_1(g^j) = a j / phi for
+    a generator g (p odd), and the group <-1> x <5> for p = 2."""
+    mod = p**k0
+    if p == 2:
+        n = 2 ** (k0 - 2)
+        for b, a in itertools.product(range(2), range(n)):
+            yield 5 % mod if n > 1 else mod - 1, {
+                (-1) ** e * 5**j % mod: Fr(b * e, 2) + Fr(a * j, n)
+                for e in range(2)
+                for j in range(n)
+            }
+        return
+    order = mod - mod // p
+    g = next(
+        g for g in range(2, mod)
+        if len({pow(g, j, mod) for j in range(order)}) == order
+    )
+    for a in range(order):
+        yield g, {pow(g, j, mod): Fr(a * j, order) for j in range(order)}
+
+
+def test_group_law_and_rank_accept_what_the_subgroup_check_accepted():
+    cases = [(p, k0) for p in (3, 5, 7) for k0 in (1, 2)]
+    cases += [(3, 3), (2, 2), (2, 3), (2, 4)]
+    accepted = 0
+    for p, k0 in cases:
+        for g, angles in all_character_tables(p, k0):
+            perturbed = {**angles, g: angles[g] + Fr(1, 3)}  # breaks pi_1(g^2)
+            for table in (angles, perturbed):
+                if reference_accepts(p, k0, table):
+                    chr_ = table_character(Prime(p), k0, table)
+                    assert chr_.k0 == k0
+                    accepted += 1
+                else:
+                    with pytest.raises((NotMultiplicative, RankNotMinimal)):
+                        table_character(Prime(p), k0, table)
+    # exactly the primitive characters: phi(p^k0) - phi(p^(k0-1)) per odd
+    # case (1+4, 3+16, 5+36, 12) and 2^(k0-2) per p = 2 case (1+2+4)
+    assert accepted == 84
 
 
 def test_rank_examples():
@@ -106,7 +178,7 @@ def test_rank_examples():
     assert quadratic_character(P5).k0 == 1
     assert cubic_mod9().k0 == 2
     # nontrivial on 1 + 3Z as required by minimality
-    assert cubic_mod9().value(4).angle == Fr(1, 3)
+    assert cubic_mod9().unit_values[4].angle == Fr(1, 3)
 
 
 def test_eval_pi1_examples():
@@ -122,32 +194,6 @@ def test_eval_pi1_depends_only_on_unit_part():
     quad3 = quadratic_character(P3)
     for x in (Fr(2), Fr(2, 9), Fr(2 * 81), Fr(10, 3)):
         assert eval_pi1(quad3, x).angle == eval_pi1(quad3, x / 9).angle
-
-
-def test_eval_pi_alpha_examples():
-    assert eval_pi_alpha(
-        MultChar(1, trivial_character(P3)), Fr(7, 9)
-    ) == pytest.approx(1)
-    x = Fr(1, 9)  # |x|_3 = 9
-    assert eval_pi_alpha(MultChar(2, trivial_character(P3)), x) == pytest.approx(9)
-    assert eval_pi_alpha(
-        MultChar(2, quadratic_character(P3)), Fr(2, 9)
-    ) == pytest.approx(-9)
-
-
-def test_multiplicativity_of_pi_alpha():
-    rng = random.Random(8)
-    chrs = [
-        MultChar(0.3 - 1.1j, quadratic_character(P3)),
-        MultChar(1.7, cubic_mod9()),
-    ]
-    for chr_ in chrs:
-        for _ in range(60):
-            x = Fr(rng.choice([1, 2, 4, 5, 7, 8])) * Fr(3) ** rng.randint(-3, 3)
-            y = Fr(rng.choice([1, 2, 4, 5, 7, 8])) * Fr(3) ** rng.randint(-3, 3)
-            lhs = eval_pi_alpha(chr_, x * y)
-            rhs = eval_pi_alpha(chr_, x) * eval_pi_alpha(chr_, y)
-            assert abs(lhs - rhs) < 1e-12 * (1 + abs(lhs))
 
 
 def test_pi1_locally_constant_within_sphere():

@@ -8,7 +8,6 @@ import pytest
 from padicfourier import (
     INFINITE_VALUATION,
     Prime,
-    Sphere,
     enumerate_cosets,
     enumerate_sphere_cosets,
     fractional_part,
@@ -16,6 +15,7 @@ from padicfourier import (
     valuation,
 )
 from padicfourier.errors import BadWindow, NonPadicDenominator
+from padicfourier import qp
 from padicfourier.qp import coset_index
 
 
@@ -146,7 +146,7 @@ def test_measure_additivity():
         total = sum(Fr(p) ** l for _ in enumerate_cosets(prime, N, l))
         assert total == Fr(p) ** N
         total = sum(Fr(p) ** l for _ in enumerate_sphere_cosets(prime, N, l))
-        assert total == Sphere(prime, N).measure()
+        assert total == Fr(p) ** N * (1 - Fr(1, p))
 
 
 def test_sphere_cosets_partition_ball_difference():
@@ -178,9 +178,10 @@ def test_coset_index_accepts_coprime_denominators():
     assert reps[idx] == 2
 
 
-def test_ball_sphere_membership_and_measure():
-    prime = Prime(3)
-    sphere = Sphere(prime, 1)
-    assert sphere.measure() == 2
-    assert sphere.contains(Fr(2, 3))
-    assert not sphere.contains(1) and not sphere.contains(Fr(1, 9))
+def test_word_caches_are_bounded():
+    for cache in (qp._coset_words, qp._sphere_words):
+        bound = cache.cache_parameters()["maxsize"]
+        assert bound is not None
+        for p in range(2, bound + 12):
+            cache(p, 1)
+        assert cache.cache_info().currsize <= bound
