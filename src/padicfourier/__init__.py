@@ -8,11 +8,9 @@ from .qp import (
     enumerate_sphere_cosets,
     fractional_part,
     norm,
-    unit_part,
     valuation,
 )
 from .characters import (
-    MultChar,
     NormedMultChar,
     RootOfUnity,
     chi,
@@ -70,9 +68,7 @@ __all__ = [
     "enumerate_sphere_cosets",
     "fractional_part",
     "norm",
-    "unit_part",
     "valuation",
-    "MultChar",
     "NormedMultChar",
     "RootOfUnity",
     "chi",

@@ -20,8 +20,8 @@ done by hand.
 
 Only |t|_p^{-alpha} and pi_1^{-1}(t) vary with t, so
 ``predict_expansion(f, l, prime)`` builds the rest once: the Gamma jet
-(via ``gamma_pi``, which hands trivial pi_1 to ``gamma_p``) or the
-Bernoulli table, the predicted threshold exponent and the scale family.
+(via ``gamma_pi``, which hands trivial pi_1 to ``gamma_p``), the
+predicted threshold exponent and the scale family.
 Its ``AsymptoticPrediction.rhs(phi0, t)`` is the only place the
 right-hand side is evaluated.
 
@@ -45,12 +45,11 @@ import json
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import comb
-from typing import get_type_hints
 
 from . import qp
-from .characters import MultChar, NormedMultChar, eval_pi1
+from .characters import NormedMultChar, eval_pi1
 from .distributions import DiracDelta, PiAlphaLog, PLog, QahDistribution
-from .errors import BadAlpha, StabilizationMismatch
+from .errors import BadAlpha, StabilizationMismatch, ZeroArgument
 from .gamma import bernoulli, gamma_pi, logp_scaled
 from .jets import Jet, p_power_jet
 from .qp import Prime, Rational
@@ -83,44 +82,38 @@ def rank_of(f: QahDistribution) -> int:
     return f.pi1.k0 if isinstance(f, PiAlphaLog) else 0
 
 
-def predicted_threshold_exponent(f: QahDistribution, l: int) -> int:
-    """e with s(phi) = p^e: e = -l + k0."""
-    return -l + rank_of(f)
-
-
 @dataclass(frozen=True)
 class AsymptoticPrediction:
     """The theorem right-hand side of f for test functions of constancy
     level l: the coefficient jet (Gamma_p or Gamma_p(pi_alpha) with
-    derivatives) or the Bernoulli term table, built once; the predicted
-    stabilization exponent; and a description of the asymptotic scale
-    family.  ``rhs`` evaluates it at one t."""
+    derivatives) built once; the predicted stabilization exponent
+    e = -l + k0; and a description of the asymptotic scale family.
+    ``rhs`` evaluates it at one t."""
 
     f: QahDistribution
     prime: Prime
     s_pred_exponent: int
     scale_family: str
     gamma_jet: tuple[complex, ...] | None = None
-    bernoulli_terms: tuple[Fraction, ...] | None = None
 
     def rhs(self, phi0: complex, t: Rational) -> complex:
         """The right-hand side at t (an exact equality for
         |t|_p > p^{s_pred_exponent}; callers may probe below it)."""
         t = Fraction(t)
         if t == 0:
-            raise BadAlpha("t = 0 has no asymptotic side")
+            raise ZeroArgument("t = 0 has no asymptotic side")
         m_exp = -qp.valuation(t, self.prime)
         f, p = self.f, self.prime.p
 
-        if self.gamma_jet is not None:
+        if isinstance(f, DiracDelta):
+            return complex(phi0)
+
+        if isinstance(f, PiAlphaLog):
             jet = Jet(self.gamma_jet) * p_power_jet(p, -m_exp, f.alpha, f.m)
             value = phi0 * logp_scaled(jet, p).coeffs[f.m]
             if not f.pi1.is_trivial():
                 value *= eval_pi1(f.pi1, t).inverse().to_complex()
             return value
-
-        if self.bernoulli_terms is None:
-            return complex(phi0)
 
         # PLog(m) at pinning level 0, s = m - 1, M = log_p|t|_p: the printed
         # Bernoulli form, whose term signs fold into one factor because
@@ -128,8 +121,8 @@ class AsymptoticPrediction:
         # (-1)^{s+1} [(M-1)^s / p + (1-1/p) sum_{r<=s} C(s+1,r) B_r M^{s+1-r} / (s+1)]
         s = f.m - 1
         power_sum = sum(
-            comb(s + 1, r) * b * Fraction(m_exp) ** (s + 1 - r)
-            for r, b in enumerate(self.bernoulli_terms)
+            comb(s + 1, r) * bernoulli(r) * Fraction(m_exp) ** (s + 1 - r)
+            for r in range(s + 1)
         )
         value = Fraction((m_exp - 1) ** s, p)
         value += (1 - Fraction(1, p)) * power_sum / (s + 1)
@@ -139,7 +132,7 @@ class AsymptoticPrediction:
 def predict_expansion(
     f: QahDistribution, l: int, prime: Prime
 ) -> AsymptoticPrediction:
-    e = predicted_threshold_exponent(f, l)
+    e = -l + rank_of(f)
     if isinstance(f, DiracDelta):
         return AsymptoticPrediction(f, prime, e, "phi(0) (constant in t)")
     if isinstance(f, PLog):
@@ -149,12 +142,10 @@ def predict_expansion(
             f"phi(0) * polynomial of degree {f.m} in log_p|t| "
             f"(PLog({f.m}) = P(log^{f.m - 1}|x|/|x|); Bernoulli terms B_0..B_{f.m - 1})"
         )
-        return AsymptoticPrediction(
-            f, prime, e, scale, bernoulli_terms=tuple(bernoulli(r) for r in range(f.m))
-        )
+        return AsymptoticPrediction(f, prime, e, scale)
     twist = "" if f.pi1.is_trivial() else " pi_1^-1(t)"
     scale = f"phi(0) * |t|^-alpha{twist} log_p^{{m-k}}|t|, k = 0..m"
-    jet = gamma_pi(MultChar(f.alpha, f.pi1), f.m)
+    jet = gamma_pi(f.alpha, f.pi1, f.m)
     return AsymptoticPrediction(f, prime, e, scale, gamma_jet=jet.coeffs)
 
 
@@ -198,19 +189,10 @@ class StabilizationReport:
         w = csv.writer(out, lineterminator="\n")
         w.writerow(self.CSV_COLUMNS.split(","))
         for r in self.rows:
+            floats = (r.J.real, r.J.imag, r.rhs.real, r.rhs.imag, r.abs_err)
             w.writerow(
-                [
-                    r.M,
-                    r.t_unit,
-                    f"{r.J.real:.17g}",
-                    f"{r.J.imag:.17g}",
-                    f"{r.rhs.real:.17g}",
-                    f"{r.rhs.imag:.17g}",
-                    f"{r.abs_err:.17g}",
-                    int(r.stabilized),
-                    self.s_pred_exponent,
-                    self.s_emp_exponent,
-                ]
+                [r.M, r.t_unit, *(f"{x:.17g}" for x in floats), int(r.stabilized)]
+                + [self.s_pred_exponent, self.s_emp_exponent]
             )
         return out.getvalue()
 
@@ -219,37 +201,11 @@ class StabilizationReport:
         as [re, im]."""
         return json.dumps(self, default=_json_default, sort_keys=True, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "StabilizationReport":
-        return _from_fields(cls, json.loads(text))
-
 
 def _json_default(value):
     if isinstance(value, complex):
         return [value.real, value.imag]
     return {f.name: getattr(value, f.name) for f in fields(value)}
-
-
-def _from_fields(cls, data: dict):
-    """cls rebuilt from the JSON of its fields: unknown keys are ignored, a
-    missing field takes its default, and a JSON list becomes the field's
-    type (complex from [re, im], report rows, else a tuple)."""
-    hints = get_type_hints(cls)
-    return cls(
-        **{
-            f.name: _decode(hints[f.name], data[f.name])
-            for f in fields(cls)
-            if f.name in data
-        }
-    )
-
-
-def _decode(hint, value):
-    if hint is complex:
-        return complex(*value)
-    if hint == list[ReportRow]:
-        return [_from_fields(ReportRow, row) for row in value]
-    return tuple(value) if isinstance(value, list) else value
 
 
 def unit_directions(prime: Prime, count: int) -> list[int]:

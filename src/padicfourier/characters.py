@@ -14,7 +14,7 @@ cancellation structure stays exact.
 The module also provides the exact one-sphere integral primitives that
 the closed-form evaluators rely on:
 
-* integral of chi_p(xt) over a ball or sphere (a rational, possibly 0);
+* integral of chi_p(xt) over a sphere (a rational, possibly 0);
 * integral of pi_1(x) chi_p(xt) over a sphere, which vanishes exactly
   unless |t|_p * p^gamma = p^{k0} and is a finite Gauss sum there.
 
@@ -54,18 +54,11 @@ class RootOfUnity:
     def __post_init__(self):
         object.__setattr__(self, "angle", Fraction(self.angle) % 1)
 
-    @staticmethod
-    def one() -> "RootOfUnity":
-        return RootOfUnity(Fraction(0))
-
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
         return RootOfUnity(self.angle + other.angle)
 
     def inverse(self) -> "RootOfUnity":
         return RootOfUnity(-self.angle)
-
-    def __pow__(self, n: int) -> "RootOfUnity":
-        return RootOfUnity(self.angle * n)
 
     def to_complex(self) -> complex:
         if self.angle == 0:
@@ -146,7 +139,7 @@ class NormedMultChar:
         return isinstance(other, NormedMultChar) and self._key == other._key
 
     def __hash__(self):
-        # frozen dataclasses (MultChar, PiAlphaLog) embed characters
+        # PiAlphaLog, a frozen dataclass, embeds a character
         return hash(self._key)
 
     def __repr__(self):
@@ -206,36 +199,25 @@ def eval_pi1(chr_: NormedMultChar, x: Rational) -> RootOfUnity:
     if x == 0:
         raise ZeroArgument("pi_1 is undefined at 0")
     if chr_.k0 == 0:
-        return RootOfUnity.one()
+        return RootOfUnity(0)
     return chr_.unit_values[qp.unit_residue(x, chr_.prime, chr_.k0)]
 
 
-@dataclass(frozen=True)
-class MultChar:
-    """pi_alpha(x) = |x|_p^{alpha-1} pi_1(x)."""
-
-    alpha: complex
-    pi1: NormedMultChar
-
-
 # ---------------------------------------------------------------------------
-# exact one-ball / one-sphere integrals
-
-
-def ball_chi_integral(prime: Prime, lam: int, t: Rational) -> Fraction:
-    """integral over B_lam of chi_p(xt) dx = p^lam if |t|_p <= p^{-lam}, else 0."""
-    t = Fraction(t)
-    if t == 0 or qp.norm(t, prime) <= Fraction(prime.p) ** (-lam):
-        return Fraction(prime.p) ** lam
-    return Fraction(0)
+# exact one-sphere integrals
 
 
 def sphere_chi_integral(prime: Prime, gamma: int, t: Rational) -> Fraction:
-    """integral over S_gamma of chi_p(xt) dx (rational: full measure, the
-    resonant value -p^{gamma-1}, or 0)."""
-    return ball_chi_integral(prime, gamma, t) - ball_chi_integral(
-        prime, gamma - 1, t
-    )
+    """integral over S_gamma of chi_p(xt) dx, with v the valuation of t
+    (+inf at t = 0): the full measure p^gamma - p^{gamma-1} for v >= gamma,
+    the resonant value -p^{gamma-1} for v = gamma - 1, else 0."""
+    v = qp.valuation(t, prime)
+    p = Fraction(prime.p)
+    if v >= gamma:
+        return p**gamma - p ** (gamma - 1)
+    if v == gamma - 1:
+        return -(p ** (gamma - 1))
+    return Fraction(0)
 
 
 def sphere_char_chi_integral(
@@ -251,13 +233,10 @@ def sphere_char_chi_integral(
     p = prime.p
     if chr_.k0 == 0:
         return complex(sphere_chi_integral(prime, gamma, t))
-    t = Fraction(t)
-    if t == 0:
-        return 0j  # chi == 1: orthogonality of the nontrivial character
-    M = -qp.valuation(t, prime)
+    M = -qp.valuation(t, prime)  # -inf at t = 0
     if gamma + M != chr_.k0:
-        # chi is either constant on pi_1-cells that sum to zero (gamma+M < k0)
-        # or sums to zero inside each pi_1-cell (gamma+M > k0)
+        # chi is either constant on pi_1-cells that sum to zero (gamma+M < k0,
+        # t = 0 included) or sums to zero inside each pi_1-cell (gamma+M > k0)
         return 0j
     mod = p**chr_.k0
     w = qp.unit_residue(t, prime, chr_.k0)

@@ -13,10 +13,11 @@ erdelyi    same sweep with the direct absolutely convergent integral
 
 Exit codes: 0 success; 1 validation error (bad flags or config, with a
 field-path message, a log order m or ``gamma --order`` above
-``MAX_JET_ORDER``, or a cell enumeration beyond 2^24 cosets); 2
+``MAX_JET_ORDER``, a t-grid beyond ``MAX_GRID_EXPONENT`` or
+``MAX_GRID_ROWS``, or a cell enumeration beyond 2^24 cosets); 2
 verification failure inside the stabilized region; 3 numeric error (pole
-proximity, a p^(c*alpha) or p^-alpha term or a sphere density beyond the
-floating range).
+proximity, a p^(c*alpha), p^-alpha or p^l term or a sphere density
+beyond the floating range).
 
 Configs are JSON; the schema is documented in the README.  Every field is
 read through ``_field``: it parses, or raises ``ConfigError`` with its
@@ -60,6 +61,11 @@ EXIT_NUMERIC = 3
 #: the largest log order m of a distribution and the largest ``gamma
 #: --order``: a jet of order m costs O(m^2) per product
 MAX_JET_ORDER = 64
+
+#: bounds on a t-grid's |M_min|, |M_max| and row count: a row at
+#: t = u p^-M costs about M^2 in exact rational arithmetic
+MAX_GRID_EXPONENT = 2500
+MAX_GRID_ROWS = 1024
 
 
 class ConfigError(PadicError):
@@ -317,10 +323,17 @@ def _grid(cfg: dict) -> tuple[int, int, int]:
     M_min = _field(grid, "M_min", "config.t_grid", _integer)
     M_max = _field(grid, "M_max", "config.t_grid", _integer)
     units = _field(grid, "units_per_sphere", "config.t_grid", _integer, default=3)
+    for key, M in (("M_min", M_min), ("M_max", M_max)):
+        if abs(M) > MAX_GRID_EXPONENT:
+            raise ConfigError(f"config.t_grid.{key}: |M| > {MAX_GRID_EXPONENT}")
     if M_max < M_min:
         raise ConfigError("config.t_grid: M_max < M_min")
     if units < 1:
         raise ConfigError("config.t_grid.units_per_sphere: must be >= 1")
+    if (M_max - M_min + 1) * units > MAX_GRID_ROWS:
+        raise ConfigError(
+            f"config.t_grid: (M_max - M_min + 1) * units_per_sphere > {MAX_GRID_ROWS}"
+        )
     return M_min, M_max, units
 
 

@@ -131,7 +131,7 @@ def density_on_sphere(f: QahDistribution, prime: Prime, gamma: int) -> complex:
             value = qp.p_power(p, -gamma) * gamma ** (f.m - 1)
         else:
             raise TypeError(f"no sphere density for {f!r}")
-    except OverflowError:
+    except (OverflowError, NumericOverflow):
         value = cmath.inf
     if not cmath.isfinite(value):
         what = (
@@ -272,9 +272,14 @@ def homogeneity_defect(
     if isinstance(f, DiracDelta):
         return lhs - phi.at(0)  # pi_0(t)|t|_p = 1
     if isinstance(f, PiAlphaLog):
-        scale = cmath.exp(f.alpha * logt * math.log(p)) * eval_pi1(
-            f.pi1, t
-        ).to_complex()
+        try:
+            scale = cmath.exp(f.alpha * logt * math.log(p))
+        except OverflowError:
+            raise NumericOverflow(
+                f"|t|_p^alpha = {p}^({logt} alpha) with alpha = {f.alpha} "
+                "is not a finite float"
+            ) from None
+        scale *= eval_pi1(f.pi1, t).to_complex()
         rhs = scale * apply(f, phi)
         for j in range(1, f.m + 1):
             companion = PiAlphaLog(f.alpha, f.pi1, f.m - j)

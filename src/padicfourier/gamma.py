@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .characters import MultChar, sphere_char_chi_integral
+from .characters import NormedMultChar, sphere_char_chi_integral
 from .errors import NumericOverflow, PoleProximity
 from .jets import Jet, p_power_jet
 from .qp import Prime, p_power
@@ -77,20 +77,20 @@ def logp_scaled(jet: Jet, p: int) -> Jet:
     return Jet(tuple(c * s**k for k, c in enumerate(jet.coeffs)))
 
 
-def gamma_pi(chr_: MultChar, order: int = 0) -> Jet:
-    """Jet of Gamma_p(pi_alpha) = F[pi_alpha](1).
+def gamma_pi(alpha: complex, pi1: NormedMultChar, order: int = 0) -> Jet:
+    """Jet of Gamma_p(pi_alpha) = F[pi_alpha](1), pi_alpha(x) =
+    |x|_p^{alpha-1} pi_1(x).
 
     Trivial pi_1 delegates to the closed form :func:`gamma_p`.  Ramified
     pi_1 of rank k0 is the resonant shell |x|_p = p^{k0} alone:
     p^{k0(alpha-1)} G_{k0}, with derivatives (k0 ln p)^k times it.
     """
-    pi1 = chr_.pi1
     prime = pi1.prime
     if pi1.is_trivial():
-        return gamma_p(prime, chr_.alpha, order)
+        return gamma_p(prime, alpha, order)
     k0 = pi1.k0
     shell = sphere_char_chi_integral(pi1, k0, 1) * p_power(prime.p, -k0)
-    return p_power_jet(prime.p, k0, chr_.alpha, order).scale(shell)
+    return p_power_jet(prime.p, k0, alpha, order).scale(shell)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadWindow, NonPadicDenominator
+from .errors import BadWindow, NonPadicDenominator, NumericOverflow
 
 #: Sentinel returned by :func:`valuation` at x = 0 (convention |0|_p = 0).
 INFINITE_VALUATION = math.inf
@@ -73,8 +73,11 @@ def valuation(x: Rational, prime: Prime):
 
 def p_power(p: int, e: int) -> float:
     """p^e as a float: the correctly rounded float(Fraction(p) ** e),
-    without the Fraction arithmetic."""
-    return p**e / 1 if e >= 0 else 1 / p**-e
+    without the Fraction arithmetic; NumericOverflow past the float range."""
+    try:
+        return p**e / 1 if e >= 0 else 1 / p**-e
+    except OverflowError:
+        raise NumericOverflow(f"{p}^{e} is not a finite float") from None
 
 
 def norm(x: Rational, prime: Prime) -> Fraction:
@@ -85,17 +88,12 @@ def norm(x: Rational, prime: Prime) -> Fraction:
     return Fraction(prime.p) ** (-v)
 
 
-def unit_part(x: Rational, prime: Prime) -> Fraction:
-    """x * p^(-valuation(x)), the unit factor of x != 0."""
+def unit_residue(x: Rational, prime: Prime, k: int) -> int:
+    """u mod p^k for x = p^v u with u a unit (x != 0)."""
     x = Fraction(x)
     if x == 0:
         raise ZeroDivisionError("zero has no unit part")
-    return x * Fraction(prime.p) ** (-valuation(x, prime))
-
-
-def unit_residue(x: Rational, prime: Prime, k: int) -> int:
-    """u mod p^k for x = p^v u with u a unit (x != 0)."""
-    return _residue(unit_part(x, prime), prime.p**k)
+    return _residue(x * Fraction(prime.p) ** (-valuation(x, prime)), prime.p**k)
 
 
 def _residue(q: Fraction, mod: int) -> int:

@@ -95,7 +95,7 @@ def delta_indicator(prime: Prime, k: int) -> TestFunction:
 def fourier(phi: TestFunction) -> TestFunction:
     """Exact Fourier transform; maps D^l_N onto D^{-N}_{-l}.  Words j, c
     meet in chi_p(xi_j x_c) = e^{2 pi i jc / p^{N-l}}: an unscaled ifft."""
-    scale = float(Fraction(phi.prime.p) ** phi.l)
+    scale = qp.p_power(phi.prime.p, phi.l)
     vals = scale * np.fft.ifft(phi.values, norm="forward")
     return TestFunction(phi.prime, -phi.l, -phi.N, vals)
 
@@ -109,7 +109,7 @@ def convolve(phi: TestFunction, psi: TestFunction) -> TestFunction:
     p, N, l = phi.prime.p, max(phi.N, psi.N), min(phi.l, psi.l)
     words = qp._coset_words(p, N - l)
     spectrum = np.fft.fft(phi.sample(words, N)) * np.fft.fft(psi.sample(words, N))
-    vals = float(Fraction(p) ** l) * np.fft.ifft(spectrum)
+    vals = qp.p_power(p, l) * np.fft.ifft(spectrum)
     coarse = max(phi.l, psi.l)
     return TestFunction(phi.prime, N, coarse, vals[: p ** (N - coarse)])
 

@@ -7,8 +7,7 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from padicfourier import StabilizationReport
-from padicfourier.cli import MAX_JET_ORDER, run
+from padicfourier.cli import MAX_GRID_EXPONENT, MAX_GRID_ROWS, MAX_JET_ORDER, run
 
 POWER_CFG = {
     "prime": 2,
@@ -155,9 +154,9 @@ def test_verify_json_report_roundtrip(tmp_path):
     cfg = write_cfg(tmp_path, RAMIFIED_CFG)
     out = tmp_path / "report.json"
     assert run(["verify", "--config", cfg, "--out", str(out)]) == 0
-    report = StabilizationReport.from_json(out.read_text())
-    assert report.ok and report.variant == "pi-alpha-log" and report.k0 == 1
-    assert report.s_pred_exponent == 2
+    report = json.loads(out.read_text())
+    assert report["ok"] and report["variant"] == "pi-alpha-log" and report["k0"] == 1
+    assert report["s_pred_exponent"] == 2
 
 
 def test_verify_json_layout_is_pinned(tmp_path, capsys):
@@ -379,6 +378,29 @@ def test_pole_check_overflow_is_a_numeric_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("numeric error: ") and "Traceback" not in err
 
+
+def test_window_scale_overflow_is_a_numeric_error(tmp_path, capsys):
+    # phi = Delta_2000 puts 3^2000 into the Fourier table scale and the
+    # pairing's p^lam, beyond the floating range
+    cfg = dict(POWER_CFG, prime=3)
+    cfg["distribution"] = dict(cfg["distribution"], alpha=1.5)
+    cfg["test_function"] = {"kind": "delta", "k": 2000}
+    cfg["t_grid"] = {"M_min": -2001, "M_max": -1999}
+    path = write_cfg(tmp_path, cfg)
+    for command in ("eval-dist", "fourier", "verify", "erdelyi"):
+        assert run([command, "--config", path]) == 3, command
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ") and "Traceback" not in err
+
+
+def test_grid_bounds_admit_their_edge(tmp_path):
+    cfg = copy.deepcopy(PLOG_CFG)
+    cfg["t_grid"] = {"M_min": -MAX_GRID_EXPONENT, "M_max": -MAX_GRID_EXPONENT + 1}
+    assert run(["verify", "--config", write_cfg(tmp_path, cfg)]) == 0
+    cfg["t_grid"] = {"M_min": 1, "M_max": 4, "units_per_sphere": MAX_GRID_ROWS // 4}
+    assert run(["verify", "--config", write_cfg(tmp_path, cfg)]) == 0
+
+
 def _set(cfg, path, value):
     node = cfg
     for key in path[:-1]:
@@ -395,6 +417,11 @@ BAD_FIELDS = [
     (RAMIFIED_CFG, ("t_grid", "M_min"), "0.5", "config.t_grid.M_min"),
     (RAMIFIED_CFG, ("t_grid", "M_max"), {}, "config.t_grid.M_max"),
     (RAMIFIED_CFG, ("t_grid", "units_per_sphere"), "two", "config.t_grid.units_per_sphere"),
+    (RAMIFIED_CFG, ("t_grid", "M_min"), -MAX_GRID_EXPONENT - 1, "config.t_grid.M_min"),
+    (RAMIFIED_CFG, ("t_grid", "M_max"), MAX_GRID_EXPONENT + 1, "config.t_grid.M_max"),
+    (RAMIFIED_CFG, ("t_grid", "M_max"), 10**6, "config.t_grid.M_max"),
+    (RAMIFIED_CFG, ("t_grid", "units_per_sphere"), MAX_GRID_ROWS, "config.t_grid"),
+    (RAMIFIED_CFG, ("t_grid", "units_per_sphere"), 100000, "config.t_grid"),
     (RAMIFIED_CFG, ("split_level",), "low", "config.split_level"),
     (RAMIFIED_CFG, ("tolerance",), "tight", "config.tolerance"),
     (RAMIFIED_CFG, ("test_function",), [1, 2], "config.test_function"),

@@ -1,5 +1,6 @@
 """Regularized pairings of QAH distributions and the scaling law."""
 
+import math
 import random
 from fractions import Fraction as Fr
 
@@ -7,6 +8,7 @@ import pytest
 
 from padicfourier import (
     DiracDelta,
+    NormedMultChar,
     PiAlphaLog,
     PLog,
     Prime,
@@ -16,6 +18,8 @@ from padicfourier import (
     enumerate_sphere_cosets,
     erdelyi_check,
     eval_pi1,
+    fourier,
+    gamma_pi,
     homogeneity_defect,
     j0_closed_form,
     quadratic_character,
@@ -26,7 +30,8 @@ from padicfourier import (
     verify_stabilization,
 )
 from padicfourier.distributions import density_on_sphere
-from padicfourier.errors import BadWindow, PoleProximity, ZeroArgument
+from padicfourier.errors import BadWindow, NumericOverflow, PoleProximity, ZeroArgument
+from padicfourier.gamma import logp_scaled
 from padicfourier.singular import SingularIntegralRequest
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
@@ -217,3 +222,50 @@ def test_apply_below_the_unit_ball_is_the_ball_jet():
         want = (1 - 1 / p) * p ** (-11.2) / (1 - p ** (-1.4))
         got = apply(f, delta_indicator(prime, -8))
         assert abs(got - want) <= 8 * eps * abs(want), (p, got, want)
+
+
+def test_homogeneity_scale_overflow_is_a_numeric_error():
+    # |t|_3^alpha = 3^2000 is beyond the floating range
+    phi = random_testfn(P3, -10, -12, 1)
+    with pytest.raises(NumericOverflow):
+        homogeneity_defect(PiAlphaLog(400, trivial_character(P3), 0), phi, Fr(1, 3**5))
+
+
+def inverse(pi1: NormedMultChar) -> NormedMultChar:
+    angles = {u: -value.angle for u, value in pi1.unit_values.items()}
+    return table_character(pi1.prime, pi1.k0, angles)
+
+
+def test_fourier_duality():
+    # <f, F[phi]> = <F[f], phi> with F[f] = sum_k C(m,k) (-1)^(m-k) g_k
+    # PiAlphaLog(1 - alpha, pi_1^-1, m - k), g = the log_p-scaled Gamma jet
+    characters = [
+        trivial_character(P2),
+        table_character(P2, 2, {1: Fr(0), 3: Fr(1, 2)}),
+        trivial_character(P3),
+        quadratic_character(P3),
+        cubic_mod9(),
+        trivial_character(P5),
+        quadratic_character(P5),
+    ]
+    alphas = (1.3 + 0.2j, 0.7, 2.5 - 0.4j, -0.6 + 0.3j)
+    worst = 0.0
+    for pi1 in characters:
+        prime, inv = pi1.prime, inverse(pi1)
+        windows = [(1, -1), (0, -2), (2, 0)] if prime.p > 2 else [(1, -2), (0, -3), (3, 0)]
+        for alpha in alphas:
+            for m in (0, 1, 3):
+                f = PiAlphaLog(alpha, pi1, m)
+                g = logp_scaled(gamma_pi(alpha, pi1, m), prime.p).coeffs
+                for seed, (N, l) in enumerate(windows):
+                    phi = random_testfn(prime, N, l, seed)
+                    lhs = apply(f, fourier(phi))
+                    rhs = sum(
+                        math.comb(m, k) * (-1) ** (m - k) * g[k]
+                        * apply(PiAlphaLog(1 - alpha, inv, m - k), phi)
+                        for k in range(m + 1)
+                    )
+                    err = abs(lhs - rhs) / (1 + abs(lhs))
+                    assert err < 1e-12, (pi1, alpha, m, N, l, lhs, rhs)
+                    worst = max(worst, err)
+    assert worst > 0  # the two sides are computed on different paths

@@ -9,7 +9,6 @@ import pytest
 
 from padicfourier import (
     Jet,
-    MultChar,
     PiAlphaLog,
     Prime,
     bernoulli,
@@ -120,14 +119,14 @@ def test_i0_entry1_finite_difference_oracle():
 
 def test_gamma_pi_trivial_delegates_to_gamma_p():
     for alpha in (2, 0.5, 1.3 - 1.1j):
-        a = gamma_pi(MultChar(alpha, trivial_character(P3)), 2)
+        a = gamma_pi(alpha, trivial_character(P3), 2)
         b = gamma_p(P3, alpha, 2)
         for x, y in zip(a.coeffs, b.coeffs):
             assert abs(x - y) < 1e-12
 
 
 def test_gamma_pi_consistency_example():
-    assert gamma_pi(MultChar(2, trivial_character(P2)), 0).value == pytest.approx(-4 / 3)
+    assert gamma_pi(2, trivial_character(P2), 0).value == pytest.approx(-4 / 3)
 
 
 def test_gamma_pi_ramified_stabilizes_and_has_known_modulus():
@@ -138,23 +137,23 @@ def test_gamma_pi_ramified_stabilizes_and_has_known_modulus():
         (cubic_mod9(), 0.7 + 0.4j),
     ):
         k0 = chr_.k0
-        g = gamma_pi(MultChar(alpha, chr_), 0).value
+        g = gamma_pi(alpha, chr_, 0).value
         want = chr_.prime.p ** (k0 * (complex(alpha).real - 0.5))
         assert abs(abs(g) - want) < 1e-10 * want
     # quadratic mod 3 at alpha = 1: the classical Gauss sum i*sqrt(3)
-    g = gamma_pi(MultChar(1, quadratic_character(P3)), 0).value
+    g = gamma_pi(1, quadratic_character(P3), 0).value
     assert g == pytest.approx(1j * math.sqrt(3))
 
 
 def test_gamma_pi_ramified_jets_match_finite_differences():
     quad = quadratic_character(P3)
     jet_fd_check(
-        lambda a, m: gamma_pi(MultChar(a, quad), m), 1.0, 3, h=1e-6, tol=1e-5
+        lambda a, m: gamma_pi(a, quad, m), 1.0, 3, h=1e-6, tol=1e-5
     )
-    jet_fd_check(lambda a, m: gamma_pi(MultChar(a, cubic_mod9()), m), 1.5, 2)
+    jet_fd_check(lambda a, m: gamma_pi(a, cubic_mod9(), m), 1.5, 2)
     # only one shell survives, so d/dalpha Gamma = (k0 ln p) Gamma exactly
     for chr_ in (quad, cubic_mod9()):
-        jet = gamma_pi(MultChar(0.8 - 0.3j, chr_), 1)
+        jet = gamma_pi(0.8 - 0.3j, chr_, 1)
         want = chr_.k0 * math.log(3) * jet.coeffs[0]
         assert abs(jet.coeffs[1] - want) < 1e-12 * (1 + abs(want))
 
@@ -179,14 +178,14 @@ def test_gamma_pi_is_its_one_resonant_shell():
         for alpha in (1, 1.5, 0.7 + 0.4j, -1.3 - 0.2j):
             for order in range(4):
                 want = shell_sum(chr_, alpha, order)
-                assert gamma_pi(MultChar(alpha, chr_), order) == want, (chr_, alpha)
+                assert gamma_pi(alpha, chr_, order) == want, (chr_, alpha)
 
 
 def test_gamma_pi_evaluates_no_zero_shell():
     # a shell sum down to |x|_p = 3^-5 meets 3^(5 * 400), beyond the floating
     # range, on a shell whose Gauss sum is an exact zero
     quad = quadratic_character(P3)
-    g = gamma_pi(MultChar(-400, quad), 2)
+    g = gamma_pi(-400, quad, 2)
     want = 3 ** -400.5  # |Gamma_p(pi_alpha)| = p^{k0 (Re alpha - 1/2)}
     assert abs(abs(g.value) - want) < 1e-10 * want
     assert g.coeffs[2] == pytest.approx(math.log(3) ** 2 * g.value, rel=1e-12)

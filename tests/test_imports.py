@@ -1,0 +1,83 @@
+"""Import hygiene of the package sources, checked with ``ast``: every
+imported name is used (or marked ``# noqa: F401``), and every ``__all__``
+entry resolves.  No linter is assumed to be installed."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "padicfourier").glob("*.py"))
+
+
+def imported_names(tree: ast.Module, lines: list[str]) -> dict[str, int]:
+    """Bound name -> line of every import, except ``from __future__`` and
+    those marked ``# noqa: F401``."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "noqa: F401" in lines[alias.lineno - 1]:
+                    continue
+                bound = alias.asname or alias.name.split(".")[0]
+                names[bound] = alias.lineno
+    return names
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Names read anywhere, including inside string annotations, plus the
+    ``__all__`` entries."""
+    return names_read(tree) | set(exported_names(tree))
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            used |= names_read(ast.parse(annotation.value, mode="eval"))
+    return used
+
+
+def exported_names(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    text = path.read_text()
+    tree = ast.parse(text)
+    unused = sorted(
+        f"{name} (line {line})"
+        for name, line in imported_names(tree, text.splitlines()).items()
+        if name not in used_names(tree)
+    )
+    assert not unused, f"{path.name} imports unused names: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_all_entry_resolves(path):
+    module_name = "padicfourier" if path.stem == "__init__" else f"padicfourier.{path.stem}"
+    module = importlib.import_module(module_name)
+    missing = [name for name in exported_names(ast.parse(path.read_text()))
+               if not hasattr(module, name)]
+    assert not missing, f"{module_name}.__all__ names missing attributes: {missing}"
+
+
+def test_the_checks_see_an_unused_import_and_a_dangling_export():
+    source = "from fractions import Fraction\nimport math  # noqa: F401\n__all__ = ['x']\n"
+    tree = ast.parse(source)
+    names = imported_names(tree, source.splitlines())
+    assert names == {"Fraction": 1}
+    assert "Fraction" not in used_names(tree)
+    assert exported_names(tree) == ["x"]
