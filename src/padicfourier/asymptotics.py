@@ -27,9 +27,11 @@ right-hand side is evaluated.
 
 One private function, ``_sweep``, runs every sweep: it validates the
 t-grid (several unit directions per norm sphere), builds the prediction
-once, asks for the left side of the whole grid in one call, compares it
-with the right-hand side row by row, asserts equality beyond s(phi), and
-reports the empirically observed stabilization threshold.
+once, evaluates it at both ends of the grid (so a right-hand side beyond
+the float range fails before the left side is paid for), asks for the
+left side of the whole grid in one request, compares it with the
+right-hand side row by row, asserts equality beyond s(phi), and reports
+the empirically observed stabilization threshold.
 ``verify_stabilization`` takes the left side from the exact split
 evaluator, one request (one Fourier transform) per sweep;
 ``erdelyi_check`` takes it, for Re alpha > 0, from the absolutely
@@ -227,13 +229,15 @@ def _sweep(
     M_max: int,
     units_per_sphere: int,
     evaluate_J,
+    split_level: int | None,
     theorem: str,
     tolerance_scale: float,
     strict: bool,
 ) -> StabilizationReport:
     """Compare evaluate_J with the theorem right-hand side at every
     t = u p^{-M} of the grid and assemble the report.  evaluate_J takes
-    the t list of the whole grid and returns one J per t."""
+    one request for the whole grid and returns one J per t; it runs only
+    once the right-hand side is finite at both ends of the grid."""
     if M_max < M_min:
         raise ValueError(f"empty sweep: M_max = {M_max} < M_min = {M_min}")
     if units_per_sphere < 1:
@@ -246,8 +250,11 @@ def _sweep(
         for M in range(M_min, M_max + 1)
         for u in units
     ]
+    request = SingularIntegralRequest(f, phi, [t for _, _, t in grid], split_level)
+    for _, _, t in (grid[0], grid[-1]):
+        prediction.rhs(phi.at_zero, t)  # p^(-M alpha) is largest at an end
     rows = []
-    for (M, u, t), J in zip(grid, evaluate_J([t for _, _, t in grid])):
+    for (M, u, t), J in zip(grid, evaluate_J(request)):
         rhs = prediction.rhs(phi.at_zero, t)
         err = abs(J - rhs)
         tol = tolerance_scale * (1 + abs(rhs))
@@ -317,7 +324,8 @@ def verify_stabilization(
         M_min,
         M_max,
         units_per_sphere,
-        lambda ts: singular_fourier(SingularIntegralRequest(f, phi, ts, split_level)),
+        singular_fourier,
+        split_level,
         theorem_family(f),
         tolerance_scale,
         strict,
@@ -348,7 +356,8 @@ def erdelyi_check(
         M_min,
         M_max,
         units_per_sphere,
-        lambda ts: brute_force_oracle(SingularIntegralRequest(f, phi, ts)),
+        brute_force_oracle,
+        None,
         "erdelyi",
         tolerance_scale,
         strict,

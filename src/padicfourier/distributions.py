@@ -3,9 +3,9 @@
 Three canonical variants exhaust the QAHDs up to lower-order terms:
 
 * ``PiAlphaLog(alpha, pi1, m)``: |x|^{alpha-1} pi_1(x) log_p^m |x|_p,
-  for pi_alpha != pi_0 (i.e. not alpha = 0 with trivial pi_1), paired via
-  the regularization that subtracts phi(0) over the unit ball and adds
-  phi(0) * I_0(alpha; m);
+  for pi_alpha != pi_0 (i.e. not alpha in 2 pi i Z / ln p with trivial
+  pi_1), paired via the regularization that subtracts phi(0) over the unit
+  ball and adds phi(0) * I_0(alpha; m);
 * ``PLog(m)``: P(log_p^{m-1}|x|_p / |x|_p), m >= 1, the degree-pi_0
   family, whose regularization is pinned at the unit ball with no extra
   constant term;
@@ -26,20 +26,21 @@ stabilization theorem.  <f, phi> is F[h](0) = p^lam * sum(h) plus
 phi(0) J0(l0, None).  J0 (``j0_closed_form``) is the continued integral of
 f chi_p over B_{l0}:
 
-* |x|^{alpha-1} log^m, trivial pi_1: the two-branch formula
-  (1-1/p) (log_p e)^m d^m/dalpha^m [p^{alpha l0} / (1-p^{-alpha})] for
-  |t|_p <= p^{-l0} (and for chi_p == 1) and
-  (log_p e)^m d^m/dalpha^m [Gamma_p(alpha) |t|^{-alpha}] beyond, via jets;
+* |x|^{alpha-1} pi_1(x) log^m, any pi_1: the ball tail plus the one
+  resonant sphere.  With |t|_p = p^M, k = max(k0, 1), gamma = k - M,
+  J0 = [k0 = 0] tail(min(l0, -M)) + [gamma <= l0] gamma^m p^(alpha gamma - k) I_k,
+  tail(g) the continued integral over B_g (chi_p == 1 there; a ramified
+  pi_1 integrates to 0) and I_k the integral of pi_1 chi_p(. u) over S_k at
+  the unit part u of t (-1 for trivial pi_1, else a Gauss sum); every
+  other sphere is an exact zero, and chi_p == 1 leaves tail(l0).  Gamma_p,
+  the right-hand side's constant, does not enter;
 * P(log^{m-1}/|x|): -(1/p)(1-M)^{m-1} - (1-1/p)(S_{m-1}(l0) - S_{m-1}(-M))
   for |t|_p = p^M > p^{-l0}, else 0 (exact rationals via Bernoulli /
   power-sum polynomials), plus the pinning correction
   (1-1/p) S_{m-1}(l0): the PLog regularization subtracts phi(0) over B_0,
   not B_{l0}, and the exact difference is the integral of the density
   over the annulus between the two balls (it vanishes at l0 = 0 and makes
-  J independent of the split level);
-* ramified pi_1: the terminating sphere sum -- every sphere with
-  |xt|_p != p^{k0} integrates to an exact zero, leaving at most one
-  finite Gauss sum, valid for all alpha since I_0 == 0.
+  J independent of the split level).
 
 Only the ramified J0 depends on the direction of t; the others are
 evaluated once per norm sphere of a batch.  J does not depend on l0; a
@@ -77,7 +78,7 @@ from .characters import (
     trivial_character,
 )
 from .errors import BadWindow, NumericOverflow, ZeroArgument
-from .gamma import ball_norm_power_jet, faulhaber_sum, gamma_p, logp_scaled
+from .gamma import ball_norm_power_jet, faulhaber_sum, logp_scaled
 from .jets import p_power_jet
 from .qp import Prime, Rational
 from .testfn import TestFunction, dilate, fourier
@@ -94,11 +95,16 @@ class PiAlphaLog:
     def __post_init__(self):
         if self.m < 0:
             raise ValueError(f"negative order m = {self.m}")
-        if self.alpha == 0 and self.pi1.is_trivial():
-            raise ValueError(
-                "alpha = 0 with trivial pi_1 is the degree pi_0 = |x|^-1 case; "
-                "use PLog or DiracDelta"
-            )
+        alpha = complex(self.alpha)
+        if self.pi1.is_trivial() and cmath.isfinite(alpha):
+            # |x|^alpha is periodic in alpha: 2 pi i j / ln p to float
+            # precision is pi_0 (near it is a PoleProximity when evaluated)
+            off = math.remainder(alpha.imag, 2 * math.pi / math.log(self.pi1.prime.p))
+            if math.hypot(alpha.real, off) <= 8 * math.ulp(alpha.imag - off):
+                raise ValueError(
+                    f"alpha = {self.alpha} with trivial pi_1 is the degree pi_0 = "
+                    "|x|^-1 case (alpha in 2 pi i Z / ln p); use PLog or DiracDelta"
+                )
 
 
 @dataclass(frozen=True)
@@ -178,25 +184,23 @@ def j0_closed_form(
     if not isinstance(f, PiAlphaLog):
         raise TypeError(f"no J0 closed form for {f!r}")
 
-    if f.pi1.is_trivial():  # gamma_p and ball_norm_power_jet check the pole
-        if near:
-            jet = ball_norm_power_jet(prime, l0, f.alpha, f.m)
-        else:
-            jet = gamma_p(prime, f.alpha, f.m) * p_power_jet(
-                p, -m_exp, f.alpha, f.m
-            )
-        return logp_scaled(jet, p).coeffs[f.m]
-
-    # ramified pi_1: only the sphere with |xt|_p = p^{k0} can contribute;
-    # sphere_char_chi_integral is an exact zero everywhere else
-    if t is None:
-        return 0j
-    gamma_res = f.pi1.k0 - m_exp
-    if gamma_res > l0:
-        return 0j
-    return density_on_sphere(f, prime, gamma_res) * sphere_char_chi_integral(
-        f.pi1, gamma_res, t
-    )
+    # the ball tail B_min(l0, -M), where chi_p == 1 and a ramified pi_1
+    # integrates to zero (ball_norm_power_jet checks the pole)
+    value = 0j
+    if f.pi1.is_trivial():
+        jet = ball_norm_power_jet(prime, l0 if near else -m_exp, f.alpha, f.m)
+        value = logp_scaled(jet, p).coeffs[f.m]
+    # plus the one resonant sphere |xt|_p = p^k if it lies in B_l0; every
+    # other sphere is an exact zero.  x = y p^M makes it one guarded power
+    # p^(alpha gamma - k), which a deep t underflows where p^((alpha-1) gamma)
+    # alone would overflow
+    k = max(f.pi1.k0, 1)
+    if not near and k - m_exp <= l0:
+        gamma = k - m_exp
+        u = t * Fraction(p) ** m_exp  # the unit part of t
+        power = p_power_jet(p, gamma, f.alpha, 0).value * qp.p_power(p, -k)
+        value += gamma**f.m * power * sphere_char_chi_integral(f.pi1, k, u)
+    return value
 
 
 def _annulus_product(
@@ -272,13 +276,7 @@ def homogeneity_defect(
     if isinstance(f, DiracDelta):
         return lhs - phi.at(0)  # pi_0(t)|t|_p = 1
     if isinstance(f, PiAlphaLog):
-        try:
-            scale = cmath.exp(f.alpha * logt * math.log(p))
-        except OverflowError:
-            raise NumericOverflow(
-                f"|t|_p^alpha = {p}^({logt} alpha) with alpha = {f.alpha} "
-                "is not a finite float"
-            ) from None
+        scale = p_power_jet(p, logt, f.alpha, 0).value  # |t|_p^alpha
         scale *= eval_pi1(f.pi1, t).to_complex()
         rhs = scale * apply(f, phi)
         for j in range(1, f.m + 1):

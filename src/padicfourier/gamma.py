@@ -10,8 +10,10 @@ Closed forms implemented here:
   but G_{k0} is an exact zero, so the integral is its one resonant shell
   p^{k0(alpha-1)} G_{k0}, a finite Gauss sum, and no shell is summed;
 * the continued ball integral (1-1/p) p^{lam alpha} / (1-p^{-alpha}) of
-  |x|^{alpha-1} over B_lam as a jet, whose log_p e - scaled entry m at
-  lam = 0 is I_0(alpha; m) for trivial pi_1 (``j0_closed_form`` reads it);
+  |x|^{alpha-1} over B_lam as a jet, whose log_p e - scaled entry m is the
+  ball tail of ``j0_closed_form`` for trivial pi_1 (I_0(alpha; m) at
+  lam = 0).  The left side reads only this; Gamma_p and Gamma_p(pi_alpha)
+  serve the right-hand side (``gamma_pi``) and ``padic-fourier gamma``;
 * Bernoulli numbers from the binomial recurrence, and the power-sum
   polynomial S_s(n) = 1^s + ... + n^s evaluated as a polynomial at any
   integer (for n <= -1 it gives -sum_{n+1 <= g <= 0} g^s).

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from padicfourier import (
     DiracDelta,
+    Jet,
     PiAlphaLog,
     PLog,
     Prime,
@@ -23,6 +24,7 @@ from padicfourier import (
     faulhaber_sum,
     fourier,
     gamma_p,
+    p_power_jet,
     quadratic_character,
     predict_expansion,
     random_testfn,
@@ -31,8 +33,15 @@ from padicfourier import (
     trivial_character,
     verify_stabilization,
 )
+from padicfourier import gamma as gamma_module
 from padicfourier.asymptotics import theorem_family, unit_directions
-from padicfourier.errors import BadAlpha, StabilizationMismatch, ZeroArgument
+from padicfourier.cli import run
+from padicfourier.errors import (
+    BadAlpha,
+    NumericOverflow,
+    StabilizationMismatch,
+    ZeroArgument,
+)
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -136,6 +145,90 @@ def test_verify_strict_raises_on_forced_mismatch():
         strict=False,
     )
     assert not rep.ok
+
+
+
+def flipped_gamma_p(prime, alpha, order=0):
+    """Gamma_p with the sign of its numerator's p^(alpha-1) flipped."""
+    p = prime.p
+    one = Jet.constant(1, order)
+    num = one + p_power_jet(p, 1, alpha, order).scale(Fr(1, p))
+    return num / (one - p_power_jet(p, -1, alpha, order))
+
+
+def test_a_wrong_gamma_p_fails_the_trivial_sweep(monkeypatch, tmp_path):
+    # above the threshold J is the ball tail plus the resonant sphere, with
+    # no Gamma_p in it, so a wrong Gamma_p on the right-hand side must show
+    f = PiAlphaLog(1.3 + 0.2j, trivial_character(P3), 2)
+    phi = random_testfn(P3, 1, -3, 7)
+    rep = verify_stabilization(f, phi, 0, 8)
+    above = [r for r in rep.rows if r.M > rep.s_pred_exponent]
+    assert rep.ok and len(above) == 15
+    assert all(r.abs_err > 0 for r in above)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "prime": 3,
+        "distribution": {
+            "variant": "pi-alpha-log",
+            "alpha": {"re": 1.3, "im": 0.2},
+            "m": 2,
+            "character": {"kind": "trivial"},
+        },
+        "test_function": {"kind": "delta", "k": 0},
+        "t_grid": {"M_min": 0, "M_max": 8},
+    }))
+    assert run(["verify", "--config", str(cfg), "--out", str(tmp_path / "ok")]) == 0
+    monkeypatch.setattr(gamma_module, "gamma_p", flipped_gamma_p)
+    rep = verify_stabilization(f, phi, 0, 8, strict=False)
+    assert not rep.ok
+    assert min(r.abs_err for r in rep.rows if r.M > rep.s_pred_exponent) > 1e-3
+    assert run(["verify", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+
+
+def test_deep_ramified_j_is_finite_and_equals_the_rhs():
+    # p^((alpha-1) gamma) at the resonant sphere gamma = 1 - 1500 is beyond
+    # the float range; J takes it as one power p^(alpha gamma - 1) instead
+    f = PiAlphaLog(0.3, quadratic_character(P3), 1)
+    phi = random_testfn(P3, 1, -3, 7)
+    t = Fr(2, 3**1500)
+    J = singular_fourier(SingularIntegralRequest(f, phi, t))
+    rhs = predict_expansion(f, phi.l, P3).rhs(phi.at_zero, t)
+    assert J != 0 and abs(J - rhs) <= 1e-12 * abs(rhs)
+
+
+def test_the_rhs_is_probed_before_j_is_paid_for(monkeypatch, tmp_path):
+    from padicfourier import asymptotics
+
+    calls = []
+
+    def counting(request):
+        calls.append(request)
+        return singular_fourier(request)
+
+    monkeypatch.setattr(asymptotics, "singular_fourier", counting)
+    f = PiAlphaLog(1.5, quadratic_character(P3), 1)
+    phi = random_testfn(P3, 1, -1, seed=73)
+    # |t|^-alpha = 3^(-M alpha) overflows at the first row of one grid and
+    # at the last row of the other
+    for g, M_min, M_max in ((f, -2500, 0), (PiAlphaLog(-1.5, f.pi1, 1), 0, 2500)):
+        with pytest.raises(NumericOverflow):
+            verify_stabilization(g, phi, M_min, M_max, units_per_sphere=1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "prime": 3,
+        "distribution": {
+            "variant": "pi-alpha-log",
+            "alpha": 1.5,
+            "m": 1,
+            "character": {"kind": "quadratic"},
+        },
+        "test_function": {"kind": "delta", "k": -1},
+        "t_grid": {"M_min": -2500, "M_max": -1477, "units_per_sphere": 1},
+    }))
+    assert run(["verify", "--config", str(cfg)]) == 3
+    assert calls == []
+    verify_stabilization(f, phi, 0, 4)
+    assert len(calls) == 1
 
 
 def test_unit_direction_ratio_ramified():

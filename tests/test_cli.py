@@ -3,6 +3,7 @@
 import argparse
 import copy
 import json
+import math
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -86,11 +87,11 @@ DELTA_JSON = """\
     },
     {
       "J": [
-        -0.3333333333333333,
+        -0.33333333333333337,
         0.0
       ],
       "M": 1,
-      "abs_err": 0.0,
+      "abs_err": 5.551115123125783e-17,
       "rhs": [
         -0.3333333333333333,
         0.0
@@ -206,6 +207,18 @@ def test_exit_code_three_on_pole(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric error: ") and "Traceback" not in err
 
+
+
+def test_exit_code_one_on_every_pi0_alpha(tmp_path, capsys):
+    # |x|^alpha is periodic with period 2 pi i / ln p: these are pi_0 too,
+    # while alpha = 1e-15 above is merely near a pole
+    for j in (0, 1, 2):
+        cfg = dict(POWER_CFG, prime=3)
+        alpha = {"re": 0.0, "im": 2 * math.pi * j / math.log(3)}
+        cfg["distribution"] = dict(cfg["distribution"], alpha=alpha)
+        path = write_cfg(tmp_path, cfg)
+        assert run(["verify", "--config", path]) == 1
+        assert "use PLog or DiracDelta" in capsys.readouterr().err
 
 def test_jet_order_is_bounded(tmp_path, capsys):
     for base in (RAMIFIED_CFG, PLOG_CFG):

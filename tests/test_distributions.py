@@ -53,6 +53,25 @@ def test_variant_validation():
         PiAlphaLog(1, trivial_character(P2), -1)
 
 
+
+def test_alpha_is_read_modulo_the_period_of_pi0():
+    # |x|^alpha = p^(alpha gamma) with gamma an integer: alpha and
+    # alpha + 2 pi i / ln p are one distribution, and its multiples are pi_0
+    period = 2j * math.pi / math.log(3)
+    for j in (1, 2, -1):
+        with pytest.raises(ValueError, match="use PLog or DiracDelta"):
+            PiAlphaLog(j * period, trivial_character(P3), 1)
+    PiAlphaLog(period, quadratic_character(P3), 1)
+    phi = random_testfn(P3, 1, -2, seed=81)
+    ts = (Fr(1, 3), Fr(2, 27), Fr(5, 3**6), Fr(9))
+    for chr_ in (trivial_character(P3), quadratic_character(P3)):
+        f = PiAlphaLog(0.7 - 0.4j, chr_, 2)
+        g = PiAlphaLog(f.alpha + period, chr_, 2)
+        assert apply(g, phi) == pytest.approx(apply(f, phi), rel=1e-14)
+        want = singular_fourier(SingularIntegralRequest(f, phi, ts))
+        got = singular_fourier(SingularIntegralRequest(g, phi, ts))
+        assert got == pytest.approx(want, rel=1e-14)
+
 def test_apply_examples():
     # <P(1/|x|), Delta_0> = 0: no interior difference, no exterior support
     assert apply(PLog(1), delta_indicator(P3, 0)) == pytest.approx(0)

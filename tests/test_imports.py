@@ -81,3 +81,13 @@ def test_the_checks_see_an_unused_import_and_a_dangling_export():
     assert names == {"Fraction": 1}
     assert "Fraction" not in used_names(tree)
     assert exported_names(tree) == ["x"]
+
+
+@pytest.mark.parametrize("name", ["distributions.py", "singular.py"])
+def test_the_left_side_does_not_import_the_right_sides_gamma(name):
+    # J is checked against Gamma_p(pi_alpha) |t|^-alpha; if J were built
+    # from the same Gamma, the check could not fail
+    path = SOURCES[0].parent / name
+    text = path.read_text()
+    names = imported_names(ast.parse(text), text.splitlines())
+    assert not {"gamma_p", "gamma_pi"} & set(names), f"{name} imports Gamma_p"

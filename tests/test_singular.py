@@ -135,6 +135,35 @@ def test_j0_closed_form_branches():
         assert j0_closed_form(f, l, t, prime) == pytest.approx(want)
     # PLog core integral at l = 0, p = 3, |t| = 3: -1/3 - (2/3)(0+1) = -1
     assert j0_closed_form(PLog(1), 0, Fr(1, 3), P3) == pytest.approx(-1)
+    # every pi_1, near and far: the sphere-by-sphere sum over B_l0
+    near = [(0, 0), (1, -1), (-1, 1), (2, -3)]  # M <= -l0
+    far = [(0, 1), (0, 2), (1, 1), (-1, 3), (2, 0)]
+    cases = [(l0, None) for l0 in (0, 1)] + [
+        (l0, u * Fr(3) ** -M) for l0, M in near + far for u in (1, -4)
+    ]
+    for chr_, m in ((trivial_character(P3), 0), (quadratic_character(P3), 2),
+                    (trivial_character(P3), 2), (cubic_mod9(), 1)):
+        f = PiAlphaLog(1.3 + 0.2j, chr_, m)
+        for l0, t in cases:
+            want, mass = sphere_by_sphere_j0(f, l0, t, P3)
+            assert abs(j0_closed_form(f, l0, t, P3) - want) <= 1e-12 * mass
+
+
+def sphere_by_sphere_j0(f, l0, t, prime, depth=50):
+    """(J0, sum of |terms|) for Re alpha > 0: the integral of f chi_p(. t)
+    over the spheres S_g of B_l0, g > l0 - depth, one exact-angle term per
+    cell; the spheres below it add about depth^m p^(-depth Re alpha)."""
+    p, k = prime.p, max(f.pi1.k0, 1)
+    terms = []
+    for g in range(l0 - depth + 1, l0 + 1):
+        lam = g - k if t is None else min(g - k, valuation(t, prime))
+        weight = complex(p) ** ((f.alpha - 1) * g) * g**f.m * float(Fr(p) ** lam)
+        for c in enumerate_sphere_cosets(prime, g, lam):
+            angle = eval_pi1(f.pi1, c)
+            if t is not None:
+                angle = angle * chi(c * t, prime)
+            terms.append(weight * angle.to_complex())
+    return sum(terms), sum(map(abs, terms))
 
 
 def test_j0_near_branch_with_log_weight():
