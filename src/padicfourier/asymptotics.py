@@ -13,22 +13,21 @@ expansion of J(t) is an exact equality:
   J(t) = phi(0) pi_1^{-1}(t) (log_p e)^m
          d^m/dalpha^m [ Gamma_p(pi_alpha) |t|_p^{-alpha} ].
 
-The derivative of the *product* matters: expanding it gives the binomial
-sums C(m,k) (log_p e)^k Gamma^{(k)} with (-log_p|t|)^{m-k} scale factors.
-Jets evaluate the product derivative directly, so no sign bookkeeping is
-done by hand.
-
-Only |t|_p^{-alpha} and pi_1^{-1}(t) vary with t, so
-``predict_expansion(f, l, prime)`` builds the rest once: the Gamma jet
-(via ``gamma_pi``, which hands trivial pi_1 to ``gamma_p``), the
-predicted threshold exponent and the scale family.
-Its ``AsymptoticPrediction.rhs(phi0, t)`` is the only place the
-right-hand side is evaluated.
+Each is r^M P(M) with M = log_p|t|_p, r = p^{-alpha} (r = 1 for PLog and
+the delta) and P a polynomial of degree m: Leibniz on the product gives
+P(M) = sum_j C(m,j) (-M)^j g_{m-j}, g_k = (log_p e)^k Gamma^{(k)}, and the
+PLog Bernoulli form expands into exact rational coefficients.
+``predict_expansion(f, l, prime)`` is the one place that knows the
+families: it builds alpha, pi_1, the coefficients of P (Gamma via
+``gamma_pi``, which hands trivial pi_1 to ``gamma_p``), the predicted
+threshold exponent and the scale family once.  Its
+``AsymptoticPrediction.rhs(phi0, t)`` evaluates
+phi(0) pi_1^{-1}(t) r^M P(M), the same expression for every family.
 
 One private function, ``_sweep``, runs every sweep: it validates the
 t-grid (several unit directions per norm sphere), builds the prediction
-once, evaluates it at both ends of the grid (so a right-hand side beyond
-the float range fails before the left side is paid for), asks for the
+once, evaluates it on every row (so a right-hand side beyond the float
+range fails before the left side is paid for), asks for the
 left side of the whole grid in one request, compares it with the
 right-hand side row by row, asserts equality beyond s(phi), and reports
 the empirically observed stabilization threshold.
@@ -41,6 +40,7 @@ lemma -- one oracle request per sweep.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import json
@@ -50,10 +50,10 @@ from math import comb
 
 from . import qp
 from .characters import NormedMultChar, eval_pi1
-from .distributions import DiracDelta, PiAlphaLog, PLog, QahDistribution
-from .errors import BadAlpha, StabilizationMismatch, ZeroArgument
+from .distributions import DiracDelta, PiAlphaLog, PLog, QahDistribution, char_of
+from .errors import BadAlpha, NumericOverflow, StabilizationMismatch, ZeroArgument
 from .gamma import bernoulli, gamma_pi, logp_scaled
-from .jets import Jet, p_power_jet
+from .jets import p_power_jet
 from .qp import Prime, Rational
 from .singular import SingularIntegralRequest, brute_force_oracle, singular_fourier
 from .testfn import TestFunction
@@ -80,23 +80,21 @@ def theorem_family(f: QahDistribution) -> str:
     return "unramified" if f.pi1.is_trivial() else "ramified"
 
 
-def rank_of(f: QahDistribution) -> int:
-    return f.pi1.k0 if isinstance(f, PiAlphaLog) else 0
-
-
 @dataclass(frozen=True)
 class AsymptoticPrediction:
     """The theorem right-hand side of f for test functions of constancy
-    level l: the coefficient jet (Gamma_p or Gamma_p(pi_alpha) with
-    derivatives) built once; the predicted stabilization exponent
-    e = -l + k0; and a description of the asymptotic scale family.
-    ``rhs`` evaluates it at one t."""
+    level l, phi(0) pi_1^{-1}(t) p^{-alpha M} P(M) with M = log_p|t|_p:
+    alpha (0 for PLog and the delta), pi_1, the coefficients of P
+    (constant first), the predicted stabilization exponent e = -l + k0
+    and a description of the asymptotic scale family.  ``rhs``
+    evaluates it at one t."""
 
-    f: QahDistribution
     prime: Prime
     s_pred_exponent: int
     scale_family: str
-    gamma_jet: tuple[complex, ...] | None = None
+    alpha: complex
+    pi1: NormedMultChar
+    poly: tuple[complex | Fraction, ...]
 
     def rhs(self, phi0: complex, t: Rational) -> complex:
         """The right-hand side at t (an exact equality for
@@ -104,39 +102,42 @@ class AsymptoticPrediction:
         t = Fraction(t)
         if t == 0:
             raise ZeroArgument("t = 0 has no asymptotic side")
-        m_exp = -qp.valuation(t, self.prime)
-        f, p = self.f, self.prime.p
+        M = -qp.valuation(t, self.prime)
+        value = self.poly[-1]
+        for c in reversed(self.poly[:-1]):
+            value = value * M + c  # Horner; exact on PLog's rationals
+        try:
+            value = complex(value)
+        except OverflowError:  # a rational beyond the float range
+            value = cmath.inf
+        if self.alpha:
+            value *= p_power_jet(self.prime.p, -M, self.alpha, 0).value
+        value = phi0 * value
+        if self.pi1.k0:
+            value *= eval_pi1(self.pi1, t).inverse().to_complex()
+        if not cmath.isfinite(value):
+            raise NumericOverflow(f"right-hand side at M = {M} is not a finite float")
+        return value
 
-        if isinstance(f, DiracDelta):
-            return complex(phi0)
 
-        if isinstance(f, PiAlphaLog):
-            jet = Jet(self.gamma_jet) * p_power_jet(p, -m_exp, f.alpha, f.m)
-            value = phi0 * logp_scaled(jet, p).coeffs[f.m]
-            if not f.pi1.is_trivial():
-                value *= eval_pi1(f.pi1, t).inverse().to_complex()
-            return value
-
-        # PLog(m) at pinning level 0, s = m - 1, M = log_p|t|_p: the printed
-        # Bernoulli form, whose term signs fold into one factor because
-        # B_r = 0 for odd r >= 3:
-        # (-1)^{s+1} [(M-1)^s / p + (1-1/p) sum_{r<=s} C(s+1,r) B_r M^{s+1-r} / (s+1)]
-        s = f.m - 1
-        power_sum = sum(
-            comb(s + 1, r) * bernoulli(r) * Fraction(m_exp) ** (s + 1 - r)
-            for r in range(s + 1)
-        )
-        value = Fraction((m_exp - 1) ** s, p)
-        value += (1 - Fraction(1, p)) * power_sum / (s + 1)
-        return phi0 * complex((-1) ** (s + 1) * value)
+def _plog_poly(m: int, p: int) -> tuple[Fraction, ...]:
+    # PLog(m) at pinning level 0, s = m - 1: the printed Bernoulli form
+    # (-1)^{s+1} [(M-1)^s / p + (1-1/p) sum_{r<=s} C(s+1,r) B_r M^{s+1-r} / (s+1)]
+    # by powers of M (one sign factor, as B_r = 0 for odd r >= 3)
+    s = m - 1
+    poly = [Fraction(comb(s, j) * (-1) ** (s - j), p) for j in range(s + 1)] + [0]
+    for r in range(s + 1):
+        poly[s + 1 - r] += (1 - Fraction(1, p)) * comb(s + 1, r) * bernoulli(r) / (s + 1)
+    return tuple((-1) ** (s + 1) * c for c in poly)
 
 
 def predict_expansion(
     f: QahDistribution, l: int, prime: Prime
 ) -> AsymptoticPrediction:
-    e = -l + rank_of(f)
+    pi1 = char_of(f, prime)
+    e = -l + pi1.k0
     if isinstance(f, DiracDelta):
-        return AsymptoticPrediction(f, prime, e, "phi(0) (constant in t)")
+        return AsymptoticPrediction(prime, e, "phi(0) (constant in t)", 0, pi1, (1,))
     if isinstance(f, PLog):
         # PLog(m) is P(log^{m-1}|x|/|x|): it pairs with the degree-pi_0
         # expansion at log-exponent m-1, so PLog(1) is the P(1/|x|) case
@@ -144,11 +145,14 @@ def predict_expansion(
             f"phi(0) * polynomial of degree {f.m} in log_p|t| "
             f"(PLog({f.m}) = P(log^{f.m - 1}|x|/|x|); Bernoulli terms B_0..B_{f.m - 1})"
         )
-        return AsymptoticPrediction(f, prime, e, scale)
-    twist = "" if f.pi1.is_trivial() else " pi_1^-1(t)"
+        return AsymptoticPrediction(prime, e, scale, 0, pi1, _plog_poly(f.m, prime.p))
+    twist = "" if pi1.is_trivial() else " pi_1^-1(t)"
     scale = f"phi(0) * |t|^-alpha{twist} log_p^{{m-k}}|t|, k = 0..m"
-    jet = gamma_pi(f.alpha, f.pi1, f.m)
-    return AsymptoticPrediction(f, prime, e, scale, gamma_jet=jet.coeffs)
+    # (log_p e)^m d^m/dalpha^m [Gamma(alpha) p^{-M alpha}] by Leibniz, with
+    # g_k = (log_p e)^k Gamma^{(k)}: p^{-M alpha} sum_j C(m,j) (-M)^j g_{m-j}
+    g = logp_scaled(gamma_pi(f.alpha, pi1, f.m), prime.p).coeffs
+    poly = tuple(comb(f.m, j) * (-1) ** j * g[f.m - j] for j in range(f.m + 1))
+    return AsymptoticPrediction(prime, e, scale, f.alpha, pi1, poly)
 
 
 @dataclass(frozen=True)
@@ -237,7 +241,7 @@ def _sweep(
     """Compare evaluate_J with the theorem right-hand side at every
     t = u p^{-M} of the grid and assemble the report.  evaluate_J takes
     one request for the whole grid and returns one J per t; it runs only
-    once the right-hand side is finite at both ends of the grid."""
+    once the right-hand side is finite on every row."""
     if M_max < M_min:
         raise ValueError(f"empty sweep: M_max = {M_max} < M_min = {M_min}")
     if units_per_sphere < 1:
@@ -250,12 +254,10 @@ def _sweep(
         for M in range(M_min, M_max + 1)
         for u in units
     ]
+    rhs_values = [prediction.rhs(phi.at_zero, t) for _, _, t in grid]
     request = SingularIntegralRequest(f, phi, [t for _, _, t in grid], split_level)
-    for _, _, t in (grid[0], grid[-1]):
-        prediction.rhs(phi.at_zero, t)  # p^(-M alpha) is largest at an end
     rows = []
-    for (M, u, t), J in zip(grid, evaluate_J(request)):
-        rhs = prediction.rhs(phi.at_zero, t)
+    for (M, u, _), J, rhs in zip(grid, evaluate_J(request), rhs_values):
         err = abs(J - rhs)
         tol = tolerance_scale * (1 + abs(rhs))
         rows.append(ReportRow(M, u, J, rhs, err, err < tol))
@@ -263,13 +265,9 @@ def _sweep(
     failing = [r.M for r in rows if not r.stabilized]
     e_emp = max(failing, default=M_min - 1)
     ok = all(r.stabilized for r in rows if r.M > e_pred)
-    k0 = rank_of(f)
-    if k0 >= 1:
-        below = any(
-            not r.stabilized for r in rows if -phi.l < r.M <= e_pred
-        )
-    else:
-        below = None
+    below = None
+    if prediction.pi1.k0:
+        below = any(not r.stabilized for r in rows if -phi.l < r.M <= e_pred)
     alpha = None
     if isinstance(f, PiAlphaLog):
         alpha = (complex(f.alpha).real, complex(f.alpha).imag)
@@ -278,8 +276,8 @@ def _sweep(
         theorem=theorem,
         variant=variant_name(f),
         alpha=alpha,
-        m=f.m if not isinstance(f, DiracDelta) else 0,
-        k0=k0,
+        m=len(prediction.poly) - 1,
+        k0=prediction.pi1.k0,
         l=phi.l,
         N=phi.N,
         tolerance_scale=tolerance_scale,

@@ -63,7 +63,7 @@ EXIT_NUMERIC = 3
 MAX_JET_ORDER = 64
 
 #: bounds on a t-grid's |M_min|, |M_max| and row count: a row at
-#: t = u p^-M costs about M^2 in exact rational arithmetic
+#: t = u p^-M does exact rational arithmetic on M-digit numbers
 MAX_GRID_EXPONENT = 2500
 MAX_GRID_ROWS = 1024
 

@@ -43,20 +43,8 @@ class Jet:
         self._match(other)
         return Jet(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> "Jet":
-        return Jet(tuple(-a for a in self.coeffs))
-
     def scale(self, c: complex) -> "Jet":
         return Jet(tuple(complex(c) * a for a in self.coeffs))
-
-    def __mul__(self, other: "Jet") -> "Jet":
-        # Leibniz rule on derivative coefficients
-        self._match(other)
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for k in range(len(a)):
-            out.append(sum(comb(k, j) * a[j] * b[k - j] for j in range(k + 1)))
-        return Jet(tuple(out))
 
     def __truediv__(self, other: "Jet") -> "Jet":
         # solve f = h * g for h, derivative by derivative

@@ -4,7 +4,9 @@ import dataclasses
 import json
 import math
 import random
+import sys
 from fractions import Fraction as Fr
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -18,12 +20,14 @@ from padicfourier import (
     Prime,
     SingularIntegralRequest,
     apply,
+    bernoulli,
     delta_indicator,
     erdelyi_check,
     eval_pi1,
     faulhaber_sum,
     fourier,
     gamma_p,
+    gamma_pi,
     p_power_jet,
     quadratic_character,
     predict_expansion,
@@ -31,8 +35,10 @@ from padicfourier import (
     singular_fourier,
     table_character,
     trivial_character,
+    valuation,
     verify_stabilization,
 )
+from padicfourier import asymptotics, distributions
 from padicfourier import gamma as gamma_module
 from padicfourier.asymptotics import theorem_family, unit_directions
 from padicfourier.cli import run
@@ -373,7 +379,7 @@ def test_prediction_type_and_scale_family():
     assert "PLog(3) = P(log^2|x|/|x|)" in pred.scale_family
     pred = predict_expansion(PiAlphaLog(1.5, quadratic_character(P3), 2), 0, P3)
     assert pred.s_pred_exponent == 1
-    assert pred.gamma_jet is not None and len(pred.gamma_jet) == 3
+    assert pred.alpha == 1.5 and len(pred.poly) == 3
     assert "pi_1^-1(t)" in pred.scale_family
     rep = verify_stabilization(PLog(2), delta_indicator(P2, 0), 1, 4)
     assert "PLog(2)" in rep.scale_family
@@ -529,3 +535,181 @@ def test_sweep_rows_equal_single_t_evaluations(case):
         t = row.t_unit * Fr(p) ** (-row.M)
         single = singular_fourier(SingularIntegralRequest(f, phi, t))
         assert abs(row.J - single) <= 1e-12 * scale, (row.M, row.t_unit)
+
+
+def reference_rhs(f, prime, phi0, t):
+    """The right-hand side written out per row, as it was first coded: the
+    Leibniz product of the Gamma jet with the p^(-M alpha) jet, and the
+    printed Bernoulli sum in exact rationals."""
+    M = -valuation(t, prime)
+    p = prime.p
+    if isinstance(f, DiracDelta):
+        return complex(phi0)
+    if isinstance(f, PiAlphaLog):
+        a = gamma_pi(f.alpha, f.pi1, f.m).coeffs
+        b = p_power_jet(p, -M, f.alpha, f.m).coeffs
+        top = sum(comb(f.m, j) * a[j] * b[f.m - j] for j in range(f.m + 1))
+        value = phi0 * (top * (1.0 / math.log(p)) ** f.m)
+        if not f.pi1.is_trivial():
+            value *= eval_pi1(f.pi1, t).inverse().to_complex()
+        return value
+    s = f.m - 1
+    power_sum = sum(
+        comb(s + 1, r) * bernoulli(r) * Fr(M) ** (s + 1 - r) for r in range(s + 1)
+    )
+    value = Fr((M - 1) ** s, p) + (1 - Fr(1, p)) * power_sum / (s + 1)
+    return phi0 * complex((-1) ** (s + 1) * value)
+
+
+@st.composite
+def rhs_cases(draw):
+    kind = draw(st.sampled_from(["trivial", "quadratic", "cubic", "plog", "delta"]))
+    p = {"quadratic": draw(st.sampled_from([3, 5, 7])), "cubic": 3}.get(
+        kind, draw(st.sampled_from([2, 3, 5, 7]))
+    )
+    prime = Prime(p)
+    if kind == "plog":
+        f = PLog(draw(st.integers(1, 6)))
+    elif kind == "delta":
+        f = DiracDelta()
+    else:
+        chr_ = {
+            "trivial": trivial_character,
+            "quadratic": quadratic_character,
+            "cubic": lambda _: cubic_mod9(),
+        }[kind](prime)
+        re = draw(st.floats(-2, 3).filter(lambda x: abs(x) > 0.05))
+        alpha = complex(re, draw(st.floats(-2, 2)))
+        f = PiAlphaLog(alpha, chr_, draw(st.integers(0, 6)))
+    u = draw(st.integers(1, 50).filter(lambda u: u % p))
+    M = draw(st.integers(-40, 40))
+    phi0 = complex(draw(st.floats(-2, 2)), draw(st.floats(-2, 2)))
+    return f, prime, phi0, Fr(u) * Fr(p) ** (-M)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rhs_cases())
+def test_rhs_matches_the_per_row_leibniz_and_bernoulli_forms(case):
+    f, prime, phi0, t = case
+    pred = predict_expansion(f, 0, prime)
+    got, want = pred.rhs(phi0, t), reference_rhs(f, prime, phi0, t)
+    if not isinstance(f, PiAlphaLog) or f.m == 0:
+        assert got == want
+        return
+    # Horner on P(M) times one power against the Leibniz sum of jet terms
+    M = -valuation(t, prime)
+    scale = abs(phi0) * abs(p_power_jet(prime.p, -M, f.alpha, 0).value)
+    bound = 16 * sys.float_info.epsilon * scale * sum(
+        abs(c) * abs(M) ** j for j, c in enumerate(pred.poly)
+    )
+    assert abs(got - want) <= bound
+
+
+def test_rhs_overflow_is_typed_for_every_family():
+    t = Fr(1, 3**200000)
+    for f in (
+        PLog(64),
+        PiAlphaLog(-1.5, trivial_character(P3), 1),
+        PiAlphaLog(-1.5, quadratic_character(P3), 2),
+    ):
+        with pytest.raises(NumericOverflow):
+            predict_expansion(f, 0, P3).rhs(1.0, t)
+
+
+def cubic_cfg(tmp_path):
+    cfg = tmp_path / "cubic.json"
+    cfg.write_text(json.dumps({
+        "prime": 3,
+        "distribution": {
+            "variant": "pi-alpha-log",
+            "alpha": {"re": 0.8, "im": -0.3},
+            "m": 1,
+            "character": {
+                "kind": "table",
+                "modulus_exponent": 2,
+                "values": {"1": "0", "2": "2/3", "4": "1/3", "5": "1/3", "7": "2/3", "8": "0"},
+            },
+        },
+        "test_function": {"kind": "delta", "k": -1},
+        "t_grid": {"M_min": 0, "M_max": 6},
+    }))
+    return str(cfg)
+
+
+def test_pi1_in_place_of_its_inverse_fails_verify(monkeypatch, tmp_path):
+    # the cubic character is not its own inverse (a quadratic one could
+    # not tell pi_1(t) from pi_1^-1(t))
+    f = PiAlphaLog(0.8 - 0.3j, cubic_mod9(), 1)
+    phi = random_testfn(P3, 1, -1, seed=86)
+    assert verify_stabilization(f, phi, 0, 6).ok
+    cfg = cubic_cfg(tmp_path)
+    assert run(["verify", "--config", cfg, "--out", str(tmp_path / "ok.csv")]) == 0
+    real = asymptotics.eval_pi1
+    monkeypatch.setattr(asymptotics, "eval_pi1", lambda c, x: real(c, x).inverse())
+    assert not verify_stabilization(f, phi, 0, 6, strict=False).ok
+    assert run(["verify", "--config", cfg, "--out", str(tmp_path / "bad.csv")]) == 2
+
+
+@pytest.mark.parametrize(
+    "f, prime",
+    [
+        (PiAlphaLog(1.3 - 1.1j, trivial_character(P2), 2), P2),
+        (PiAlphaLog(0.5 + 0.3j, cubic_mod9(), 2), P3),
+        (PLog(3), P3),
+    ],
+    ids=["trivial", "cubic", "plog"],
+)
+def test_one_flipped_coefficient_of_p_fails_verify(monkeypatch, f, prime):
+    phi = random_testfn(prime, 1, -1, seed=87)
+    assert verify_stabilization(f, phi, 0, 6).ok
+    real = asymptotics.predict_expansion
+    poly = real(f, phi.l, prime).poly
+    for j in (j for j, c in enumerate(poly) if c):
+        flipped = poly[:j] + (-poly[j],) + poly[j + 1:]
+        monkeypatch.setattr(
+            asymptotics,
+            "predict_expansion",
+            lambda *args: dataclasses.replace(real(*args), poly=flipped),
+        )
+        assert not verify_stabilization(f, phi, 0, 6, strict=False).ok, j
+
+
+def test_dropping_the_plog_pinning_fails_verify(monkeypatch):
+    real = distributions.j0_closed_form
+
+    def unpinned(f, l0, t, prime):
+        # J0 without (1 - 1/p) S_{m-1}(l0), the shift from B_l0 to B_0
+        pinning = (1 - Fr(1, prime.p)) * faulhaber_sum(f.m - 1, l0)
+        return real(f, l0, t, prime) - complex(pinning)
+
+    phi = random_testfn(P3, 2, -1, seed=88)
+    for m in (1, 2, 3):
+        assert verify_stabilization(PLog(m), phi, 0, 6, split_level=1).ok
+    monkeypatch.setattr(distributions, "j0_closed_form", unpinned)
+    for m in (1, 2, 3):
+        # split level 0 needs no pinning, so the mutation is invisible there
+        assert verify_stabilization(PLog(m), phi, 0, 6, split_level=0).ok
+        rep = verify_stabilization(PLog(m), phi, 0, 6, split_level=1, strict=False)
+        assert not rep.ok, m
+
+
+def test_j_zeroed_above_some_m_fails_verify(monkeypatch):
+    def zeroed(request):
+        return [
+            0j if -valuation(t, request.phi.prime) > 4 else J
+            for t, J in zip(request.points(), singular_fourier(request))
+        ]
+
+    cases = [
+        (PiAlphaLog(1.3 + 0.2j, trivial_character(P3), 2), P3),
+        (PiAlphaLog(1.5, quadratic_character(P3), 1), P3),
+        (PLog(2), P3),
+        (DiracDelta(), P3),
+    ]
+    phi = random_testfn(P3, 1, -1, seed=89)
+    monkeypatch.setattr(asymptotics, "singular_fourier", zeroed)
+    for f, prime in cases:
+        rep = verify_stabilization(f, phi, 0, 6, strict=False)
+        assert not rep.ok, f
+        failing = {r.M for r in rep.rows if not r.stabilized and r.M > rep.s_pred_exponent}
+        assert failing and failing <= {5, 6}, f

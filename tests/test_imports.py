@@ -91,3 +91,25 @@ def test_the_left_side_does_not_import_the_right_sides_gamma(name):
     text = path.read_text()
     names = imported_names(ast.parse(text), text.splitlines())
     assert not {"gamma_p", "gamma_pi"} & set(names), f"{name} imports Gamma_p"
+
+
+def test_the_right_side_does_not_import_the_left_sides_kernels():
+    # the PLog polynomial is built from Bernoulli numbers alone and the
+    # power family from Gamma; sharing J's power sums or J0 would let a
+    # fault in them cancel out of the check
+    path = SOURCES[0].parent / "asymptotics.py"
+    text = path.read_text()
+    names = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name for alias in node.names}  # noqa lines too
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    kernels = {
+        "faulhaber_sum",
+        "faulhaber_coeffs",
+        "ball_norm_power_jet",
+        "j0_closed_form",
+        "_pairing",
+    }
+    assert not kernels & names, "asymptotics.py reaches a kernel of J"

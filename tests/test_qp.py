@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from padicfourier import (
     INFINITE_VALUATION,
@@ -29,6 +31,35 @@ def test_valuation_examples():
     assert valuation(Fr(3, 2), Prime(2)) == -1
     assert valuation(0, Prime(7)) == INFINITE_VALUATION
     assert valuation(12, Prime(3)) == 1
+
+
+def naive_valuation(n, p):
+    # one factor p per division, the reference for qp._split_power
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(-5000, 5000),
+    st.integers(1, 10**12),
+    st.integers(1, 10**12),
+    st.booleans(),
+)
+def test_valuation_by_squaring_matches_the_naive_loop(p, v, num, den, negative):
+    # cofactors may hold factors of p themselves; the reduced fraction has
+    # the valuation the naive loop finds on its numerator and denominator
+    x = Fr(-num if negative else num, den) * Fr(p) ** v
+    want = naive_valuation(x.numerator, p) - naive_valuation(x.denominator, p)
+    assert valuation(x, Prime(p)) == want
+    for n in (x.numerator, x.denominator):
+        k = naive_valuation(n, p)
+        assert qp._split_power(n, p) == (k, n // p**k)
+    u = num * p + 1  # coprime to p
+    assert qp._split_power(u * p ** abs(v), p) == (abs(v), u)
 
 
 def test_norm_examples():
