@@ -22,7 +22,9 @@ families: it builds alpha, pi_1, the coefficients of P (Gamma via
 ``gamma_pi``, which hands trivial pi_1 to ``gamma_p``), the predicted
 threshold exponent and the scale family once.  Its
 ``AsymptoticPrediction.rhs(phi0, t)`` evaluates
-phi(0) pi_1^{-1}(t) r^M P(M), the same expression for every family.
+phi(0) pi_1^{-1}(t) r^M P(M), the same expression for every family; a
+sweep evaluates phi(0) r^M P(M) once per sphere M and pi_1^{-1} once per
+residue u mod p^k0 of its grid t = u p^{-M}, and multiplies per row.
 
 One private function, ``_sweep``, runs every sweep: it validates the
 t-grid (several unit directions per norm sphere), builds the prediction
@@ -44,7 +46,7 @@ import cmath
 import csv
 import io
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
@@ -99,10 +101,33 @@ class AsymptoticPrediction:
     def rhs(self, phi0: complex, t: Rational) -> complex:
         """The right-hand side at t (an exact equality for
         |t|_p > p^{s_pred_exponent}; callers may probe below it)."""
-        t = Fraction(t)
         if t == 0:
             raise ZeroArgument("t = 0 has no asymptotic side")
-        M = -qp.valuation(t, self.prime)
+        return self._on_grid(phi0, [qp.split(t, self.prime, self.pi1.k0)])[0]
+
+    def _on_grid(self, phi0: complex, points: list[tuple[int, int]]) -> list[complex]:
+        # at t = u p^{-M} for every (M, u): phi(0) r^M P(M) once per sphere
+        # M, times pi_1^{-1}(u) once per residue u mod p^k0
+        mod = self.prime.p**self.pi1.k0
+        spheres, twists, values = {}, {}, []
+        for M, u in points:
+            if M not in spheres:
+                spheres[M] = phi0 * self._radial(M)
+            value = spheres[M]
+            if mod > 1:
+                if u % mod not in twists:
+                    twists[u % mod] = eval_pi1(self.pi1, u).inverse().to_complex()
+                value *= twists[u % mod]
+            if not cmath.isfinite(value):
+                raise NumericOverflow(
+                    f"right-hand side at M = {M} is not a finite float"
+                )
+            values.append(value)
+        return values
+
+    def _radial(self, M: int) -> complex:
+        # r^M P(M); past the float range of P(M) alone (inf * 0 is NaN) in
+        # logarithms, with P(M) = M^m Q(1/M): exp gives 0 below it, inf above
         value = self.poly[-1]
         for c in reversed(self.poly[:-1]):
             value = value * M + c  # Horner; exact on PLog's rationals
@@ -110,14 +135,19 @@ class AsymptoticPrediction:
             value = complex(value)
         except OverflowError:  # a rational beyond the float range
             value = cmath.inf
-        if self.alpha:
-            value *= p_power_jet(self.prime.p, -M, self.alpha, 0).value
-        value = phi0 * value
-        if self.pi1.k0:
-            value *= eval_pi1(self.pi1, t).inverse().to_complex()
-        if not cmath.isfinite(value):
-            raise NumericOverflow(f"right-hand side at M = {M} is not a finite float")
-        return value
+        if cmath.isfinite(value):
+            if self.alpha:
+                value *= p_power_jet(self.prime.p, -M, self.alpha, 0).value
+            return value
+        m, q = len(self.poly) - 1, 0
+        for c in self.poly:
+            q = q / M + c  # Horner in 1/M
+        lnp = cmath.log(self.prime.p)
+        log_value = cmath.log(q) + m * cmath.log(abs(M)) - self.alpha * M * lnp
+        try:
+            return cmath.exp(log_value) * (-1) ** (m * (M < 0))
+        except OverflowError:
+            return cmath.inf
 
 
 def _plog_poly(m: int, p: int) -> tuple[Fraction, ...]:
@@ -205,25 +235,17 @@ class StabilizationReport:
     def to_json(self) -> str:
         """The fields as JSON: each row as its own field dict, each complex
         as [re, im]."""
-        return json.dumps(self, default=_json_default, sort_keys=True, indent=2)
-
-
-def _json_default(value):
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    return {f.name: getattr(value, f.name) for f in fields(value)}
+        rows = [
+            dict(vars(r), J=[r.J.real, r.J.imag], rhs=[r.rhs.real, r.rhs.imag])
+            for r in self.rows
+        ]
+        return json.dumps(dict(vars(self), rows=rows), sort_keys=True, indent=2)
 
 
 def unit_directions(prime: Prime, count: int) -> list[int]:
     """The first ``count`` positive integers coprime to p (u = 1 first):
     the fixed residue set sampled on every norm sphere."""
-    units = []
-    u = 1
-    while len(units) < count:
-        if u % prime.p != 0:
-            units.append(u)
-        u += 1
-    return units
+    return [u for u in range(1, 2 * count + 1) if u % prime.p][:count]
 
 
 def _sweep(
@@ -249,15 +271,13 @@ def _sweep(
     prime = phi.prime
     prediction = predict_expansion(f, phi.l, prime)
     units = unit_directions(prime, units_per_sphere)
-    grid = [
-        (M, u, Fraction(u) * Fraction(prime.p) ** (-M))
-        for M in range(M_min, M_max + 1)
-        for u in units
-    ]
-    rhs_values = [prediction.rhs(phi.at_zero, t) for _, _, t in grid]
-    request = SingularIntegralRequest(f, phi, [t for _, _, t in grid], split_level)
+    grid = [(M, u) for M in range(M_min, M_max + 1) for u in units]
+    rhs_values = prediction._on_grid(phi.at_zero, grid)
+    p = prime.p
+    ts = [Fraction(u, p**M) if M >= 0 else Fraction(u * p**-M) for M, u in grid]
+    request = SingularIntegralRequest(f, phi, ts, split_level)
     rows = []
-    for (M, u, _), J, rhs in zip(grid, evaluate_J(request), rhs_values):
+    for (M, u), J, rhs in zip(grid, evaluate_J(request), rhs_values):
         err = abs(J - rhs)
         tol = tolerance_scale * (1 + abs(rhs))
         rows.append(ReportRow(M, u, J, rhs, err, err < tol))

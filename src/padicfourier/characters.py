@@ -195,12 +195,11 @@ def make_character(prime: Prime, spec: dict) -> NormedMultChar:
 
 def eval_pi1(chr_: NormedMultChar, x: Rational) -> RootOfUnity:
     """pi_1(x) for x != 0; depends only on the unit part of x."""
-    x = Fraction(x)
     if x == 0:
         raise ZeroArgument("pi_1 is undefined at 0")
     if chr_.k0 == 0:
         return RootOfUnity(0)
-    return chr_.unit_values[qp.unit_residue(x, chr_.prime, chr_.k0)]
+    return chr_.unit_values[qp.split(x, chr_.prime, chr_.k0)[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +238,7 @@ def sphere_char_chi_integral(
         # t = 0 included) or sums to zero inside each pi_1-cell (gamma+M > k0)
         return 0j
     mod = p**chr_.k0
-    w = qp.unit_residue(t, prime, chr_.k0)
+    w = qp.split(t, prime, chr_.k0)[1]
     total = 0j
     for u in _units_mod(p, chr_.k0):
         angle = chr_.unit_values[u].angle + Fraction((u * w) % mod, mod)

@@ -42,10 +42,11 @@ f chi_p over B_{l0}:
   over the annulus between the two balls (it vanishes at l0 = 0 and makes
   J independent of the split level).
 
-Only the ramified J0 depends on the direction of t; the others are
-evaluated once per norm sphere of a batch.  J does not depend on l0; a
-level outside [l, N] is evaluated at the nearest end, so the table never
-exceeds p^(N-l+max(k0,1)-1) entries.
+A batch splits each t once, t = u p^-M with |t|_p = p^M (``qp.split``);
+F[h] is read off its table at a word of u, and J0 is keyed by
+(|t|_p, u mod p^k0).  J does not depend on l0; a level outside [l, N] is
+evaluated at the nearest end, so the table never exceeds
+p^(N-l+max(k0,1)-1) entries.
 
 ``homogeneity_defect`` checks the graded scaling law.  The lower-order
 companion families are not printed in the source material; they are
@@ -163,11 +164,11 @@ def j0_closed_form(
     """The continued integral of f(x) chi_p(xt) over B_{l0} (for the PLog
     family: of the chi_p(xt) - 1 variant, plus the pinning correction), in
     closed form.  t = None means chi_p == 1; at l0 = 0 that is I_0."""
+    k = max(f.pi1.k0, 1) if isinstance(f, PiAlphaLog) else 0
     if t is not None:
-        t = Fraction(t)
         if t == 0:
             raise ZeroArgument("j0_closed_form requires t != 0")
-        m_exp = -qp.valuation(t, prime)  # log_p |t|_p
+        m_exp, u = qp.split(t, prime, k)  # |t|_p = p^m_exp, unit part u
     near = t is None or m_exp <= -l0  # chi_p == 1 on all of B_{l0}
     p = prime.p
 
@@ -193,11 +194,9 @@ def j0_closed_form(
     # plus the one resonant sphere |xt|_p = p^k if it lies in B_l0; every
     # other sphere is an exact zero.  x = y p^M makes it one guarded power
     # p^(alpha gamma - k), which a deep t underflows where p^((alpha-1) gamma)
-    # alone would overflow
-    k = max(f.pi1.k0, 1)
+    # alone would overflow; the sphere integral reads t's unit part mod p^k
     if not near and k - m_exp <= l0:
         gamma = k - m_exp
-        u = t * Fraction(p) ** m_exp  # the unit part of t
         power = p_power_jet(p, gamma, f.alpha, 0).value * qp.p_power(p, -k)
         value += gamma**f.m * power * sphere_char_chi_integral(f.pi1, k, u)
     return value
@@ -231,25 +230,31 @@ def _pairing(
 ) -> list[complex]:
     """<f(x) chi_p(xt), phi(x)> split at l0 (clamped into [l, N]), one value
     per t of ``ts``, or the one value <f, phi> when ts is None."""
-    points = [None] if ts is None else ts
     if isinstance(f, DiracDelta):
-        return [phi.at(0)] * len(points)
+        return [phi.at(0)] * (1 if ts is None else len(ts))
     prime = phi.prime
+    p = prime.p
     chr_ = char_of(f, prime)
     l0 = min(max(l0, phi.l), phi.N)
     lam = phi.l + 1 - max(chr_.k0, 1)
     if ts is None:
-        h = _annulus_product(f, phi, chr_, l0)
-        split = [h.values.sum() * qp.p_power(prime.p, lam)]
-    elif all(qp.valuation(t, prime) < lam for t in ts):
-        split = [0j] * len(ts)  # F[h] vanishes for |t|_p > p^-lam
-    else:
-        transform = fourier(_annulus_product(f, phi, chr_, l0))
-        split = [transform.at(t) for t in ts]
-    j0 = {}  # J0 depends on t only through |t|_p unless pi_1 is ramified
+        s = _annulus_product(f, phi, chr_, l0).values.sum() * qp.p_power(p, lam)
+        return [complex(s) + phi.at_zero * j0_closed_form(f, l0, None, prime)]
+    # t = u p^-M: F[h] lies in D^-lam_-N, so it is the table's word
+    # u p^(-lam-M) mod p^(N-lam) for M <= -lam and 0 past that; J0 reads only
+    # M and u mod p^k0 (k0 can exceed N - lam on a delta's window)
+    grid = [qp.split(t, prime, max(phi.N - lam, chr_.k0)) for t in ts]
+    split = [0j] * len(ts)
+    if any(M <= -lam for M, _ in grid):
+        table = fourier(_annulus_product(f, phi, chr_, l0)).values
+        mod = p ** (phi.N - lam)
+        for i, (M, u) in enumerate(grid):
+            if M <= -lam:
+                split[i] = table[u * pow(p, -lam - M, mod) % mod]
+    j0 = {}
     values = []
-    for s, t in zip(split, points):
-        key = t if chr_.k0 or t is None else qp.valuation(t, prime)
+    for s, t, (M, u) in zip(split, ts, grid):
+        key = (M, u % p**chr_.k0)
         if key not in j0:
             j0[key] = j0_closed_form(f, l0, t, prime)
         values.append(complex(s) + phi.at_zero * j0[key])
@@ -266,7 +271,6 @@ def homogeneity_defect(
 ) -> complex:
     """<f, phi(x/t)> minus the graded scaling law's right-hand side;
     zero (up to rounding) for a lawful QAHD with the derived companions."""
-    t = Fraction(t)
     if t == 0:
         raise ZeroArgument("scaling by t = 0")
     prime = phi.prime

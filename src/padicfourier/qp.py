@@ -63,14 +63,9 @@ def _split_power(n: int, p: int) -> tuple[int, int]:
 
 def valuation(x: Rational, prime: Prime):
     """p-adic valuation of the exact rational x; +inf sentinel at x = 0."""
-    x = Fraction(x)
     if x == 0:
         return INFINITE_VALUATION
-    p = prime.p
-    vnum = _split_power(x.numerator, p)[0]
-    if vnum:
-        return vnum  # reduced fraction: denominator is coprime to p
-    return -_split_power(x.denominator, p)[0]
+    return -split(x, prime, 0)[0]
 
 
 def p_power(p: int, e: int) -> float:
@@ -84,23 +79,25 @@ def p_power(p: int, e: int) -> float:
 
 def norm(x: Rational, prime: Prime) -> Fraction:
     """|x|_p = p^(-valuation), exactly; 0 for x = 0."""
-    v = valuation(x, prime)
-    if v is INFINITE_VALUATION:
+    if x == 0:
         return Fraction(0)
-    return Fraction(prime.p) ** (-v)
+    return Fraction(prime.p) ** split(x, prime, 0)[0]
 
 
-def unit_residue(x: Rational, prime: Prime, k: int) -> int:
-    """u mod p^k for x = p^v u with u a unit (x != 0)."""
+def split(x: Rational, prime: Prime, k: int) -> tuple[int, int]:
+    """(M, u mod p^k) for x = u p^-M with u a unit (x != 0), so that
+    |x|_p = p^M."""
     x = Fraction(x)
     if x == 0:
         raise ZeroDivisionError("zero has no unit part")
-    return _residue(x * Fraction(prime.p) ** (-valuation(x, prime)), prime.p**k)
-
-
-def _residue(q: Fraction, mod: int) -> int:
-    # q mod `mod` for a rational whose denominator is coprime to mod
-    return q.numerator * pow(q.denominator, -1, mod) % mod
+    p = prime.p
+    v, num = _split_power(x.numerator, p)
+    den = x.denominator
+    if not v:  # reduced fraction: at most one side holds powers of p
+        v, den = _split_power(den, p)
+        v = -v
+    mod = p**k
+    return -v, num * pow(den, -1, mod) % mod
 
 
 def fractional_part(x: Rational, prime: Prime) -> Fraction:
@@ -156,18 +153,3 @@ def enumerate_sphere_cosets(prime: Prime, gamma: int, l: int) -> list[Fraction]:
         )
     scale = Fraction(prime.p) ** (-gamma)
     return [int(w) * scale for w in _sphere_words(prime.p, gamma - l)]
-
-
-def coset_index(x: Rational, prime: Prime, N: int, l: int) -> int:
-    """Index of the coset of x in the canonical enumeration of B_N / B_l.
-
-    Accepts any rational with |x|_p <= p^N whose denominator's non-p part
-    is inverted modulo p^(N-l) (such x still sits in a unique coset).
-    """
-    if l > N:
-        raise BadWindow(f"constancy level l = {l} exceeds support level N = {N}")
-    x = Fraction(x)
-    p = prime.p
-    if norm(x, prime) > Fraction(p) ** N:
-        raise BadWindow(f"|{x}|_p > p^{N}: point outside B_{N}")
-    return _residue(x * Fraction(p) ** N, p ** (N - l))

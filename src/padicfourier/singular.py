@@ -115,7 +115,7 @@ def _oracle_at(
     if 0 < E and p**E <= 1 << 24:
         mod = p**E
         roots = _roots(p, E)
-        u = qp.unit_residue(t, prime, E)
+        u = qp.split(t, prime, E)[1]
     total = 0j
     for g in range(gamma_star + 1, top + 1):
         lam = min(l, -m_exp, g - max(chr_.k0, 1)) - refine

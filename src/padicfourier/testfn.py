@@ -18,8 +18,6 @@ F[h] of the annulus product h in ``distributions``, and it vanishes for
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from . import qp
@@ -56,11 +54,10 @@ class TestFunction:
 
     def at(self, x: Rational) -> complex:
         """phi(x): 0 outside B_N, else the stored value of x's coset."""
-        x = Fraction(x)
-        if qp.norm(x, self.prime) > Fraction(self.prime.p) ** self.N:
-            return 0j
-        word = qp.coset_index(x, self.prime, self.N, self.l)
-        return complex(self.sample(word, self.N))
+        if x == 0:
+            return self.at_zero
+        M, u = qp.split(x, self.prime, self.N - self.l)  # x = u p^-M
+        return 0j if M > self.N else complex(self.sample(u, M))
 
     def sample(self, words, level: int) -> np.ndarray:
         """phi at x = w p^{-level} for integer words w; 0 outside B_N."""
@@ -117,14 +114,12 @@ def convolve(phi: TestFunction, psi: TestFunction) -> TestFunction:
 def dilate(phi: TestFunction, t: Rational) -> TestFunction:
     """x |-> phi(x/t); for t = u p^{-a}, u a unit, the result lies in
     D^{l+a}_{N+a} and its word w is phi's word w u^{-1}."""
-    t = Fraction(t)
     if t == 0:
         raise ZeroArgument("cannot dilate by t = 0")
-    prime, a = phi.prime, -qp.valuation(t, phi.prime)
+    a, u = qp.split(t, phi.prime, phi.N - phi.l)
     mod = len(phi.values)
-    u_inv = pow(qp.unit_residue(t, prime, phi.N - phi.l), -1, mod)
-    vals = phi.sample(np.arange(mod) * u_inv % mod, phi.N)
-    return TestFunction(prime, phi.N + a, phi.l + a, vals)
+    vals = phi.sample(np.arange(mod) * pow(u, -1, mod) % mod, phi.N)
+    return TestFunction(phi.prime, phi.N + a, phi.l + a, vals)
 
 
 def random_testfn(prime: Prime, N: int, l: int, seed: int) -> TestFunction:

@@ -481,12 +481,13 @@ def test_j0_once_per_norm_sphere(monkeypatch):
     phi = random_testfn(P2, 1, -1, seed=84)
     rep = verify_stabilization(PiAlphaLog(1.5, trivial_character(P2), 1), phi, -2, 5, 3)
     assert len(rep.rows) == 24 and len(calls) == 8
-    # ramified J0 depends on the direction of t: one call per row
+    # ramified J0 depends on the direction of t only through u mod p^k0:
+    # units 1, 2, 4 are two residues mod 3, so one call per (sphere, residue)
     calls.clear()
     phi = random_testfn(P3, 1, -1, seed=85)
     f = PiAlphaLog(1.5, quadratic_character(P3), 0)
     rep = verify_stabilization(f, phi, -2, 5, 3)
-    assert len(rep.rows) == 24 and len(calls) == 24
+    assert len(rep.rows) == 24 and len(calls) == 16
 
 
 def rank2_character(prime):
@@ -615,6 +616,26 @@ def test_rhs_overflow_is_typed_for_every_family():
         with pytest.raises(NumericOverflow):
             predict_expansion(f, 0, P3).rhs(1.0, t)
 
+
+
+def test_rhs_past_an_overflowing_polynomial_is_decided_in_logarithms():
+    # P(M) = O(M^64) is beyond the float range at M = 200000, and inf * 0
+    # would be NaN: p^(-alpha M) takes the product below the float range
+    # (0j), into it (the true value) or leaves it above it (NumericOverflow)
+    M = 200000
+    t = Fr(1, 3**M)
+    pi1 = quadratic_character(P3)
+    assert predict_expansion(PiAlphaLog(1.5, pi1, 64), 0, P3).rhs(1.0, t) == 0
+    with pytest.raises(NumericOverflow):
+        predict_expansion(PiAlphaLog(1e-4, pi1, 64), 0, P3).rhs(1.0, t)
+    pred = predict_expansion(PiAlphaLog(0.0025, pi1, 64), 0, P3)
+    exact = [
+        sum(Fr(part(c)) * M**j for j, c in enumerate(pred.poly)) / 3**500
+        for part in (lambda c: c.real, lambda c: c.imag)
+    ]
+    want = complex(*map(float, exact))
+    got = pred.rhs(1.0, t)
+    assert math.isfinite(abs(want)) and abs(got - want) <= 1e-9 * abs(want)
 
 def cubic_cfg(tmp_path):
     cfg = tmp_path / "cubic.json"

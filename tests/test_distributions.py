@@ -29,7 +29,12 @@ from padicfourier import (
     trivial_character,
     verify_stabilization,
 )
-from padicfourier.distributions import density_on_sphere
+from padicfourier.distributions import (
+    _annulus_product,
+    _pairing,
+    char_of,
+    density_on_sphere,
+)
 from padicfourier.errors import BadWindow, NumericOverflow, PoleProximity, ZeroArgument
 from padicfourier.gamma import logp_scaled
 from padicfourier.singular import SingularIntegralRequest
@@ -288,3 +293,23 @@ def test_fourier_duality():
                     assert err < 1e-12, (pi1, alpha, m, N, l, lhs, rhs)
                     worst = max(worst, err)
     assert worst > 0  # the two sides are computed on different paths
+
+
+@pytest.mark.parametrize(
+    "pi1", [trivial_character(P3), quadratic_character(P3), cubic_mod9()],
+    ids=["trivial", "quadratic", "cubic"],
+)
+def test_f_h_read_by_index_equals_the_transform_at_t(pi1):
+    # the pairing reads F[h] at t = u p^-M as the word u p^(-lam-M) of the
+    # table; it must give the very floats TestFunction.at gives, on grids
+    # that run from inside the cutoff |t|_p <= p^-lam to past it
+    f = PiAlphaLog(0.8 - 0.3j, pi1, 1)
+    units = [1, 2, 4, 5, -7, Fr(2, 5), Fr(-11, 7)]
+    for phi in (random_testfn(P3, 1, -2, seed=90), delta_indicator(P3, -1)):
+        l0 = phi.l
+        transform = fourier(_annulus_product(f, phi, char_of(f, P3), l0))
+        ts = [Fr(u) * Fr(3) ** -M for M in range(-3, 7) for u in units]
+        got = _pairing(f, phi, ts, l0)
+        for t, J in zip(ts, got):
+            want = transform.at(t) + phi.at_zero * j0_closed_form(f, l0, t, P3)
+            assert J == want, t

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from padicfourier import (
     INFINITE_VALUATION,
     Prime,
+    TestFunction,
     enumerate_cosets,
     enumerate_sphere_cosets,
     fractional_part,
@@ -18,7 +19,6 @@ from padicfourier import (
 )
 from padicfourier.errors import BadWindow, NonPadicDenominator
 from padicfourier import qp
-from padicfourier.qp import coset_index
 
 
 def random_rational(rng, p):
@@ -61,6 +61,36 @@ def test_valuation_by_squaring_matches_the_naive_loop(p, v, num, den, negative):
     u = num * p + 1  # coprime to p
     assert qp._split_power(u * p ** abs(v), p) == (abs(v), u)
 
+
+
+def naive_unit_residue(x, p, k):
+    # strip p one factor at a time from either side, then reduce mod p^k
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+    while den % p == 0:
+        den //= p
+    return num * pow(den, -1, p**k) % p**k
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(-5000, 5000),
+    st.integers(1, 10**12),
+    st.integers(1, 10**12),
+    st.booleans(),
+    st.integers(0, 6),
+)
+def test_split_matches_valuation_and_the_naive_unit_residue(p, v, num, den, negative, k):
+    x = Fr(-num if negative else num, den) * Fr(p) ** v
+    M, u = qp.split(x, Prime(p), k)
+    assert M == -valuation(x, Prime(p))
+    assert u == naive_unit_residue(x, p, k)
+
+
+def test_split_rejects_zero():
+    with pytest.raises(ZeroDivisionError):
+        qp.split(Fr(0), Prime(3), 2)
 
 def test_norm_examples():
     assert norm(Fr(3, 2), Prime(2)) == 2
@@ -189,24 +219,26 @@ def test_sphere_cosets_partition_ball_difference():
     assert not (inner & sphere)
 
 
-def test_coset_index_locates_representatives():
+def test_at_locates_coset_representatives():
+    # values[i] = i, so phi(x) is the index of x's coset in the enumeration
     rng = random.Random(5)
     for p, N, l in ((2, 2, -2), (3, 1, -1)):
         prime = Prime(p)
-        reps = enumerate_cosets(prime, N, l)
-        for i, r in enumerate(reps):
-            assert coset_index(r, prime, N, l) == i
+        phi = TestFunction(prime, N, l, range(p ** (N - l)))
+        for i, r in enumerate(enumerate_cosets(prime, N, l)):
+            assert phi.at(r) == i
             # any member of the coset maps to the same index
             shift = Fr(rng.randint(-20, 20)) * Fr(p) ** rng.randint(-l, -l + 3)
-            assert coset_index(r + shift, prime, N, l) == i
+            assert phi.at(r + shift) == i
+        assert phi.at(Fr(1, p ** (N + 1))) == 0  # outside B_N
 
 
-def test_coset_index_accepts_coprime_denominators():
+def test_at_accepts_coprime_denominators():
     prime = Prime(3)
-    # 1/2 = 2 mod 3, so 1/2 sits in the coset of 2 inside B_0/B_0... B_0/B_-1
+    # 1/2 = 2 mod 3, so 1/2 sits in the coset of 2 inside B_0/B_-1
     reps = enumerate_cosets(prime, 0, -1)
-    idx = coset_index(Fr(1, 2), prime, 0, -1)
-    assert reps[idx] == 2
+    phi = TestFunction(prime, 0, -1, range(3))
+    assert reps[int(phi.at(Fr(1, 2)).real)] == 2
 
 
 def test_word_caches_are_bounded():
