@@ -43,10 +43,9 @@ lemma -- one oracle request per sweep.
 from __future__ import annotations
 
 import cmath
-import csv
-import io
 import json
-from dataclasses import dataclass, field
+import textwrap
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import comb
 
@@ -221,25 +220,61 @@ class StabilizationReport:
     )
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(self.CSV_COLUMNS.split(","))
-        for r in self.rows:
-            floats = (r.J.real, r.J.imag, r.rhs.real, r.rhs.imag, r.abs_err)
-            w.writerow(
-                [r.M, r.t_unit, *(f"{x:.17g}" for x in floats), int(r.stabilized)]
-                + [self.s_pred_exponent, self.s_emp_exponent]
-            )
-        return out.getvalue()
+        exps = (self.s_pred_exponent, self.s_emp_exponent)
+        values = [
+            x
+            for r in self.rows
+            for x in (r.M, r.t_unit, r.J.real, r.J.imag, r.rhs.real, r.rhs.imag,
+                      r.abs_err, r.stabilized, *exps)
+        ]
+        return self.CSV_COLUMNS + "\n" + _CSV_ROW * len(self.rows) % tuple(values)
 
     def to_json(self) -> str:
         """The fields as JSON: each row as its own field dict, each complex
-        as [re, im]."""
-        rows = [
-            dict(vars(r), J=[r.J.real, r.J.imag], rhs=[r.rhs.real, r.rhs.imag])
-            for r in self.rows
+        as [re, im].  These are the bytes of json.dumps(..., sort_keys=True,
+        indent=2), written into the fixed layout that encoder gives (laid
+        out once, below) with every number from one call of the C encoder."""
+        numbers = [
+            self.N, *(self.alpha or ()), self.below_threshold_violation,
+            self.k0, self.l, self.m, self.ok, self.prime, self.s_emp_exponent,
+            self.s_pred_exponent, self.tolerance_scale,
         ]
-        return json.dumps(dict(vars(self), rows=rows), sort_keys=True, indent=2)
+        for r in self.rows:
+            numbers += (r.J.real, r.J.imag, r.M, r.abs_err, r.rhs.real,
+                        r.rhs.imag, r.stabilized, r.t_unit)
+        # no number, true, false or null holds ", ", the item separator
+        text = json.dumps(numbers)[1:-1].split(", ")
+        n = len(text) - 8 * len(self.rows)
+        N, *alpha, below, k0, l, m, ok, prime, s_emp, s_pred, tol = text[:n]
+        block = ",\n".join([_JSON_ROW] * len(self.rows)) % tuple(text[n:])
+        family, theorem, variant = map(
+            json.dumps, (self.scale_family, self.theorem, self.variant)
+        )
+        return _JSON_REPORT % (
+            N, _JSON_PAIR % tuple(alpha) if alpha else "null", below, k0, l,
+            m, ok, prime, f"[\n{block}\n  ]" if block else "[]", s_emp,
+            s_pred, family, theorem, tol, variant,
+        )
+
+
+#: one CSV row: M, t_unit, five floats, stabilized and the two exponents
+_CSV_ROW = "%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d,%d\n"
+
+def _json_layout(keys, **values) -> str:
+    # json.dumps(..., sort_keys=True, indent=2) of a dict with these keys,
+    # with %s in place of every value left None
+    layout = json.dumps(dict.fromkeys(keys) | values, sort_keys=True, indent=2)
+    return layout.replace("null", "%s")
+
+
+#: a report, a row (indented to its place in "rows") and a complex [re, im]
+#: as json.dumps(..., sort_keys=True, indent=2) lays them out
+_JSON_REPORT = _json_layout(f.name for f in fields(StabilizationReport))
+_JSON_ROW = textwrap.indent(
+    _json_layout((f.name for f in fields(ReportRow)), J=[None] * 2, rhs=[None] * 2),
+    "    ",
+)
+_JSON_PAIR = "[\n    %s,\n    %s\n  ]"
 
 
 def unit_directions(prime: Prime, count: int) -> list[int]:
@@ -274,7 +309,7 @@ def _sweep(
     grid = [(M, u) for M in range(M_min, M_max + 1) for u in units]
     rhs_values = prediction._on_grid(phi.at_zero, grid)
     p = prime.p
-    ts = [Fraction(u, p**M) if M >= 0 else Fraction(u * p**-M) for M, u in grid]
+    ts = [Fraction(u, p**M) if M >= 0 else u * p**-M for M, u in grid]
     request = SingularIntegralRequest(f, phi, ts, split_level)
     rows = []
     for (M, u), J, rhs in zip(grid, evaluate_J(request), rhs_values):

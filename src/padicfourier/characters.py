@@ -9,7 +9,8 @@ multiplicative character is pi_alpha(x) = |x|_p^{alpha-1} pi_1(x).
 
 Character values are kept as exact rational angles (meaning e^{2 pi i q})
 and only converted to floating complex at final summations, so all
-cancellation structure stays exact.
+cancellation structure stays exact.  A table's checks and its Gauss sums
+run on the integer numerators of its angles over one common denominator.
 
 The module also provides the exact one-sphere integral primitives that
 the closed-form evaluators rely on:
@@ -30,6 +31,7 @@ and takes each value |kernel| times, and 1 + p^j Z_p contains
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -106,23 +108,27 @@ class NormedMultChar:
             raise BadTable(
                 f"table keys must be exactly the units mod {p}^{self.k0}"
             )
-        if unit_values[1].angle != 0:
+        # the checks run on integer numerators a_u of the angles a_u / den
+        angles = [unit_values[u].angle for u in units]
+        den = math.lcm(mod, *(q.denominator for q in angles))
+        a = {u: q.numerator * (den // q.denominator) for u, q in zip(units, angles)}
+        if a[1]:
             raise BadTable("pi_1(1) must equal 1")
         for u in units:
             for v in units:
-                lhs = unit_values[(u * v) % mod]
-                rhs = unit_values[u] * unit_values[v]
-                if lhs.angle != rhs.angle:
+                if (a[u] + a[v] - a[u * v % mod]) % den:
                     raise NotMultiplicative(
                         f"pi_1({u}*{v}) != pi_1({u})*pi_1({v}) mod {mod}"
                     )
         j = self.k0 - 1
-        if all(unit_values[u].angle == 0 for u in units if (u - 1) % p**j == 0):
+        if all(a[u] == 0 for u in units if (u - 1) % p**j == 0):
             raise RankNotMinimal(
                 f"character is trivial on 1 + {p}^{j} Z: rank < {self.k0}"
             )
         self.unit_values = dict(unit_values)
-        self._key = (prime, self.k0, tuple(unit_values[u].angle for u in units))
+        self._key = (prime, self.k0, tuple(angles))
+        # pi_1(u) = e^(2 pi i a_u / den), as (den, ((u, a_u), ...)) in unit order
+        self._angles = (den, tuple(a.items()))
         table = np.zeros(mod, dtype=np.complex128)
         for u in units:
             table[u] = unit_values[u].to_complex()
@@ -232,15 +238,26 @@ def sphere_char_chi_integral(
     p = prime.p
     if chr_.k0 == 0:
         return complex(sphere_chi_integral(prime, gamma, t))
-    M = -qp.valuation(t, prime)  # -inf at t = 0
+    if t == 0:
+        return 0j  # chi_p == 1, and pi_1 sums to zero over every sphere
+    M, w = qp.split(t, prime, chr_.k0)  # |t|_p = p^M, unit part w
     if gamma + M != chr_.k0:
-        # chi is either constant on pi_1-cells that sum to zero (gamma+M < k0,
-        # t = 0 included) or sums to zero inside each pi_1-cell (gamma+M > k0)
+        # chi is either constant on pi_1-cells that sum to zero (gamma+M < k0)
+        # or sums to zero inside each pi_1-cell (gamma+M > k0)
         return 0j
-    mod = p**chr_.k0
-    w = qp.split(t, prime, chr_.k0)[1]
+    return gauss_sum(chr_, w) * qp.p_power(p, gamma - chr_.k0)
+
+
+def gauss_sum(chr_: NormedMultChar, w: int) -> complex:
+    """sum over the units u mod p^{k0} of pi_1(u) chi_p(u w / p^{k0}), for
+    a ramified pi_1: one root of unity per unit, in unit order, from the
+    integer numerator of its angle.  n / den is float(Fraction(n, den)),
+    so every term has the bits of RootOfUnity.to_complex."""
+    mod = chr_.prime.p ** chr_.k0
+    den, angles = chr_._angles
+    step = den // mod
     total = 0j
-    for u in _units_mod(p, chr_.k0):
-        angle = chr_.unit_values[u].angle + Fraction((u * w) % mod, mod)
-        total += RootOfUnity(angle).to_complex()
-    return total * qp.p_power(p, gamma - chr_.k0)
+    for u, a in angles:
+        n = (a + u * w % mod * step) % den
+        total += cmath.exp(2j * cmath.pi * (n / den)) if n else 1 + 0j
+    return total

@@ -80,6 +80,15 @@ def _fmt_complex(z: complex) -> str:
     return f"{_fmt(z.real)}{'+' if z.imag >= 0 else '-'}{_fmt(abs(z.imag))}i"
 
 
+def _coset_label(w: int, p: int, N: int) -> str:
+    """str(Fraction(w, p^N)), the coset representative of word w, from
+    integers: w p^-N reduced by the powers of p that w holds."""
+    if w == 0:
+        return "0"
+    v, unit = qp._split_power(w, p)
+    return str(unit * p ** (v - N)) if v >= N else f"{unit}/{p ** (N - v)}"
+
+
 def parse_rational(text) -> Fraction:
     return Fraction(str(text))  # ValueError or ZeroDivisionError otherwise
 
@@ -278,8 +287,9 @@ def _cmd_fourier(args) -> int:
     phi = build_test_function(prime, _field(cfg, "test_function", "config"))
     out = fourier(phi)
     lines = [f"# F[phi] in D^{out.l}_{out.N}(Q_{prime.p})", "coset,re,im"]
-    for rep, v in zip(qp.enumerate_cosets(prime, out.N, out.l), out.values):
-        lines.append(f"{rep},{_fmt(v.real)},{_fmt(v.imag)}")
+    values = zip(out.values.real.tolist(), out.values.imag.tolist())
+    for w, (re, im) in enumerate(values):
+        lines.append("%s,%.17g,%.17g" % (_coset_label(w, prime.p, out.N), re, im))
     _write_output("\n".join(lines), args.out)
     return EXIT_OK
 

@@ -44,7 +44,10 @@ f chi_p over B_{l0}:
 
 A batch splits each t once, t = u p^-M with |t|_p = p^M (``qp.split``);
 F[h] is read off its table at a word of u, and J0 is keyed by
-(|t|_p, u mod p^k0).  J does not depend on l0; a level outside [l, N] is
+(|t|_p, u mod p^k0): one ``j0_closed_form`` call takes every key of the
+batch and does the work that depends on neither (the pole check, the
+1 - p^-alpha jet, the PLog S_{m-1}(l0)) once, in ints and floats, with
+one Gauss sum per residue.  J does not depend on l0; a level outside [l, N] is
 evaluated at the nearest end, so the table never exceeds
 p^(N-l+max(k0,1)-1) entries.
 
@@ -72,14 +75,9 @@ from math import comb
 import numpy as np
 
 from . import qp
-from .characters import (
-    NormedMultChar,
-    eval_pi1,
-    sphere_char_chi_integral,
-    trivial_character,
-)
+from .characters import NormedMultChar, eval_pi1, gauss_sum, trivial_character
 from .errors import BadWindow, NumericOverflow, ZeroArgument
-from .gamma import ball_norm_power_jet, faulhaber_sum, logp_scaled
+from .gamma import ball_norm_power_jets, faulhaber_coeffs, faulhaber_sum
 from .jets import p_power_jet
 from .qp import Prime, Rational
 from .testfn import TestFunction, dilate, fourier
@@ -159,47 +157,100 @@ def char_of(f: QahDistribution, prime: Prime) -> NormedMultChar:
 
 
 def j0_closed_form(
-    f: QahDistribution, l0: int, t: Rational | None, prime: Prime
-) -> complex:
+    f: QahDistribution,
+    l0: int,
+    t: Rational | list[tuple[int, int]] | None,
+    prime: Prime,
+) -> complex | np.ndarray:
     """The continued integral of f(x) chi_p(xt) over B_{l0} (for the PLog
     family: of the chi_p(xt) - 1 variant, plus the pinning correction), in
-    closed form.  t = None means chi_p == 1; at l0 = 0 that is I_0."""
-    k = max(f.pi1.k0, 1) if isinstance(f, PiAlphaLog) else 0
-    if t is not None:
-        if t == 0:
-            raise ZeroArgument("j0_closed_form requires t != 0")
-        m_exp, u = qp.split(t, prime, k)  # |t|_p = p^m_exp, unit part u
-    near = t is None or m_exp <= -l0  # chi_p == 1 on all of B_{l0}
-    p = prime.p
+    closed form.  t = None means chi_p == 1; at l0 = 0 that is I_0.
 
+    t may also be a list of points (M, u) with t = u p^-M, as ``qp.split``
+    gives them (u known modulo p^k0 at least); that gives an array of one
+    J0 per point, with the pole check, the 1 - p^-alpha jet and the PLog
+    S_{m-1}(l0) computed once for all of them and no t split again."""
+    if isinstance(t, list):
+        return np.array(_j0_on_points(f, l0, t, prime), dtype=np.complex128)
+    if t is None:
+        point = (-l0, 1)  # chi_p == 1 on B_l0, as at any |t|_p <= p^-l0
+    elif t == 0:
+        raise ZeroArgument("j0_closed_form requires t != 0")
+    else:
+        k = max(f.pi1.k0, 1) if isinstance(f, PiAlphaLog) else 0
+        point = qp.split(t, prime, k)  # |t|_p = p^M, unit part u
+    return _j0_on_points(f, l0, [point], prime)[0]
+
+
+def _j0_on_points(
+    f: QahDistribution, l0: int, points: list[tuple[int, int]], prime: Prime
+) -> list[complex]:
+    p = prime.p
+    values = []
     if isinstance(f, PLog):
+        # exact rationals over one denominator p * den, S_{m-1} = S / den;
+        # an int quotient rounds as float(Fraction) does
         s = f.m - 1
-        value = 0
-        if not near:
-            value = -Fraction(1, p) * (1 - m_exp) ** s - (1 - Fraction(1, p)) * (
-                faulhaber_sum(s, l0) - faulhaber_sum(s, -m_exp)
-            )
-        pinning = (1 - Fraction(1, p)) * faulhaber_sum(s, l0) if l0 else 0
-        return complex(value) + complex(pinning)
+        coeffs = faulhaber_coeffs(s)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in coeffs]
+
+        def S(n):
+            return sum(c * n**i for i, c in enumerate(ints))
+
+        S_l0 = S(l0)
+        pinning = complex((p - 1) * S_l0 / (p * den))
+        for M, _ in points:
+            value = 0  # M <= -l0: chi_p == 1 on all of B_l0
+            if M > -l0:
+                value = (-((1 - M) ** s) * den - (p - 1) * (S_l0 - S(-M))) / (p * den)
+            values.append(complex(value) + pinning)
+        return values
 
     if not isinstance(f, PiAlphaLog):
         raise TypeError(f"no J0 closed form for {f!r}")
 
     # the ball tail B_min(l0, -M), where chi_p == 1 and a ramified pi_1
-    # integrates to zero (ball_norm_power_jet checks the pole)
-    value = 0j
-    if f.pi1.is_trivial():
-        jet = ball_norm_power_jet(prime, l0 if near else -m_exp, f.alpha, f.m)
-        value = logp_scaled(jet, p).coeffs[f.m]
+    # integrates to zero (ball_norm_power_jets checks the pole); entry m
+    # of the jet times (log_p e)^m, as logp_scaled has it
+    chr_, alpha, m = f.pi1, f.alpha, f.m
+    k = max(chr_.k0, 1)
+    if chr_.is_trivial():
+        ball = ball_norm_power_jets(prime, alpha, m)
+        logp_e_m = (1.0 / math.log(p)) ** m
+
+        def tail(g):
+            return ball(g).coeffs[m] * logp_e_m
+
     # plus the one resonant sphere |xt|_p = p^k if it lies in B_l0; every
     # other sphere is an exact zero.  x = y p^M makes it one guarded power
     # p^(alpha gamma - k), which a deep t underflows where p^((alpha-1) gamma)
-    # alone would overflow; the sphere integral reads t's unit part mod p^k
-    if not near and k - m_exp <= l0:
-        gamma = k - m_exp
-        power = p_power_jet(p, gamma, f.alpha, 0).value * qp.p_power(p, -k)
-        value += gamma**f.m * power * sphere_char_chi_integral(f.pi1, k, u)
-    return value
+    # alone would overflow, times the integral over S_k of pi_1(y) chi_p(yu):
+    # -1 for trivial pi_1, else a Gauss sum at u mod p^k0
+    # (chi_p == 1 on all of B_l0 at the near points M <= -l0, where J0 does
+    # not depend on t: it is computed once, at the first of them)
+    scale = qp.p_power(p, -k)
+    near, sphere = None, {}
+    for M, u in points:
+        if M <= -l0:
+            if near is None:
+                near = tail(l0) if chr_.is_trivial() else 0j
+            values.append(near)
+            continue
+        value = tail(-M) if chr_.is_trivial() else 0j
+        if k - M <= l0:
+            gamma = k - M
+            power = p_power_jet(p, gamma, alpha, 0).value * scale
+            w = u % p**chr_.k0
+            if w not in sphere:
+                sphere[w] = (
+                    -1 + 0j
+                    if chr_.is_trivial()
+                    else gauss_sum(chr_, w) * qp.p_power(p, k - chr_.k0)
+                )
+            value += gamma**m * power * sphere[w]
+        values.append(value)
+    return values
 
 
 def _annulus_product(
@@ -251,14 +302,10 @@ def _pairing(
         for i, (M, u) in enumerate(grid):
             if M <= -lam:
                 split[i] = table[u * pow(p, -lam - M, mod) % mod]
-    j0 = {}
-    values = []
-    for s, t, (M, u) in zip(split, ts, grid):
-        key = (M, u % p**chr_.k0)
-        if key not in j0:
-            j0[key] = j0_closed_form(f, l0, t, prime)
-        values.append(complex(s) + phi.at_zero * j0[key])
-    return values
+    keys = [(M, u % p**chr_.k0) for M, u in grid]
+    points = list(dict.fromkeys(keys))
+    j0 = dict(zip(points, j0_closed_form(f, l0, points, prime).tolist()))
+    return [complex(s) + phi.at_zero * j0[key] for s, key in zip(split, keys)]
 
 
 def apply(f: QahDistribution, phi: TestFunction) -> complex:

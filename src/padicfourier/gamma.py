@@ -66,10 +66,17 @@ def gamma_p(prime: Prime, alpha: complex, order: int = 0) -> Jet:
 def ball_norm_power_jet(prime: Prime, lam: int, alpha: complex, order: int) -> Jet:
     """Jet of the continued integral over B_lam of |x|^{alpha-1} dx,
     i.e. (1 - 1/p) p^{lam*alpha} / (1 - p^{-alpha})."""
+    return ball_norm_power_jets(prime, alpha, order)(lam)
+
+
+def ball_norm_power_jets(prime: Prime, alpha: complex, order: int):
+    """lam |-> ball_norm_power_jet(prime, lam, alpha, order), with the pole
+    check and the 1 - p^{-alpha} jet done once for every lam."""
     check_pole(prime, alpha)
     p = prime.p
     den = Jet.constant(1, order) - p_power_jet(p, -1, alpha, order)
-    return (p_power_jet(p, lam, alpha, order) / den).scale(1 - Fraction(1, p))
+    # (p - 1) / p is float(1 - Fraction(1, p)): both round the same rational
+    return lambda lam: (p_power_jet(p, lam, alpha, order) / den).scale((p - 1) / p)
 
 
 def logp_scaled(jet: Jet, p: int) -> Jet:

@@ -86,13 +86,14 @@ def norm(x: Rational, prime: Prime) -> Fraction:
 
 def split(x: Rational, prime: Prime, k: int) -> tuple[int, int]:
     """(M, u mod p^k) for x = u p^-M with u a unit (x != 0), so that
-    |x|_p = p^M."""
-    x = Fraction(x)
-    if x == 0:
+    |x|_p = p^M.  An int or a Fraction is read as it is."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    num, den = x.numerator, x.denominator
+    if num == 0:
         raise ZeroDivisionError("zero has no unit part")
     p = prime.p
-    v, num = _split_power(x.numerator, p)
-    den = x.denominator
+    v, num = _split_power(num, p)
     if not v:  # reduced fraction: at most one side holds powers of p
         v, den = _split_power(den, p)
         v = -v

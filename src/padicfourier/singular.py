@@ -32,8 +32,12 @@ from .distributions import (
 )
 from .errors import BadWindow, ZeroArgument
 from .gamma import ball_norm_power_jet, faulhaber_sum, logp_scaled
-from .qp import Prime
+from .qp import Prime, Rational
 from .testfn import TestFunction
+
+
+def _rational(t) -> Rational:
+    return t if isinstance(t, (int, Fraction)) else Fraction(t)
 
 
 @dataclass(frozen=True)
@@ -43,14 +47,14 @@ class SingularIntegralRequest:
 
     f: QahDistribution
     phi: TestFunction
-    t: Fraction | tuple[Fraction, ...]
+    t: Rational | tuple[Rational, ...]
     split_level: int | None = None
 
     def __post_init__(self):
         if isinstance(self.t, (tuple, list)):
-            object.__setattr__(self, "t", tuple(Fraction(t) for t in self.t))
+            object.__setattr__(self, "t", tuple(map(_rational, self.t)))
         else:
-            object.__setattr__(self, "t", Fraction(self.t))
+            object.__setattr__(self, "t", _rational(self.t))
         if not self.points():
             raise ZeroArgument("a batch of points needs at least one t")
         if 0 in self.points():
@@ -61,7 +65,7 @@ class SingularIntegralRequest:
                 f"split level l0 = {l0} exceeds support N = {self.phi.N}"
             )
 
-    def points(self) -> tuple[Fraction, ...]:
+    def points(self) -> tuple[Rational, ...]:
         return self.t if isinstance(self.t, tuple) else (self.t,)
 
     def level(self) -> int:

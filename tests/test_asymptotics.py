@@ -1,6 +1,8 @@
 """Theorem right-hand sides, the stabilization verifier, Erdelyi check."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import random
@@ -40,7 +42,7 @@ from padicfourier import (
 )
 from padicfourier import asymptotics, distributions
 from padicfourier import gamma as gamma_module
-from padicfourier.asymptotics import theorem_family, unit_directions
+from padicfourier.asymptotics import ReportRow, theorem_family, unit_directions
 from padicfourier.cli import run
 from padicfourier.errors import (
     BadAlpha,
@@ -477,17 +479,116 @@ def test_j0_once_per_norm_sphere(monkeypatch):
         calls.append(args)
         return real(*args)
 
+    # one call per sweep, with one point per norm sphere
     monkeypatch.setattr(distributions, "j0_closed_form", counting)
     phi = random_testfn(P2, 1, -1, seed=84)
     rep = verify_stabilization(PiAlphaLog(1.5, trivial_character(P2), 1), phi, -2, 5, 3)
-    assert len(rep.rows) == 24 and len(calls) == 8
+    assert len(rep.rows) == 24 and len(calls) == 1 and len(calls[0][2]) == 8
     # ramified J0 depends on the direction of t only through u mod p^k0:
-    # units 1, 2, 4 are two residues mod 3, so one call per (sphere, residue)
+    # units 1, 2, 4 are two residues mod 3, so one point per (sphere, residue)
     calls.clear()
     phi = random_testfn(P3, 1, -1, seed=85)
     f = PiAlphaLog(1.5, quadratic_character(P3), 0)
     rep = verify_stabilization(f, phi, -2, 5, 3)
-    assert len(rep.rows) == 24 and len(calls) == 16
+    assert len(rep.rows) == 24 and len(calls) == 1 and len(calls[0][2]) == 16
+
+
+def test_each_t_is_split_once(monkeypatch):
+    # the pairing core splits every t of a sweep once; J0 and the sphere
+    # integrals read the (M, u) it hands them and split nothing again
+    from padicfourier import characters, qp, singular
+
+    splits, stack = [], []
+    real_split = qp.split
+
+    def counting_split(x, prime, k):
+        splits.append((x, tuple(stack)))
+        return real_split(x, prime, k)
+
+    def tracked(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            stack.append(name)
+            try:
+                return real(*args)
+            finally:
+                stack.pop()
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    monkeypatch.setattr(qp, "split", counting_split)
+    tracked(singular, "_pairing")
+    tracked(distributions, "j0_closed_form")
+    tracked(characters, "sphere_char_chi_integral")
+    tracked(gamma_module, "sphere_char_chi_integral")
+    phi = random_testfn(P3, 1, -1, seed=91)
+    for f in (
+        PiAlphaLog(1.3 + 0.2j, trivial_character(P3), 2),
+        PiAlphaLog(1.5, quadratic_character(P3), 1),
+        PiAlphaLog(0.7 + 0.3j, cubic_mod9(), 2),
+        PLog(2),
+    ):
+        splits.clear()
+        rep = verify_stabilization(f, phi, -2, 6, 3, strict=False)
+        core = [(x, where) for x, where in splits if "_pairing" in where]
+        assert all(where == ("_pairing",) for _, where in core), f
+        ts = [x for x, _ in core]
+        assert len(ts) == len(set(ts)) == len(rep.rows), f
+        assert not [x for x, where in splits if "j0_closed_form" in where], f
+
+
+def reference_csv(report):
+    # the csv.writer layout the report format pins
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(report.CSV_COLUMNS.split(","))
+    for r in report.rows:
+        floats = (r.J.real, r.J.imag, r.rhs.real, r.rhs.imag, r.abs_err)
+        w.writerow(
+            [r.M, r.t_unit, *(f"{x:.17g}" for x in floats), int(r.stabilized)]
+            + [report.s_pred_exponent, report.s_emp_exponent]
+        )
+    return out.getvalue()
+
+
+def reference_json(report):
+    rows = [
+        dict(vars(r), J=[r.J.real, r.J.imag], rhs=[r.rhs.real, r.rhs.imag])
+        for r in report.rows
+    ]
+    return json.dumps(dict(vars(report), rows=rows), sort_keys=True, indent=2)
+
+
+def test_report_text_is_the_encoders_text():
+    phi = random_testfn(P3, 1, -1, seed=92)
+    reports = [
+        verify_stabilization(f, phi, -2, 5, strict=False)
+        for f in (
+            PiAlphaLog(1.3 + 0.2j, trivial_character(P3), 2),
+            PiAlphaLog(1.5, quadratic_character(P3), 1),
+            PiAlphaLog(0.5 - 0.3j, rank2_character(P3), 0),
+            PLog(3),
+            DiracDelta(),
+        )
+    ]
+    reports.append(erdelyi_check(0.8, quadratic_character(P3), 1, phi, 2, 4, strict=False))
+    nan, inf = math.nan, math.inf
+    odd_rows = [
+        ReportRow(-3, 1, complex(nan, inf), complex(-inf, -0.0), nan, False),
+        ReportRow(0, 2, complex(-0.0, 1e-300), complex(inf, nan), inf, True),
+        ReportRow(7, 4, 0j, complex(5e-324, -1.7976931348623157e308), 0.0, False),
+    ]
+    reports.append(dataclasses.replace(reports[0], rows=odd_rows))
+    reports.append(dataclasses.replace(reports[1], rows=[]))
+    for rep in reports:
+        for below in (None, True, False):
+            for alpha in (None, rep.alpha, (nan, -inf)):
+                case = dataclasses.replace(
+                    rep, below_threshold_violation=below, alpha=alpha
+                )
+                assert case.to_json() == reference_json(case)
+                assert case.to_csv() == reference_csv(case)
 
 
 def rank2_character(prime):

@@ -18,6 +18,7 @@ from padicfourier import (
     trivial_character,
 )
 from padicfourier.characters import (
+    gauss_sum,
     sphere_char_chi_integral,
     sphere_chi_integral,
 )
@@ -100,6 +101,80 @@ def test_table_character_validation_errors():
     with pytest.raises(RankNotMinimal):
         # trivial on all of (Z/9)^*, so on 1 + 3Z as well
         table_character(P3, 2, {u: Fr(0) for u in (1, 2, 4, 5, 7, 8)})
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ((P3, 1, {1: Fr(0)}), BadTable, "table keys must be exactly the units mod 3^1"),
+        ((P3, 1, {1: Fr(1, 2), 2: Fr(0)}), BadTable, "pi_1(1) must equal 1"),
+        (
+            (P5, 1, {1: Fr(0), 2: Fr(1, 2), 3: Fr(1, 2), 4: Fr(1, 2)}),
+            NotMultiplicative,
+            "pi_1(2*2) != pi_1(2)*pi_1(2) mod 5",
+        ),
+        (
+            (P5, 1, {1: Fr(0), 2: Fr(1, 4), 3: Fr(3, 4), 4: Fr(1, 3)}),
+            NotMultiplicative,
+            "pi_1(2*2) != pi_1(2)*pi_1(2) mod 5",
+        ),
+        (
+            (P3, 2, {1: Fr(0), 2: Fr(1, 3), 4: Fr(2, 3), 5: Fr(1, 2), 7: Fr(0), 8: Fr(0)}),
+            NotMultiplicative,
+            "pi_1(2*5) != pi_1(2)*pi_1(5) mod 9",
+        ),
+        (
+            (P3, 2, {1: Fr(0), 2: Fr(1, 2), 4: Fr(0), 5: Fr(1, 2), 7: Fr(0), 8: Fr(1, 2)}),
+            RankNotMinimal,
+            "character is trivial on 1 + 3^1 Z: rank < 2",
+        ),
+    ],
+)
+def test_table_validation_messages(args, error, message):
+    # the checks run on integer angle numerators; the first failing pair
+    # and the wording are those of the RootOfUnity product checks
+    with pytest.raises(error) as exc:
+        table_character(*args)
+    assert str(exc.value) == message
+
+
+def primitive_table(prime, k0, a=1):
+    """pi_1(g^j) = e^(2 pi i a j / phi(p^k0)) for a generator g of (Z/p^k0)^*."""
+    p = prime.p
+    mod = p**k0
+    order = mod - mod // p
+    g = next(
+        g for g in range(2, mod)
+        if g % p and len({pow(g, j, mod) for j in range(order)}) == order
+    )
+    return table_character(
+        prime, k0, {pow(g, j, mod): Fr(a * j, order) for j in range(order)}
+    )
+
+
+def root_of_unity_gauss_sum(chr_, w):
+    # the Fraction / RootOfUnity loop that gauss_sum replaces
+    mod = chr_.prime.p ** chr_.k0
+    total = 0j
+    for u in sorted(chr_.unit_values):
+        angle = chr_.unit_values[u].angle + Fr((u * w) % mod, mod)
+        total += RootOfUnity(angle).to_complex()
+    return total
+
+
+def test_gauss_sum_keeps_the_root_of_unity_bits():
+    chars = [quadratic_character(Prime(p)) for p in (3, 5, 7)] + [
+        cubic_mod9(),
+        primitive_table(P3, 2),
+        primitive_table(P5, 2, a=3),
+    ]
+    for chr_ in chars:
+        for w in range(chr_.prime.p ** chr_.k0):
+            got, want = gauss_sum(chr_, w), root_of_unity_gauss_sum(chr_, w)
+            assert (got.real.hex(), got.imag.hex()) == (
+                want.real.hex(),
+                want.imag.hex(),
+            ), (chr_, w)
 
 
 def balanced_image_size(angles):

@@ -2,12 +2,15 @@
 
 import argparse
 import copy
+import hashlib
 import json
 import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from padicfourier import Prime, enumerate_cosets, fourier, random_testfn
 from padicfourier.cli import MAX_GRID_EXPONENT, MAX_GRID_ROWS, MAX_JET_ORDER, run
 
 POWER_CFG = {
@@ -166,6 +169,54 @@ def test_verify_json_layout_is_pinned(tmp_path, capsys):
     assert capsys.readouterr().out == DELTA_JSON
 
 
+CUBIC_CFG = {
+    "prime": 3,
+    "distribution": {
+        "variant": "pi-alpha-log",
+        "alpha": {"re": 0.8, "im": 0.5},
+        "m": 2,
+        "character": {
+            "kind": "table",
+            "modulus_exponent": 2,
+            "values": {"1": "0", "2": "2/3", "4": "1/3", "5": "1/3", "7": "2/3", "8": "0"},
+        },
+    },
+    "test_function": {
+        "kind": "table",
+        "N": 1,
+        "l": -1,
+        "values": [[0.5 * k, 1.0 - 0.25 * k] for k in range(9)],
+    },
+    "t_grid": {"M_min": -1, "M_max": 5, "units_per_sphere": 4},
+}
+
+#: sha256 of the report files of ``verify`` / ``erdelyi``, pinned from the
+#: Fraction-per-row implementation; every row's floats, their formatting
+#: and the JSON layout must keep these bytes (PLog has no Erdelyi check)
+PINNED_REPORTS = {
+    ("ramified", "verify", "csv"): "e329bb6b3ff523f00a3ad8c50c575402bcc5216ca36b5b01bf0d06d6809bf51a",
+    ("ramified", "verify", "json"): "f4a3cbc3a81d437117ed48b66c8eafcac3c4c0015a7cd6413c9a66fdb6faf74a",
+    ("ramified", "erdelyi", "csv"): "5158ba08582fbc2f8c145a5e16dfa76b78d425367fb2f4176241ed3b75445124",
+    ("ramified", "erdelyi", "json"): "a2073c4884f758650df3d64cc918082434b176f465b77baef28c38822058b215",
+    ("cubic", "verify", "csv"): "85139df29169b721d39fed8b659804ad713a865e4b836777c29c04a84ae76a34",
+    ("cubic", "verify", "json"): "15d9d00b58cd2c64b4c51ecd6bbff7d953a7455d922514dd3b1297c591f13dc4",
+    ("cubic", "erdelyi", "csv"): "7866c9982169a99d5183bb47efcb0a10b80078dca56225fff18c0ee239ecf0e9",
+    ("cubic", "erdelyi", "json"): "93d50b4683fd1db8983d6601ec4c5b86d7c9777d981e04562fa17fefe376828a",
+    ("plog", "verify", "csv"): "6233b1cb2894aa0fd39e8d7a21a0d9b0596742762d99abf9a69037e7ec212e30",
+    ("plog", "verify", "json"): "4f29e7c15ac230cc846cce503ce1c2422f69a74530d4f372a297a60794a5c00f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_REPORTS), ids="-".join)
+def test_report_bytes_are_pinned(tmp_path, case):
+    name, command, fmt = case
+    cfg = {"ramified": RAMIFIED_CFG, "cubic": CUBIC_CFG, "plog": PLOG_CFG}[name]
+    out = tmp_path / f"report.{fmt}"
+    argv = [command, "--config", write_cfg(tmp_path, cfg), "--format", fmt]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_REPORTS[case]
+
+
 def test_run_builds_no_parser(monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
@@ -290,6 +341,26 @@ def test_eval_dist_and_fourier_subcommands(tmp_path, capsys):
     rows = (line.split(",") for line in lines[2:])
     values = [complex(float(re), float(im)) for _, re, im in rows]
     assert abs(values[0] - 32) < 1e-12 and max(map(abs, values[1:])) < 1e-12
+
+
+def test_fourier_rows_are_the_coset_fractions(tmp_path, capsys):
+    # each row is the coset representative as str(Fraction), then re, im
+    for p in (2, 3, 5, 7):
+        prime = Prime(p)
+        for N in range(-3, 5):
+            for width in range(4):
+                phi = random_testfn(prime, N, N - width, seed=100 * p + 10 * N + width)
+                cfg = {"prime": p, "test_function": {
+                    "kind": "table", "N": N, "l": N - width,
+                    "values": [[z.real, z.imag] for z in phi.values.tolist()],
+                }}
+                assert run(["fourier", "--config", write_cfg(tmp_path, cfg)]) == 0
+                F = fourier(phi)
+                want = [
+                    f"{rep},{v.real:.17g},{v.imag:.17g}"
+                    for rep, v in zip(enumerate_cosets(prime, F.N, F.l), F.values)
+                ]
+                assert capsys.readouterr().out.splitlines()[2:] == want, (p, N, width)
 
 
 def test_erdelyi_subcommand(tmp_path, capsys):

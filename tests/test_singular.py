@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from padicfourier import (
     DiracDelta,
+    Jet,
     PiAlphaLog,
     PLog,
     Prime,
@@ -21,9 +22,11 @@ from padicfourier import (
     delta_indicator,
     enumerate_sphere_cosets,
     eval_pi1,
+    faulhaber_sum,
     fourier,
     gamma_p,
     j0_closed_form,
+    p_power_jet,
     quadratic_character,
     random_testfn,
     singular_fourier,
@@ -31,7 +34,10 @@ from padicfourier import (
     trivial_character,
     valuation,
 )
+from padicfourier import qp
+from padicfourier.characters import sphere_char_chi_integral
 from padicfourier.distributions import density_on_sphere
+from padicfourier.gamma import logp_scaled
 from padicfourier.errors import BadWindow, PoleProximity, ZeroArgument
 from padicfourier.singular import _oracle_tail, _roots
 
@@ -170,6 +176,64 @@ def test_j0_near_branch_with_log_weight():
     # integral over B_0 of |x| log_2|x| dx = -2/9 (hand geometric series)
     f = PiAlphaLog(2, trivial_character(P2), 1)
     assert j0_closed_form(f, 0, Fr(1), P2) == pytest.approx(-2 / 9)
+
+
+def fraction_j0(f, l0, t, prime):
+    # J0 as one call per t computed it, with Fraction constants, one jet
+    # division per call and the sphere integral at t's unit part: the
+    # reference the batched j0_closed_form must match bit for bit
+    k = max(f.pi1.k0, 1) if isinstance(f, PiAlphaLog) else 0
+    if t is not None:
+        M, u = qp.split(t, prime, k)
+    near = t is None or M <= -l0
+    p = prime.p
+    if isinstance(f, PLog):
+        s, value = f.m - 1, 0
+        if not near:
+            value = -Fr(1, p) * (1 - M) ** s - (1 - Fr(1, p)) * (
+                faulhaber_sum(s, l0) - faulhaber_sum(s, -M)
+            )
+        pinning = (1 - Fr(1, p)) * faulhaber_sum(s, l0) if l0 else 0
+        return complex(value) + complex(pinning)
+    value = 0j
+    if f.pi1.is_trivial():
+        den = Jet.constant(1, f.m) - p_power_jet(p, -1, f.alpha, f.m)
+        lam = l0 if near else -M
+        jet = (p_power_jet(p, lam, f.alpha, f.m) / den).scale(1 - Fr(1, p))
+        value = logp_scaled(jet, p).coeffs[f.m]
+    if not near and k - M <= l0:
+        power = p_power_jet(p, k - M, f.alpha, 0).value * qp.p_power(p, -k)
+        value += (k - M) ** f.m * power * sphere_char_chi_integral(f.pi1, k, u)
+    return value
+
+
+def test_j0_keeps_the_bits_of_the_fraction_closed_form():
+    def bits(z):
+        return complex(z).real.hex(), complex(z).imag.hex()
+
+    cases = [(PLog(m), P3) for m in (1, 2, 4)] + [(PLog(3), P2)]
+    cases += [(PiAlphaLog(1.3 - 0.4j, trivial_character(P2), m), P2) for m in (0, 2)]
+    cases += [
+        (PiAlphaLog(0.7 + 0.2j, quadratic_character(P5), 1), P5),
+        (PiAlphaLog(1.5, quadratic_character(P3), 0), P3),
+        (PiAlphaLog(0.8 + 0.5j, cubic_mod9(), 2), P3),
+    ]
+    for f, prime in cases:
+        p = prime.p
+        ts = [Fr(u, 1) * Fr(p) ** -M for M in range(-4, 7) for u in (1, 2 * p - 1, -1)]
+        k0 = f.pi1.k0 if isinstance(f, PiAlphaLog) else 0
+        points = [qp.split(t, prime, max(k0, 1)) for t in ts]
+        for l0 in (-2, 0, 1, 3):
+            want = [fraction_j0(f, l0, t, prime) for t in ts]
+            assert [bits(j0_closed_form(f, l0, t, prime)) for t in ts] == [
+                bits(w) for w in want
+            ], (f, l0)
+            assert list(map(bits, j0_closed_form(f, l0, points, prime))) == [
+                bits(w) for w in want
+            ], (f, l0)
+            assert bits(j0_closed_form(f, l0, None, prime)) == bits(
+                fraction_j0(f, l0, None, prime)
+            )
 
 
 def test_vanishing_lemmas_exact():
