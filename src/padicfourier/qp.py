@@ -119,13 +119,22 @@ def fractional_part(x: Rational, prime: Prime) -> Fraction:
     return Fraction(x.numerator % den, den)
 
 
+#: the most words one coset or sphere enumeration may hold
+MAX_WORDS = 1 << 24
+
+
+def check_word_count(p: int, n: int) -> None:
+    """BadWindow unless the p^n digit words of length n fit in MAX_WORDS."""
+    if p**n > MAX_WORDS:
+        raise BadWindow(f"coset enumeration too large: {p}^{n} words")
+
+
 # both word caches are bounded: one entry can reach 2^24 words (128 MiB),
 # and an oracle sweep touches a few dozen (p, n) keys
 @lru_cache(maxsize=64)
 def _coset_words(p: int, n: int) -> np.ndarray:
     # all digit words of length n, as integers 0 .. p^n - 1
-    if p**n > 1 << 24:
-        raise BadWindow(f"coset enumeration too large: {p}^{n} words")
+    check_word_count(p, n)
     return np.arange(p**n, dtype=np.int64)
 
 

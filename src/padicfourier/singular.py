@@ -9,7 +9,11 @@ its own plain value-times-chi_p-times-measure summation over refined
 cells on every sphere down to an analytic-tail boundary, plus the
 geometric-jet tail, with no split, no closed-form branches and no shared
 sphere kernel.  Each cell's chi_p(ct) is a root of unity read off one
-table of p^E-th roots per t, not one complex exp per cell.
+table of p^E-th roots per norm sphere |t|_p, not one complex exp per
+cell.  The cell values, phi (minus phi(0) for PLog) times pi_1, are
+computed once per sphere S_g, as one row over the low digits they read,
+and shared by every t of that norm; each t still adds one term per cell
+in word order.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import qp
-from .characters import NormedMultChar, sphere_chi_integral
+from .characters import sphere_chi_integral
 from .distributions import (
     DiracDelta,
     PLog,
@@ -79,6 +83,11 @@ def singular_fourier(req: SingularIntegralRequest) -> complex | list[complex]:
     return values if isinstance(req.t, tuple) else values[0]
 
 
+#: a root table holds p^E <= qp.MAX_WORDS = 2^24 roots, so E <= 24 at any p
+#: and u mod p^24 holds every residue a table reads
+_MAX_E = qp.MAX_WORDS.bit_length() - 1
+
+
 def brute_force_oracle(
     req: SingularIntegralRequest, refine: int = 0
 ) -> complex | list[complex]:
@@ -87,83 +96,100 @@ def brute_force_oracle(
     plus the closed-form tail below it (geometric jet for trivial pi_1,
     exact zero for ramified, finite power sum for PLog).  It shares no
     sphere kernel with ``singular_fourier``.  A tuple of t gives a list,
-    one J per t."""
+    one J per t; the points of one norm share everything but chi_p."""
     if refine < 0:
         raise ValueError(f"refine must be >= 0, got {refine}")
-    values = [_oracle_at(req.f, req.phi, t, refine) for t in req.points()]
-    return values if isinstance(req.t, tuple) else values[0]
-
-
-def _oracle_at(
-    f: QahDistribution, phi: TestFunction, t: Fraction, refine: int
-) -> complex:
-    prime = phi.prime
+    f, phi, points = req.f, req.phi, req.points()
     if isinstance(f, DiracDelta):
-        return phi.at(0)
-    p, l = prime.p, phi.l
-    m_exp = -qp.valuation(t, prime)
-    gamma_star = min(-m_exp, l) - refine
+        values = [phi.at(0)] * len(points)
+        return values if isinstance(req.t, tuple) else values[0]
+    prime, l = phi.prime, phi.l
+    p = prime.p
     chr_ = char_of(f, prime)
+    k0 = chr_.k0
     is_plog = isinstance(f, PLog)
     # the PLog regularization subtracts phi(0) over all of B_0, so its
     # sphere sums run to S_0 even when phi's support stops below it
     top = max(phi.N, 0) if is_plog else phi.N
-    # on a cell c = w p^-g, chi_p(ct) = e^(2 pi i w u / p^(g+m)) with u the
-    # unit part of t: with E = top + m that is roots[w u p^(top-g) mod p^E],
-    # one table for every sphere.  The top sphere's words run to
-    # p^(top-lam) >= p^E, which the enumeration caps at 2^24; past that no
-    # table is built, as the top sphere raises BadWindow before any sum
-    # is returned
-    E = top + m_exp
-    roots, u, mod = None, 0, 1
-    if 0 < E and p**E <= 1 << 24:
-        mod = p**E
-        roots = _roots(p, E)
-        u = qp.split(t, prime, E)[1]
-    total = 0j
-    for g in range(gamma_star + 1, top + 1):
-        lam = min(l, -m_exp, g - max(chr_.k0, 1)) - refine
-        subtract = is_plog and g <= 0
-        step = u * pow(p, top - g, mod) % mod
-        cell = _refined_cell_sum(phi, chr_, g, lam, subtract, roots, step)
-        if subtract:
+    # t = u p^-M, split once; the points of one norm p^M, in first-seen order
+    norms: dict[int, list[tuple[int, int]]] = {}
+    for i, t in enumerate(points):
+        M, u = qp.split(t, prime, _MAX_E)
+        norms.setdefault(M, []).append((i, u))
+    # every sphere of every norm is checked (word count, cell measure p^lam,
+    # density) and every tail evaluated, in the order a per-t evaluation
+    # meets them, before any cell is summed: an oversize or overflowing
+    # request raises before it enumerates
+    plans = []
+    for M, members in norms.items():
+        gamma_star = min(-M, l) - refine
+        spheres = []
+        for g in range(gamma_star + 1, top + 1):
+            lam = min(l, -M, g - max(k0, 1)) - refine
+            n = g - lam  # digits per cell word
+            qp.check_word_count(p, n)
+            measure = qp.p_power(p, lam)
             # interior PLog integrand is phi*chi - phi(0), i.e. the
             # (phi - phi(0))*chi cells plus phi(0)*(chi - 1)
-            cell += phi.at_zero * float(
-                sphere_chi_integral(prime, g, t) - sphere_chi_integral(prime, g, 0)
-            )
-        total += density_on_sphere(f, prime, g) * cell
-    total += phi.at_zero * _oracle_tail(f, prime, gamma_star)
-    return total
-
-
-def _refined_cell_sum(
-    phi: TestFunction,
-    chr_: NormedMultChar,
-    gamma: int,
-    lam: int,
-    subtract_phi0: bool,
-    roots: np.ndarray | None,
-    step: int,
-) -> complex:
-    # the oracle's own sphere sum: value x chi_p(ct) x measure on every cell
-    # c = w p^-gamma of B_lam in S_gamma, chi_p(ct) = roots[w step mod p^E]
-    # (step = 0: chi_p == 1 on S_gamma); lam <= -log_p|t|_p, so chi_p(xt)
-    # is constant on every cell
-    p = phi.prime.p
-    words = qp._sphere_words(p, gamma - lam)
-    vals = phi.sample(words, gamma)
-    if subtract_phi0:
-        vals -= phi.values[0]
-    if chr_.k0 >= 1:
-        vals *= chr_.complex_table()[words % p**chr_.k0]
-    if step:
-        # w < p^(gamma - lam) and step < p^E, both at most 2^24: the int64
-        # products stay exact
-        index = words * step
-        index %= roots.size
-        vals *= roots[index]
-    return complex(vals.sum()) * qp.p_power(p, lam)
+            pinned = None
+            if is_plog and g <= 0:
+                t = points[members[0][0]]
+                pinned = phi.at_zero * float(
+                    sphere_chi_integral(prime, g, t) - sphere_chi_integral(prime, g, 0)
+                )
+            spheres.append((g, n, measure, pinned, density_on_sphere(f, prime, g)))
+        plans.append((M, members, spheres, _oracle_tail(f, prime, gamma_star)))
+    values = [0j] * len(points)
+    for M, members, spheres, tail in plans:
+        # on a cell c = w p^-g, chi_p(ct) = e^(2 pi i w u / p^(g+M)): with
+        # E = top + M that is roots[w u p^(top-g) mod p^E], one table for
+        # every sphere and direction of this norm.  The top sphere's
+        # p^(top-lam) >= p^E words passed the 2^24 cap, so E <= _MAX_E
+        E = top + M
+        mod = p ** max(E, 0)
+        roots = _roots(p, E) if E > 0 else None
+        totals = [0j] * len(members)
+        for g, n, measure, pinned, density in spheres:
+            # phi and pi_1 read only the digits of w below p^h (h <= n, as
+            # lam <= min(l, g - max(k0, 1))): one row of cell values over
+            # the units below p^h, which are the first words, and the
+            # sphere's ascending words repeat that row once per high-digit
+            # block
+            words = qp._sphere_words(p, n)
+            h = max(g - l, k0, 1)
+            units = words[: (p - 1) * p ** (h - 1)]
+            row = phi.sample(units, g)
+            if pinned is not None:
+                row -= phi.values[0]
+            if k0 >= 1:
+                row *= chr_.complex_table()[units % p**k0]
+            flat = None
+            for j, (_, u) in enumerate(members):
+                step = u * pow(p, top - g, mod) % mod
+                if step:
+                    # w < p^n and step < p^E, both at most 2^24: the int64
+                    # products stay exact
+                    index = words * step
+                    index %= mod
+                    cells = roots[index]
+                    del index
+                    grid = cells.reshape(-1, row.size)
+                    np.multiply(row, grid, out=grid)
+                    cell = complex(cells.sum())
+                    # free them before the next direction builds its own
+                    del cells, grid
+                else:  # chi_p == 1 on S_g, the same sum for every u
+                    if flat is None:
+                        flat = complex(np.tile(row, words.size // row.size).sum())
+                    cell = flat
+                cell *= measure
+                if pinned is not None:
+                    cell += pinned
+                totals[j] += density * cell
+        for (i, _), total in zip(members, totals):
+            values[i] = total + phi.at_zero * tail
+        del roots  # before the next norm builds its table
+    return values if isinstance(req.t, tuple) else values[0]
 
 
 #: i^q for a quarter turn q

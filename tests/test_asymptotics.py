@@ -434,6 +434,34 @@ def test_each_sweep_builds_its_prediction_once(monkeypatch):
     assert len(calls) == 2
 
 
+def test_erdelyi_oracle_works_once_per_norm_sphere(monkeypatch):
+    # the oracle evaluates one tail per |t|_p and one density per (|t|_p, g),
+    # shared by the sweep's 3 directions on that norm sphere
+    from padicfourier import singular
+
+    tails, densities = [], []
+
+    def counting(calls, real):
+        def wrapper(*args):
+            calls.append(args[-1])
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        singular, "_oracle_tail", counting(tails, singular._oracle_tail)
+    )
+    monkeypatch.setattr(
+        singular, "density_on_sphere", counting(densities, singular.density_on_sphere)
+    )
+    phi = random_testfn(P5, 1, 0, seed=82)
+    rep = erdelyi_check(0.5, quadratic_character(P5), 1, phi, 0, 4)
+    assert rep.ok and len(rep.rows) == 15
+    # at |t|_5 = 5^M the tail starts below gamma* = -M and S_{1-M} .. S_1 are summed
+    assert tails == [-M for M in range(5)]
+    assert densities == [g for M in range(5) for g in range(1 - M, 2)]
+
+
 def test_verify_plog3_wide_grid_with_oracle():
     from padicfourier import brute_force_oracle
 

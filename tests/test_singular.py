@@ -6,7 +6,7 @@ from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicfourier import (
@@ -35,7 +35,7 @@ from padicfourier import (
     valuation,
 )
 from padicfourier import qp
-from padicfourier.characters import sphere_char_chi_integral
+from padicfourier.characters import sphere_char_chi_integral, sphere_chi_integral
 from padicfourier.distributions import density_on_sphere
 from padicfourier.gamma import logp_scaled
 from padicfourier.errors import BadWindow, PoleProximity, ZeroArgument
@@ -406,21 +406,131 @@ def test_pole_proximity_propagates():
         singular_fourier(req(f, delta_indicator(P2, 0), Fr(1, 2)))
 
 
+def batch_oracle_families(prime):
+    chars = [trivial_character(prime)]
+    if prime.p > 2:
+        chars.append(quadratic_character(prime))
+    if prime.p == 3:
+        chars.append(cubic_mod9())
+    return [PiAlphaLog(1.5 - 0.2j, c, m) for m, c in enumerate(chars)] + [
+        PLog(m) for m in (1, 2, 3)
+    ] + [DiracDelta()]
+
+
 def test_oracle_takes_a_batch():
-    phi = random_testfn(P3, 1, -2, seed=68)
-    ts = (Fr(1, 27), Fr(2, 27), Fr(5, 27), Fr(-1, 54))
-    for f in (
-        PiAlphaLog(1.5, trivial_character(P3), 1),
-        PiAlphaLog(0.9 + 0.4j, cubic_mod9(), 0),
-        PLog(2),
-        DiracDelta(),
-    ):
-        batch = brute_force_oracle(req(f, phi, ts), refine=1)
-        assert batch == [brute_force_oracle(req(f, phi, t), refine=1) for t in ts]
-    # a batch may mix norms: each t is its own evaluation
-    mixed = (Fr(1, 9), Fr(1, 27), Fr(5, 3), Fr(-2, 81))
-    batch = brute_force_oracle(req(PLog(1), phi, mixed))
-    assert batch == [brute_force_oracle(req(PLog(1), phi, t)) for t in mixed]
+    # a batch equals its per-t evaluations bit for bit: norms interleaved
+    # and repeated, and one t with E = N + log_p|t|_p <= 0, where chi_p == 1
+    # on every sphere summed
+    for p in (2, 3, 5):
+        prime = Prime(p)
+        q = 3 if p == 2 else 2
+        for N, l in ((1, -2), (-1, -3)):
+            phi = random_testfn(prime, N, l, seed=68 + N)
+            top = max(N, 0)
+            # t = u p^(top - E)
+            ts = [u * Fr(p) ** (top - e) for e, u in ((3, 1), (2, q), (3, -1), (-1, 1))]
+            ts += [q * Fr(p) ** (top - e) for e in (2, 4, 3)]
+            for f in batch_oracle_families(prime):
+                for refine in (0, 1, 2):
+                    batch = brute_force_oracle(req(f, phi, tuple(ts)), refine=refine)
+                    assert batch == [
+                        brute_force_oracle(req(f, phi, t), refine=refine) for t in ts
+                    ], (f, N, refine)
+
+
+def test_oracle_batch_at_the_deepest_root_table():
+    # E = 6 at p = 11 is the largest table under the 2^24 cap (11^7 is
+    # past it): 1.6 million cells on the top sphere
+    prime, E = Prime(11), 6
+    assert 11**E <= qp.MAX_WORDS < 11 ** (E + 1)
+    phi = random_testfn(prime, 1, -2, seed=69)
+    ts = (Fr(1, 11 ** (E - 1)), Fr(2, 11), Fr(-2, 11 ** (E - 1)))
+    for f in batch_oracle_families(prime):
+        batch = brute_force_oracle(req(f, phi, ts))
+        assert batch == [brute_force_oracle(req(f, phi, t)) for t in ts], f
+
+
+def per_cell_oracle(f, phi, t, refine):
+    """The oracle one t at a time, with phi, pi_1 and chi_p sampled on
+    every cell of every sphere: the same terms in the same word order as
+    brute_force_oracle, so the same bits."""
+    if isinstance(f, DiracDelta):
+        return phi.at(0)
+    prime, l = phi.prime, phi.l
+    p = prime.p
+    chr_ = f.pi1 if isinstance(f, PiAlphaLog) else trivial_character(prime)
+    M = -valuation(t, prime)
+    top = max(phi.N, 0) if isinstance(f, PLog) else phi.N
+    E = top + M
+    mod = p ** max(E, 0)
+    u = qp.split(t, prime, max(E, 0))[1]
+    gamma_star = min(-M, l) - refine
+    total = 0j
+    for g in range(gamma_star + 1, top + 1):
+        lam = min(l, -M, g - max(chr_.k0, 1)) - refine
+        words = qp._sphere_words(p, g - lam)
+        vals = phi.sample(words, g)
+        pinned = isinstance(f, PLog) and g <= 0
+        if pinned:
+            vals -= phi.values[0]
+        if chr_.k0:
+            vals *= chr_.complex_table()[words % p**chr_.k0]
+        step = u * pow(p, top - g, mod) % mod
+        if step:
+            vals *= _roots(p, E)[words * step % mod]
+        cell = complex(vals.sum()) * qp.p_power(p, lam)
+        if pinned:
+            drop = sphere_chi_integral(prime, g, t) - sphere_chi_integral(prime, g, 0)
+            cell += phi.at_zero * float(drop)
+        total += density_on_sphere(f, prime, g) * cell
+    return total + phi.at_zero * _oracle_tail(f, prime, gamma_star)
+
+
+def test_oracle_keeps_the_per_cell_bits():
+    # one row of cell values per sphere, shared by every t of one norm,
+    # changes no term and no summation order
+    rng = random.Random(71)
+    for trial in range(300):
+        p = rng.choice([2, 3, 5, 7])
+        prime = Prime(p)
+        f = rng.choice(batch_oracle_families(prime))
+        N = rng.randint(-2, 2)
+        phi = random_testfn(prime, N, N - rng.randint(0, 8 // p + 1), seed=trial)
+        top = max(N, 0) if isinstance(f, PLog) else N
+        refine = rng.randint(0, 2)
+        depth = {2: 12, 3: 8, 5: 5, 7: 4}[p] - refine
+        units = [n for n in range(-(p**3), p**3) if n % p]
+        ts = [
+            Fr(rng.choice(units), rng.choice([1, 3 if p == 2 else 2]))
+            * Fr(p) ** (top - rng.randint(-2, depth))
+            for _ in range(rng.randint(1, 5))
+        ]
+        ts += rng.sample(ts, rng.randint(0, len(ts)))
+        want = [per_cell_oracle(f, phi, t, refine) for t in ts]
+        assert brute_force_oracle(req(f, phi, tuple(ts)), refine=refine) == want, (
+            f, phi, ts, refine
+        )
+
+
+def test_oracle_checks_every_sphere_before_it_enumerates(monkeypatch):
+    # at |t|_3 = 3^16 the top sphere needs 3^16 words, past the 2^24 cap:
+    # the lower spheres' 3^15 cells are not summed before BadWindow
+    enumerated = []
+    real = qp._sphere_words
+
+    def counted(p, n):
+        enumerated.append((p, n))
+        return real(p, n)
+
+    monkeypatch.setattr(qp, "_sphere_words", counted)
+    phi = random_testfn(P3, 0, -2, seed=70)
+    for f in (PiAlphaLog(1.5, trivial_character(P3), 0), PLog(2)):
+        for t in (Fr(1, 3**16), (Fr(1, 3), Fr(2, 3**16))):
+            with pytest.raises(BadWindow, match=r"too large: 3\^16 words"):
+                brute_force_oracle(req(f, phi, t))
+            assert enumerated == []
+    brute_force_oracle(req(PLog(2), phi, Fr(1, 3)))
+    assert enumerated
 
 
 def primitive_rank2(prime):
@@ -661,11 +771,13 @@ def oracle_cases(draw):
     # within phi's cosets, so the sum carries the direction of t
     widths = [w for w in (E - 1, E, E + 1) if p**w <= ORACLE_BUDGET]
     width = draw(st.sampled_from(widths))
-    N = draw(st.integers(0, 1))
+    # N < 0 takes a PLog's spheres above phi's support, up to S_0
+    N = draw(st.integers(-1, 1))
     phi = random_testfn(prime, N, N - width, seed=draw(st.integers(0, 2**16)))
+    top = max(N, 0) if kind == "plog" else N
     q = 3 if p == 2 else 2
     unit = st.integers(-(p**4), p**4).filter(lambda n: n % p)
-    t = Fr(draw(unit), draw(st.sampled_from([1, q, q * q]))) * Fr(p) ** (N - E)
+    t = Fr(draw(unit), draw(st.sampled_from([1, q, q * q]))) * Fr(p) ** (top - E)
 
     def cells(refine):
         spheres, _ = oracle_cells(f, phi, t, refine)
@@ -677,6 +789,33 @@ def oracle_cases(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(oracle_cases())
+# refine 2, and PLogs whose rows cover the spheres between N < 0 and S_0
+@example((PLog(2), random_testfn(P3, -1, -4, seed=1), Fr(2, 3**4), 2))
+@example((PLog(3), random_testfn(P2, -2, -6, seed=2), Fr(3, 2**6), 2))
+@example(
+    (
+        PiAlphaLog(0.7 + 0.3j, cubic_mod9(), 1),
+        random_testfn(P3, 0, -4, seed=3),
+        Fr(-5, 3**4),
+        2,
+    )
+)
+@example(
+    (
+        PiAlphaLog(1.5, trivial_character(P2), 2),
+        random_testfn(P2, 1, -5, seed=4),
+        Fr(7, 96),
+        2,
+    )
+)
+@example(
+    (
+        PiAlphaLog(-0.4, quadratic_character(P5), 0),
+        random_testfn(P5, 0, -2, seed=5),
+        Fr(3, 25),
+        2,
+    )
+)
 def test_oracle_matches_exact_angle_cells(case):
     f, phi, t, refine = case
     want, mass = reference_oracle(f, phi, t, refine)
@@ -721,5 +860,5 @@ def test_oracle_builds_one_root_table_per_t(monkeypatch):
     ):
         built.clear()
         brute_force_oracle(req(f, phi, ts), refine=1)
-        # E = N - v_3(t), one table per t
-        assert built == [(3, phi.N - valuation(t, P3)) for t in ts]
+        # E = N - v_3(t), one table per distinct |t|_3 in first-seen order
+        assert built == [(3, 3), (3, 4), (3, 6)]
