@@ -266,13 +266,16 @@ def _annulus_product(
     out = np.tile(phi.values, p ** (k - 1))
     out[:: p ** (N - l0)] -= phi.values[0]
     # the view out[::p^v] holds the words p^v w'; those with w' a unit lie
-    # on S_{N-v}.  In rows of p^k of them, w' mod p^k is the position in
-    # the row: a nonzero last digit selects S_{N-v}, and pi_1(x) is the
-    # character table at w' mod p^k0
-    pi1 = np.resize(chr_.complex_table(), p**k).reshape(-1, p)[:, 1:]
+    # on S_{N-v}.  In rows of p^k of them, a nonzero last digit of w' selects
+    # S_{N-v} and pi_1(x) is the table at w' mod p^k0.  These residues are
+    # the outer axes and order="C" holds numpy to them: the inner loop is a
+    # long strided run down the rows, with the same product per word and so
+    # the same bits (a call per residue gives the deepest sphere runs of one
+    # word, which numpy rounds differently)
+    pi1 = np.resize(chr_.complex_table(), p**k).reshape(-1, p)[:, 1:, None]
     for v in range(N - l):
-        sphere = out[:: p**v].reshape(-1, p ** (k - 1), p)[..., 1:]
-        sphere *= density_on_sphere(f, prime, N - v) * pi1
+        sphere = out[:: p**v].reshape(-1, p ** (k - 1), p).transpose(1, 2, 0)[:, 1:]
+        np.multiply(sphere, density_on_sphere(f, prime, N - v) * pi1, out=sphere, order="C")
     return TestFunction(prime, N, l + 1 - k, out)
 
 

@@ -190,9 +190,47 @@ CUBIC_CFG = {
     "t_grid": {"M_min": -1, "M_max": 5, "units_per_sphere": 4},
 }
 
+#: p = 2 with trivial pi_1 over 2^6 cosets and p = 5 with the quadratic
+#: pi_1 over 5^3 cosets; their rows below the threshold read the F[h] table
+BINARY_CFG = {
+    "prime": 2,
+    "distribution": {
+        "variant": "pi-alpha-log",
+        "alpha": {"re": 1.3, "im": -0.4},
+        "m": 1,
+        "character": {"kind": "trivial"},
+    },
+    "test_function": {
+        "kind": "table",
+        "N": 2,
+        "l": -4,
+        "values": [[(k % 7) / 8 - 0.3, (3 * k % 11) / 16] for k in range(64)],
+    },
+    "t_grid": {"M_min": 1, "M_max": 7, "units_per_sphere": 2},
+}
+
+QUINTIC_CFG = {
+    "prime": 5,
+    "distribution": {
+        "variant": "pi-alpha-log",
+        "alpha": {"re": 0.6, "im": 0.9},
+        "m": 2,
+        "character": {"kind": "quadratic"},
+    },
+    "test_function": {
+        "kind": "table",
+        "N": 1,
+        "l": -2,
+        "values": [[(k % 9) / 4 - 1.1, 0.7 - (2 * k % 13) / 8] for k in range(125)],
+    },
+    "t_grid": {"M_min": 0, "M_max": 5, "units_per_sphere": 3},
+}
+
 #: sha256 of the report files of ``verify`` / ``erdelyi``, pinned from the
-#: Fraction-per-row implementation; every row's floats, their formatting
-#: and the JSON layout must keep these bytes (PLog has no Erdelyi check)
+#: Fraction-per-row implementation (binary and quintic: from the annulus
+#: product multiplied as one broadcast per row); every row's floats, their
+#: formatting and the JSON layout must keep these bytes (PLog has no
+#: Erdelyi check)
 PINNED_REPORTS = {
     ("ramified", "verify", "csv"): "e329bb6b3ff523f00a3ad8c50c575402bcc5216ca36b5b01bf0d06d6809bf51a",
     ("ramified", "verify", "json"): "f4a3cbc3a81d437117ed48b66c8eafcac3c4c0015a7cd6413c9a66fdb6faf74a",
@@ -204,13 +242,20 @@ PINNED_REPORTS = {
     ("cubic", "erdelyi", "json"): "93d50b4683fd1db8983d6601ec4c5b86d7c9777d981e04562fa17fefe376828a",
     ("plog", "verify", "csv"): "6233b1cb2894aa0fd39e8d7a21a0d9b0596742762d99abf9a69037e7ec212e30",
     ("plog", "verify", "json"): "4f29e7c15ac230cc846cce503ce1c2422f69a74530d4f372a297a60794a5c00f",
+    ("binary", "verify", "csv"): "dc4296b725e8c61c1cebd9e44f7e6a8bbc8487a5f55b76f568c4087e7baa4f51",
+    ("binary", "verify", "json"): "cbd3ddc9008295e6df81a02022c0bb245c4543a023c810435887835f8ca4039d",
+    ("quintic", "verify", "csv"): "74456e94afe534a057b9609b454b7fa0099681537a452c2ca7d94e66d9c5e8e4",
+    ("quintic", "verify", "json"): "927ecaf5b4e472588846697a5fad15414fa1baa519fa91f32d85af9ac4063020",
 }
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_REPORTS), ids="-".join)
 def test_report_bytes_are_pinned(tmp_path, case):
     name, command, fmt = case
-    cfg = {"ramified": RAMIFIED_CFG, "cubic": CUBIC_CFG, "plog": PLOG_CFG}[name]
+    cfg = {
+        "ramified": RAMIFIED_CFG, "cubic": CUBIC_CFG, "plog": PLOG_CFG,
+        "binary": BINARY_CFG, "quintic": QUINTIC_CFG,
+    }[name]
     out = tmp_path / f"report.{fmt}"
     argv = [command, "--config", write_cfg(tmp_path, cfg), "--format", fmt]
     assert run(argv + ["--out", str(out)]) == 0

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 
 from padicfourier import (
@@ -295,6 +296,28 @@ def test_fourier_duality():
     assert worst > 0  # the two sides are computed on different paths
 
 
+def test_fourier_duality_of_the_degree_pi0_family():
+    # F[delta] = 1 and F[P(1/|x|_p)](xi) = -(1 - 1/p) log_p|xi|_p - 1/p, the
+    # second sphere by sphere; 1 and log_p|x|_p are PiAlphaLog at alpha = 1
+    for p in (2, 3, 5):
+        prime = Prime(p)
+        one = PiAlphaLog(1, trivial_character(prime), 0)
+        log = PiAlphaLog(1, trivial_character(prime), 1)
+        windows = [(1, -1), (0, -2), (2, 0), (-1, -3), (3, 1)]
+        for seed, (N, l) in enumerate(windows):
+            phi = random_testfn(prime, N, l, 40 + seed)
+            pairs = [
+                (apply(DiracDelta(), fourier(phi)), apply(one, phi)),
+                (
+                    apply(PLog(1), fourier(phi)),
+                    -(1 - 1 / p) * apply(log, phi) - apply(one, phi) / p,
+                ),
+            ]
+            for lhs, rhs in pairs:
+                err = abs(lhs - rhs) / (1 + abs(lhs))
+                assert err < 1e-12, (p, N, l, lhs, rhs)
+
+
 @pytest.mark.parametrize(
     "pi1", [trivial_character(P3), quadratic_character(P3), cubic_mod9()],
     ids=["trivial", "quadratic", "cubic"],
@@ -313,3 +336,59 @@ def test_f_h_read_by_index_equals_the_transform_at_t(pi1):
         for t, J in zip(ts, got):
             want = transform.at(t) + phi.at_zero * j0_closed_form(f, l0, t, P3)
             assert J == want, t
+
+
+def broadcast_annulus_product(f, phi, chr_, l0):
+    """The annulus product's values with each sphere multiplied as one
+    broadcast over rows of p^k words, p - 1 words per numpy inner loop."""
+    prime = phi.prime
+    p, N, l = prime.p, phi.N, phi.l
+    k = max(chr_.k0, 1)
+    out = np.tile(phi.values, p ** (k - 1))
+    out[:: p ** (N - l0)] -= phi.values[0]
+    pi1 = np.resize(chr_.complex_table(), p**k).reshape(-1, p)[:, 1:]
+    for v in range(N - l):
+        sphere = out[:: p**v].reshape(-1, p ** (k - 1), p)[..., 1:]
+        sphere *= density_on_sphere(f, prime, N - v) * pi1
+    return out
+
+
+def generated_character(prime, k0, g):
+    """The character of (Z/p^k0)^* that sends the generator g to
+    e^(2 pi i / order); primitive, so of rank k0."""
+    mod = prime.p**k0
+    order = mod - mod // prime.p
+    angles, x = {}, 1
+    for j in range(order):
+        angles[x] = Fr(j, order)
+        x = x * g % mod
+    return table_character(prime, k0, angles)
+
+
+ANNULUS_CHARACTERS = {
+    2: [trivial_character(P2), generated_character(P2, 2, 3)],
+    3: [trivial_character(P3), quadratic_character(P3), generated_character(P3, 3, 2)],
+    5: [trivial_character(P5), quadratic_character(P5), generated_character(P5, 2, 2)],
+}
+
+
+@pytest.mark.parametrize("p", sorted(ANNULUS_CHARACTERS))
+def test_annulus_product_keeps_the_broadcast_bits(p):
+    # the sphere multiply runs along the rows, not the residues; every word
+    # must still get the very product, to the bit, on every sphere down to
+    # the deepest (p - 1 words on a one-digit window) and at every l0
+    prime = Prime(p)
+    fs = [PLog(m) for m in (1, 2, 3)] + [
+        PiAlphaLog(1.3 - 0.6j, chr_, m)
+        for chr_ in ANNULUS_CHARACTERS[p]
+        for m in (0, 2)
+    ]
+    for width in range(1, 8):
+        N = width % 3 - 1
+        phi = random_testfn(prime, N, N - width, seed=10 * p + width)
+        for f in fs:
+            chr_ = char_of(f, prime)
+            for l0 in range(phi.l, N + 1):
+                got = _annulus_product(f, phi, chr_, l0)
+                want = broadcast_annulus_product(f, phi, chr_, l0)
+                assert got.values.tobytes() == want.tobytes(), (width, f, l0)
