@@ -17,7 +17,6 @@ from .characters import (
     eval_pi1,
     make_character,
     quadratic_character,
-    table_character,
     trivial_character,
 )
 from .jets import Jet, p_power_jet
@@ -75,7 +74,6 @@ __all__ = [
     "eval_pi1",
     "make_character",
     "quadratic_character",
-    "table_character",
     "trivial_character",
     "Jet",
     "p_power_jet",

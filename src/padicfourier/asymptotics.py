@@ -106,7 +106,8 @@ class AsymptoticPrediction:
 
     def _on_grid(self, phi0: complex, points: list[tuple[int, int]]) -> list[complex]:
         # at t = u p^{-M} for every (M, u): phi(0) r^M P(M) once per sphere
-        # M, times pi_1^{-1}(u) once per residue u mod p^k0
+        # M, times pi_1^{-1}(u) = pi_1(u^-1) once per residue u mod p^k0 (angle
+        # (-a_u) mod den by the group law; a conjugate would round differently)
         mod = self.prime.p**self.pi1.k0
         spheres, twists, values = {}, {}, []
         for M, u in points:
@@ -115,7 +116,7 @@ class AsymptoticPrediction:
             value = spheres[M]
             if mod > 1:
                 if u % mod not in twists:
-                    twists[u % mod] = eval_pi1(self.pi1, u).inverse().to_complex()
+                    twists[u % mod] = eval_pi1(self.pi1, pow(u, -1, mod))
                 value *= twists[u % mod]
             if not cmath.isfinite(value):
                 raise NumericOverflow(

@@ -2,15 +2,16 @@
 
 The additive character is chi_p(x) = e^{2 pi i {x}_p}.  A normed
 multiplicative character pi_1 depends only on the unit part of its
-argument and is stored as a table of exact root-of-unity values on the
-units modulo p^{k0}, where k0 is its rank (the smallest k with
-pi_1 == 1 on 1 + p^k Z_p; k0 = 0 is the trivial character).  A general
-multiplicative character is pi_alpha(x) = |x|_p^{alpha-1} pi_1(x).
+argument and is stored as one table of exact angles on the units modulo
+p^{k0}, where k0 is its rank (the smallest k with pi_1 == 1 on
+1 + p^k Z_p; k0 = 0 is the trivial character).  A general multiplicative
+character is pi_alpha(x) = |x|_p^{alpha-1} pi_1(x).
 
-Character values are kept as exact rational angles (meaning e^{2 pi i q})
-and only converted to floating complex at final summations, so all
-cancellation structure stays exact.  A table's checks and its Gauss sums
-run on the integer numerators of its angles over one common denominator.
+An angle q means e^{2 pi i q}; a table keeps the integer numerators of
+its angles over one common denominator.  Its checks and Gauss sums run on
+those integers, so all cancellation structure stays exact, and ``_root``
+turns a numerator into a complex value: it builds the complex table that
+pi_1(x) is read from, and it evaluates chi_p and the Gauss sum terms.
 
 The module also provides the exact one-sphere integral primitives that
 the closed-form evaluators rely on:
@@ -47,6 +48,13 @@ from .errors import (
 from .qp import Prime, Rational
 
 
+def _root(n: int, den: int) -> complex:
+    # e^(2 pi i n / den) for 0 <= n < den, the one place a character value
+    # becomes complex: n / den is float(Fraction(n, den)) whatever the
+    # common factors, so a value has the same bits over any denominator
+    return cmath.exp(2j * cmath.pi * (n / den)) if n else 1 + 0j
+
+
 @dataclass(frozen=True)
 class RootOfUnity:
     """e^{2 pi i angle} with an exact rational angle in [0, 1)."""
@@ -56,16 +64,8 @@ class RootOfUnity:
     def __post_init__(self):
         object.__setattr__(self, "angle", Fraction(self.angle) % 1)
 
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return RootOfUnity(self.angle + other.angle)
-
-    def inverse(self) -> "RootOfUnity":
-        return RootOfUnity(-self.angle)
-
     def to_complex(self) -> complex:
-        if self.angle == 0:
-            return 1 + 0j
-        return cmath.exp(2j * cmath.pi * float(self.angle))
+        return _root(self.angle.numerator, self.angle.denominator)
 
 
 def chi(x: Rational, prime: Prime) -> RootOfUnity:
@@ -73,45 +73,50 @@ def chi(x: Rational, prime: Prime) -> RootOfUnity:
     return RootOfUnity(qp.fractional_part(x, prime))
 
 
-def _units_mod(p: int, k: int) -> list[int]:
-    return [u for u in range(1, p**k) if u % p != 0]
-
-
 class NormedMultChar:
-    """pi_1 given by exact values on the units modulo p^{k0}.
+    """pi_1 given by exact rational angles on the units modulo p^{k0}.
 
-    ``unit_values`` maps every unit u in (Z/p^{k0})^* to a RootOfUnity;
-    an empty table with k0 = 0 is the trivial character.  Construction
-    validates normalization pi_1(1) = 1, multiplicativity and rank
-    minimality (pi_1 is not trivial on 1 + p^{k0-1} Z_p).  Together these
-    make pi_1 a nontrivial homomorphism on every subgroup 1 + p^j Z_p with
-    j < k0, so its values there cover some mu_d, d >= 2, uniformly and sum
-    to zero: the exact zeros of the sphere integrals.
+    ``angles`` maps every unit u in (Z/p^{k0})^* to a rational q_u, with
+    pi_1(u) = e^{2 pi i q_u}; an empty table with k0 = 0 is the trivial
+    character.  The angles are kept as integer numerators a_u over one
+    common denominator, and the complex table is built from them.
+    Construction validates normalization pi_1(1) = 1, multiplicativity
+    and rank minimality (pi_1 is not trivial on 1 + p^{k0-1} Z_p).
+    Together these make pi_1 a nontrivial homomorphism on every subgroup
+    1 + p^j Z_p with j < k0, so its values there cover some mu_d, d >= 2,
+    uniformly and sum to zero: the exact zeros of the sphere integrals.
     """
 
-    def __init__(self, prime: Prime, k0: int, unit_values: dict[int, RootOfUnity]):
+    def __init__(self, prime: Prime, k0: int, angles: dict[int, Rational]):
         self.prime = prime
         self.k0 = int(k0)
         p = prime.p
         if self.k0 < 0:
             raise BadTable(f"negative rank {k0}")
         if self.k0 == 0:
-            if unit_values:
+            if angles:
                 raise BadTable("trivial character must have an empty table")
-            self.unit_values = {}
-            self._key = (prime, 0, ())
+            self._angles = (1, ())
+            self._key = (prime, 0, self._angles)
             self._table = np.ones(1, dtype=np.complex128)
             return
-        mod = p**self.k0
-        units = _units_mod(p, self.k0)
-        if sorted(unit_values) != units:
+        # there are (p-1) p^(k0-1) >= 2^(k0-1) units: count them before
+        # listing any, and before a huge k0 makes p^(k0-1) itself huge
+        count = len(angles)
+        units = (
+            [u for u in range(1, p**self.k0) if u % p]
+            if self.k0 <= count.bit_length() and count == (p - 1) * p ** (self.k0 - 1)
+            else None
+        )
+        if sorted(angles) != units:
             raise BadTable(
                 f"table keys must be exactly the units mod {p}^{self.k0}"
             )
+        mod = p**self.k0
         # the checks run on integer numerators a_u of the angles a_u / den
-        angles = [unit_values[u].angle for u in units]
-        den = math.lcm(mod, *(q.denominator for q in angles))
-        a = {u: q.numerator * (den // q.denominator) for u, q in zip(units, angles)}
+        q = {u: Fraction(angles[u]) % 1 for u in units}
+        den = math.lcm(mod, *(x.denominator for x in q.values()))
+        a = {u: x.numerator * (den // x.denominator) for u, x in q.items()}
         if a[1]:
             raise BadTable("pi_1(1) must equal 1")
         for u in units:
@@ -125,14 +130,12 @@ class NormedMultChar:
             raise RankNotMinimal(
                 f"character is trivial on 1 + {p}^{j} Z: rank < {self.k0}"
             )
-        self.unit_values = dict(unit_values)
-        self._key = (prime, self.k0, tuple(angles))
         # pi_1(u) = e^(2 pi i a_u / den), as (den, ((u, a_u), ...)) in unit order
         self._angles = (den, tuple(a.items()))
-        table = np.zeros(mod, dtype=np.complex128)
-        for u in units:
-            table[u] = unit_values[u].to_complex()
-        self._table = table
+        self._key = (prime, self.k0, self._angles)
+        self._table = np.zeros(mod, dtype=np.complex128)
+        for u, n in a.items():
+            self._table[u] = _root(n, den)
 
     def complex_table(self) -> np.ndarray:
         """Complex values indexed by residue mod p^{k0} (mod 1 for k0 = 0)."""
@@ -164,19 +167,8 @@ def quadratic_character(prime: Prime) -> NormedMultChar:
     if p == 2:
         raise BadTable("quadratic character requires an odd prime")
     squares = {(u * u) % p for u in range(1, p)}
-    values = {
-        u: RootOfUnity(Fraction(0) if u in squares else Fraction(1, 2))
-        for u in range(1, p)
-    }
-    return NormedMultChar(prime, 1, values)
-
-
-def table_character(
-    prime: Prime, k0: int, angles: dict[int, Fraction]
-) -> NormedMultChar:
-    """Character from an explicit table of rational angles on units mod p^{k0}."""
-    values = {u: RootOfUnity(Fraction(a)) for u, a in angles.items()}
-    return NormedMultChar(prime, k0, values)
+    angles = {u: Fraction(0 if u in squares else 1, 2) for u in range(1, p)}
+    return NormedMultChar(prime, 1, angles)
 
 
 def make_character(prime: Prime, spec: dict) -> NormedMultChar:
@@ -195,17 +187,16 @@ def make_character(prime: Prime, spec: dict) -> NormedMultChar:
     if kind == "table":
         k0 = int(spec["modulus_exponent"])
         angles = {int(u): Fraction(a) for u, a in spec["values"].items()}
-        return table_character(prime, k0, angles)
+        return NormedMultChar(prime, k0, angles)
     raise BadTable(f"unknown character kind: {kind!r}")
 
 
-def eval_pi1(chr_: NormedMultChar, x: Rational) -> RootOfUnity:
-    """pi_1(x) for x != 0; depends only on the unit part of x."""
+def eval_pi1(chr_: NormedMultChar, x: Rational) -> complex:
+    """pi_1(x) for x != 0, read from the complex table; depends only on
+    the unit part of x."""
     if x == 0:
         raise ZeroArgument("pi_1 is undefined at 0")
-    if chr_.k0 == 0:
-        return RootOfUnity(0)
-    return chr_.unit_values[qp.split(x, chr_.prime, chr_.k0)[1]]
+    return complex(chr_._table[qp.split(x, chr_.prime, chr_.k0)[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +226,6 @@ def sphere_char_chi_integral(
     is the finite Gauss sum p^{gamma-k0} * sum_u pi_1(u) chi_p(u w / p^{k0}).
     """
     prime = chr_.prime
-    p = prime.p
     if chr_.k0 == 0:
         return complex(sphere_chi_integral(prime, gamma, t))
     if t == 0:
@@ -245,19 +235,17 @@ def sphere_char_chi_integral(
         # chi is either constant on pi_1-cells that sum to zero (gamma+M < k0)
         # or sums to zero inside each pi_1-cell (gamma+M > k0)
         return 0j
-    return gauss_sum(chr_, w) * qp.p_power(p, gamma - chr_.k0)
+    return gauss_sum(chr_, w) * qp.p_power(prime.p, gamma - chr_.k0)
 
 
 def gauss_sum(chr_: NormedMultChar, w: int) -> complex:
     """sum over the units u mod p^{k0} of pi_1(u) chi_p(u w / p^{k0}), for
     a ramified pi_1: one root of unity per unit, in unit order, from the
-    integer numerator of its angle.  n / den is float(Fraction(n, den)),
-    so every term has the bits of RootOfUnity.to_complex."""
+    integer numerator of its angle plus that of u w / p^{k0}."""
     mod = chr_.prime.p ** chr_.k0
     den, angles = chr_._angles
     step = den // mod
     total = 0j
     for u, a in angles:
-        n = (a + u * w % mod * step) % den
-        total += cmath.exp(2j * cmath.pi * (n / den)) if n else 1 + 0j
+        total += _root((a + u * w % mod * step) % den, den)
     return total

@@ -23,8 +23,8 @@ rank k0 is constant on cosets of B_{gamma-k0} inside S_gamma), so F[h] is
 one ``testfn.fourier`` table, read at every t of a batch, and it vanishes
 for |t|_p > p^-lam: beyond that J(t) = phi(0) J0(t), the cause of the
 stabilization theorem.  <f, phi> is F[h](0) = p^lam * sum(h) plus
-phi(0) J0(l0, None).  J0 (``j0_closed_form``) is the continued integral of
-f chi_p over B_{l0}:
+phi(0) J0 at |t|_p = p^-l0, where chi_p == 1 on B_{l0}.  J0
+(``j0_closed_form``) is the continued integral of f chi_p over B_{l0}:
 
 * |x|^{alpha-1} pi_1(x) log^m, any pi_1: the ball tail plus the one
   resonant sphere.  With |t|_p = p^M, k = max(k0, 1), gamma = k - M,
@@ -157,34 +157,15 @@ def char_of(f: QahDistribution, prime: Prime) -> NormedMultChar:
 
 
 def j0_closed_form(
-    f: QahDistribution,
-    l0: int,
-    t: Rational | list[tuple[int, int]] | None,
-    prime: Prime,
-) -> complex | np.ndarray:
-    """The continued integral of f(x) chi_p(xt) over B_{l0} (for the PLog
-    family: of the chi_p(xt) - 1 variant, plus the pinning correction), in
-    closed form.  t = None means chi_p == 1; at l0 = 0 that is I_0.
-
-    t may also be a list of points (M, u) with t = u p^-M, as ``qp.split``
-    gives them (u known modulo p^k0 at least); that gives an array of one
-    J0 per point, with the pole check, the 1 - p^-alpha jet and the PLog
-    S_{m-1}(l0) computed once for all of them and no t split again."""
-    if isinstance(t, list):
-        return np.array(_j0_on_points(f, l0, t, prime), dtype=np.complex128)
-    if t is None:
-        point = (-l0, 1)  # chi_p == 1 on B_l0, as at any |t|_p <= p^-l0
-    elif t == 0:
-        raise ZeroArgument("j0_closed_form requires t != 0")
-    else:
-        k = max(f.pi1.k0, 1) if isinstance(f, PiAlphaLog) else 0
-        point = qp.split(t, prime, k)  # |t|_p = p^M, unit part u
-    return _j0_on_points(f, l0, [point], prime)[0]
-
-
-def _j0_on_points(
     f: QahDistribution, l0: int, points: list[tuple[int, int]], prime: Prime
 ) -> list[complex]:
+    """The continued integral of f(x) chi_p(xt) over B_{l0} (for the PLog
+    family: of the chi_p(xt) - 1 variant, plus the pinning correction), in
+    closed form, at every point (M, u) with t = u p^-M, as ``qp.split``
+    gives them (u known modulo p^k0 at least): one J0 per point, with the
+    pole check, the 1 - p^-alpha jet and the PLog S_{m-1}(l0) computed once
+    for all of them.  The point (-l0, 1) gives chi_p == 1 on B_l0; at
+    l0 = 0 that is I_0."""
     p = prime.p
     values = []
     if isinstance(f, PLog):
@@ -293,7 +274,7 @@ def _pairing(
     lam = phi.l + 1 - max(chr_.k0, 1)
     if ts is None:
         s = _annulus_product(f, phi, chr_, l0).values.sum() * qp.p_power(p, lam)
-        return [complex(s) + phi.at_zero * j0_closed_form(f, l0, None, prime)]
+        return [complex(s) + phi.at_zero * j0_closed_form(f, l0, [(-l0, 1)], prime)[0]]
     # t = u p^-M: F[h] lies in D^-lam_-N, so it is the table's word
     # u p^(-lam-M) mod p^(N-lam) for M <= -lam and 0 past that; J0 reads only
     # M and u mod p^k0 (k0 can exceed N - lam on a delta's window)
@@ -307,7 +288,7 @@ def _pairing(
                 split[i] = table[u * pow(p, -lam - M, mod) % mod]
     keys = [(M, u % p**chr_.k0) for M, u in grid]
     points = list(dict.fromkeys(keys))
-    j0 = dict(zip(points, j0_closed_form(f, l0, points, prime).tolist()))
+    j0 = dict(zip(points, j0_closed_form(f, l0, points, prime)))
     return [complex(s) + phi.at_zero * j0[key] for s, key in zip(split, keys)]
 
 
@@ -331,7 +312,7 @@ def homogeneity_defect(
         return lhs - phi.at(0)  # pi_0(t)|t|_p = 1
     if isinstance(f, PiAlphaLog):
         scale = p_power_jet(p, logt, f.alpha, 0).value  # |t|_p^alpha
-        scale *= eval_pi1(f.pi1, t).to_complex()
+        scale *= eval_pi1(f.pi1, t)
         rhs = scale * apply(f, phi)
         for j in range(1, f.m + 1):
             companion = PiAlphaLog(f.alpha, f.pi1, f.m - j)

@@ -129,20 +129,20 @@ def check_word_count(p: int, n: int) -> None:
         raise BadWindow(f"coset enumeration too large: {p}^{n} words")
 
 
-# both word caches are bounded: one entry can reach 2^24 words (128 MiB),
-# and an oracle sweep touches a few dozen (p, n) keys
-@lru_cache(maxsize=64)
 def _coset_words(p: int, n: int) -> np.ndarray:
     # all digit words of length n, as integers 0 .. p^n - 1
     check_word_count(p, n)
     return np.arange(p**n, dtype=np.int64)
 
 
+# bounded: one entry can reach 2^24 words (128 MiB), and an oracle sweep
+# touches a few dozen (p, n) keys
 @lru_cache(maxsize=64)
 def _sphere_words(p: int, n: int) -> np.ndarray:
-    # words of length n with nonzero leading (lowest-power) digit
-    w = _coset_words(p, n)
-    return w[w % p != 0]
+    # words of length n with nonzero leading (lowest-power) digit, ascending
+    check_word_count(p, n)
+    high = np.arange(p ** (n - 1), dtype=np.int64)
+    return (high[:, None] * p + np.arange(1, p)).ravel()
 
 
 def enumerate_cosets(prime: Prime, N: int, l: int) -> list[Fraction]:

@@ -1,5 +1,6 @@
 """Additive and multiplicative characters; exact sphere integrals."""
 
+import cmath
 import itertools
 import random
 from fractions import Fraction as Fr
@@ -7,6 +8,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from padicfourier import (
+    NormedMultChar,
     Prime,
     RootOfUnity,
     chi,
@@ -14,7 +16,6 @@ from padicfourier import (
     eval_pi1,
     make_character,
     quadratic_character,
-    table_character,
     trivial_character,
 )
 from padicfourier.characters import (
@@ -32,20 +33,21 @@ from padicfourier.errors import (
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
+CUBIC_MOD9 = {1: Fr(0), 2: Fr(2, 3), 4: Fr(1, 3), 5: Fr(1, 3), 7: Fr(2, 3), 8: Fr(0)}
+
 
 def cubic_mod9():
-    return table_character(
-        P3, 2, {1: Fr(0), 2: Fr(2, 3), 4: Fr(1, 3), 5: Fr(1, 3), 7: Fr(2, 3), 8: Fr(0)}
-    )
+    return NormedMultChar(P3, 2, CUBIC_MOD9)
 
 
 def test_root_of_unity_algebra():
-    a = RootOfUnity(Fr(1, 3))
-    b = RootOfUnity(Fr(5, 6))
-    assert (a * b).angle == Fr(1, 6)
-    assert (a * a.inverse()).angle == 0
-    assert abs(abs(a.to_complex()) - 1) < 1e-15
-    assert (a * a * a).angle == 0
+    # products of roots of unity are sums of their angles, reduced mod 1
+    a, b = Fr(1, 3), Fr(5, 6)
+    assert RootOfUnity(a + b).angle == Fr(1, 6)
+    assert RootOfUnity(a - a).angle == 0
+    assert RootOfUnity(3 * a).angle == 0 and RootOfUnity(-a).angle == Fr(2, 3)
+    assert abs(abs(RootOfUnity(a).to_complex()) - 1) < 1e-15
+    assert RootOfUnity(1).to_complex() == 1 + 0j
 
 
 def test_chi_examples():
@@ -61,7 +63,7 @@ def test_chi_is_additive_and_trivial_on_integers():
     for _ in range(100):
         x = Fr(rng.randint(-99, 99), 2 ** rng.randint(0, 5))
         y = Fr(rng.randint(-99, 99), 2 ** rng.randint(0, 5))
-        assert chi(x + y, P2).angle == (chi(x, P2) * chi(y, P2)).angle
+        assert chi(x + y, P2).angle == RootOfUnity(chi(x, P2).angle + chi(y, P2).angle).angle
     # constant on cosets of B_0
     assert chi(Fr(3, 8) + 5, P2).angle == chi(Fr(3, 8), P2).angle
 
@@ -71,7 +73,7 @@ def test_make_character_kinds():
     assert triv.k0 == 0 and triv.is_trivial()
     quad = make_character(P3, {"kind": "quadratic"})
     assert quad.k0 == 1
-    assert quad.unit_values[1].angle == 0 and quad.unit_values[2].angle == Fr(1, 2)
+    assert quad == NormedMultChar(P3, 1, {1: Fr(0), 2: Fr(1, 2)})
     tab = make_character(
         P2, {"kind": "table", "modulus_exponent": 2, "values": {1: Fr(0), 3: Fr(1, 2)}}
     )
@@ -79,28 +81,26 @@ def test_make_character_kinds():
 
 
 def test_quadratic_mod5_is_legendre():
-    quad = quadratic_character(P5)
     squares = {1, 4}
-    for u in range(1, 5):
-        want = Fr(0) if u in squares else Fr(1, 2)
-        assert quad.unit_values[u].angle == want
+    want = {u: Fr(0) if u in squares else Fr(1, 2) for u in range(1, 5)}
+    assert quadratic_character(P5) == NormedMultChar(P5, 1, want)
 
 
 def test_table_character_validation_errors():
     with pytest.raises(BadTable):
-        table_character(P3, 1, {1: Fr(0)})  # missing unit 2
+        NormedMultChar(P3, 1, {1: Fr(0)})  # missing unit 2
     with pytest.raises(NotMultiplicative):
-        table_character(P5, 1, {1: Fr(0), 2: Fr(1, 2), 3: Fr(1, 2), 4: Fr(1, 2)})
+        NormedMultChar(P5, 1, {1: Fr(0), 2: Fr(1, 2), 3: Fr(1, 2), 4: Fr(1, 2)})
     with pytest.raises(RankNotMinimal):
         # trivial on 1 + 3Z: factors through mod 3, so rank 2 is not minimal
-        table_character(
+        NormedMultChar(
             P3, 2, {1: Fr(0), 2: Fr(1, 2), 4: Fr(0), 5: Fr(1, 2), 7: Fr(0), 8: Fr(1, 2)}
         )
     with pytest.raises(BadTable):
-        table_character(P3, 1, {1: Fr(1, 2), 2: Fr(0)})  # pi_1(1) != 1
+        NormedMultChar(P3, 1, {1: Fr(1, 2), 2: Fr(0)})  # pi_1(1) != 1
     with pytest.raises(RankNotMinimal):
         # trivial on all of (Z/9)^*, so on 1 + 3Z as well
-        table_character(P3, 2, {u: Fr(0) for u in (1, 2, 4, 5, 7, 8)})
+        NormedMultChar(P3, 2, {u: Fr(0) for u in (1, 2, 4, 5, 7, 8)})
 
 
 @pytest.mark.parametrize(
@@ -132,49 +132,75 @@ def test_table_character_validation_errors():
 )
 def test_table_validation_messages(args, error, message):
     # the checks run on integer angle numerators; the first failing pair
-    # and the wording are those of the RootOfUnity product checks
+    # and the wording are pinned
     with pytest.raises(error) as exc:
-        table_character(*args)
+        NormedMultChar(*args)
     assert str(exc.value) == message
 
 
-def primitive_table(prime, k0, a=1):
-    """pi_1(g^j) = e^(2 pi i a j / phi(p^k0)) for a generator g of (Z/p^k0)^*."""
-    p = prime.p
+def primitive_angles(p, k0, a=1):
+    """pi_1(g^j) = e^(2 pi i a j / phi(p^k0)) for a generator g of
+    (Z/p^k0)^*, as angles in [0, 1)."""
     mod = p**k0
     order = mod - mod // p
     g = next(
         g for g in range(2, mod)
         if g % p and len({pow(g, j, mod) for j in range(order)}) == order
     )
-    return table_character(
-        prime, k0, {pow(g, j, mod): Fr(a * j, order) for j in range(order)}
-    )
+    return {pow(g, j, mod): Fr(a * j % order, order) for j in range(order)}
 
 
-def root_of_unity_gauss_sum(chr_, w):
-    # the Fraction / RootOfUnity loop that gauss_sum replaces
-    mod = chr_.prime.p ** chr_.k0
-    total = 0j
-    for u in sorted(chr_.unit_values):
-        angle = chr_.unit_values[u].angle + Fr((u * w) % mod, mod)
-        total += RootOfUnity(angle).to_complex()
-    return total
+def legendre_angles(p):
+    squares = {u * u % p for u in range(1, p)}
+    return {u: Fr(0 if u in squares else 1, 2) for u in range(1, p)}
+
+
+#: (prime, k0, angles): trivial, quadratic, cubic mod 9, rank 2 at p = 2
+#: and p = 5, rank 3 at p = 3
+TABLES = (
+    [(P3, 0, {})]
+    + [(Prime(p), 1, legendre_angles(p)) for p in (3, 5, 7)]
+    + [
+        (P3, 2, CUBIC_MOD9),
+        (P3, 2, primitive_angles(3, 2)),
+        (P2, 2, {1: Fr(0), 3: Fr(1, 2)}),
+        (P5, 2, primitive_angles(5, 2, a=3)),
+        (P3, 3, primitive_angles(3, 3)),
+    ]
+)
+
+
+def bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def test_character_table_bits_are_pinned():
+    # pi_1(u) is e^(2 pi i q) at the angle q of the table, and pi_1(u^-1)
+    # is e^(2 pi i ((-q) mod 1)): the bits the theorem's pi_1^-1(t) twist
+    # has always had, which a conjugate of pi_1(u) does not keep
+    conjugates_differ = False
+    for prime, k0, angles in TABLES:
+        chr_ = NormedMultChar(prime, k0, angles)
+        mod = prime.p ** max(k0, 1)
+        for u in (u for u in range(1, mod) if u % prime.p):
+            q = angles.get(u, Fr(0))
+            assert bits(eval_pi1(chr_, u)) == bits(cmath.exp(2j * cmath.pi * float(q)))
+            inverse = cmath.exp(2j * cmath.pi * float(-q % 1)) if q else 1 + 0j
+            assert bits(eval_pi1(chr_, pow(u, -1, mod))) == bits(inverse), (chr_, u)
+            conjugates_differ |= bits(inverse) != bits(eval_pi1(chr_, u).conjugate())
+    assert conjugates_differ
 
 
 def test_gauss_sum_keeps_the_root_of_unity_bits():
-    chars = [quadratic_character(Prime(p)) for p in (3, 5, 7)] + [
-        cubic_mod9(),
-        primitive_table(P3, 2),
-        primitive_table(P5, 2, a=3),
-    ]
-    for chr_ in chars:
-        for w in range(chr_.prime.p ** chr_.k0):
-            got, want = gauss_sum(chr_, w), root_of_unity_gauss_sum(chr_, w)
-            assert (got.real.hex(), got.imag.hex()) == (
-                want.real.hex(),
-                want.imag.hex(),
-            ), (chr_, w)
+    for prime, k0, angles in TABLES[1:]:
+        chr_ = NormedMultChar(prime, k0, angles)
+        mod = prime.p**k0
+        for w in range(mod):
+            got = gauss_sum(chr_, w)
+            want = 0j  # one RootOfUnity per unit, in unit order
+            for u in sorted(angles):
+                want += RootOfUnity(angles[u] + Fr(u * w % mod, mod)).to_complex()
+            assert bits(got) == bits(want), (chr_, w)
 
 
 def balanced_image_size(angles):
@@ -236,12 +262,12 @@ def test_group_law_and_rank_accept_what_the_subgroup_check_accepted():
             perturbed = {**angles, g: angles[g] + Fr(1, 3)}  # breaks pi_1(g^2)
             for table in (angles, perturbed):
                 if reference_accepts(p, k0, table):
-                    chr_ = table_character(Prime(p), k0, table)
+                    chr_ = NormedMultChar(Prime(p), k0, table)
                     assert chr_.k0 == k0
                     accepted += 1
                 else:
                     with pytest.raises((NotMultiplicative, RankNotMinimal)):
-                        table_character(Prime(p), k0, table)
+                        NormedMultChar(Prime(p), k0, table)
     # exactly the primitive characters: phi(p^k0) - phi(p^(k0-1)) per odd
     # case (1+4, 3+16, 5+36, 12) and 2^(k0-2) per p = 2 case (1+2+4)
     assert accepted == 84
@@ -252,14 +278,14 @@ def test_rank_examples():
     assert quadratic_character(P5).k0 == 1
     assert cubic_mod9().k0 == 2
     # nontrivial on 1 + 3Z as required by minimality
-    assert cubic_mod9().unit_values[4].angle == Fr(1, 3)
+    assert eval_pi1(cubic_mod9(), 4) == RootOfUnity(Fr(1, 3)).to_complex()
 
 
 def test_eval_pi1_examples():
     quad3 = quadratic_character(P3)
-    assert eval_pi1(quad3, 2 * 3**5).to_complex().real == pytest.approx(-1)
-    assert eval_pi1(trivial_character(P2), Fr(7, 8)).angle == 0
-    assert eval_pi1(quad3, Fr(1, 3)).angle == 0
+    assert eval_pi1(quad3, 2 * 3**5).real == pytest.approx(-1)
+    assert eval_pi1(trivial_character(P2), Fr(7, 8)) == 1 + 0j
+    assert eval_pi1(quad3, Fr(1, 3)) == 1 + 0j
     with pytest.raises(ZeroArgument):
         eval_pi1(quad3, 0)
 
@@ -267,16 +293,16 @@ def test_eval_pi1_examples():
 def test_eval_pi1_depends_only_on_unit_part():
     quad3 = quadratic_character(P3)
     for x in (Fr(2), Fr(2, 9), Fr(2 * 81), Fr(10, 3)):
-        assert eval_pi1(quad3, x).angle == eval_pi1(quad3, x / 9).angle
+        assert eval_pi1(quad3, x) == eval_pi1(quad3, x / 9)
 
 
 def test_pi1_locally_constant_within_sphere():
     # constant on {|x - a| <= p^(gamma - k0)} inside each sphere
     chr_ = cubic_mod9()
     a = Fr(2) * Fr(3) ** (-2)  # |a| = 9, gamma = 2
-    base = eval_pi1(chr_, a).angle
+    base = eval_pi1(chr_, a)
     for shift in (Fr(1), Fr(2), Fr(-4)):  # |shift| <= 1 = p^(gamma-k0)
-        assert eval_pi1(chr_, a + shift).angle == base
+        assert eval_pi1(chr_, a + shift) == base
 
 
 def test_sphere_orthogonality_of_ramified_characters():
@@ -286,7 +312,7 @@ def test_sphere_orthogonality_of_ramified_characters():
         for gamma in (-1, 0, 2):
             level = gamma - chr_.k0 - 1
             total = sum(
-                eval_pi1(chr_, c).to_complex() * float(Fr(p) ** level)
+                eval_pi1(chr_, c) * float(Fr(p) ** level)
                 for c in enumerate_sphere_cosets(chr_.prime, gamma, level)
             )
             assert abs(total) < 1e-12
@@ -303,7 +329,7 @@ def brute_sphere_integral(chr_, gamma, t, depth=2):
     total = 0j
     for c in enumerate_sphere_cosets(prime, gamma, level):
         total += (
-            eval_pi1(chr_, c).to_complex()
+            eval_pi1(chr_, c)
             * chi(c * t, prime).to_complex()
             * float(Fr(prime.p) ** level)
         )

@@ -5,6 +5,7 @@ import copy
 import hashlib
 import json
 import math
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -262,6 +263,30 @@ def test_report_bytes_are_pinned(tmp_path, case):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_REPORTS[case]
 
 
+#: sha256 of the ``--out`` files of the commands that write no report,
+#: pinned from the implementation that stored pi_1 as RootOfUnity values;
+#: a config name stands for ``--config`` with that config
+PINNED_OUTPUTS = {
+    ("chi", "--p", "3", "--x", "1/3"): "e863832c120f52dba52c9836593430d0067edb7c4ddf692908db48df7763fc0a",
+    ("chi", "--p", "3", "--x=-5/9"): "f2de7e8bcbfad94b08921c6b7994def02a406d1fdff6f377ebb02879af84348f",
+    ("chi", "--p", "3", "--x", f"1/{3**20}"): "bfb9e359157f78bf9839b1c862602eb0a32a852de6d689f63a458f574d36e203",
+    ("chi", "--p", "2", "--x", "7/2"): "5f3443134295322dba5b42d9e860c3afd024682356b84a84eae3ead20dc56322",
+    ("eval-dist", "cubic"): "dd5171d0ef049704b62c743406c352204aaa0f26abcd85c0490d3fff60c73772",
+    ("eval-dist", "ramified"): "6b9170dfb3102971b7d18fb22b67c426cbefbf8add0819baedc94272d271ebaf",
+    ("singular", "cubic", "--t", "1/9", "--oracle"): "245465d2f7b8b269ad609448113560718533768e011d976c79dd1bd4d9f30cf0",
+    ("singular", "cubic", "--t", "5/243", "--oracle"): "407ac7f820ee976452ada184949941a7b4cfa14e096ff97d120028012bf108d3",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_OUTPUTS), ids=" ".join)
+def test_cli_output_bytes_are_pinned(tmp_path, case):
+    configs = {"cubic": CUBIC_CFG, "ramified": RAMIFIED_CFG}
+    argv = [f"--config={write_cfg(tmp_path, configs[a])}" if a in configs else a for a in case]
+    out = tmp_path / "out.txt"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_OUTPUTS[case]
+
+
 def test_run_builds_no_parser(monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
@@ -453,6 +478,21 @@ def test_table_character_config(tmp_path):
     }
     path = write_cfg(tmp_path, cfg)
     assert run(["verify", "--config", path]) == 0
+
+
+def test_huge_table_rank_is_a_bad_table(tmp_path, capsys):
+    # a one-entry table cannot hold the 2 * 3^(k0-1) units: rejected from
+    # the entry count, before any unit mod 3^k0 is listed
+    for k0 in (20, 40):
+        character = {"kind": "table", "modulus_exponent": k0, "values": {"1": "0"}}
+        cfg = dict(POWER_CFG, prime=3)
+        cfg["distribution"] = dict(cfg["distribution"], character=character)
+        start = time.monotonic()
+        assert run(["eval-dist", "--config", write_cfg(tmp_path, cfg)]) == 1
+        assert time.monotonic() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"table keys must be exactly the units mod 3^{k0}" in err
 
 
 def test_flat_config_form(tmp_path, capsys):

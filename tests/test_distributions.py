@@ -26,10 +26,10 @@ from padicfourier import (
     quadratic_character,
     random_testfn,
     singular_fourier,
-    table_character,
     trivial_character,
     verify_stabilization,
 )
+from padicfourier import qp
 from padicfourier.distributions import (
     _annulus_product,
     _pairing,
@@ -44,7 +44,7 @@ P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
 
 def cubic_mod9():
-    return table_character(
+    return NormedMultChar(
         P3, 2, {1: Fr(0), 2: Fr(2, 3), 4: Fr(1, 3), 5: Fr(1, 3), 7: Fr(2, 3), 8: Fr(0)}
     )
 
@@ -206,12 +206,12 @@ def enumerated_pairing(f, phi):
     for g in range(phi.l + 1, 1):
         lam = min(phi.l, g - max(chr_.k0, 1))
         cells = sum(
-            (phi.at(c) - phi.at_zero) * eval_pi1(chr_, c).to_complex()
+            (phi.at(c) - phi.at_zero) * eval_pi1(chr_, c)
             for c in enumerate_sphere_cosets(prime, g, lam)
         )
         total += density_on_sphere(f, prime, g) * cells * float(Fr(prime.p) ** lam)
     if isinstance(f, PiAlphaLog):
-        total += phi.at_zero * j0_closed_form(f, 0, None, prime)  # I_0
+        total += phi.at_zero * j0_closed_form(f, 0, [(0, 1)], prime)[0]  # I_0
     return total
 
 
@@ -257,8 +257,9 @@ def test_homogeneity_scale_overflow_is_a_numeric_error():
 
 
 def inverse(pi1: NormedMultChar) -> NormedMultChar:
-    angles = {u: -value.angle for u, value in pi1.unit_values.items()}
-    return table_character(pi1.prime, pi1.k0, angles)
+    # negated angles: the integer numerators a_u over den, as pi1 keeps them
+    den, angles = pi1._angles
+    return NormedMultChar(pi1.prime, pi1.k0, {u: Fr(-a, den) for u, a in angles})
 
 
 def test_fourier_duality():
@@ -266,7 +267,7 @@ def test_fourier_duality():
     # PiAlphaLog(1 - alpha, pi_1^-1, m - k), g = the log_p-scaled Gamma jet
     characters = [
         trivial_character(P2),
-        table_character(P2, 2, {1: Fr(0), 3: Fr(1, 2)}),
+        NormedMultChar(P2, 2, {1: Fr(0), 3: Fr(1, 2)}),
         trivial_character(P3),
         quadratic_character(P3),
         cubic_mod9(),
@@ -334,7 +335,8 @@ def test_f_h_read_by_index_equals_the_transform_at_t(pi1):
         ts = [Fr(u) * Fr(3) ** -M for M in range(-3, 7) for u in units]
         got = _pairing(f, phi, ts, l0)
         for t, J in zip(ts, got):
-            want = transform.at(t) + phi.at_zero * j0_closed_form(f, l0, t, P3)
+            point = qp.split(t, P3, pi1.k0)
+            want = transform.at(t) + phi.at_zero * j0_closed_form(f, l0, [point], P3)[0]
             assert J == want, t
 
 
@@ -362,7 +364,7 @@ def generated_character(prime, k0, g):
     for j in range(order):
         angles[x] = Fr(j, order)
         x = x * g % mod
-    return table_character(prime, k0, angles)
+    return NormedMultChar(prime, k0, angles)
 
 
 ANNULUS_CHARACTERS = {

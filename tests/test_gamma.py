@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 from padicfourier import (
+    NormedMultChar,
     Jet,
     PiAlphaLog,
     Prime,
@@ -18,7 +19,6 @@ from padicfourier import (
     j0_closed_form,
     p_power_jet,
     quadratic_character,
-    table_character,
     trivial_character,
 )
 from padicfourier.characters import sphere_char_chi_integral
@@ -33,14 +33,14 @@ def i0(prime, chr_, alpha, order):
     J0 at l0 = 0 with chi_p == 1."""
     return Jet(
         tuple(
-            j0_closed_form(PiAlphaLog(alpha, chr_, k), 0, None, prime)
+            j0_closed_form(PiAlphaLog(alpha, chr_, k), 0, [(0, 1)], prime)[0]
             for k in range(order + 1)
         )
     )
 
 
 def cubic_mod9():
-    return table_character(
+    return NormedMultChar(
         P3, 2, {1: Fr(0), 2: Fr(2, 3), 4: Fr(1, 3), 5: Fr(1, 3), 7: Fr(2, 3), 8: Fr(0)}
     )
 
@@ -69,7 +69,7 @@ def test_pole_proximity():
     with pytest.raises(PoleProximity):
         gamma_p(P3, 2j * math.pi / math.log(3), 1)
     with pytest.raises(PoleProximity):
-        j0_closed_form(PiAlphaLog(1e-14, trivial_character(P2)), 0, None, P2)
+        j0_closed_form(PiAlphaLog(1e-14, trivial_character(P2)), 0, [(0, 1)], P2)
 
 
 def jet_fd_check(fn, alpha, order, h=1e-5, tol=1e-4):

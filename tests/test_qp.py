@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -242,9 +243,16 @@ def test_at_accepts_coprime_denominators():
 
 
 def test_word_caches_are_bounded():
-    for cache in (qp._coset_words, qp._sphere_words):
-        bound = cache.cache_parameters()["maxsize"]
-        assert bound is not None
-        for p in range(2, bound + 12):
-            cache(p, 1)
-        assert cache.cache_info().currsize <= bound
+    cache = qp._sphere_words
+    bound = cache.cache_parameters()["maxsize"]
+    assert bound is not None
+    for p in range(2, bound + 12):
+        cache(p, 1)
+    assert cache.cache_info().currsize <= bound
+
+
+def test_sphere_words_are_the_ascending_unit_words():
+    for p in (2, 3, 5, 7):
+        for n in range(1, 5):
+            words = np.arange(p**n)
+            assert qp._sphere_words(p, n).tolist() == words[words % p != 0].tolist()
