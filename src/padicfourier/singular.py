@@ -10,10 +10,12 @@ cells on every sphere down to an analytic-tail boundary, plus the
 geometric-jet tail, with no split, no closed-form branches and no shared
 sphere kernel.  Each cell's chi_p(ct) is a root of unity read off one
 table of p^E-th roots per norm sphere |t|_p, not one complex exp per
-cell.  The cell values, phi (minus phi(0) for PLog) times pi_1, are
-computed once per sphere S_g, as one row over the low digits they read,
-and shared by every t of that norm; each t still adds one term per cell
-in word order.
+cell, at an index that repeats with the low digits of the cell word it
+reads, so it is computed over one period and the roots tiled.  The cell
+values, phi (minus phi(0) for PLog) times pi_1, and the sphere's density
+are computed once per g per request, as one row over the low digits they
+read, and shared by every norm that sums S_g; each t still adds one term
+per cell in word order.
 """
 
 from __future__ import annotations
@@ -121,6 +123,7 @@ def brute_force_oracle(
     # meets them, before any cell is summed: an oversize or overflowing
     # request raises before it enumerates
     plans = []
+    densities: dict[int, complex] = {}  # per sphere S_g, shared by every norm
     for M, members in norms.items():
         gamma_star = min(-M, l) - refine
         spheres = []
@@ -137,8 +140,24 @@ def brute_force_oracle(
                 pinned = phi.at_zero * float(
                     sphere_chi_integral(prime, g, t) - sphere_chi_integral(prime, g, 0)
                 )
-            spheres.append((g, n, measure, pinned, density_on_sphere(f, prime, g)))
+            if g not in densities:
+                densities[g] = density_on_sphere(f, prime, g)
+            spheres.append((g, n, measure, pinned))
         plans.append((M, members, spheres, _oracle_tail(f, prime, gamma_star)))
+    # phi and pi_1 read only the digits of a cell word w below p^h (h <= n,
+    # as lam <= min(l, g - max(k0, 1))): one row of cell values per S_g
+    # over the units below p^h, which are the first words of every norm's
+    # sphere, and the sphere's ascending words repeat that row once per
+    # high-digit block
+    rows = {}
+    for g in densities:
+        units = qp._sphere_words(p, max(g - l, k0, 1))
+        row = phi.sample(units, g)
+        if is_plog and g <= 0:
+            row -= phi.values[0]
+        if k0 >= 1:
+            row *= chr_.complex_table()[units % p**k0]
+        rows[g] = row
     values = [0j] * len(points)
     for M, members, spheres, tail in plans:
         # on a cell c = w p^-g, chi_p(ct) = e^(2 pi i w u / p^(g+M)): with
@@ -149,30 +168,25 @@ def brute_force_oracle(
         mod = p ** max(E, 0)
         roots = _roots(p, E) if E > 0 else None
         totals = [0j] * len(members)
-        for g, n, measure, pinned, density in spheres:
-            # phi and pi_1 read only the digits of w below p^h (h <= n, as
-            # lam <= min(l, g - max(k0, 1))): one row of cell values over
-            # the units below p^h, which are the first words, and the
-            # sphere's ascending words repeat that row once per high-digit
-            # block
-            words = qp._sphere_words(p, n)
-            h = max(g - l, k0, 1)
-            units = words[: (p - 1) * p ** (h - 1)]
-            row = phi.sample(units, g)
-            if pinned is not None:
-                row -= phi.values[0]
-            if k0 >= 1:
-                row *= chr_.complex_table()[units % p**k0]
+        for g, n, measure, pinned in spheres:
+            row, size = rows[g], (p - 1) * p ** (n - 1)
+            # the index w u p^(top-g) mod p^E reads only the low g + M
+            # digits of w, so it repeats with the period of the first
+            # (p-1) p^(g+M-1) words (step == 0 when g + M <= 0)
+            period = qp._sphere_words(p, g + M) if g + M > 0 else None
             flat = None
             for j, (_, u) in enumerate(members):
                 step = u * pow(p, top - g, mod) % mod
                 if step:
                     # w < p^n and step < p^E, both at most 2^24: the int64
-                    # products stay exact
-                    index = words * step
-                    index %= mod
+                    # products stay exact; floor division by the scalar mod
+                    # multiplies and shifts, where % divides
+                    index = period * step
+                    index -= index // mod * mod
                     cells = roots[index]
                     del index
+                    if cells.size < size:
+                        cells = np.tile(cells, size // cells.size)
                     grid = cells.reshape(-1, row.size)
                     np.multiply(row, grid, out=grid)
                     cell = complex(cells.sum())
@@ -180,12 +194,12 @@ def brute_force_oracle(
                     del cells, grid
                 else:  # chi_p == 1 on S_g, the same sum for every u
                     if flat is None:
-                        flat = complex(np.tile(row, words.size // row.size).sum())
+                        flat = complex(np.tile(row, size // row.size).sum())
                     cell = flat
                 cell *= measure
                 if pinned is not None:
                     cell += pinned
-                totals[j] += density * cell
+                totals[j] += densities[g] * cell
         for (i, _), total in zip(members, totals):
             values[i] = total + phi.at_zero * tail
         del roots  # before the next norm builds its table

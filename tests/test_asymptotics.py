@@ -433,11 +433,13 @@ def test_each_sweep_builds_its_prediction_once(monkeypatch):
 
 
 def test_erdelyi_oracle_works_once_per_norm_sphere(monkeypatch):
-    # the oracle evaluates one tail per |t|_p and one density per (|t|_p, g),
-    # shared by the sweep's 3 directions on that norm sphere
+    # the oracle evaluates one tail per |t|_p, shared by the sweep's 3
+    # directions on that norm sphere, and one density and one row of cell
+    # values per sphere S_g, shared by every norm of the request
     from padicfourier import singular
+    from padicfourier.testfn import TestFunction
 
-    tails, densities = [], []
+    tails, densities, samples = [], [], []
 
     def counting(calls, real):
         def wrapper(*args):
@@ -452,12 +454,17 @@ def test_erdelyi_oracle_works_once_per_norm_sphere(monkeypatch):
     monkeypatch.setattr(
         singular, "density_on_sphere", counting(densities, singular.density_on_sphere)
     )
+    monkeypatch.setattr(
+        TestFunction, "sample", counting(samples, TestFunction.sample)
+    )
     phi = random_testfn(P5, 1, 0, seed=82)
     rep = erdelyi_check(0.5, quadratic_character(P5), 1, phi, 0, 4)
     assert rep.ok and len(rep.rows) == 15
-    # at |t|_5 = 5^M the tail starts below gamma* = -M and S_{1-M} .. S_1 are summed
+    # at |t|_5 = 5^M the tail starts below gamma* = -M and S_{1-M} .. S_1 are
+    # summed: each S_g is first met at the first norm that sums it
     assert tails == [-M for M in range(5)]
-    assert densities == [g for M in range(5) for g in range(1 - M, 2)]
+    assert densities == [1, 0, -1, -2, -3]
+    assert samples == [1, 0, -1, -2, -3]
 
 
 def test_verify_plog3_wide_grid_with_oracle():

@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import random
+import time
 from fractions import Fraction as Fr
 
 import pytest
@@ -271,6 +272,43 @@ def test_group_law_and_rank_accept_what_the_subgroup_check_accepted():
     # exactly the primitive characters: phi(p^k0) - phi(p^(k0-1)) per odd
     # case (1+4, 3+16, 5+36, 12) and 2^(k0-2) per p = 2 case (1+2+4)
     assert accepted == 84
+
+
+def first_failing_pair(p, k0, angles):
+    """The group-law check as a double loop over every pair of units: the
+    message for the first pair that breaks it, or None."""
+    mod = p**k0
+    for u, v in itertools.product(sorted(angles), repeat=2):
+        if (angles[u] + angles[v] - angles[u * v % mod]) % 1:
+            return f"pi_1({u}*{v}) != pi_1({u})*pi_1({v}) mod {mod}"
+    return None
+
+
+def test_group_law_names_the_double_loops_first_failing_pair():
+    # the law is checked on (unit, generator) pairs, and a table that
+    # breaks it is named by the first failing pair of the full double loop
+    rng = random.Random(86)
+    cases = [(p, k0) for p in (3, 5, 7) for k0 in (1, 2, 3)] + [(2, 2), (2, 3)]
+    for p, k0 in cases:
+        tables = [angles for _, angles in all_character_tables(p, k0)]
+        for angles in rng.sample(tables, min(4, len(tables))):
+            u = rng.choice([u for u in angles if u != 1])
+            # 2 * shift is not an integer either, so even u = u^-1 breaks
+            perturbed = {**angles, u: angles[u] + Fr(rng.randint(1, 4), 5)}
+            message = first_failing_pair(p, k0, perturbed)
+            assert message is not None
+            with pytest.raises(NotMultiplicative) as exc:
+                NormedMultChar(Prime(p), k0, perturbed)
+            assert str(exc.value) == message, (p, k0, u)
+
+
+def test_group_law_check_scales_to_a_deep_table():
+    # 4374 units at p = 3, k0 = 8: about 9 * 10^3 (unit, generator) pairs,
+    # where every pair of units would be 1.9 * 10^7
+    angles = primitive_angles(3, 8)
+    start = time.perf_counter()
+    chr_ = NormedMultChar(P3, 8, angles)
+    assert chr_.k0 == 8 and time.perf_counter() - start < 1.0
 
 
 def test_rank_examples():

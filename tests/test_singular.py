@@ -492,18 +492,20 @@ def per_cell_oracle(f, phi, t, refine):
 
 
 def test_oracle_keeps_the_per_cell_bits():
-    # one row of cell values per sphere, shared by every t of one norm,
-    # changes no term and no summation order
+    # one row of cell values per sphere, shared by every norm, and chi_p
+    # gathered over one period of the index and tiled across the sphere,
+    # change no term and no summation order
     rng = random.Random(71)
+    shallow = 0
     for trial in range(300):
-        p = rng.choice([2, 3, 5, 7])
+        p = rng.choice([2, 3, 5, 7, 11])
         prime = Prime(p)
         f = rng.choice(batch_oracle_families(prime))
         N = rng.randint(-2, 2)
         phi = random_testfn(prime, N, N - rng.randint(0, 8 // p + 1), seed=trial)
         top = max(N, 0) if isinstance(f, PLog) else N
-        refine = rng.randint(0, 2)
-        depth = {2: 12, 3: 8, 5: 5, 7: 4}[p] - refine
+        refine = rng.randint(0, 3)
+        depth = {2: 12, 3: 8, 5: 5, 7: 4, 11: 4}[p] - refine
         units = [n for n in range(-(p**3), p**3) if n % p]
         ts = [
             Fr(rng.choice(units), rng.choice([1, 3 if p == 2 else 2]))
@@ -511,10 +513,15 @@ def test_oracle_keeps_the_per_cell_bits():
             for _ in range(rng.randint(1, 5))
         ]
         ts += rng.sample(ts, rng.randint(0, len(ts)))
+        # a shallow norm, 0 < E = top + M < top - l: even unrefined, the
+        # top sphere's words outnumber one period of its index
+        Ms = [-valuation(t, prime) for t in ts]
+        shallow += refine == 0 and any(0 < top + M < top - phi.l for M in Ms)
         want = [per_cell_oracle(f, phi, t, refine) for t in ts]
         assert brute_force_oracle(req(f, phi, tuple(ts)), refine=refine) == want, (
             f, phi, ts, refine
         )
+    assert shallow >= 5
 
 
 def test_oracle_checks_every_sphere_before_it_enumerates(monkeypatch):
