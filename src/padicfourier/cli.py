@@ -276,7 +276,11 @@ def _cmd_bernoulli(args) -> int:
     lines = []
     for r in range(args.upto + 1):
         b = bernoulli(r)
-        lines.append(f"B_{r} = {b} = {_fmt(float(b))}")
+        try:
+            x = float(b)
+        except OverflowError:
+            raise NumericOverflow(f"B_{r} is beyond the floating range") from None
+        lines.append(f"B_{r} = {b} = {_fmt(x)}")
     _write_output("\n".join(lines), args.out)
     return EXIT_OK
 

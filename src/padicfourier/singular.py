@@ -10,12 +10,14 @@ cells on every sphere down to an analytic-tail boundary, plus the
 geometric-jet tail, with no split, no closed-form branches and no shared
 sphere kernel.  Each cell's chi_p(ct) is a root of unity read off one
 table of p^E-th roots per norm sphere |t|_p, not one complex exp per
-cell, at an index that repeats with the low digits of the cell word it
-reads, so it is computed over one period and the roots tiled.  The cell
-values, phi (minus phi(0) for PLog) times pi_1, and the sphere's density
-are computed once per g per request, as one row over the low digits they
-read, and shared by every norm that sums S_g; each t still adds one term
-per cell in word order.
+cell.  On a sphere S_g it reads the strided view of every p^(E-d)-th
+root, d = g + M, at the index w u mod p^d of the cell word w: the word
+itself when u = 1 mod p^d, with no arithmetic.  That index repeats with
+the low d digits of w, so it is computed over one period and the roots
+tiled.  The cell values, phi (minus phi(0) for PLog) times pi_1, and the
+sphere's density are computed once per g per request, as one row over
+the low digits they read, and shared by every norm that sums S_g; each t
+still adds one term per cell in word order.
 """
 
 from __future__ import annotations
@@ -160,30 +162,34 @@ def brute_force_oracle(
         rows[g] = row
     values = [0j] * len(points)
     for M, members, spheres, tail in plans:
-        # on a cell c = w p^-g, chi_p(ct) = e^(2 pi i w u / p^(g+M)): with
-        # E = top + M that is roots[w u p^(top-g) mod p^E], one table for
-        # every sphere and direction of this norm.  The top sphere's
-        # p^(top-lam) >= p^E words passed the 2^24 cap, so E <= _MAX_E
+        # one table of p^E-th roots, E = top + M, for every sphere and
+        # direction of this norm.  The top sphere's p^(top-lam) >= p^E
+        # words passed the 2^24 cap, so E <= _MAX_E
         E = top + M
-        mod = p ** max(E, 0)
         roots = _roots(p, E) if E > 0 else None
         totals = [0j] * len(members)
         for g, n, measure, pinned in spheres:
             row, size = rows[g], (p - 1) * p ** (n - 1)
-            # the index w u p^(top-g) mod p^E reads only the low g + M
-            # digits of w, so it repeats with the period of the first
-            # (p-1) p^(g+M-1) words (step == 0 when g + M <= 0)
-            period = qp._sphere_words(p, g + M) if g + M > 0 else None
+            # on a cell c = w p^-g, chi_p(ct) = e^(2 pi i w u / p^d) with
+            # d = g + M: entry w u mod p^d of the every-p^(E-d)-th-root view
+            # of the table, the very root roots[w u p^(top-g) mod p^E].  It
+            # reads only the low d digits of w, so it repeats with the
+            # period of the first (p-1) p^(d-1) words (chi_p == 1 if d <= 0)
+            d = g + M
+            if d > 0:
+                period, mod = qp._sphere_words(p, d), p**d
+                view = roots[:: p ** (E - d)]
             flat = None
             for j, (_, u) in enumerate(members):
-                step = u * pow(p, top - g, mod) % mod
-                if step:
-                    # w < p^n and step < p^E, both at most 2^24: the int64
-                    # products stay exact; floor division by the scalar mod
-                    # multiplies and shifts, where % divides
-                    index = period * step
-                    index -= index // mod * mod
-                    cells = roots[index]
+                if d > 0:
+                    index = period  # w u mod p^d, when u = 1 mod p^d
+                    if u % mod != 1:
+                        # w and u mod p^d are below p^d <= 2^24: the int64
+                        # products stay exact; floor division by the scalar
+                        # mod multiplies and shifts, where % divides
+                        index = period * (u % mod)
+                        index -= index // mod * mod
+                    cells = view[index]
                     del index
                     if cells.size < size:
                         cells = np.tile(cells, size // cells.size)
@@ -202,7 +208,7 @@ def brute_force_oracle(
                 totals[j] += densities[g] * cell
         for (i, _), total in zip(members, totals):
             values[i] = total + phi.at_zero * tail
-        del roots  # before the next norm builds its table
+        roots = view = None  # freed before the next norm builds its table
     return values if isinstance(req.t, tuple) else values[0]
 
 
@@ -223,7 +229,9 @@ def _turns(n: int, count: int) -> np.ndarray:
 def _roots(p: int, E: int) -> np.ndarray:
     """The p^E-th roots of unity e^(2 pi i k / p^E), k < p^E: the outer
     product of the p^(E-h)-th roots and the first p^h of the p^E-th roots,
-    h = E // 2, so about 2 p^(E/2) exps."""
+    h = E // 2, so about 2 p^(E/2) exps.  Each norm builds its own: for
+    even E the p^(E+1) table splits off finer coarse roots, so its every
+    p-th entry is the same root as this table's but not the same bits."""
     h = E // 2
     coarse = _turns(p ** (E - h), p ** (E - h))
     return np.multiply.outer(coarse, _turns(p**E, p**h)).ravel()

@@ -146,6 +146,14 @@ def test_bernoulli_subcommand(capsys):
     ]
 
 
+def test_bernoulli_past_the_float_range_is_a_numeric_error(capsys):
+    # B_258 is about 1.3e306; |B_260| is past the largest float
+    assert run(["bernoulli", "--upto", "260"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numeric error: ") and "B_260" in captured.err
+
+
 def test_verify_power_case(tmp_path, capsys):
     cfg = write_cfg(tmp_path, POWER_CFG)
     assert run(["verify", "--theorem", "auto", "--config", cfg]) == 0
@@ -275,6 +283,7 @@ PINNED_OUTPUTS = {
     ("eval-dist", "ramified"): "6b9170dfb3102971b7d18fb22b67c426cbefbf8add0819baedc94272d271ebaf",
     ("singular", "cubic", "--t", "1/9", "--oracle"): "245465d2f7b8b269ad609448113560718533768e011d976c79dd1bd4d9f30cf0",
     ("singular", "cubic", "--t", "5/243", "--oracle"): "407ac7f820ee976452ada184949941a7b4cfa14e096ff97d120028012bf108d3",
+    ("bernoulli", "--upto", "258"): "9bf2052e61213dd531e3934ac7a69d021e4edd070169d93d9c5361e6980e9f6f",
 }
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -522,6 +523,45 @@ def test_oracle_keeps_the_per_cell_bits():
             f, phi, ts, refine
         )
     assert shallow >= 5
+    # fixed directions: on S_g of norm M, u = 1 reads the strided root view
+    # at the words themselves, u = 1 + p^2 only where d = g + M <= 2, and
+    # u = p^3 - 1 only at d = 1, p = 2; a batch of all three at one norm
+    # switches branch from direction to direction
+    for p in (2, 3, 5, 7):
+        prime = Prime(p)
+        directions = (1, 1 + p**2, p**3 - 1)
+        for N, l in ((1, -2), (0, -3)):
+            phi = random_testfn(prime, N, l, seed=72 + N)
+            for f in batch_oracle_families(prime):
+                top = max(N, 0) if isinstance(f, PLog) else N
+                for refine in (0, 1):
+                    for E in (1, 2, 3, 5):
+                        ts = tuple(u * Fr(p) ** (top - E) for u in directions)
+                        want = [per_cell_oracle(f, phi, t, refine) for t in ts]
+                        for t, value in zip(ts, want):
+                            got = brute_force_oracle(req(f, phi, t), refine=refine)
+                            assert got == value, (f, phi, t, refine)
+                        got = brute_force_oracle(req(f, phi, ts), refine=refine)
+                        assert got == want, (f, phi, ts, refine)
+
+
+def test_oracle_peak_memory_per_direction():
+    # one root table, one index and one cell array alive at a time: a
+    # batch of three directions at p = 3, |t|_3 = 3^11 may not keep an
+    # index or a gather per direction
+    p, E = 3, 11
+    phi = random_testfn(P3, 0, -2, seed=73)
+    f = PiAlphaLog(1.5, trivial_character(P3), 0)
+    request = req(f, phi, tuple(Fr(u, p**E) for u in (1, 2, 5)))
+    brute_force_oracle(request)  # fills the word cache
+    tracemalloc.start()
+    try:
+        brute_force_oracle(request)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 16 * p**E + 24 * (p - 1) * p ** (E - 1) + (64 << 10)
+    assert peak <= bound, (peak, bound)
 
 
 def test_oracle_checks_every_sphere_before_it_enumerates(monkeypatch):
