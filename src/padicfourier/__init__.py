@@ -5,9 +5,7 @@ from .qp import (
     INFINITE_VALUATION,
     Prime,
     enumerate_cosets,
-    enumerate_sphere_cosets,
     fractional_part,
-    norm,
     valuation,
 )
 from .characters import (
@@ -64,9 +62,7 @@ __all__ = [
     "INFINITE_VALUATION",
     "Prime",
     "enumerate_cosets",
-    "enumerate_sphere_cosets",
     "fractional_part",
-    "norm",
     "valuation",
     "NormedMultChar",
     "RootOfUnity",

@@ -13,12 +13,14 @@ those integers, so all cancellation structure stays exact, and ``_root``
 turns a numerator into a complex value: it builds the complex table that
 pi_1(x) is read from, and it evaluates chi_p and the Gauss sum terms.
 
-The module also provides the exact one-sphere integral primitives that
-the closed-form evaluators rely on:
+The module also provides the exact one-sphere integrals:
 
-* integral of chi_p(xt) over a sphere (a rational, possibly 0);
+* integral of chi_p(xt) over a sphere (a rational, possibly 0), which
+  pins the brute-force oracle's PLog cells;
 * integral of pi_1(x) chi_p(xt) over a sphere, which vanishes exactly
-  unless |t|_p * p^gamma = p^{k0} and is a finite Gauss sum there.
+  unless |t|_p * p^gamma = p^{k0} and is a finite Gauss sum there; it
+  gives Gamma_p(pi_alpha) its resonant shell.  J0 reads ``gauss_sum``
+  itself.
 
 The exact-zero branches rest on two facts: full-period additive
 character sums vanish, and a ramified pi_1 sums to zero over every

@@ -77,7 +77,7 @@ import numpy as np
 from . import qp
 from .characters import NormedMultChar, eval_pi1, gauss_sum, trivial_character
 from .errors import BadWindow, NumericOverflow, ZeroArgument
-from .gamma import ball_norm_power_jets, faulhaber_coeffs, faulhaber_sum
+from .gamma import ball_tail, faulhaber_coeffs, faulhaber_sum
 from .jets import p_power_jet
 from .qp import Prime, Rational
 from .testfn import TestFunction, dilate, fourier
@@ -192,16 +192,10 @@ def j0_closed_form(
         raise TypeError(f"no J0 closed form for {f!r}")
 
     # the ball tail B_min(l0, -M), where chi_p == 1 and a ramified pi_1
-    # integrates to zero (ball_norm_power_jets checks the pole); entry m
-    # of the jet times (log_p e)^m, as logp_scaled has it
+    # integrates to zero (ball_tail checks the pole)
     chr_, alpha, m = f.pi1, f.alpha, f.m
     k = max(chr_.k0, 1)
-    if chr_.is_trivial():
-        ball = ball_norm_power_jets(prime, alpha, m)
-        logp_e_m = (1.0 / math.log(p)) ** m
-
-        def tail(g):
-            return ball(g).coeffs[m] * logp_e_m
+    tail = ball_tail(prime, alpha, m) if chr_.is_trivial() else lambda g: 0j
 
     # plus the one resonant sphere |xt|_p = p^k if it lies in B_l0; every
     # other sphere is an exact zero.  x = y p^M makes it one guarded power
@@ -215,10 +209,10 @@ def j0_closed_form(
     for M, u in points:
         if M <= -l0:
             if near is None:
-                near = tail(l0) if chr_.is_trivial() else 0j
+                near = tail(l0)
             values.append(near)
             continue
-        value = tail(-M) if chr_.is_trivial() else 0j
+        value = tail(-M)
         if k - M <= l0:
             gamma = k - M
             power = p_power_jet(p, gamma, alpha, 0).value * scale
@@ -244,6 +238,7 @@ def _annulus_product(
     k = max(chr_.k0, 1)
     # word w of B_N / B_lam is x = w p^-N; phi reads it modulo p^(N-l), so
     # subtracting phi(0) on B_l0 leaves exact zeros on B_l
+    qp.check_word_count(p, N - l + k - 1)
     out = np.tile(phi.values, p ** (k - 1))
     out[:: p ** (N - l0)] -= phi.values[0]
     # the view out[::p^v] holds the words p^v w'; those with w' a unit lie

@@ -9,11 +9,13 @@ Closed forms implemented here:
   Haar integral of pi_1 * chi_p over the sphere S_gamma.  Every G_gamma
   but G_{k0} is an exact zero, so the integral is its one resonant shell
   p^{k0(alpha-1)} G_{k0}, a finite Gauss sum, and no shell is summed;
-* the continued ball integral (1-1/p) p^{lam alpha} / (1-p^{-alpha}) of
-  |x|^{alpha-1} over B_lam as a jet, whose log_p e - scaled entry m is the
-  ball tail of ``j0_closed_form`` for trivial pi_1 (I_0(alpha; m) at
-  lam = 0).  The left side reads only this; Gamma_p and Gamma_p(pi_alpha)
-  serve the right-hand side (``gamma_pi``) and ``padic-fourier gamma``;
+* the ball tail (``ball_tail``): entry m of the jet of the continued
+  ball integral (1-1/p) p^{lam alpha} / (1-p^{-alpha}) of |x|^{alpha-1}
+  over B_lam, times (log_p e)^m (I_0(alpha; m) at lam = 0).  It is the
+  trivial-pi_1 tail of both ``j0_closed_form`` and the brute-force
+  oracle, and the only part of this module the left side reads;
+  Gamma_p and Gamma_p(pi_alpha) serve the right-hand side (``gamma_pi``)
+  and ``padic-fourier gamma``;
 * Bernoulli numbers from the binomial recurrence, and the power-sum
   polynomial S_s(n) = 1^s + ... + n^s evaluated as a polynomial at any
   integer (for n <= -1 it gives -sum_{n+1 <= g <= 0} g^s).
@@ -63,20 +65,19 @@ def gamma_p(prime: Prime, alpha: complex, order: int = 0) -> Jet:
     return num / den
 
 
-def ball_norm_power_jet(prime: Prime, lam: int, alpha: complex, order: int) -> Jet:
-    """Jet of the continued integral over B_lam of |x|^{alpha-1} dx,
-    i.e. (1 - 1/p) p^{lam*alpha} / (1 - p^{-alpha})."""
-    return ball_norm_power_jets(prime, alpha, order)(lam)
-
-
-def ball_norm_power_jets(prime: Prime, alpha: complex, order: int):
-    """lam |-> ball_norm_power_jet(prime, lam, alpha, order), with the pole
-    check and the 1 - p^{-alpha} jet done once for every lam."""
+def ball_tail(prime: Prime, alpha: complex, m: int):
+    """lam |-> entry m of the jet of the continued integral over B_lam of
+    |x|^{alpha-1} dx, (1 - 1/p) p^{lam*alpha} / (1 - p^{-alpha}), times
+    (log_p e)^m; the pole check and the 1 - p^{-alpha} jet are done once
+    for every lam."""
     check_pole(prime, alpha)
     p = prime.p
-    den = Jet.constant(1, order) - p_power_jet(p, -1, alpha, order)
+    den = Jet.constant(1, m) - p_power_jet(p, -1, alpha, m)
+    logp_e_m = (1.0 / math.log(p)) ** m  # the factor logp_scaled gives entry m
     # (p - 1) / p is float(1 - Fraction(1, p)): both round the same rational
-    return lambda lam: (p_power_jet(p, lam, alpha, order) / den).scale((p - 1) / p)
+    return lambda lam: (
+        (p_power_jet(p, lam, alpha, m) / den).scale((p - 1) / p).coeffs[m] * logp_e_m
+    )
 
 
 def logp_scaled(jet: Jet, p: int) -> Jet:

@@ -1,10 +1,10 @@
 """Exact arithmetic on evaluation points of Q_p.
 
 Points are plain ``fractions.Fraction`` values (no digit truncation, no
-precision parameter): valuation, norm, fractional part and coset
-membership are all exactly computable from a rational.  The norm
-convention is |x|_p = p^(-v) for x = p^v * m/n with m, n coprime to p,
-and |0|_p = 0.
+precision parameter): valuation, the split x = u p^-M of a point into
+its norm and unit part, fractional part and coset membership are all
+exactly computable from a rational.  The norm convention is
+|x|_p = p^(-v) for x = p^v * m/n with m, n coprime to p, and |0|_p = 0.
 
 Balls and spheres are centred at 0 unless stated otherwise:
 B_gamma = {|x|_p <= p^gamma}, S_gamma = B_gamma \\ B_{gamma-1}, with Haar
@@ -77,13 +77,6 @@ def p_power(p: int, e: int) -> float:
         raise NumericOverflow(f"{p}^{e} is not a finite float") from None
 
 
-def norm(x: Rational, prime: Prime) -> Fraction:
-    """|x|_p = p^(-valuation), exactly; 0 for x = 0."""
-    if x == 0:
-        return Fraction(0)
-    return Fraction(prime.p) ** split(x, prime, 0)[0]
-
-
 def split(x: Rational, prime: Prime, k: int) -> tuple[int, int]:
     """(M, u mod p^k) for x = u p^-M with u a unit (x != 0), so that
     |x|_p = p^M.  An int or a Fraction is read as it is."""
@@ -152,14 +145,3 @@ def enumerate_cosets(prime: Prime, N: int, l: int) -> list[Fraction]:
         raise BadWindow(f"constancy level l = {l} exceeds support level N = {N}")
     scale = Fraction(prime.p) ** (-N)
     return [int(w) * scale for w in _coset_words(prime.p, N - l)]
-
-
-def enumerate_sphere_cosets(prime: Prime, gamma: int, l: int) -> list[Fraction]:
-    """Representatives of the (p-1)*p^(gamma-l-1) cosets of B_l covering
-    the sphere S_gamma exactly once; each representative has norm p^gamma."""
-    if l >= gamma:
-        raise BadWindow(
-            f"sphere S_{gamma} is not a union of B_{l} cosets (need l <= gamma - 1)"
-        )
-    scale = Fraction(prime.p) ** (-gamma)
-    return [int(w) * scale for w in _sphere_words(prime.p, gamma - l)]

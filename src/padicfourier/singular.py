@@ -39,7 +39,7 @@ from .distributions import (
     j0_closed_form,  # noqa: F401 -- part of this module's API
 )
 from .errors import BadWindow, ZeroArgument
-from .gamma import ball_norm_power_jet, faulhaber_sum, logp_scaled
+from .gamma import ball_tail, faulhaber_sum
 from .qp import Prime, Rational
 from .testfn import TestFunction
 
@@ -246,6 +246,5 @@ def _oracle_tail(f: QahDistribution, prime: Prime, gamma_star: int) -> complex:
             (1 - Fraction(1, prime.p)) * faulhaber_sum(f.m - 1, gamma_star)
         )
     if f.pi1.is_trivial():
-        jet = ball_norm_power_jet(prime, gamma_star, f.alpha, f.m)
-        return logp_scaled(jet, prime.p).coeffs[f.m]
+        return ball_tail(prime, f.alpha, f.m)(gamma_star)
     return 0j  # ramified: every sphere integral of pi_1 vanishes

@@ -74,9 +74,6 @@ class TestFunction:
         # only the digits above p^l select a coset
         return self.values[(words % p ** (level - self.l)) * p ** (self.N - level)]
 
-    def window(self) -> tuple[int, int]:
-        return (self.N, self.l)
-
     def __repr__(self):
         return (
             f"TestFunction(p={self.prime.p}, N={self.N}, l={self.l}, "

@@ -5,6 +5,8 @@ import warnings
 
 from hypothesis import settings
 
+from padicfourier import enumerate_cosets, valuation
+
 settings.register_profile("padicfourier", derandomize=True, print_blob=True)
 settings.load_profile("padicfourier")
 
@@ -19,3 +21,10 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:  # no libcst: hypothesis then writes no patches
         pass
+
+
+def sphere_cosets(prime, gamma, l):
+    """The B_l cosets of B_gamma that make up the sphere S_gamma, in
+    enumeration order: a reference that does not read the oracle's own
+    sphere words."""
+    return [c for c in enumerate_cosets(prime, gamma, l) if valuation(c, prime) == -gamma]

@@ -51,6 +51,8 @@ from padicfourier.errors import (
     ZeroArgument,
 )
 
+from conftest import sphere_cosets
+
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
 
@@ -273,10 +275,8 @@ def test_log_fourier_identity():
             # spheres within supp F plus the closed-form constant tail
             lam = F.l
             acc = 0j
-            from padicfourier import enumerate_sphere_cosets
-
             for g in range(lam + 1, F.N + 1):
-                for c in enumerate_sphere_cosets(prime, g, F.l):
+                for c in sphere_cosets(prime, g, F.l):
                     acc += g * F.at(c) * float(Fr(p) ** F.l)
             # tail: F[psi] == psi-integral-value ... equals F at 0 coset times
             # sum_{g <= lam} g p^g (1-1/p)

@@ -13,7 +13,6 @@ from padicfourier import (
     Prime,
     RootOfUnity,
     chi,
-    enumerate_sphere_cosets,
     eval_pi1,
     make_character,
     quadratic_character,
@@ -31,6 +30,8 @@ from padicfourier.errors import (
     RankNotMinimal,
     ZeroArgument,
 )
+
+from conftest import sphere_cosets
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -351,7 +352,7 @@ def test_sphere_orthogonality_of_ramified_characters():
             level = gamma - chr_.k0 - 1
             total = sum(
                 eval_pi1(chr_, c) * float(Fr(p) ** level)
-                for c in enumerate_sphere_cosets(chr_.prime, gamma, level)
+                for c in sphere_cosets(chr_.prime, gamma, level)
             )
             assert abs(total) < 1e-12
 
@@ -365,7 +366,7 @@ def brute_sphere_integral(chr_, gamma, t, depth=2):
 
         level = min(level, valuation(t, prime) - depth)
     total = 0j
-    for c in enumerate_sphere_cosets(prime, gamma, level):
+    for c in sphere_cosets(prime, gamma, level):
         total += (
             eval_pi1(chr_, c)
             * chi(c * t, prime).to_complex()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from padicfourier import Prime, enumerate_cosets, fourier, random_testfn
+from padicfourier import Prime, enumerate_cosets, fourier, qp, random_testfn
 from padicfourier.cli import MAX_GRID_EXPONENT, MAX_GRID_ROWS, MAX_JET_ORDER, run
 
 POWER_CFG = {
@@ -380,6 +380,74 @@ def test_exit_code_one_on_bad_config(tmp_path, capsys):
     bad.write_text("{nope")
     assert run(["verify", "--config", str(bad)]) == 1
     assert run(["verify", "--config", str(tmp_path / "missing.json")]) == 1
+
+
+#: (config or None, argv with {cfg} for the config path and {tmp} for the
+#: test's directory, exit code, text on stdout for 0 and on stderr otherwise)
+CLI_BRANCHES = [
+    (
+        dict(POWER_CFG, distribution={"variant": "delta"}),
+        ["eval-dist", "--config", "{cfg}"],
+        0,
+        "<f, phi> = 1+0i",
+    ),
+    (
+        dict(
+            POWER_CFG,
+            test_function={"kind": "table", "N": 0, "l": -1, "values": [[1, 0], ["nan", 0]]},
+        ),
+        ["eval-dist", "--config", "{cfg}"],
+        1,
+        "error: config.test_function.values: not a finite number among them",
+    ),
+    ([1, 2], ["verify", "--config", "{cfg}"], 1, "error: config: top level must be an object"),
+    (
+        POWER_CFG,
+        ["verify", "--config", "{cfg}", "--out", "{tmp}/missing/report.csv"],
+        1,
+        "error: output: cannot write ",
+    ),
+    (None, ["bernoulli", "--upto", "-1"], 1, "error: --upto: must be >= 0"),
+    (
+        dict(POWER_CFG, t_grid={"M_min": 2, "M_max": 1}),
+        ["verify", "--config", "{cfg}"],
+        1,
+        "error: config.t_grid: M_max < M_min",
+    ),
+    (
+        dict(POWER_CFG, t_grid={"M_min": 0, "M_max": 1, "units_per_sphere": 0}),
+        ["verify", "--config", "{cfg}"],
+        1,
+        "error: config.t_grid.units_per_sphere: must be >= 1",
+    ),
+    (None, ["verify"], 1, "the following arguments are required: --config"),
+    (None, ["verify", "--help"], 0, "usage: padic-fourier verify"),
+]
+
+
+@pytest.mark.parametrize("cfg, argv, code, message", CLI_BRANCHES)
+def test_cli_branch_exits_with_its_code_and_message(tmp_path, capsys, cfg, argv, code, message):
+    path = None if cfg is None else write_cfg(tmp_path, cfg)
+    argv = [a.format(cfg=path, tmp=tmp_path) for a in argv]
+    assert run(argv) == code
+    out, err = capsys.readouterr()
+    assert message in (out if code == 0 else err)
+    assert "Traceback" not in out + err
+
+
+def test_annulus_table_past_the_word_cap_exits_one(tmp_path, monkeypatch, capsys):
+    # cubic mod 9 tiles the 3^4 coset values into a 3^5-word table
+    cfg = copy.deepcopy(RAMIFIED_CFG)
+    cfg["distribution"]["character"] = {
+        "kind": "table",
+        "modulus_exponent": 2,
+        "values": {"1": "0", "2": "2/3", "4": "1/3", "5": "1/3", "7": "2/3", "8": "0"},
+    }
+    cfg["test_function"] = {"kind": "table", "N": 1, "l": -3, "values": [[1.0, 0.0]] * 81}
+    monkeypatch.setattr(qp, "MAX_WORDS", 3**5 - 1)
+    assert run(["verify", "--config", write_cfg(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "coset enumeration too large: 3^5 words" in err and "Traceback" not in err
 
 
 def test_singular_subcommand_with_oracle(tmp_path, capsys):

@@ -16,7 +16,6 @@ from padicfourier import (
     apply,
     brute_force_oracle,
     delta_indicator,
-    enumerate_sphere_cosets,
     erdelyi_check,
     eval_pi1,
     fourier,
@@ -39,6 +38,8 @@ from padicfourier.distributions import (
 from padicfourier.errors import BadWindow, NumericOverflow, PoleProximity, ZeroArgument
 from padicfourier.gamma import logp_scaled
 from padicfourier.singular import SingularIntegralRequest
+
+from conftest import sphere_cosets
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -207,7 +208,7 @@ def enumerated_pairing(f, phi):
         lam = min(phi.l, g - max(chr_.k0, 1))
         cells = sum(
             (phi.at(c) - phi.at_zero) * eval_pi1(chr_, c)
-            for c in enumerate_sphere_cosets(prime, g, lam)
+            for c in sphere_cosets(prime, g, lam)
         )
         total += density_on_sphere(f, prime, g) * cells * float(Fr(prime.p) ** lam)
     if isinstance(f, PiAlphaLog):
@@ -394,3 +395,17 @@ def test_annulus_product_keeps_the_broadcast_bits(p):
                 got = _annulus_product(f, phi, chr_, l0)
                 want = broadcast_annulus_product(f, phi, chr_, l0)
                 assert got.values.tobytes() == want.tobytes(), (width, f, l0)
+
+
+def test_annulus_table_keeps_the_word_cap(monkeypatch):
+    # cubic mod 9 tiles phi's 3^4 words 3 times: a 3^5-word table
+    f = PiAlphaLog(0.5, cubic_mod9(), 0)
+    phi = random_testfn(P3, 1, -3, seed=11)
+    far = Fr(1, 3**5)  # |t|_3 = 3^5 > p^-lam: F[h] is 0 there, J is J0 alone
+    want = singular_fourier(SingularIntegralRequest(f, phi, far))
+    monkeypatch.setattr(qp, "MAX_WORDS", 3**5 - 1)
+    with pytest.raises(BadWindow, match="coset enumeration too large: 3\\^5 words"):
+        singular_fourier(SingularIntegralRequest(f, phi, Fr(1, 3)))
+    with pytest.raises(BadWindow, match="coset enumeration too large"):
+        apply(f, phi)
+    assert singular_fourier(SingularIntegralRequest(f, phi, far)) == want

@@ -108,7 +108,7 @@ def test_the_right_side_does_not_import_the_left_sides_kernels():
     kernels = {
         "faulhaber_sum",
         "faulhaber_coeffs",
-        "ball_norm_power_jet",
+        "ball_tail",
         "j0_closed_form",
         "_pairing",
     }

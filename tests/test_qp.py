@@ -1,4 +1,4 @@
-"""Core p-adic arithmetic: valuation, norm, fractional part, cosets."""
+"""Core p-adic arithmetic: valuation, split, fractional part, cosets."""
 
 import random
 from fractions import Fraction as Fr
@@ -13,13 +13,13 @@ from padicfourier import (
     Prime,
     TestFunction,
     enumerate_cosets,
-    enumerate_sphere_cosets,
     fractional_part,
-    norm,
     valuation,
 )
 from padicfourier.errors import BadWindow, NonPadicDenominator
 from padicfourier import qp
+
+from conftest import sphere_cosets
 
 
 def random_rational(rng, p):
@@ -93,12 +93,6 @@ def test_split_rejects_zero():
     with pytest.raises(ZeroDivisionError):
         qp.split(Fr(0), Prime(3), 2)
 
-def test_norm_examples():
-    assert norm(Fr(3, 2), Prime(2)) == 2
-    assert norm(0, Prime(5)) == 0
-    assert norm(9, Prime(3)) == Fr(1, 9)
-
-
 def test_fractional_part_examples():
     assert fractional_part(Fr(3, 2), Prime(2)) == Fr(1, 2)
     assert fractional_part(7, Prime(3)) == 0
@@ -124,10 +118,11 @@ def test_strong_triangle_inequality():
         prime = Prime(p)
         for _ in range(300):
             x, y = random_rational(rng, p), random_rational(rng, p)
-            nx, ny, nxy = norm(x, prime), norm(y, prime), norm(x + y, prime)
-            assert nxy <= max(nx, ny)
-            if nx != ny:
-                assert nxy == max(nx, ny)
+            # |x + y|_p <= max(|x|_p, |y|_p), with equality when they differ
+            vx, vy, vxy = (valuation(z, prime) for z in (x, y, x + y))
+            assert vxy >= min(vx, vy)
+            if vx != vy:
+                assert vxy == min(vx, vy)
 
 
 def test_norm_stabilization():
@@ -139,10 +134,10 @@ def test_norm_stabilization():
             x = random_rational(rng, p)
             if x == 0:
                 continue
-            nx = norm(x, prime)
+            vx = valuation(x, prime)
             for n in range(-6, 12):
-                if Fr(p) ** (-n) < nx:
-                    assert norm(x + Fr(p) ** n, prime) == nx
+                if n > vx:  # p^-n < |x|_p
+                    assert valuation(x + Fr(p) ** n, prime) == vx
 
 
 def test_fractional_part_iff_nonnegative_valuation():
@@ -185,20 +180,13 @@ def test_enumerate_cosets_bad_window():
         enumerate_cosets(Prime(2), 0, 1)
 
 
-def test_enumerate_sphere_cosets_examples():
-    assert enumerate_sphere_cosets(Prime(3), 0, -1) == [1, 2]
-    assert enumerate_sphere_cosets(Prime(2), 1, 0) == [Fr(1, 2)]
-    with pytest.raises(BadWindow):
-        enumerate_sphere_cosets(Prime(2), 0, 0)
-
-
 def test_sphere_cosets_norm_and_count():
     for p, gamma, l in ((2, 1, -2), (3, -1, -3), (5, 2, 0)):
         prime = Prime(p)
-        reps = enumerate_sphere_cosets(prime, gamma, l)
+        reps = sphere_cosets(prime, gamma, l)
         assert len(reps) == (p - 1) * p ** (gamma - l - 1)
         for r in reps:
-            assert norm(r, prime) == Fr(p) ** gamma
+            assert qp.split(r, prime, 0)[0] == gamma  # |r|_p = p^gamma
 
 
 def test_measure_additivity():
@@ -207,7 +195,7 @@ def test_measure_additivity():
         prime = Prime(p)
         total = sum(Fr(p) ** l for _ in enumerate_cosets(prime, N, l))
         assert total == Fr(p) ** N
-        total = sum(Fr(p) ** l for _ in enumerate_sphere_cosets(prime, N, l))
+        total = sum(Fr(p) ** l for _ in sphere_cosets(prime, N, l))
         assert total == Fr(p) ** N * (1 - Fr(1, p))
 
 
@@ -215,7 +203,7 @@ def test_sphere_cosets_partition_ball_difference():
     prime = Prime(3)
     ball = set(enumerate_cosets(prime, 1, -1))
     inner = set(enumerate_cosets(prime, 0, -1))
-    sphere = set(enumerate_sphere_cosets(prime, 1, -1))
+    sphere = set(sphere_cosets(prime, 1, -1))
     assert ball == inner | sphere
     assert not (inner & sphere)
 

@@ -22,7 +22,6 @@ from padicfourier import (
     brute_force_oracle,
     chi,
     delta_indicator,
-    enumerate_sphere_cosets,
     eval_pi1,
     faulhaber_sum,
     fourier,
@@ -41,6 +40,8 @@ from padicfourier.distributions import density_on_sphere
 from padicfourier.gamma import logp_scaled
 from padicfourier.errors import BadWindow, PoleProximity, ZeroArgument
 from padicfourier.singular import _oracle_tail, _roots
+
+from conftest import sphere_cosets
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -173,7 +174,7 @@ def sphere_by_sphere_j0(f, l0, t, prime, depth=50):
     for g in range(l0 - depth + 1, l0 + 1):
         lam = g - k if t is None else min(g - k, valuation(t, prime))
         weight = complex(p) ** ((f.alpha - 1) * g) * g**f.m * float(Fr(p) ** lam)
-        for c in enumerate_sphere_cosets(prime, g, lam):
+        for c in sphere_cosets(prime, g, lam):
             value = eval_pi1(f.pi1, c)
             if t is not None:
                 value *= chi(c * t, prime).to_complex()
@@ -703,7 +704,7 @@ def reference_j(f, chr_, phi, t, l0):
     for g in split_spheres(phi, l0):
         lam = cell_level(phi, chr_, g, t)
         weight = density_on_sphere(f, prime, g) * float(Fr(prime.p) ** lam)
-        for c in enumerate_sphere_cosets(prime, g, lam):
+        for c in sphere_cosets(prime, g, lam):
             value = phi.at(c) - (phi.at_zero if g <= l0 else 0)
             if t is not None:
                 value *= chi(p_power_denominator(c * t, prime.p), prime).to_complex()
@@ -792,7 +793,7 @@ def reference_oracle(f, phi, t, refine):
         weight = density_on_sphere(f, prime, g) * float(Fr(prime.p) ** lam)
         # the PLog integrand on B_0 is phi(x) chi_p(xt) - phi(0)
         pinned = phi.at_zero if isinstance(f, PLog) and g <= 0 else 0
-        for c in enumerate_sphere_cosets(prime, g, lam):
+        for c in sphere_cosets(prime, g, lam):
             ct = p_power_denominator(c * t, prime.p)
             angle = eval_pi1(chr_, c) * chi(ct, prime).to_complex()
             terms.append(weight * (phi.at(c) * angle - pinned))
