@@ -30,7 +30,7 @@ One private function, ``_sweep``, runs every sweep: it validates the
 t-grid (several unit directions per norm sphere), builds the prediction
 once, evaluates it on every row (so a right-hand side beyond the float
 range fails before the left side is paid for), asks for the
-left side of the whole grid in one request, compares it with the
+left side of the whole grid in one request of its (M, u), compares it with the
 right-hand side row by row, asserts equality beyond s(phi), and reports
 the empirically observed stabilization threshold.
 ``verify_stabilization`` takes the left side from the exact split
@@ -304,14 +304,14 @@ def _sweep(
         raise ValueError(f"empty sweep: M_max = {M_max} < M_min = {M_min}")
     if units_per_sphere < 1:
         raise ValueError("units_per_sphere must be >= 1")
+    if tolerance_scale < 0:
+        raise ValueError(f"tolerance_scale must be >= 0, got {tolerance_scale}")
     prime = phi.prime
     prediction = predict_expansion(f, phi.l, prime)
     units = unit_directions(prime, units_per_sphere)
     grid = [(M, u) for M in range(M_min, M_max + 1) for u in units]
     rhs_values = prediction._on_grid(phi.at_zero, grid)
-    p = prime.p
-    ts = [Fraction(u, p**M) if M >= 0 else u * p**-M for M, u in grid]
-    request = SingularIntegralRequest(f, phi, ts, split_level)
+    request = SingularIntegralRequest(f, phi, None, split_level, _grid=tuple(grid))
     rows = []
     for (M, u), J, rhs in zip(grid, evaluate_J(request), rhs_values):
         err = abs(J - rhs)

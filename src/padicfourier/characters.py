@@ -15,12 +15,10 @@ pi_1(x) is read from, and it evaluates chi_p and the Gauss sum terms.
 
 The module also provides the exact one-sphere integrals:
 
-* integral of chi_p(xt) over a sphere (a rational, possibly 0), which
-  pins the brute-force oracle's PLog cells;
+* integral of chi_p(xt) over a sphere (a rational, possibly 0);
 * integral of pi_1(x) chi_p(xt) over a sphere, which vanishes exactly
-  unless |t|_p * p^gamma = p^{k0} and is a finite Gauss sum there; it
-  gives Gamma_p(pi_alpha) its resonant shell.  J0 reads ``gauss_sum``
-  itself.
+  unless |t|_p * p^gamma = p^{k0} and is a finite Gauss sum there.
+  Gamma_p(pi_alpha)'s resonant shell and J0 read ``gauss_sum`` itself.
 
 The exact-zero branches rest on two facts: full-period additive
 character sums vanish, and a ramified pi_1 sums to zero over every
@@ -184,6 +182,7 @@ def quadratic_character(prime: Prime) -> NormedMultChar:
     p = prime.p
     if p == 2:
         raise BadTable("quadratic character requires an odd prime")
+    qp.check_word_count(p, 1)  # the p - 1 units, counted before any is listed
     squares = {(u * u) % p for u in range(1, p)}
     angles = {u: Fraction(0 if u in squares else 1, 2) for u in range(1, p)}
     return NormedMultChar(prime, 1, angles)
@@ -214,7 +213,9 @@ def eval_pi1(chr_: NormedMultChar, x: Rational) -> complex:
     the unit part of x."""
     if x == 0:
         raise ZeroArgument("pi_1 is undefined at 0")
-    return complex(chr_._table[qp.split(x, chr_.prime, chr_.k0)[1]])
+    p = chr_.prime.p
+    u = x if isinstance(x, int) and x % p else qp.split(x, chr_.prime, chr_.k0)[1]
+    return complex(chr_._table[u % p**chr_.k0])
 
 
 # ---------------------------------------------------------------------------

@@ -381,6 +381,8 @@ def _cmd_sweep(args) -> int:
         )
     M_min, M_max, units = _grid(cfg)
     tol = _field(cfg, "tolerance", "config", _real, default=asymptotics.TOLERANCE_SCALE)
+    if tol < 0:
+        raise ConfigError("config.tolerance: must be >= 0")
     options = dict(units_per_sphere=units, tolerance_scale=tol, strict=False)
     if erdelyi:
         report = erdelyi_check(f.alpha, f.pi1, f.m, phi, M_min, M_max, **options)

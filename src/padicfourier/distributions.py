@@ -42,8 +42,8 @@ phi(0) J0 at |t|_p = p^-l0, where chi_p == 1 on B_{l0}.  J0
   over the annulus between the two balls (it vanishes at l0 = 0 and makes
   J independent of the split level).
 
-A batch splits each t once, t = u p^-M with |t|_p = p^M (``qp.split``);
-F[h] is read off its table at a word of u, and J0 is keyed by
+A point comes split once, t = u p^-M with |t|_p = p^M, as a request holds
+it; F[h] is read off its table at a word of u, and J0 is keyed by
 (|t|_p, u mod p^k0): one ``j0_closed_form`` call takes every key of the
 batch and does the work that depends on neither (the pole check, the
 1 - p^-alpha jet, the PLog S_{m-1}(l0)) once, in ints and floats, with
@@ -161,8 +161,8 @@ def j0_closed_form(
 ) -> list[complex]:
     """The continued integral of f(x) chi_p(xt) over B_{l0} (for the PLog
     family: of the chi_p(xt) - 1 variant, plus the pinning correction), in
-    closed form, at every point (M, u) with t = u p^-M, as ``qp.split``
-    gives them (u known modulo p^k0 at least): one J0 per point, with the
+    closed form, at every point (M, u) with t = u p^-M, as a request holds
+    them (u known modulo p^k0 at least): one J0 per point, with the
     pole check, the 1 - p^-alpha jet and the PLog S_{m-1}(l0) computed once
     for all of them.  The point (-l0, 1) gives chi_p == 1 on B_l0; at
     l0 = 0 that is I_0."""
@@ -247,8 +247,8 @@ def _annulus_product(
     # the outer axes and order="C" holds numpy to them: the inner loop is a
     # long strided run down the rows, with the same product per word and so
     # the same bits (a call per residue gives the deepest sphere runs of one
-    # word, which numpy rounds differently)
-    pi1 = np.resize(chr_.complex_table(), p**k).reshape(-1, p)[:, 1:, None]
+    # word, which numpy rounds differently).  N = l has no sphere and no row
+    pi1 = np.resize(chr_.complex_table(), p**k).reshape(-1, p)[:, 1:, None] if N > l else None
     for v in range(N - l):
         sphere = out[:: p**v].reshape(-1, p ** (k - 1), p).transpose(1, 2, 0)[:, 1:]
         np.multiply(sphere, density_on_sphere(f, prime, N - v) * pi1, out=sphere, order="C")
@@ -256,35 +256,35 @@ def _annulus_product(
 
 
 def _pairing(
-    f: QahDistribution, phi: TestFunction, ts: Sequence[Rational] | None, l0: int
+    f: QahDistribution, phi: TestFunction, grid: Sequence | None, l0: int
 ) -> list[complex]:
     """<f(x) chi_p(xt), phi(x)> split at l0 (clamped into [l, N]), one value
-    per t of ``ts``, or the one value <f, phi> when ts is None."""
+    per point (M, u) of ``grid`` (t = u p^-M), or <f, phi> when grid is None."""
     if isinstance(f, DiracDelta):
-        return [phi.at(0)] * (1 if ts is None else len(ts))
+        return [phi.at(0)] * (1 if grid is None else len(grid))
     prime = phi.prime
     p = prime.p
     chr_ = char_of(f, prime)
     l0 = min(max(l0, phi.l), phi.N)
     lam = phi.l + 1 - max(chr_.k0, 1)
-    if ts is None:
+    phi0 = phi.at_zero
+    if grid is None:
         s = _annulus_product(f, phi, chr_, l0).values.sum() * qp.p_power(p, lam)
-        return [complex(s) + phi.at_zero * j0_closed_form(f, l0, [(-l0, 1)], prime)[0]]
-    # t = u p^-M: F[h] lies in D^-lam_-N, so it is the table's word
-    # u p^(-lam-M) mod p^(N-lam) for M <= -lam and 0 past that; J0 reads only
-    # M and u mod p^k0 (k0 can exceed N - lam on a delta's window)
-    grid = [qp.split(t, prime, max(phi.N - lam, chr_.k0)) for t in ts]
-    split = [0j] * len(ts)
-    if any(M <= -lam for M, _ in grid):
+        return [complex(s) + phi0 * j0_closed_form(f, l0, [(-l0, 1)], prime)[0]]
+    # F[h] lies in D^-lam_-N: at t = u p^-M, M <= -lam, it is the table's word
+    # u p^(-lam-M) mod p^(N-lam) (one int64 gather, both factors below 2^24),
+    # else 0; J0 reads M and u mod p^k0 (k0 > N - lam on a delta's window)
+    split = np.zeros(len(grid), dtype=np.complex128)
+    inside = [i for i, (M, _) in enumerate(grid) if M <= -lam]
+    if inside:
         table = fourier(_annulus_product(f, phi, chr_, l0)).values
         mod = p ** (phi.N - lam)
-        for i, (M, u) in enumerate(grid):
-            if M <= -lam:
-                split[i] = table[u * pow(p, -lam - M, mod) % mod]
+        words = [(grid[i][1] % mod, pow(p, -lam - grid[i][0], mod)) for i in inside]
+        split[inside] = table[np.array(words, np.int64).prod(axis=1) % mod]
     keys = [(M, u % p**chr_.k0) for M, u in grid]
     points = list(dict.fromkeys(keys))
     j0 = dict(zip(points, j0_closed_form(f, l0, points, prime)))
-    return [complex(s) + phi.at_zero * j0[key] for s, key in zip(split, keys)]
+    return [s + phi0 * j0[key] for s, key in zip(split.tolist(), keys)]
 
 
 def apply(f: QahDistribution, phi: TestFunction) -> complex:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .characters import NormedMultChar, sphere_char_chi_integral
+from .characters import NormedMultChar, gauss_sum
 from .errors import NumericOverflow, PoleProximity
 from .jets import Jet, p_power_jet
 from .qp import Prime, p_power
@@ -99,7 +99,7 @@ def gamma_pi(alpha: complex, pi1: NormedMultChar, order: int = 0) -> Jet:
     if pi1.is_trivial():
         return gamma_p(prime, alpha, order)
     k0 = pi1.k0
-    shell = sphere_char_chi_integral(pi1, k0, 1) * p_power(prime.p, -k0)
+    shell = gauss_sum(pi1, 1) * p_power(prime.p, -k0)
     return p_power_jet(prime.p, k0, alpha, order).scale(shell)
 
 

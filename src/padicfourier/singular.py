@@ -1,9 +1,10 @@
 """The singular Fourier integral J(t) = <f(x) chi_p(xt), phi(x)>, exactly.
 
-``singular_fourier`` validates a request (one t, or a batch of any
-nonzero t) and hands it to the pairing core in ``distributions``: one
-Fourier transform of the annulus product h, read at every t, plus phi(0)
-times the closed-form J0.
+A request (one t, or a batch of any nonzero t) splits each t once, into
+the integers (M, u) with t = u p^-M, or takes a sweep's (M, u) grid as it
+stands.  ``singular_fourier`` hands the points to the pairing core in
+``distributions``: one Fourier transform of the annulus product h, read
+at every point, plus phi(0) times the closed-form J0.
 ``brute_force_oracle`` recomputes J on a structurally different path:
 its own plain value-times-chi_p-times-measure summation over refined
 cells on every sphere down to an analytic-tail boundary, plus the
@@ -22,21 +23,21 @@ still adds one term per cell in word order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import qp
-from .characters import sphere_chi_integral
 from .distributions import (
     DiracDelta,
+    PiAlphaLog,
     PLog,
     QahDistribution,
     _pairing,
     char_of,
     density_on_sphere,
-    j0_closed_form,  # noqa: F401 -- part of this module's API
+    j0_closed_form,  # noqa: F401 -- the package and bench/tracing.py bind it here
 )
 from .errors import BadWindow, ZeroArgument
 from .gamma import ball_tail, faulhaber_sum
@@ -44,52 +45,52 @@ from .qp import Prime, Rational
 from .testfn import TestFunction
 
 
-def _rational(t) -> Rational:
-    return t if isinstance(t, (int, Fraction)) else Fraction(t)
+#: an oracle root table's p^E roots and the F[h] table's p^(N-lam) words are
+#: at most qp.MAX_WORDS = 2^24, so u mod p^24 holds every residue they read
+_MAX_E = qp.MAX_WORDS.bit_length() - 1
 
 
 @dataclass(frozen=True)
 class SingularIntegralRequest:
     """One evaluation J_{f, phi}(t), or one per t of a tuple of nonzero
-    points; split_level defaults to phi's l."""
+    points; split_level defaults to phi's l.  ``_grid`` holds each point
+    t = u p^-M as (M, u mod p^max(24, k0)): split from t, or given with t = None."""
 
     f: QahDistribution
     phi: TestFunction
-    t: Rational | tuple[Rational, ...]
+    t: Rational | tuple[Rational, ...] | None
     split_level: int | None = None
+    _grid: tuple[tuple[int, int], ...] | None = field(default=None, repr=False, kw_only=True)
 
     def __post_init__(self):
-        if isinstance(self.t, (tuple, list)):
-            object.__setattr__(self, "t", tuple(map(_rational, self.t)))
-        else:
-            object.__setattr__(self, "t", _rational(self.t))
-        if not self.points():
+        if self.t is not None:
+            batch = isinstance(self.t, (tuple, list))
+            ts = self.t if batch else (self.t,)
+            ts = tuple(t if isinstance(t, (int, Fraction)) else Fraction(t) for t in ts)
+            if 0 in ts:
+                raise ZeroArgument("singular integral requires t != 0")
+            k = max(_MAX_E, self.f.pi1.k0 if isinstance(self.f, PiAlphaLog) else 0)
+            object.__setattr__(self, "t", ts if batch else ts[0])
+            object.__setattr__(self, "_grid", tuple(qp.split(t, self.phi.prime, k) for t in ts))
+        if not self._grid:
             raise ZeroArgument("a batch of points needs at least one t")
-        if 0 in self.points():
-            raise ZeroArgument("singular integral requires t != 0")
         l0 = self.level()
         if l0 > self.phi.N:
             raise BadWindow(
                 f"split level l0 = {l0} exceeds support N = {self.phi.N}"
             )
 
-    def points(self) -> tuple[Rational, ...]:
-        return self.t if isinstance(self.t, tuple) else (self.t,)
-
     def level(self) -> int:
         return self.phi.l if self.split_level is None else int(self.split_level)
+
+    def _shaped(self, values: list[complex]) -> complex | list[complex]:
+        return values if self.t is None or isinstance(self.t, tuple) else values[0]
 
 
 def singular_fourier(req: SingularIntegralRequest) -> complex | list[complex]:
     """J(t) = <f(x) chi_p(xt), phi(x)>, exactly (up to floating rounding).
     A tuple of t gives a list, one J per t, all read off one transform."""
-    values = _pairing(req.f, req.phi, req.points(), req.level())
-    return values if isinstance(req.t, tuple) else values[0]
-
-
-#: a root table holds p^E <= qp.MAX_WORDS = 2^24 roots, so E <= 24 at any p
-#: and u mod p^24 holds every residue a table reads
-_MAX_E = qp.MAX_WORDS.bit_length() - 1
+    return req._shaped(_pairing(req.f, req.phi, req._grid, req.level()))
 
 
 def brute_force_oracle(
@@ -103,10 +104,9 @@ def brute_force_oracle(
     one J per t; the points of one norm share everything but chi_p."""
     if refine < 0:
         raise ValueError(f"refine must be >= 0, got {refine}")
-    f, phi, points = req.f, req.phi, req.points()
+    f, phi, grid = req.f, req.phi, req._grid
     if isinstance(f, DiracDelta):
-        values = [phi.at(0)] * len(points)
-        return values if isinstance(req.t, tuple) else values[0]
+        return req._shaped([phi.at(0)] * len(grid))
     prime, l = phi.prime, phi.l
     p = prime.p
     chr_ = char_of(f, prime)
@@ -115,10 +115,9 @@ def brute_force_oracle(
     # the PLog regularization subtracts phi(0) over all of B_0, so its
     # sphere sums run to S_0 even when phi's support stops below it
     top = max(phi.N, 0) if is_plog else phi.N
-    # t = u p^-M, split once; the points of one norm p^M, in first-seen order
+    # the points t = u p^-M of one norm p^M, in first-seen order
     norms: dict[int, list[tuple[int, int]]] = {}
-    for i, t in enumerate(points):
-        M, u = qp.split(t, prime, _MAX_E)
+    for i, (M, u) in enumerate(grid):
         norms.setdefault(M, []).append((i, u))
     # every sphere of every norm is checked (word count, cell measure p^lam,
     # density) and every tail evaluated, in the order a per-t evaluation
@@ -134,14 +133,13 @@ def brute_force_oracle(
             n = g - lam  # digits per cell word
             qp.check_word_count(p, n)
             measure = qp.p_power(p, lam)
-            # interior PLog integrand is phi*chi - phi(0), i.e. the
-            # (phi - phi(0))*chi cells plus phi(0)*(chi - 1)
+            # interior PLog integrand is phi*chi - phi(0), i.e. the (phi -
+            # phi(0))*chi cells plus phi(0)*(chi - 1), whose integral over S_g
+            # is 0 for g + M <= 0, -p^g at g + M = 1, else -(p - 1) p^(g-1)
             pinned = None
             if is_plog and g <= 0:
-                t = points[members[0][0]]
-                pinned = phi.at_zero * float(
-                    sphere_chi_integral(prime, g, t) - sphere_chi_integral(prime, g, 0)
-                )
+                d = g + M
+                pinned = phi.at_zero * (0.0 if d <= 0 else -(p if d == 1 else p - 1) / p ** (1 - g))
             if g not in densities:
                 densities[g] = density_on_sphere(f, prime, g)
             spheres.append((g, n, measure, pinned))
@@ -160,7 +158,7 @@ def brute_force_oracle(
         if k0 >= 1:
             row *= chr_.complex_table()[units % p**k0]
         rows[g] = row
-    values = [0j] * len(points)
+    values = [0j] * len(grid)
     for M, members, spheres, tail in plans:
         # one table of p^E-th roots, E = top + M, for every sphere and
         # direction of this norm.  The top sphere's p^(top-lam) >= p^E
@@ -209,7 +207,7 @@ def brute_force_oracle(
         for (i, _), total in zip(members, totals):
             values[i] = total + phi.at_zero * tail
         roots = view = None  # freed before the next norm builds its table
-    return values if isinstance(req.t, tuple) else values[0]
+    return req._shaped(values)
 
 
 #: i^q for a quarter turn q

@@ -24,6 +24,7 @@ from padicfourier import (
     SingularIntegralRequest,
     apply,
     bernoulli,
+    brute_force_oracle,
     delta_indicator,
     erdelyi_check,
     eval_pi1,
@@ -324,6 +325,9 @@ def test_erdelyi_check_cases():
         erdelyi_check(
             2, trivial_character(P2), 0, delta_indicator(P2, 0), 1, 5, units_per_sphere=0
         )
+    # a negative tolerance would fail every row: rejected, not reported
+    with pytest.raises(ValueError, match="tolerance_scale must be >= 0"):
+        verify_stabilization(PLog(1), delta_indicator(P2, 0), 1, 5, tolerance_scale=-1)
 
 
 def test_report_roundtrip_and_csv_schema():
@@ -468,8 +472,6 @@ def test_erdelyi_oracle_works_once_per_norm_sphere(monkeypatch):
 
 
 def test_verify_plog3_wide_grid_with_oracle():
-    from padicfourier import brute_force_oracle
-
     f = PLog(3)
     d0 = delta_indicator(P2, 0)
     rep = verify_stabilization(f, d0, 1, 8)
@@ -527,35 +529,21 @@ def test_j0_once_per_norm_sphere(monkeypatch):
 
 
 def test_each_t_is_split_once(monkeypatch):
-    # the pairing core splits every t of a sweep once; J0 and the sphere
-    # integrals read the (M, u) it hands them and split nothing again
-    from padicfourier import characters, qp, singular
+    # a sweep hands its (M, u) grid to J, J0, the oracle and the right-hand
+    # side as it stands and splits nothing; a public request splits each of
+    # its t once, at construction, and its evaluations split nothing again
+    from padicfourier import qp
 
-    splits, stack = [], []
+    splits = []
     real_split = qp.split
 
     def counting_split(x, prime, k):
-        splits.append((x, tuple(stack)))
+        splits.append(x)
         return real_split(x, prime, k)
 
-    def tracked(module, name):
-        real = getattr(module, name)
-
-        def wrapper(*args):
-            stack.append(name)
-            try:
-                return real(*args)
-            finally:
-                stack.pop()
-
-        monkeypatch.setattr(module, name, wrapper)
-
     monkeypatch.setattr(qp, "split", counting_split)
-    tracked(singular, "_pairing")
-    tracked(distributions, "j0_closed_form")
-    tracked(characters, "sphere_char_chi_integral")
-    tracked(gamma_module, "sphere_char_chi_integral")
     phi = random_testfn(P3, 1, -1, seed=91)
+    ts = (Fr(1, 9), Fr(5, 27), Fr(7, 4), Fr(1, 9), 6)
     for f in (
         PiAlphaLog(1.3 + 0.2j, trivial_character(P3), 2),
         PiAlphaLog(1.5, quadratic_character(P3), 1),
@@ -564,11 +552,44 @@ def test_each_t_is_split_once(monkeypatch):
     ):
         splits.clear()
         rep = verify_stabilization(f, phi, -2, 6, 3, strict=False)
-        core = [(x, where) for x, where in splits if "_pairing" in where]
-        assert all(where == ("_pairing",) for _, where in core), f
-        ts = [x for x, _ in core]
-        assert len(ts) == len(set(ts)) == len(rep.rows), f
-        assert not [x for x, where in splits if "j0_closed_form" in where], f
+        assert len(rep.rows) == 27 and not splits, f
+        if isinstance(f, PiAlphaLog):
+            rep = erdelyi_check(f.alpha, f.pi1, f.m, phi, -2, 3, 2, strict=False)
+            assert len(rep.rows) == 12 and not splits, f
+        req = SingularIntegralRequest(f, phi, ts)
+        assert splits == list(ts), f
+        singular_fourier(req)
+        brute_force_oracle(req)
+        assert splits == list(ts), f
+
+
+def test_a_sweep_builds_no_fraction_per_row(monkeypatch):
+    # every Fraction a sweep builds (a PLog prediction's exact rationals,
+    # the 1/p of Gamma_p's jet) is built per sweep or per sphere, never per
+    # row: a sweep over 8 directions per sphere builds as many as over 1
+    # (the first, uncounted, fills the Bernoulli and power-sum caches)
+    built = []
+    real_new = Fr.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fr, "__new__", counting_new)
+    phi = random_testfn(P3, 1, -1, seed=92)
+    for f in (
+        PiAlphaLog(1.3 + 0.2j, trivial_character(P3), 2),
+        PiAlphaLog(0.7 + 0.3j, cubic_mod9(), 2),
+        PLog(2),
+    ):
+        counts = []
+        for units in (1, 1, 8):
+            built.clear()
+            verify_stabilization(f, phi, -2, 6, units, strict=False)
+            if isinstance(f, PiAlphaLog):
+                erdelyi_check(f.alpha, f.pi1, f.m, phi, -2, 3, units, strict=False)
+            counts.append(len(built))
+        assert counts[1] == counts[2], (f, counts)
 
 
 def reference_csv(report):
@@ -852,8 +873,8 @@ def test_dropping_the_plog_pinning_fails_verify(monkeypatch):
 def test_j_zeroed_above_some_m_fails_verify(monkeypatch):
     def zeroed(request):
         return [
-            0j if -valuation(t, request.phi.prime) > 4 else J
-            for t, J in zip(request.points(), singular_fourier(request))
+            0j if M > 4 else J
+            for (M, _), J in zip(request._grid, singular_fourier(request))
         ]
 
     cases = [

@@ -25,6 +25,7 @@ from padicfourier.characters import (
 )
 from padicfourier.errors import (
     BadTable,
+    BadWindow,
     NonPadicDenominator,
     NotMultiplicative,
     RankNotMinimal,
@@ -86,6 +87,21 @@ def test_quadratic_mod5_is_legendre():
     squares = {1, 4}
     want = {u: Fr(0) if u in squares else Fr(1, 2) for u in range(1, 5)}
     assert quadratic_character(P5) == NormedMultChar(P5, 1, want)
+
+
+def test_quadratic_character_counts_its_units_before_listing(monkeypatch):
+    # p = 16777259 has p - 1 > 2^24 units: the cap fires before any unit
+    # is listed (a listing calls range)
+    from padicfourier import characters
+
+    prime = Prime(16777259)
+
+    def listing(*args):
+        raise AssertionError("a unit was listed")
+
+    monkeypatch.setattr(characters, "range", listing, raising=False)
+    with pytest.raises(BadWindow, match="too large: 16777259\\^1 words"):
+        quadratic_character(prime)
 
 
 def test_table_character_validation_errors():

@@ -235,9 +235,30 @@ QUINTIC_CFG = {
     "t_grid": {"M_min": 0, "M_max": 5, "units_per_sphere": 3},
 }
 
+#: p = 3 with the cubic pi_1 over 3^5 cosets: 16 spheres x 64 units on
+#: both sides of M = 0, so the rows inside F[h]'s support read 64
+#: directions per sphere and J0 takes every residue mod 9
+LARGE_CFG = {
+    "prime": 3,
+    "distribution": {
+        "variant": "pi-alpha-log",
+        "alpha": {"re": 1.3, "im": 0.2},
+        "m": 2,
+        "character": CUBIC_CFG["distribution"]["character"],
+    },
+    "test_function": {
+        "kind": "table",
+        "N": 0,
+        "l": -5,
+        "values": [[(k % 11) / 8 - 0.6, 0.4 - (5 * k % 17) / 16] for k in range(243)],
+    },
+    "t_grid": {"M_min": -6, "M_max": 9, "units_per_sphere": 64},
+}
+
 #: sha256 of the report files of ``verify`` / ``erdelyi``, pinned from the
 #: Fraction-per-row implementation (binary and quintic: from the annulus
-#: product multiplied as one broadcast per row); every row's floats, their
+#: product multiplied as one broadcast per row; large: from the last
+#: implementation that split a Fraction per row); every row's floats, their
 #: formatting and the JSON layout must keep these bytes (PLog has no
 #: Erdelyi check)
 PINNED_REPORTS = {
@@ -255,6 +276,8 @@ PINNED_REPORTS = {
     ("binary", "verify", "json"): "cbd3ddc9008295e6df81a02022c0bb245c4543a023c810435887835f8ca4039d",
     ("quintic", "verify", "csv"): "74456e94afe534a057b9609b454b7fa0099681537a452c2ca7d94e66d9c5e8e4",
     ("quintic", "verify", "json"): "927ecaf5b4e472588846697a5fad15414fa1baa519fa91f32d85af9ac4063020",
+    ("large", "verify", "csv"): "d0bc38ef830ebb9e5d9a58725ce2629160e8928fc4c9c09ee02a0779ada918ac",
+    ("large", "verify", "json"): "e2415a53a14ceb571015f5d9c64bd54de6390cd79d9d225dd6f77b2942102bbf",
 }
 
 
@@ -263,7 +286,7 @@ def test_report_bytes_are_pinned(tmp_path, case):
     name, command, fmt = case
     cfg = {
         "ramified": RAMIFIED_CFG, "cubic": CUBIC_CFG, "plog": PLOG_CFG,
-        "binary": BINARY_CFG, "quintic": QUINTIC_CFG,
+        "binary": BINARY_CFG, "quintic": QUINTIC_CFG, "large": LARGE_CFG,
     }[name]
     out = tmp_path / f"report.{fmt}"
     argv = [command, "--config", write_cfg(tmp_path, cfg), "--format", fmt]
@@ -530,6 +553,14 @@ def test_byte_identical_reports(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_quadratic_character_past_the_unit_cap_is_a_validation_error(tmp_path, capsys):
+    # p = 16777259 has more than 2^24 units to list
+    cfg = dict(RAMIFIED_CFG, prime=16777259, test_function={"kind": "delta", "k": 0})
+    assert run(["verify", "--config", write_cfg(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.distribution.character: ") and "Traceback" not in err
+
+
 def test_table_character_config(tmp_path):
     cfg = {
         "prime": 3,
@@ -670,6 +701,7 @@ BAD_FIELDS = [
     (RAMIFIED_CFG, ("t_grid", "units_per_sphere"), 100000, "config.t_grid"),
     (RAMIFIED_CFG, ("split_level",), "low", "config.split_level"),
     (RAMIFIED_CFG, ("tolerance",), "tight", "config.tolerance"),
+    (RAMIFIED_CFG, ("tolerance",), -1, "config.tolerance"),
     (RAMIFIED_CFG, ("test_function",), [1, 2], "config.test_function"),
     (RAMIFIED_CFG, ("distribution", "alpha"), "nan", "config.distribution.alpha"),
     (RAMIFIED_CFG, ("distribution", "alpha"), {"re": "inf"}, "config.distribution.alpha"),

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -334,7 +335,7 @@ def test_f_h_read_by_index_equals_the_transform_at_t(pi1):
         l0 = phi.l
         transform = fourier(_annulus_product(f, phi, char_of(f, P3), l0))
         ts = [Fr(u) * Fr(3) ** -M for M in range(-3, 7) for u in units]
-        got = _pairing(f, phi, ts, l0)
+        got = _pairing(f, phi, SingularIntegralRequest(f, phi, ts)._grid, l0)
         for t, J in zip(ts, got):
             point = qp.split(t, P3, pi1.k0)
             want = transform.at(t) + phi.at_zero * j0_closed_form(f, l0, [point], P3)[0]
@@ -395,6 +396,23 @@ def test_annulus_product_keeps_the_broadcast_bits(p):
                 got = _annulus_product(f, phi, chr_, l0)
                 want = broadcast_annulus_product(f, phi, chr_, l0)
                 assert got.values.tobytes() == want.tobytes(), (width, f, l0)
+
+
+def test_delta_window_at_a_large_prime_builds_no_pi1_row():
+    # on phi = Delta_0 (N = l) no sphere is multiplied, so h builds no
+    # p-word row of pi_1: J is phi(0) J0 and the peak stays far below the
+    # 16 MB such a row takes at p = 1000003
+    prime = Prime(1000003)
+    f = PiAlphaLog(1.5, trivial_character(prime), 0)
+    phi = delta_indicator(prime, 0)
+    tracemalloc.start()
+    try:
+        J = singular_fourier(SingularIntegralRequest(f, phi, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert J == phi.at_zero * j0_closed_form(f, 0, [(0, 1)], prime)[0]
+    assert peak < 1 << 20, peak
 
 
 def test_annulus_table_keeps_the_word_cap(monkeypatch):
