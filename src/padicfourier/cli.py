@@ -46,7 +46,7 @@ from .asymptotics import (
 )
 from .characters import chi as chi_value
 from .characters import make_character, trivial_character
-from .distributions import DiracDelta, PiAlphaLog, PLog, apply
+from .distributions import DiracDelta, PiAlphaLog, PLog, QahDistribution, apply
 from .errors import NumericOverflow, PadicError, PoleProximity
 from .gamma import bernoulli, gamma_p
 from .qp import Prime
@@ -298,27 +298,28 @@ def _cmd_fourier(args) -> int:
     return EXIT_OK
 
 
-def _cmd_eval_dist(args) -> int:
+def _load(args) -> tuple[dict, Prime, QahDistribution, TestFunction]:
+    """(cfg, prime, f, phi) from --config: the one route by which a command
+    that pairs a distribution with a test function reads its inputs."""
     cfg = load_config(args.config)
     prime = build_prime(cfg)
     f = build_distribution(prime, _field(cfg, "distribution", "config"), top=cfg)
     phi = build_test_function(prime, _field(cfg, "test_function", "config"))
-    value = apply(f, phi)
-    _write_output(f"<f, phi> = {_fmt_complex(value)}", args.out)
+    return cfg, prime, f, phi
+
+
+def _cmd_eval_dist(args) -> int:
+    _, _, f, phi = _load(args)
+    _write_output(f"<f, phi> = {_fmt_complex(apply(f, phi))}", args.out)
     return EXIT_OK
 
 
 def _cmd_singular(args) -> int:
     if args.refine < 0:
         raise ConfigError("--refine: must be >= 0")
-    cfg = load_config(args.config)
-    prime = build_prime(cfg)
-    f = build_distribution(prime, _field(cfg, "distribution", "config"), top=cfg)
-    phi = build_test_function(prime, _field(cfg, "test_function", "config"))
+    cfg, prime, f, phi = _load(args)
     t = _parse(args.t, "--t", parse_rational)
-    split = args.split_level
-    if split is None:
-        split = _field(cfg, "split_level", "config", _integer, default=None)
+    split = _field(cfg, "split_level", "config", _integer, default=None)
     req = SingularIntegralRequest(f, phi, t, split)
     J = singular_fourier(req)
     lines = [f"J(t = {t}) = {_fmt_complex(J)}"]
@@ -326,7 +327,7 @@ def _cmd_singular(args) -> int:
         O = brute_force_oracle(req, refine=args.refine)
         lines.append(f"oracle    = {_fmt_complex(O)}")
         lines.append(f"|J - oracle| = {_fmt(abs(J - O))}")
-    rhs = predict_expansion(f, phi.l, prime).rhs(phi.at_zero, t)
+    rhs = predict_expansion(f, phi.l, prime)._on_grid(phi.at_zero, req._grid)[0]
     lines.append(f"rhs       = {_fmt_complex(rhs)}")
     _write_output("\n".join(lines), args.out)
     return EXIT_OK
@@ -364,15 +365,12 @@ def _emit_report(report, cfg: dict, args) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    prime = build_prime(cfg)
-    f = build_distribution(prime, _field(cfg, "distribution", "config"), top=cfg)
+    cfg, _, f, phi = _load(args)
     erdelyi = args.command == "erdelyi"
     if erdelyi and not isinstance(f, PiAlphaLog):
         raise ConfigError(
             "config.distribution: the Erdelyi check needs variant pi-alpha-log"
         )
-    phi = build_test_function(prime, _field(cfg, "test_function", "config"))
     family = theorem_family(f)
     if not erdelyi and args.theorem not in ("auto", family):
         raise ConfigError(
@@ -434,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     si = sub.add_parser("singular", help="evaluate the singular integral J(t)")
     si.add_argument("--config", required=True)
     si.add_argument("--t", required=True, help="exact rational a/b, t != 0")
-    si.add_argument("--split-level", type=int, default=None)
     si.add_argument("--oracle", action="store_true", help="cross-check J by brute force")
     si.add_argument("--refine", type=int, default=0)
     si.add_argument("--out")

@@ -172,9 +172,7 @@ def j0_closed_form(
         # exact rationals over one denominator p * den, S_{m-1} = S / den;
         # an int quotient rounds as float(Fraction) does
         s = f.m - 1
-        coeffs = faulhaber_coeffs(s)
-        den = math.lcm(*(c.denominator for c in coeffs))
-        ints = [c.numerator * (den // c.denominator) for c in coeffs]
+        ints, den = faulhaber_coeffs(s)
 
         def S(n):
             return sum(c * n**i for i, c in enumerate(ints))

@@ -121,18 +121,21 @@ def bernoulli(r: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def faulhaber_coeffs(s: int) -> tuple[Fraction, ...]:
-    """Coefficients (by power, constant first) of the polynomial S_s with
-    S_s(n) = 1^s + ... + n^s for n >= 1; S_s has no constant term."""
+def faulhaber_coeffs(s: int) -> tuple[tuple[int, ...], int]:
+    """(c, den) with S_s(n) = sum_i c[i] n^i / den, where S_s(n) = 1^s + ...
+    + n^s for n >= 1: the coefficients of S_s (by power, constant first) as
+    integer numerators over their least common denominator; S_s has no
+    constant term."""
     if s < 0:
         raise ValueError(f"negative power-sum exponent {s}")
     if s == 0:
-        return (Fraction(0), Fraction(1))
+        return (0, 1), 1
     coeffs = [Fraction(0)] * (s + 2)
     for r in range(s + 1):
         coeffs[s + 1 - r] += Fraction(comb(s + 1, r), s + 1) * bernoulli(r)
     coeffs[s] += 1  # B_1 = -1/2 convention needs the extra n^s term
-    return tuple(coeffs)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
 
 
 def faulhaber_sum(s: int, gamma0: int) -> Fraction:
@@ -141,10 +144,5 @@ def faulhaber_sum(s: int, gamma0: int) -> Fraction:
     For gamma0 >= 1 this is sum_{g=1}^{gamma0} g^s; for gamma0 <= -1 it
     equals -sum_{g=gamma0+1}^{0} g^s.
     """
-    coeffs = faulhaber_coeffs(s)
-    acc = Fraction(0)
-    power = 1
-    for c in coeffs:
-        acc += c * power
-        power *= gamma0
-    return acc
+    coeffs, den = faulhaber_coeffs(s)
+    return Fraction(sum(c * gamma0**i for i, c in enumerate(coeffs)), den)

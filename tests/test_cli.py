@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -444,6 +445,12 @@ CLI_BRANCHES = [
         "error: config.t_grid.units_per_sphere: must be >= 1",
     ),
     (None, ["verify"], 1, "the following arguments are required: --config"),
+    (
+        POWER_CFG,
+        ["singular", "--config", "{cfg}", "--t", "1/2", "--split-level", "0"],
+        1,
+        "unrecognized arguments: --split-level 0",
+    ),
     (None, ["verify", "--help"], 0, "usage: padic-fourier verify"),
 ]
 
@@ -492,6 +499,19 @@ def test_singular_subcommand_with_oracle(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--refine: must be >= 0" in err
     assert "Traceback" not in err
+
+
+def test_singular_splits_its_t_once(tmp_path, monkeypatch, capsys):
+    # J, the oracle and the right-hand side all read the request's one split
+    splits = []
+    real_split = qp.split
+    monkeypatch.setattr(qp, "split", lambda *a: splits.append(a[0]) or real_split(*a))
+    for cfg in (POWER_CFG, RAMIFIED_CFG, PLOG_CFG):
+        splits.clear()
+        argv = ["singular", "--config", write_cfg(tmp_path, cfg), "--t", "5/27", "--oracle"]
+        assert run(argv) == 0
+        assert splits == [Fraction(5, 27)]
+    assert "rhs" in capsys.readouterr().out
 
 
 def test_eval_dist_and_fourier_subcommands(tmp_path, capsys):
