@@ -14,15 +14,22 @@ expansion of J(t) is an exact equality:
          d^m/dalpha^m [ Gamma_p(pi_alpha) |t|_p^{-alpha} ].
 
 Each is r^M P(M) with M = log_p|t|_p, r = p^{-alpha} (r = 1 for PLog and
-the delta) and P a polynomial of degree m: Leibniz on the product gives
+the delta) and P a polynomial of degree m, kept by its coefficients in
+x = M - k0: Leibniz on the product gives
 P(M) = sum_j C(m,j) (-M)^j g_{m-j}, g_k = (log_p e)^k Gamma^{(k)}, and the
-PLog Bernoulli form expands into exact rational coefficients.
+PLog Bernoulli form expands into exact rational coefficients.  For a
+ramified pi_1, Gamma_p(pi_alpha) is one shell, p^{k0 alpha} times a
+constant, so g_k = k0^k Gamma and P(M) = Gamma (k0 - M)^m: about its root
+that is the one term (-1)^m Gamma x^m.  Expanded in powers of M it would
+sum terms up to (|M| + k0)^m Gamma that cancel to (k0 - M)^m Gamma, and
+lose about ((|M| + k0) / |M - k0|)^m of the float precision.
 ``predict_expansion(f, l, prime)`` is the one place that knows the
 families: it builds alpha, pi_1, the coefficients of P (Gamma via
 ``gamma_pi``, which hands trivial pi_1 to ``gamma_p``), the predicted
 threshold exponent and the scale family once.  Its
 ``AsymptoticPrediction.rhs(phi0, t)`` evaluates
-phi(0) pi_1^{-1}(t) r^M P(M), the same expression for every family; a
+phi(0) pi_1^{-1}(t) r^M P(M) by Horner's rule in x, the same expression
+for every family; a
 sweep evaluates phi(0) r^M P(M) once per sphere M and pi_1^{-1} once per
 residue u mod p^k0 of its grid t = u p^{-M}, and multiplies per row.
 
@@ -85,8 +92,9 @@ def theorem_family(f: QahDistribution) -> str:
 class AsymptoticPrediction:
     """The theorem right-hand side of f for test functions of constancy
     level l, phi(0) pi_1^{-1}(t) p^{-alpha M} P(M) with M = log_p|t|_p:
-    alpha (0 for PLog and the delta), pi_1, the coefficients of P
-    (constant first), the predicted stabilization exponent e = -l + k0
+    alpha (0 for PLog and the delta), pi_1, the coefficients of P in
+    powers of x = M - k0 (constant first; x = M for k0 = 0), the
+    predicted stabilization exponent e = -l + k0
     and a description of the asymptotic scale family.  ``rhs``
     evaluates it at one t."""
 
@@ -126,11 +134,13 @@ class AsymptoticPrediction:
         return values
 
     def _radial(self, M: int) -> complex:
-        # r^M P(M); past the float range of P(M) alone (inf * 0 is NaN) in
-        # logarithms, with P(M) = M^m Q(1/M): exp gives 0 below it, inf above
+        # r^M P(x) at x = M - k0; past the float range of P(x) alone (inf * 0
+        # is NaN) in logarithms, with P(x) = x^m Q(1/x): exp gives 0 below
+        # it, inf above
+        x = M - self.pi1.k0
         value = self.poly[-1]
         for c in reversed(self.poly[:-1]):
-            value = value * M + c  # Horner; exact on PLog's rationals
+            value = value * x + c  # Horner; exact on PLog's rationals
         try:
             value = complex(value)
         except OverflowError:  # a rational beyond the float range
@@ -141,11 +151,11 @@ class AsymptoticPrediction:
             return value
         m, q = len(self.poly) - 1, 0
         for c in self.poly:
-            q = q / M + c  # Horner in 1/M
+            q = q / x + c  # Horner in 1/x
         lnp = cmath.log(self.prime.p)
-        log_value = cmath.log(q) + m * cmath.log(abs(M)) - self.alpha * M * lnp
+        log_value = cmath.log(q) + m * cmath.log(abs(x)) - self.alpha * M * lnp
         try:
-            return cmath.exp(log_value) * (-1) ** (m * (M < 0))
+            return cmath.exp(log_value) * (-1) ** (m * (x < 0))
         except OverflowError:
             return cmath.inf
 
@@ -178,6 +188,13 @@ def predict_expansion(
         return AsymptoticPrediction(prime, e, scale, 0, pi1, _plog_poly(f.m, prime.p))
     twist = "" if pi1.is_trivial() else " pi_1^-1(t)"
     scale = f"phi(0) * |t|^-alpha{twist} log_p^{{m-k}}|t|, k = 0..m"
+    if pi1.k0:
+        # Gamma_p(pi_alpha) is the one shell p^{k0 alpha} Gamma(0): its
+        # derivatives make P(M) = Gamma (k0 - M)^m, one term about its root
+        gamma = gamma_pi(f.alpha, pi1).value
+        return AsymptoticPrediction(
+            prime, e, scale, f.alpha, pi1, (0,) * f.m + ((-1) ** f.m * gamma,)
+        )
     # (log_p e)^m d^m/dalpha^m [Gamma(alpha) p^{-M alpha}] by Leibniz, with
     # g_k = (log_p e)^k Gamma^{(k)}: p^{-M alpha} sum_j C(m,j) (-M)^j g_{m-j}
     g = logp_scaled(gamma_pi(f.alpha, pi1, f.m), prime.p).coeffs

@@ -752,13 +752,23 @@ def test_rhs_matches_the_per_row_leibniz_and_bernoulli_forms(case):
     if not isinstance(f, PiAlphaLog) or f.m == 0:
         assert got == want
         return
-    # Horner on P(M) times one power against the Leibniz sum of jet terms
-    M = -valuation(t, prime)
-    scale = abs(phi0) * abs(p_power_jet(prime.p, -M, f.alpha, 0).value)
-    bound = 16 * sys.float_info.epsilon * scale * sum(
-        abs(c) * abs(M) ** j for j, c in enumerate(pred.poly)
-    )
+    # Horner on P(M - k0) times one power against the Leibniz sum of jet
+    # terms: each rounds relative to the terms it sums, and for ramified
+    # pi_1 the Leibniz terms, up to (|M| + k0)^m, cancel down to (k0 - M)^m
+    M, p, m = -valuation(t, prime), prime.p, f.m
+    r = p_power_jet(p, -M, f.alpha, 0).value
+    horner = abs(r) * sum(abs(c) * abs(M - f.pi1.k0) ** j for j, c in enumerate(pred.poly))
+    a = gamma_pi(f.alpha, f.pi1, m).coeffs
+    b = p_power_jet(p, -M, f.alpha, m).coeffs
+    leibniz = sum(comb(m, j) * abs(a[j] * b[m - j]) for j in range(m + 1)) / math.log(p) ** m
+    # (plus a few subnormal steps: rounding there is absolute)
+    bound = 16 * sys.float_info.epsilon * abs(phi0) * (horner + leibniz) + 4 * math.ulp(0.0)
     assert abs(got - want) <= bound
+    if f.pi1.k0:
+        # the one term phi(0) pi_1^-1(t) Gamma (k0 - M)^m r^M, to rounding
+        one = phi0 * eval_pi1(f.pi1, 1 / t) * gamma_pi(f.alpha, f.pi1).value
+        one *= (f.pi1.k0 - M) ** m * r
+        assert abs(got - one) <= 4 * (m + 8) * sys.float_info.epsilon * abs(one) + 4 * math.ulp(0.0)
 
 
 def test_rhs_overflow_is_typed_for_every_family():
@@ -785,12 +795,48 @@ def test_rhs_past_an_overflowing_polynomial_is_decided_in_logarithms():
         predict_expansion(PiAlphaLog(1e-4, pi1, 64), 0, P3).rhs(1.0, t)
     pred = predict_expansion(PiAlphaLog(0.0025, pi1, 64), 0, P3)
     exact = [
-        sum(Fr(part(c)) * M**j for j, c in enumerate(pred.poly)) / 3**500
+        sum(Fr(part(c)) * (M - 1) ** j for j, c in enumerate(pred.poly)) / 3**500
         for part in (lambda c: c.real, lambda c: c.imag)
     ]
     want = complex(*map(float, exact))
     got = pred.rhs(1.0, t)
     assert math.isfinite(abs(want)) and abs(got - want) <= 1e-9 * abs(want)
+
+def test_ramified_rhs_is_one_term_about_its_root(tmp_path):
+    # Gamma_p(pi_alpha) is one shell, so P(M) = Gamma (k0 - M)^m: the
+    # Leibniz form in powers of M summed terms up to (|M| + k0)^m and lost
+    # about ((M + k0) / (M - k0))^m eps (1e-7 relative at m = 20, M = 2)
+    pi1 = quadratic_character(P3)
+    for m in range(65):
+        f = PiAlphaLog(0.5 + 0.1j, pi1, m)
+        pred = predict_expansion(f, 0, P3)
+        gamma = gamma_pi(f.alpha, pi1).value
+        for M in range(-6, 13):
+            r = p_power_jet(3, -M, f.alpha, 0).value
+            g, q = (Fr(gamma.real), Fr(gamma.imag)), (Fr(r.real), Fr(r.imag))
+            k = (1 - M) ** m
+            exact = complex(
+                float((g[0] * q[0] - g[1] * q[1]) * k), float((g[0] * q[1] + g[1] * q[0]) * k)
+            )
+            got = pred.rhs(1.0, Fr(3) ** -M)
+            assert abs(got - exact) <= 1e-15 * abs(exact), (m, M)
+    phi = delta_indicator(P3, 0)
+    for m in (20, 32):
+        assert verify_stabilization(PiAlphaLog(0.5 + 0.1j, pi1, m), phi, 0, 6, 2).ok
+        assert erdelyi_check(0.5 + 0.1j, pi1, m, phi, 0, 6, 2).ok
+    cfg = tmp_path / "ramified24.json"
+    cfg.write_text(json.dumps({
+        "prime": 3,
+        "distribution": {
+            "variant": "pi-alpha-log", "alpha": {"re": 0.5, "im": 0.1}, "m": 24,
+            "character": {"kind": "quadratic"},
+        },
+        "test_function": {"kind": "delta", "k": 0},
+        "t_grid": {"M_min": 0, "M_max": 6, "units_per_sphere": 2},
+    }))
+    for command in ("verify", "erdelyi"):
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 0
+
 
 def cubic_cfg(tmp_path):
     cfg = tmp_path / "cubic.json"

@@ -259,26 +259,28 @@ LARGE_CFG = {
 #: sha256 of the report files of ``verify`` / ``erdelyi``, pinned from the
 #: Fraction-per-row implementation (binary and quintic: from the annulus
 #: product multiplied as one broadcast per row; large: from the last
-#: implementation that split a Fraction per row); every row's floats, their
-#: formatting and the JSON layout must keep these bytes (PLog has no
+#: implementation that split a Fraction per row; cubic, quintic and large:
+#: re-pinned when the ramified P(M) = Gamma (k0 - M)^m became one term
+#: about its root, which moved only rhs and abs_err); every row's floats,
+#: their formatting and the JSON layout must keep these bytes (PLog has no
 #: Erdelyi check)
 PINNED_REPORTS = {
     ("ramified", "verify", "csv"): "e329bb6b3ff523f00a3ad8c50c575402bcc5216ca36b5b01bf0d06d6809bf51a",
     ("ramified", "verify", "json"): "f4a3cbc3a81d437117ed48b66c8eafcac3c4c0015a7cd6413c9a66fdb6faf74a",
     ("ramified", "erdelyi", "csv"): "5158ba08582fbc2f8c145a5e16dfa76b78d425367fb2f4176241ed3b75445124",
     ("ramified", "erdelyi", "json"): "a2073c4884f758650df3d64cc918082434b176f465b77baef28c38822058b215",
-    ("cubic", "verify", "csv"): "85139df29169b721d39fed8b659804ad713a865e4b836777c29c04a84ae76a34",
-    ("cubic", "verify", "json"): "15d9d00b58cd2c64b4c51ecd6bbff7d953a7455d922514dd3b1297c591f13dc4",
-    ("cubic", "erdelyi", "csv"): "7866c9982169a99d5183bb47efcb0a10b80078dca56225fff18c0ee239ecf0e9",
-    ("cubic", "erdelyi", "json"): "93d50b4683fd1db8983d6601ec4c5b86d7c9777d981e04562fa17fefe376828a",
+    ("cubic", "verify", "csv"): "8cc737ef4bfb245dd456f35bedcf458b2967486e112e7322762dbd8e3978d405",
+    ("cubic", "verify", "json"): "04348b7d7d5a60d90ba3b6ced66344e2e93cd698f3cc59f77affbf4643a38dd5",
+    ("cubic", "erdelyi", "csv"): "fe91ae388004d4a0ecaf5047f62b966fc8b221bfb6c993cff5843e6c051a6570",
+    ("cubic", "erdelyi", "json"): "2802688ef46c352b961058f022532065091c436e1699028cb59761ee3e5e803a",
     ("plog", "verify", "csv"): "6233b1cb2894aa0fd39e8d7a21a0d9b0596742762d99abf9a69037e7ec212e30",
     ("plog", "verify", "json"): "4f29e7c15ac230cc846cce503ce1c2422f69a74530d4f372a297a60794a5c00f",
     ("binary", "verify", "csv"): "dc4296b725e8c61c1cebd9e44f7e6a8bbc8487a5f55b76f568c4087e7baa4f51",
     ("binary", "verify", "json"): "cbd3ddc9008295e6df81a02022c0bb245c4543a023c810435887835f8ca4039d",
-    ("quintic", "verify", "csv"): "74456e94afe534a057b9609b454b7fa0099681537a452c2ca7d94e66d9c5e8e4",
-    ("quintic", "verify", "json"): "927ecaf5b4e472588846697a5fad15414fa1baa519fa91f32d85af9ac4063020",
-    ("large", "verify", "csv"): "d0bc38ef830ebb9e5d9a58725ce2629160e8928fc4c9c09ee02a0779ada918ac",
-    ("large", "verify", "json"): "e2415a53a14ceb571015f5d9c64bd54de6390cd79d9d225dd6f77b2942102bbf",
+    ("quintic", "verify", "csv"): "85c4f9df30c6b6031a574f0ffc4e371933134db2678305ed0b8f4bf3454422d4",
+    ("quintic", "verify", "json"): "333aa004b0c2c5597696ea0585387ecd312ed48f021492cf27a66f097f0d466c",
+    ("large", "verify", "csv"): "1578c20f0fd07516dc1972386313f68f79ea53fb9217c2d01d82632e12c7911f",
+    ("large", "verify", "json"): "a35b2b0b3116d81c93116dedde75b5cd962a73727d11442bca6e07eed9ea8b65",
 }
 
 
@@ -296,8 +298,10 @@ def test_report_bytes_are_pinned(tmp_path, case):
 
 
 #: sha256 of the ``--out`` files of the commands that write no report,
-#: pinned from the implementation that stored pi_1 as RootOfUnity values;
-#: a config name stands for ``--config`` with that config
+#: pinned from the implementation that stored pi_1 as RootOfUnity values
+#: (``singular cubic --t 1/9``: re-pinned with the ramified P about its
+#: root, where its rhs at M = k0 is an exact 0); a config name stands for
+#: ``--config`` with that config
 PINNED_OUTPUTS = {
     ("chi", "--p", "3", "--x", "1/3"): "e863832c120f52dba52c9836593430d0067edb7c4ddf692908db48df7763fc0a",
     ("chi", "--p", "3", "--x=-5/9"): "f2de7e8bcbfad94b08921c6b7994def02a406d1fdff6f377ebb02879af84348f",
@@ -305,7 +309,7 @@ PINNED_OUTPUTS = {
     ("chi", "--p", "2", "--x", "7/2"): "5f3443134295322dba5b42d9e860c3afd024682356b84a84eae3ead20dc56322",
     ("eval-dist", "cubic"): "dd5171d0ef049704b62c743406c352204aaa0f26abcd85c0490d3fff60c73772",
     ("eval-dist", "ramified"): "6b9170dfb3102971b7d18fb22b67c426cbefbf8add0819baedc94272d271ebaf",
-    ("singular", "cubic", "--t", "1/9", "--oracle"): "245465d2f7b8b269ad609448113560718533768e011d976c79dd1bd4d9f30cf0",
+    ("singular", "cubic", "--t", "1/9", "--oracle"): "18ca142b23b30cbcd1d585af4b52945225b4458fcf90fcae0d77e3978e6945fd",
     ("singular", "cubic", "--t", "5/243", "--oracle"): "407ac7f820ee976452ada184949941a7b4cfa14e096ff97d120028012bf108d3",
     ("bernoulli", "--upto", "258"): "9bf2052e61213dd531e3934ac7a69d021e4edd070169d93d9c5361e6980e9f6f",
 }
