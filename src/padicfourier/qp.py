@@ -33,9 +33,18 @@ INFINITE_VALUATION = math.inf
 Rational = Fraction | int
 
 
+#: the first 13 primes: Miller-Rabin on these bases decides every p below
+#: _PRIME_BOUND, the least strong pseudoprime to all of them (Sorenson and
+#: Webster, 2015; the first 12 pass 318665857834031151167461 = 399165290221
+#: * 798330580441)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 @dataclass(frozen=True)
 class Prime:
-    """A prime p, checked by trial division at construction."""
+    """A prime p < 3.3e24, checked at construction by deterministic
+    Miller-Rabin on the first 13 prime bases."""
 
     p: int
 
@@ -43,11 +52,23 @@ class Prime:
         p = self.p
         if not isinstance(p, int) or p < 2:
             raise ValueError(f"not a prime: {p!r}")
-        d = 2
-        while d * d <= p:
-            if p % d == 0:
-                raise ValueError(f"not a prime: {p} = {d} * {p // d}")
-            d += 1
+        if p >= _PRIME_BOUND:
+            raise ValueError(f"p = {p} is past the bound {_PRIME_BOUND} of the primality check")
+        if p in _BASES:
+            return
+        s, d = _split_power(p - 1, 2)  # p - 1 = 2^s d, d odd
+        for a in _BASES:
+            if p % a == 0:
+                raise ValueError(f"not a prime: {p} = {a} * {p // a}")
+            x = pow(a, d, p)
+            if x == 1:
+                continue
+            for _ in range(s):  # a prime p meets -1 among x^(2^r), r < s
+                if x == p - 1:
+                    break
+                x = x * x % p
+            else:
+                raise ValueError(f"not a prime: {p}")
 
 
 def _split_power(n: int, p: int) -> tuple[int, int]:
@@ -70,7 +91,13 @@ def valuation(x: Rational, prime: Prime):
 
 def p_power(p: int, e: int) -> float:
     """p^e as a float: the correctly rounded float(Fraction(p) ** e),
-    without the Fraction arithmetic; NumericOverflow past the float range."""
+    without the Fraction arithmetic; NumericOverflow past the float range.
+    Far past it, where |e| log2 p > 1100, p^|e| is not built: 0.0 for
+    e < 0, as the quotient would round to."""
+    if abs(e) * (p.bit_length() - 1) > 1100:
+        if e < 0:
+            return 0.0
+        raise NumericOverflow(f"{p}^{e} is not a finite float")
     try:
         return p**e / 1 if e >= 0 else 1 / p**-e
     except OverflowError:
@@ -112,13 +139,16 @@ def fractional_part(x: Rational, prime: Prime) -> Fraction:
     return Fraction(x.numerator % den, den)
 
 
-#: the most words one coset or sphere enumeration may hold
+#: the most words one coset or sphere enumeration may hold, and the most
+#: digits such a word may have (p^n >= 2^n)
 MAX_WORDS = 1 << 24
+_MAX_DIGITS = MAX_WORDS.bit_length() - 1
 
 
 def check_word_count(p: int, n: int) -> None:
-    """BadWindow unless the p^n digit words of length n fit in MAX_WORDS."""
-    if p**n > MAX_WORDS:
+    """BadWindow unless the p^n digit words of length n fit in MAX_WORDS;
+    past _MAX_DIGITS digits without building p^n."""
+    if n > _MAX_DIGITS or p**n > MAX_WORDS:
         raise BadWindow(f"coset enumeration too large: {p}^{n} words")
 
 

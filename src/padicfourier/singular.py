@@ -45,11 +45,6 @@ from .qp import Prime, Rational
 from .testfn import TestFunction
 
 
-#: an oracle root table's p^E roots and the F[h] table's p^(N-lam) words are
-#: at most qp.MAX_WORDS = 2^24, so u mod p^24 holds every residue they read
-_MAX_E = qp.MAX_WORDS.bit_length() - 1
-
-
 @dataclass(frozen=True)
 class SingularIntegralRequest:
     """One evaluation J_{f, phi}(t), or one per t of a tuple of nonzero
@@ -69,7 +64,9 @@ class SingularIntegralRequest:
             ts = tuple(t if isinstance(t, (int, Fraction)) else Fraction(t) for t in ts)
             if 0 in ts:
                 raise ZeroArgument("singular integral requires t != 0")
-            k = max(_MAX_E, self.f.pi1.k0 if isinstance(self.f, PiAlphaLog) else 0)
+            # an oracle root table's p^E roots and the F[h] table's p^(N-lam)
+            # words are at most 2^24, so u mod p^24 holds every residue they read
+            k = max(qp._MAX_DIGITS, self.f.pi1.k0 if isinstance(self.f, PiAlphaLog) else 0)
             object.__setattr__(self, "t", ts if batch else ts[0])
             object.__setattr__(self, "_grid", tuple(qp.split(t, self.phi.prime, k) for t in ts))
         if not self._grid:
@@ -162,7 +159,7 @@ def brute_force_oracle(
     for M, members, spheres, tail in plans:
         # one table of p^E-th roots, E = top + M, for every sphere and
         # direction of this norm.  The top sphere's p^(top-lam) >= p^E
-        # words passed the 2^24 cap, so E <= _MAX_E
+        # words passed the 2^24 cap, so E <= qp._MAX_DIGITS
         E = top + M
         roots = _roots(p, E) if E > 0 else None
         totals = [0j] * len(members)

@@ -38,10 +38,11 @@ class TestFunction:
         if l > N:
             raise BadWindow(f"constancy l = {l} exceeds support N = {N}")
         vals = np.asarray(values, dtype=np.complex128).reshape(-1)
-        expected = prime.p ** (N - l)
-        if vals.shape[0] != expected:
+        # p^(N-l) >= 2^(N-l): a count of fewer bits is sized without p^(N-l)
+        n = N - l
+        if n > vals.shape[0].bit_length() or prime.p**n != vals.shape[0]:
             raise BadWindow(
-                f"need p^(N-l) = {expected} coset values, got {vals.shape[0]}"
+                f"need p^(N-l) = {prime.p}^{n} coset values, got {vals.shape[0]}"
             )
         self.prime = prime
         self.N = int(N)
@@ -123,6 +124,7 @@ def random_testfn(prime: Prime, N: int, l: int, seed: int) -> TestFunction:
     """Reproducible pseudorandom member of D^l_N with values in the unit disc."""
     if l > N:
         raise BadWindow(f"constancy l = {l} exceeds support N = {N}")
+    qp.check_word_count(prime.p, N - l)  # before any value is drawn
     rng = np.random.default_rng(seed)
     n = prime.p ** (N - l)
     radius = np.sqrt(rng.uniform(size=n))

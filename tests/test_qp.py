@@ -1,6 +1,8 @@
 """Core p-adic arithmetic: valuation, split, fractional part, cosets."""
 
+import math
 import random
+import time
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -16,7 +18,7 @@ from padicfourier import (
     fractional_part,
     valuation,
 )
-from padicfourier.errors import BadWindow, NonPadicDenominator
+from padicfourier.errors import BadWindow, NonPadicDenominator, NumericOverflow
 from padicfourier import qp
 
 from conftest import sphere_cosets
@@ -110,6 +112,59 @@ def test_prime_validation():
     for bad in (1, 0, -3, 4, 9, 91):
         with pytest.raises(ValueError):
             Prime(bad)
+
+
+def test_prime_check_is_miller_rabin_and_bounded():
+    # trial division to sqrt(p) took 0.9 s at p = 1e14 + 31 and would take
+    # some 1.5e9 divisions at 2^61 - 1
+    start = time.perf_counter()
+    for p in (100000000000031, 2**61 - 1, 2**31 - 1, 16777259):
+        Prime(p)
+    for bad in (
+        561,  # Carmichael
+        (2**31 - 1) ** 2,
+        3825123056546413051,  # strong pseudoprime to the first 11 prime bases
+        318665857834031151167461,  # ... and to the first 12
+        3317044064679887385961981,  # the bound: strong to the first 13
+        2**89 - 1,  # prime, past the bound
+    ):
+        with pytest.raises(ValueError):
+            Prime(bad)
+    assert time.perf_counter() - start < 1.0
+    small = [p for p in range(2, 3000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    accepted = []
+    for n in range(-2, 3000):
+        try:
+            Prime(n)
+            accepted.append(n)
+        except ValueError:
+            pass
+    assert accepted == small
+
+
+def test_sizes_are_decided_by_the_exponent_first():
+    # p^e with e in the millions takes seconds to build: these decide
+    # without building it
+    start = time.perf_counter()
+    with pytest.raises(NumericOverflow, match="3\\^20000000 is not a finite float"):
+        qp.p_power(3, 2 * 10**7)
+    assert qp.p_power(3, -2 * 10**7) == 0.0
+    with pytest.raises(BadWindow, match="coset enumeration too large: 3\\^100000000 words"):
+        qp.check_word_count(3, 10**8)
+    assert time.perf_counter() - start < 1.0
+    # at the edges of the float range p_power keeps the quotient's bits
+    for p in (2, 3, 7, 1000003):
+        for e in range(-1200, 1200, 7):
+            try:
+                want = float(Fr(p) ** e)
+            except OverflowError:
+                with pytest.raises(NumericOverflow):
+                    qp.p_power(p, e)
+                continue
+            assert qp.p_power(p, e) == want, (p, e)
+    qp.check_word_count(2, 24)
+    with pytest.raises(BadWindow):
+        qp.check_word_count(2, 25)
 
 
 def test_strong_triangle_inequality():
