@@ -71,7 +71,10 @@ def p_power_jet(p: int, c, alpha: complex, order: int) -> Jet:
     lnp = math.log(p)
     try:
         base = cmath.exp(complex(alpha) * (c * lnp))
-        coeffs = tuple((c * lnp) ** k * base for k in range(order + 1))
+        # a base that underflowed to 0 makes each coefficient a zero whose
+        # sign alone (c ln p)^k sets, however far past the float range it is
+        x = c * lnp if base else math.copysign(1.0, c * lnp)
+        coeffs = tuple(x**k * base for k in range(order + 1))
         if all(map(cmath.isfinite, coeffs)):
             return Jet(coeffs)
     except OverflowError:

@@ -28,6 +28,7 @@ from padicfourier import (
     gamma_p,
     j0_closed_form,
     p_power_jet,
+    predict_expansion,
     quadratic_character,
     random_testfn,
     singular_fourier,
@@ -914,3 +915,22 @@ def test_oracle_builds_one_root_table_per_t(monkeypatch):
         brute_force_oracle(req(f, phi, ts), refine=1)
         # E = N - v_3(t), one table per distinct |t|_3 in first-seen order
         assert built == [(3, 3), (3, 4), (3, 6)]
+
+
+def test_j0_at_a_depth_where_the_power_underflows():
+    # at |t|_3 = 3^100000 with m = 64, gamma^m (about 1e320) is past the
+    # float range while p^(alpha gamma) underflows to 0: J is 0 like the
+    # right-hand side, for trivial pi_1 (whose ball tail's (c ln p)^64 also
+    # overflowed) and ramified pi_1 alike
+    t = Fr(1, 3**100000)
+    phi = random_testfn(P3, 1, -1, seed=3)
+    for pi1 in (trivial_character(P3), quadratic_character(P3)):
+        f = PiAlphaLog(1.5, pi1, 64)
+        J = singular_fourier(SingularIntegralRequest(f, phi, t))
+        assert J == predict_expansion(f, phi.l, P3).rhs(phi.at_zero, t) == 0
+    # where the power is tiny but not 0 the product is finite, and equal
+    f = PiAlphaLog(0.001, trivial_character(P2), 64)
+    t = Fr(1, 2**70001)
+    J = singular_fourier(SingularIntegralRequest(f, delta_indicator(P2, 0), t))
+    rhs = predict_expansion(f, 0, P2).rhs(1.0, t)
+    assert math.isfinite(abs(rhs)) and abs(J - rhs) <= 1e-12 * abs(rhs)
