@@ -10,6 +10,7 @@ import pytest
 
 from padicfourier import (
     NormedMultChar,
+    PiAlphaLog,
     Prime,
     RootOfUnity,
     chi,
@@ -83,6 +84,21 @@ def test_make_character_kinds():
     assert tab.k0 == 2
 
 
+def test_equal_characters_hash_equal():
+    # a character is hashed by its key, so equal ones built apart (and the
+    # frozen PiAlphaLog built on them) are one dict key
+    a, b = quadratic_character(P3), make_character(P3, {"kind": "quadratic"})
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b, trivial_character(P3), cubic_mod9()}) == 3
+    f, g = PiAlphaLog(1.5, a, 2), PiAlphaLog(1.5, b, 2)
+    assert f == g and hash(f) == hash(g) and {f: 1}[g] == 1
+
+
+def test_quadratic_character_needs_an_odd_prime():
+    with pytest.raises(BadTable, match="quadratic character requires an odd prime"):
+        quadratic_character(P2)
+
+
 def test_quadratic_mod5_is_legendre():
     squares = {1, 4}
     want = {u: Fr(0) if u in squares else Fr(1, 2) for u in range(1, 5)}
@@ -125,6 +141,8 @@ def test_table_character_validation_errors():
     "args, error, message",
     [
         ((P3, 1, {1: Fr(0)}), BadTable, "table keys must be exactly the units mod 3^1"),
+        ((P3, -1, {}), BadTable, "negative rank -1"),
+        ((P3, 0, {1: Fr(0)}), BadTable, "trivial character must have an empty table"),
         ((P3, 1, {1: Fr(1, 2), 2: Fr(0)}), BadTable, "pi_1(1) must equal 1"),
         (
             (P5, 1, {1: Fr(0), 2: Fr(1, 2), 3: Fr(1, 2), 4: Fr(1, 2)}),
@@ -427,6 +445,9 @@ def test_sphere_char_chi_integral_matches_brute_force():
                     assert abs(exact - brute) < 1e-11, (chr_, gamma, M, u)
                     if gamma + M != k0:
                         assert exact == 0  # exact zero off resonance
+            # at t = 0, chi_p == 1 and pi_1 sums to zero over the sphere
+            assert sphere_char_chi_integral(chr_, gamma, 0) == 0
+            assert abs(brute_sphere_integral(chr_, gamma, 0, depth=1)) < 1e-11
 
 
 def test_gauss_sum_modulus():

@@ -23,6 +23,7 @@ from padicfourier import (
 )
 from padicfourier.characters import sphere_char_chi_integral
 from padicfourier.errors import PoleProximity
+from padicfourier.gamma import faulhaber_coeffs
 
 P2, P3, P5, P7 = Prime(2), Prime(3), Prime(5), Prime(7)
 
@@ -200,6 +201,8 @@ def test_bernoulli_values():
     assert bernoulli(6) == Fr(1, 42)
     for j in range(2, 11):
         assert bernoulli(2 * j - 1) == 0
+    with pytest.raises(ValueError, match="negative Bernoulli index -1"):
+        bernoulli(-1)
 
 
 def test_bernoulli_recurrence_exact_to_b20():
@@ -213,6 +216,11 @@ def test_faulhaber_examples():
     assert faulhaber_sum(0, 7) == 7
     assert faulhaber_sum(1, -3) == 3
     assert sum(g for g in range(-2, 1)) == -faulhaber_sum(1, -3)
+    # the integers over one denominator: S_2(n) = (n + 3 n^2 + 2 n^3) / 6
+    assert faulhaber_coeffs(2) == ((0, 1, 3, 2), 6)
+    assert faulhaber_coeffs(0) == ((0, 1), 1)
+    with pytest.raises(ValueError, match="negative power-sum exponent -1"):
+        faulhaber_coeffs(-1)
 
 
 def test_faulhaber_matches_brute_force():

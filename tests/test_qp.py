@@ -95,6 +95,11 @@ def test_split_rejects_zero():
     with pytest.raises(ZeroDivisionError):
         qp.split(Fr(0), Prime(3), 2)
 
+def test_split_reads_a_float_as_its_fraction():
+    assert qp.split(0.75, Prime(2), 3) == (2, 3)  # 3/4 = 3 * 2^-2
+    assert qp.split(-1.5, Prime(3), 2) == (-1, 4)  # -1/2 * 3, -1/2 = 4 mod 9
+
+
 def test_fractional_part_examples():
     assert fractional_part(Fr(3, 2), Prime(2)) == Fr(1, 2)
     assert fractional_part(7, Prime(3)) == 0

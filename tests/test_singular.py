@@ -39,7 +39,7 @@ from padicfourier import qp
 from padicfourier.characters import sphere_char_chi_integral, sphere_chi_integral
 from padicfourier.distributions import density_on_sphere
 from padicfourier.gamma import logp_scaled
-from padicfourier.errors import BadWindow, PoleProximity, ZeroArgument
+from padicfourier.errors import BadWindow, NumericOverflow, PoleProximity, ZeroArgument
 from padicfourier.singular import _oracle_tail, _roots
 
 from conftest import sphere_cosets
@@ -301,6 +301,8 @@ def test_oracle_agreement_and_refine_invariance():
     for refine in (1, 2, 3):
         rr = brute_force_oracle(req(f, d0, Fr(1, 2)), refine=refine)
         assert abs(rr - r0) < 1e-10
+    with pytest.raises(ValueError, match="refine must be >= 0, got -1"):
+        brute_force_oracle(req(f, d0, Fr(1, 2)), refine=-1)
     # ramified case with log weight over several norms
     fq = PiAlphaLog(1.5, quadratic_character(P3), 1)
     phi = random_testfn(P3, 1, -1, seed=61)
@@ -934,3 +936,10 @@ def test_j0_at_a_depth_where_the_power_underflows():
     J = singular_fourier(SingularIntegralRequest(f, delta_indicator(P2, 0), t))
     rhs = predict_expansion(f, 0, P2).rhs(1.0, t)
     assert math.isfinite(abs(rhs)) and abs(J - rhs) <= 1e-12 * abs(rhs)
+    # and where the product itself is past the float range it is typed
+    f = PiAlphaLog(1e-6, quadratic_character(P3), 64)
+    t = Fr(1, 3**70001)
+    with pytest.raises(NumericOverflow, match="gamma = -70000, m = 64"):
+        singular_fourier(SingularIntegralRequest(f, delta_indicator(P3, 0), t))
+    with pytest.raises(NumericOverflow):
+        predict_expansion(f, 0, P3).rhs(1.0, t)

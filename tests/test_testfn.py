@@ -120,6 +120,8 @@ def test_convolution_examples():
     phi = random_testfn(P2, 1, 0, seed=10)
     zero = TestFunction(P2, 1, 0, np.zeros(2))
     assert np.allclose(convolve(phi, zero).values, 0)
+    with pytest.raises(BadWindow, match="different primes"):
+        convolve(d0, delta_indicator(P3, 0))
 
 
 def test_convolution_theorem():
