@@ -62,8 +62,9 @@ EXIT_NUMERIC = 3
 #: --order``: a jet of order m costs O(m^2) per product
 MAX_JET_ORDER = 64
 
-#: bounds on a t-grid's |M_min|, |M_max| and row count: a row at
-#: t = u p^-M does exact rational arithmetic on M-digit numbers
+#: bounds on a t-grid's |M_min|, |M_max| and row count: |M| <= 2500 bounds
+#: PLog's exact Horner sums on rationals of size M^m and J0's factor gamma^m
+#: (2501^64 is about 3e217)
 MAX_GRID_EXPONENT = 2500
 MAX_GRID_ROWS = 1024
 

@@ -17,8 +17,9 @@ Closed forms implemented here:
   Gamma_p and Gamma_p(pi_alpha) serve the right-hand side (``gamma_pi``)
   and ``padic-fourier gamma``;
 * Bernoulli numbers from the binomial recurrence, and the power-sum
-  polynomial S_s(n) = 1^s + ... + n^s evaluated as a polynomial at any
-  integer (for n <= -1 it gives -sum_{n+1 <= g <= 0} g^s).
+  polynomial S_s(n) = 1^s + ... + n^s, kept as integer coefficients over
+  one denominator and evaluated as a polynomial at any integer (for
+  n <= -1 it gives -sum_{n+1 <= g <= 0} g^s).
 
 Poles of the continued forms sit at alpha = 2 pi i j / ln p; inputs within
 ``POLE_TOLERANCE`` of one are a hard error.
