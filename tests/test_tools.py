@@ -1,6 +1,9 @@
 """tools/same_outputs.py: the fingerprint that two checkouts' outputs are
-compared by must tell apart any two values with different bits."""
+compared by must tell apart any two values with different bits, and its
+flags-only digest must see every flag, exponent and grid point but no
+floating value."""
 
+import dataclasses
 import importlib.util
 import math
 from pathlib import Path
@@ -40,3 +43,57 @@ def test_canonical_ignores_dict_key_order():
     b = dict(reversed(list(a.items())))
     assert list(a) != list(b)
     assert fingerprint(a) == fingerprint(b)
+
+
+def flags(x) -> bytes:
+    parts: list[bytes] = []
+    same_outputs.canonical(x, parts, floats=False)
+    return b"|".join(parts)
+
+
+def test_flags_drop_the_floats_and_keep_the_rest():
+    assert flags([0.1, 1.5j, np.arange(3.0), 2]) == flags([0.2, -1j, np.ones(3), 2])
+    for a, b in [(True, False), (1, 2), ("ok", "ko"), (np.arange(3), np.arange(1, 4))]:
+        assert flags([a]) != flags([b])
+    assert flags(np.zeros(3)) != flags(np.zeros(4))
+
+
+def a_report():
+    from padicfourier import Prime, PiAlphaLog, quadratic_character, random_testfn
+    from padicfourier import verify_stabilization
+
+    P3 = Prime(3)
+    f = PiAlphaLog(0.8 - 0.3j, quadratic_character(P3), 1)
+    return verify_stabilization(f, random_testfn(P3, 1, -1, seed=5), 0, 4, 2)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_file_flags_see_flags_and_not_last_digits(fmt):
+    report = a_report()
+    write = lambda r: getattr(r, f"to_{fmt}")().encode()  # noqa: E731
+    name = f"op0001.{fmt}"
+    base = same_outputs.file_flags(name, write(report))
+    # rhs and abs_err moved in their last digits, one to an exact 0
+    rows = list(report.rows)
+    rows[0] = dataclasses.replace(rows[0], rhs=0j, abs_err=math.nextafter(rows[0].abs_err, 1))
+    rows[1] = dataclasses.replace(rows[1], J=rows[1].J * (1 + 2**-52))
+    moved = dataclasses.replace(report, rows=rows)
+    assert write(moved) != write(report)
+    assert same_outputs.file_flags(name, write(moved)) == base
+    # a flag, an exponent or a grid point that moves is seen
+    for change in (
+        dict(rows=[dataclasses.replace(rows[0], stabilized=not rows[0].stabilized)] + rows[1:]),
+        dict(s_emp_exponent=report.s_emp_exponent + 1),
+        dict(rows=[dataclasses.replace(rows[0], t_unit=7)] + rows[1:]),
+    ):
+        assert same_outputs.file_flags(name, write(dataclasses.replace(report, **change))) != base
+    if fmt == "json":
+        assert same_outputs.file_flags(name, write(dataclasses.replace(report, ok=False))) != base
+
+
+def test_file_flags_of_a_text_output_are_its_labels():
+    a = b"J(t = 1/9) = 0.5+0.25i\nrhs       = 1.363884847374513e-16+6.9655854638490008e-17i"
+    b = b"J(t = 1/9) = 0.5+0.25000000000000006i\nrhs       = 0+0i"
+    assert same_outputs.file_flags("op0002.txt", a) == same_outputs.file_flags("op0002.txt", b)
+    c = b"J(t = 1/3) = 0.5+0.25i\nrhs       = 0+0i"
+    assert same_outputs.file_flags("op0002.txt", a) != same_outputs.file_flags("op0002.txt", c)
