@@ -449,13 +449,13 @@ CLI_BRANCHES = [
         "error: config.t_grid.units_per_sphere: must be >= 1",
     ),
     (None, ["verify"], 1, "the following arguments are required: --config"),
+    (None, ["verify", "--help"], 0, "usage: padic-fourier verify"),
     (
         POWER_CFG,
         ["singular", "--config", "{cfg}", "--t", "1/2", "--split-level", "0"],
         1,
         "unrecognized arguments: --split-level 0",
     ),
-    (None, ["verify", "--help"], 0, "usage: padic-fourier verify"),
 ]
 
 
