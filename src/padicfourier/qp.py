@@ -52,22 +52,15 @@ class Prime:
         p = self.p
         if not isinstance(p, int) or p < 2:
             raise ValueError(f"not a prime: {p!r}")
-        if p >= _PRIME_BOUND:
-            raise ValueError(f"p = {p} is past the bound {_PRIME_BOUND} of the primality check")
         if p in _BASES:
             return
+        if p >= _PRIME_BOUND:
+            raise ValueError(f"p = {p} is past the primality check's bound {_PRIME_BOUND}")
         s, d = _split_power(p - 1, 2)  # p - 1 = 2^s d, d odd
         for a in _BASES:
-            if p % a == 0:
-                raise ValueError(f"not a prime: {p} = {a} * {p // a}")
+            # a prime p has x = a^d = 1 or x^(2^r) = -1 for some r < s
             x = pow(a, d, p)
-            if x == 1:
-                continue
-            for _ in range(s):  # a prime p meets -1 among x^(2^r), r < s
-                if x == p - 1:
-                    break
-                x = x * x % p
-            else:
+            if x != 1 and all(pow(x, 2**r, p) != p - 1 for r in range(s)):
                 raise ValueError(f"not a prime: {p}")
 
 
