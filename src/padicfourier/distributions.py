@@ -222,17 +222,17 @@ def j0_closed_form(
                     else gauss_sum(chr_, w) * qp.p_power(p, k - chr_.k0)
                 )
             try:
-                value += gamma**m * power * sphere[w]
+                term = gamma**m * power
             except OverflowError:
                 # gamma^m is past the float range, at a t so deep that the
                 # power is tiny or 0: take gamma^m in two halves around it
                 term = gamma ** (m // 2) * power * gamma ** (m - m // 2)
-                if not cmath.isfinite(term):
-                    raise NumericOverflow(
-                        f"gamma^m p^(alpha gamma) with gamma = {gamma}, m = {m}, "
-                        f"alpha = {alpha} is not a finite float"
-                    ) from None
-                value += term * sphere[w]
+            value += term * sphere[w]
+            if not cmath.isfinite(value):
+                raise NumericOverflow(
+                    f"gamma^m p^(alpha gamma) with gamma = {gamma}, m = {m}, "
+                    f"alpha = {alpha} is not a finite float"
+                )
         values.append(value)
     return values
 

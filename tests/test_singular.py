@@ -936,10 +936,12 @@ def test_j0_at_a_depth_where_the_power_underflows():
     J = singular_fourier(SingularIntegralRequest(f, delta_indicator(P2, 0), t))
     rhs = predict_expansion(f, 0, P2).rhs(1.0, t)
     assert math.isfinite(abs(rhs)) and abs(J - rhs) <= 1e-12 * abs(rhs)
-    # and where the product itself is past the float range it is typed
-    f = PiAlphaLog(1e-6, quadratic_character(P3), 64)
-    t = Fr(1, 3**70001)
-    with pytest.raises(NumericOverflow, match="gamma = -70000, m = 64"):
-        singular_fourier(SingularIntegralRequest(f, delta_indicator(P3, 0), t))
-    with pytest.raises(NumericOverflow):
-        predict_expansion(f, 0, P3).rhs(1.0, t)
+    # and where the product itself is past the float range it is typed,
+    # at any depth (at t = 3^-2001 J read nan+nanj, past a finite gamma^m)
+    for alpha, M in ((1e-6, 70001), (-0.3, 2001)):
+        f = PiAlphaLog(alpha, quadratic_character(P3), 64)
+        t = Fr(1, 3**M)
+        with pytest.raises(NumericOverflow, match=f"gamma = {1 - M}, m = 64"):
+            singular_fourier(SingularIntegralRequest(f, delta_indicator(P3, 0), t))
+        with pytest.raises(NumericOverflow):
+            predict_expansion(f, 0, P3).rhs(1.0, t)
