@@ -41,7 +41,8 @@ left side of the whole grid in one request of its (M, u), compares it with the
 right-hand side row by row, asserts equality beyond s(phi), and reports
 the empirically observed stabilization threshold.
 ``verify_stabilization`` takes the left side from the exact split
-evaluator, one request (one Fourier transform) per sweep;
+evaluator, one request per sweep (one Fourier transform, read only at
+the rows inside the cutoff);
 ``erdelyi_check`` takes it, for Re alpha > 0, from the absolutely
 convergent direct integral (no regularization) -- the p-adic Erdelyi
 lemma -- one oracle request per sweep.

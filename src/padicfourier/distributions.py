@@ -20,10 +20,12 @@ Split at a level l0 in [l, N] (phi in D^l_N),
 
 h is a test function in D^lam_N with lam = l + 1 - max(k0, 1) (pi_1 of
 rank k0 is constant on cosets of B_{gamma-k0} inside S_gamma), so F[h] is
-one ``testfn.fourier`` table, read at every t of a batch, and it vanishes
-for |t|_p > p^-lam: beyond that J(t) = phi(0) J0(t), the cause of the
-stabilization theorem.  <f, phi> is F[h](0) = p^lam * sum(h) plus
-phi(0) J0 at |t|_p = p^-l0, where chi_p == 1 on B_{l0}.  J0
+one table of ``testfn.fourier``, read by ``testfn.fourier_at`` at the
+words of the batch's t (the whole FFT, or a partial transform when a wide
+table is read at few words), and it vanishes for |t|_p > p^-lam: beyond
+that J(t) = phi(0) J0(t), the cause of the stabilization theorem.
+<f, phi> is F[h](0) = p^lam * sum(h) plus phi(0) J0 at |t|_p = p^-l0,
+where chi_p == 1 on B_{l0}.  J0
 (``j0_closed_form``) is the continued integral of f chi_p over B_{l0}:
 
 * |x|^{alpha-1} pi_1(x) log^m, any pi_1: the ball tail plus the one
@@ -80,7 +82,7 @@ from .errors import BadWindow, NumericOverflow, ZeroArgument
 from .gamma import ball_tail, faulhaber_coeffs, faulhaber_sum
 from .jets import p_power_jet
 from .qp import Prime, Rational
-from .testfn import TestFunction, dilate, fourier
+from .testfn import TestFunction, dilate, fourier_at
 
 
 @dataclass(frozen=True)
@@ -281,15 +283,17 @@ def _pairing(
         s = _annulus_product(f, phi, chr_, l0).values.sum() * qp.p_power(p, lam)
         return [complex(s) + phi0 * j0_closed_form(f, l0, [(-l0, 1)], prime)[0]]
     # F[h] lies in D^-lam_-N: at t = u p^-M, M <= -lam, it is the table's word
-    # u p^(-lam-M) mod p^(N-lam) (one int64 gather, both factors below 2^24),
-    # else 0; J0 reads M and u mod p^k0 (k0 > N - lam on a delta's window)
+    # u p^(-lam-M) mod p^(N-lam) (one power per sphere, one int64 array of
+    # words, both factors below 2^24), else 0; J0 reads M and u mod p^k0
+    # (k0 > N - lam on a delta's window)
     split = np.zeros(len(grid), dtype=np.complex128)
     inside = [i for i, (M, _) in enumerate(grid) if M <= -lam]
     if inside:
-        table = fourier(_annulus_product(f, phi, chr_, l0)).values
         mod = p ** (phi.N - lam)
-        words = [(grid[i][1] % mod, pow(p, -lam - grid[i][0], mod)) for i in inside]
-        split[inside] = table[np.array(words, np.int64).prod(axis=1) % mod]
+        shift = {M: pow(p, -lam - M, mod) for M in {grid[i][0] for i in inside}}
+        words = np.array([(grid[i][1] % mod, shift[grid[i][0]]) for i in inside], np.int64)
+        h = _annulus_product(f, phi, chr_, l0)
+        split[inside] = fourier_at(h, words.prod(axis=1) % mod)
     keys = [(M, u % p**chr_.k0) for M, u in grid]
     points = list(dict.fromkeys(keys))
     j0 = dict(zip(points, j0_closed_form(f, l0, points, prime)))

@@ -3,8 +3,9 @@
 A request (one t, or a batch of any nonzero t) splits each t once, into
 the integers (M, u) with t = u p^-M, or takes a sweep's (M, u) grid as it
 stands.  ``singular_fourier`` hands the points to the pairing core in
-``distributions``: one Fourier transform of the annulus product h, read
-at every point, plus phi(0) times the closed-form J0.
+``distributions``: the Fourier transform of the annulus product h, read
+at the words of the points inside its support, plus phi(0) times the
+closed-form J0.
 ``brute_force_oracle`` recomputes J on a structurally different path:
 its own plain value-times-chi_p-times-measure summation over refined
 cells on every sphere down to an analytic-tail boundary, plus the

@@ -11,8 +11,11 @@ F[phi](xi) = p^l * sum_c phi(c) chi_p(xi c), and F maps D^l_N onto
 D^{-N}_{-l} (support and constancy swap with a sign).  On the canonical
 coset words (``TestFunction.sample``) this is a DFT of length p^{N-l},
 done by ``np.fft`` at any width; convolution is cyclic on Z/p^{N-l}.
-The singular integral is one such transform too: its sphere part is
-F[h] of the annulus product h in ``distributions``, and it vanishes for
+``fourier_at`` reads the transform at a few words only: on a wide table
+a two-factor partial transform (one matrix product) stands in for the
+whole FFT.  The singular integral is such a transform too: its sphere
+part is F[h] of the annulus product h in ``distributions``, read at the
+words of the points at or inside the cutoff, and it vanishes for
 |xi|_p > p^{-l} because F[h] lives in D^{-N}_{-l}.
 """
 
@@ -93,6 +96,51 @@ def fourier(phi: TestFunction) -> TestFunction:
     scale = qp.p_power(phi.prime.p, phi.l)
     vals = scale * np.fft.ifft(phi.values, norm="forward")
     return TestFunction(phi.prime, -phi.l, -phi.N, vals)
+
+
+#: tables narrower than this take the whole FFT even for one word: there
+#: the FFT costs about what the partial transform's set-up does
+PARTIAL_FLOOR = 4096
+
+
+def fourier_at(phi: TestFunction, words) -> np.ndarray:
+    """fourier(phi).values[words], up to rounding, for table words
+    0 <= j < p^n (n = N - l).  K distinct words of a table of at least
+    PARTIAL_FLOOR words, K below the bit length of p^n, are read off a
+    two-factor partial transform: with w = a B + b, B = p^(n//2),
+    A = p^n / B, H the values as an A x B matrix and
+    R_j[b] = e^(2 pi i j b / p^n),
+    F[j] = p^l sum_a e^(2 pi i j a / A) (H @ R_j)[a],
+    one product of p^n K multiply-adds, below the FFT's p^n log2(p^n).  It
+    takes B K roots of order p^n and A of order A, each from its exact
+    integer angle.  Any other read transforms the whole table and gathers
+    from it."""
+    words = np.asarray(words, dtype=np.int64)
+    size = len(phi.values)
+    if size >= PARTIAL_FLOOR:
+        distinct, inverse = np.unique(words, return_inverse=True)
+        if len(distinct) < size.bit_length():
+            p = phi.prime.p
+            B = p ** ((phi.N - phi.l) // 2)
+            A = size // B
+            fine = _cis(_outer_mod(B, distinct, size), size)
+            coarse = _cis(np.arange(A), A)[_outer_mod(A, distinct, A)]
+            vals = np.einsum("ak,ak->k", phi.values.reshape(A, B) @ fine, coarse)
+            return qp.p_power(p, phi.l) * vals[inverse]
+    return fourier(phi).values[words]
+
+
+def _outer_mod(count: int, words: np.ndarray, mod: int) -> np.ndarray:
+    """i w mod mod for i < count, one row per i; numpy floor-divides by a
+    scalar with a multiply and a shift, where % divides per entry."""
+    k = np.multiply.outer(np.arange(count), words)
+    k -= k // mod * mod
+    return k
+
+
+def _cis(k: np.ndarray, m: int) -> np.ndarray:
+    """e^(2 pi i k / m) for integers 0 <= k < m."""
+    return np.exp((2j * np.pi / m) * k)
 
 
 def convolve(phi: TestFunction, psi: TestFunction) -> TestFunction:

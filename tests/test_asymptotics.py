@@ -483,16 +483,17 @@ def test_verify_plog3_wide_grid_with_oracle():
 
 
 def test_each_sweep_runs_one_fourier_transform(monkeypatch):
-    from padicfourier import distributions
+    # tables under the partial-transform floor: F[h] is one whole FFT
+    from padicfourier import testfn
 
     calls = []
-    real = distributions.fourier
+    real = testfn.fourier
 
     def counting(phi):
         calls.append(phi)
         return real(phi)
 
-    monkeypatch.setattr(distributions, "fourier", counting)
+    monkeypatch.setattr(testfn, "fourier", counting)
     phi = random_testfn(P3, 2, -3, seed=83)
     for f in (
         PiAlphaLog(1.5, trivial_character(P3), 1),

@@ -113,3 +113,19 @@ def test_the_right_side_does_not_import_the_left_sides_kernels():
         "_pairing",
     }
     assert not kernels & names, "asymptotics.py reaches a kernel of J"
+
+
+@pytest.mark.parametrize("name", ["testfn.py", "distributions.py"])
+def test_the_evaluator_builds_its_own_roots(name):
+    # the oracle reads chi_p off singular's root tables; if the split
+    # evaluator's partial transform read them too, a fault in them could
+    # not show as a disagreement
+    path = SOURCES[0].parent / name
+    text = path.read_text()
+    names = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ImportFrom):
+            names |= {node.module or ""} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not {"singular", "_turns", "_roots"} & names, f"{name} reaches the oracle's roots"

@@ -314,26 +314,33 @@ def test_oracle_agreement_and_refine_invariance():
 
 
 def test_oracle_shares_no_kernel_with_the_split_evaluator(monkeypatch):
-    from padicfourier import distributions
+    from padicfourier import distributions, testfn
 
     phi = random_testfn(P3, 1, -2, seed=67)
+    # a table past the partial-transform floor, read at one word
+    wide = random_testfn(P3, 1, -8, seed=69)
     cases = [
-        (PiAlphaLog(1.5, trivial_character(P3), 1), Fr(2, 27), 2),
-        (PiAlphaLog(0.9 + 0.4j, cubic_mod9(), 1), Fr(1, 9), 1),
-        (PiAlphaLog(1.2, quadratic_character(P3), 0), Fr(5, 3), 0),
-        (PLog(2), Fr(4, 81), 1),
-        (PLog(3), Fr(1, 2), 2),
+        (PiAlphaLog(1.5, trivial_character(P3), 1), phi, Fr(2, 27), 2),
+        (PiAlphaLog(0.9 + 0.4j, cubic_mod9(), 1), phi, Fr(1, 9), 1),
+        (PiAlphaLog(1.2, quadratic_character(P3), 0), phi, Fr(5, 3), 0),
+        (PLog(2), phi, Fr(4, 81), 1),
+        (PLog(3), phi, Fr(1, 2), 2),
+        (PiAlphaLog(1.3, trivial_character(P3), 0), wide, Fr(1, 27), 0),
     ]
-    want = [brute_force_oracle(req(f, phi, t), refine=r) for f, t, r in cases]
+    want = [brute_force_oracle(req(f, g, t), refine=r) for f, g, t, r in cases]
 
     def broken(*args, **kwargs):
-        raise AssertionError("the oracle reached the core's fourier")
+        raise AssertionError("the oracle reached a core transform")
 
-    monkeypatch.setattr(distributions, "fourier", broken)
-    with pytest.raises(AssertionError, match="reached"):
-        # the patch is live: |t|_3 = 9 lies inside F[h]'s support
-        singular_fourier(req(cases[0][0], phi, Fr(1, 9)))
-    assert [brute_force_oracle(req(f, phi, t), refine=r) for f, t, r in cases] == want
+    # both transform entries, where they are defined and where the core binds them
+    monkeypatch.setattr(testfn, "fourier", broken)
+    monkeypatch.setattr(testfn, "fourier_at", broken)
+    monkeypatch.setattr(distributions, "fourier_at", broken)
+    for g in (phi, wide):
+        with pytest.raises(AssertionError, match="reached"):
+            # the patch is live: |t|_3 = 9 lies inside F[h]'s support
+            singular_fourier(req(cases[0][0], g, Fr(1, 9)))
+    assert [brute_force_oracle(req(f, g, t), refine=r) for f, g, t, r in cases] == want
 
 
 def test_deep_request_skips_the_transform(monkeypatch):
@@ -353,12 +360,28 @@ def test_deep_request_skips_the_transform(monkeypatch):
         raise AssertionError("a deep request built h or ran fourier")
 
     monkeypatch.setattr(distributions, "_annulus_product", unreachable)
-    monkeypatch.setattr(distributions, "fourier", unreachable)
+    monkeypatch.setattr(distributions, "fourier_at", unreachable)
     for f, t in cases:
         ts = t if isinstance(t, tuple) else (t,)
         want = [phi.at_zero * j0_at(f, phi.l, s, P3) for s in ts]
         got = singular_fourier(req(f, phi, t))
         assert (got if isinstance(t, tuple) else [got]) == want
+
+
+def test_lone_t_inside_the_cutoff_reads_one_word_of_a_wide_table(monkeypatch):
+    # 3^10 cosets: one t at |t|_3 = 27 <= p^-lam needs F[h] at one word
+    from padicfourier import testfn
+
+    phi = random_testfn(P3, 1, -9, seed=70)
+    f = PiAlphaLog(1.3, trivial_character(P3), 0)
+    want = brute_force_oracle(req(f, phi, Fr(1, 27)))
+
+    def unreachable(phi):
+        raise AssertionError("a lone t ran the full FFT")
+
+    monkeypatch.setattr(testfn, "fourier", unreachable)
+    got = singular_fourier(req(f, phi, Fr(1, 27)))
+    assert abs(got - want) < 1e-12 * (1 + abs(want))
 
 
 def test_reduces_to_pairing_for_tiny_t():

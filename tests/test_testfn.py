@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicfourier import (
+    PiAlphaLog,
     Prime,
     TestFunction,
     chi,
@@ -19,6 +20,8 @@ from padicfourier import (
     enumerate_cosets,
     fourier,
     random_testfn,
+    trivial_character,
+    verify_stabilization,
 )
 from padicfourier.errors import BadWindow, ZeroArgument
 
@@ -188,6 +191,56 @@ def test_fourier_beyond_4096_cosets():
             complex(v) * chi(xi * c, P2).to_complex() for c, v in zip(reps, phi.values)
         ) * float(Fr(2) ** phi.l)
         assert abs(F.at(xi) - direct) <= bound
+
+
+@pytest.mark.parametrize("p, n", [
+    (2, 12), (2, 13), (3, 8), (3, 9), (5, 6), (5, 7), (7, 5), (7, 6), (11, 4), (11, 5),
+])
+def test_partial_transform_reads_the_full_table(monkeypatch, p, n):
+    # A = B at even n, A = p B at odd n; word 0, the last word and repeats
+    from padicfourier import testfn
+
+    phi = random_testfn(Prime(p), 1, 1 - n, seed=p * 100 + n)
+    size = p**n
+    words = np.array([0, size - 1, 1, size // 2, 1, 0, size // p, 7, size - 1])
+    want = fourier(phi).values[words]
+    bound = 2 * n * np.finfo(float).eps * l1_norm(phi)
+
+    def unreachable(phi):
+        raise AssertionError("a few-word read of a wide table ran the full FFT")
+
+    monkeypatch.setattr(testfn, "fourier", unreachable)
+    got = testfn.fourier_at(phi, words)
+    assert got.shape == words.shape
+    assert np.abs(got - want).max() <= bound
+    assert got[4] == got[2] and got[5] == got[0] and got[8] == got[1]
+
+
+def test_partial_transform_only_for_few_words_of_wide_tables(monkeypatch):
+    from padicfourier import testfn
+
+    def full(phi):
+        raise AssertionError("full")
+
+    wide = random_testfn(P3, 1, -8, seed=18)  # 3^9 words
+    size = len(wide.values)
+    twelve = np.arange(12) * 1640 + 5
+    want = fourier(wide).values[twelve]
+    monkeypatch.setattr(testfn, "fourier", full)
+    bound = 2 * 9 * np.finfo(float).eps * l1_norm(wide)
+    assert np.abs(testfn.fourier_at(wide, twelve) - want).max() <= bound
+    # as many distinct words as p^n has bits, a 1024-row sweep, and any
+    # table under the floor, even read at one word, take the full FFT
+    with pytest.raises(AssertionError, match="full"):
+        testfn.fourier_at(wide, np.arange(size.bit_length()))
+    f = PiAlphaLog(1.3, trivial_character(P3), 0)
+    with pytest.raises(AssertionError, match="full"):
+        verify_stabilization(f, wide, -wide.l - 255, -wide.l, 4, strict=False)
+    for p, n in ((3, 7), (2, 11), (5, 5), (11, 3)):
+        narrow = random_testfn(Prime(p), 0, -n, seed=19)
+        assert len(narrow.values) < testfn.PARTIAL_FLOOR
+        with pytest.raises(AssertionError, match="full"):
+            testfn.fourier_at(narrow, [1])
 
 
 def l1_norm(phi):
