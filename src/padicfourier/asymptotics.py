@@ -4,22 +4,23 @@ For |t|_p above the stabilization threshold s(phi) the asymptotic
 expansion of J(t) is an exact equality:
 
 * trivial pi_1, f = |x|^{alpha-1} log^m:   s(phi) = p^{-l} and
-  J(t) = phi(0) (log_p e)^m d^m/dalpha^m [ Gamma_p(alpha) |t|_p^{-alpha} ];
+  J(t) = phi(0) theta^m [ Gamma_p(alpha) |t|_p^{-alpha} ],
+  theta = (log_p e) d/dalpha;
 * f = P(log^{m-1}/|x|):                    s(phi) = p^{-l} and J(t) is the
   Bernoulli polynomial expression in M = log_p |t|_p (the printed form of
   the theorem evaluated at l = 0; the pairing's unit-ball pinning makes
   the value independent of l);
 * ramified pi_1 of rank k0:                s(phi) = p^{-l+k0} and
-  J(t) = phi(0) pi_1^{-1}(t) (log_p e)^m
-         d^m/dalpha^m [ Gamma_p(pi_alpha) |t|_p^{-alpha} ].
+  J(t) = phi(0) pi_1^{-1}(t) theta^m [ Gamma_p(pi_alpha) |t|_p^{-alpha} ].
 
 Each is r^M P(M) with M = log_p|t|_p, r = p^{-alpha} (r = 1 for PLog and
 the delta) and P a polynomial of degree m, kept by its coefficients in
 x = M - k0: Leibniz on the product gives
-P(M) = sum_j C(m,j) (-M)^j g_{m-j}, g_k = (log_p e)^k Gamma^{(k)}, and the
-PLog Bernoulli form expands into exact rational coefficients.  For a
-ramified pi_1, Gamma_p(pi_alpha) is one shell, p^{k0 alpha} times a
-constant, so g_k = k0^k Gamma and P(M) = Gamma (k0 - M)^m: about its root
+P(M) = sum_j C(m,j) (-M)^j g_{m-j}, g_k = theta^k Gamma (entry k of the
+jet ``gamma_pi`` returns), and the PLog Bernoulli form expands into exact
+rational coefficients.  For a ramified pi_1, Gamma_p(pi_alpha) is one
+shell, p^{k0 alpha} times a constant, so g_k = k0^k Gamma and
+P(M) = Gamma (k0 - M)^m: about its root
 that is the one term (-1)^m Gamma x^m.  Expanded in powers of M it would
 sum terms up to (|M| + k0)^m Gamma that cancel to (k0 - M)^m Gamma, and
 lose about ((|M| + k0) / |M - k0|)^m of the float precision.
@@ -61,7 +62,7 @@ from . import qp
 from .characters import NormedMultChar, eval_pi1
 from .distributions import DiracDelta, PiAlphaLog, PLog, QahDistribution, char_of
 from .errors import BadAlpha, NumericOverflow, StabilizationMismatch, ZeroArgument
-from .gamma import bernoulli, gamma_pi, logp_scaled
+from .gamma import bernoulli, gamma_pi
 from .jets import p_power_jet
 from .qp import Prime, Rational
 from .singular import SingularIntegralRequest, brute_force_oracle, singular_fourier
@@ -196,9 +197,9 @@ def predict_expansion(
         return AsymptoticPrediction(
             prime, e, scale, f.alpha, pi1, (0,) * f.m + ((-1) ** f.m * gamma,)
         )
-    # (log_p e)^m d^m/dalpha^m [Gamma(alpha) p^{-M alpha}] by Leibniz, with
-    # g_k = (log_p e)^k Gamma^{(k)}: p^{-M alpha} sum_j C(m,j) (-M)^j g_{m-j}
-    g = logp_scaled(gamma_pi(f.alpha, pi1, f.m), prime.p).coeffs
+    # theta^m [Gamma(alpha) p^{-M alpha}] by Leibniz, with g_k = theta^k
+    # Gamma: p^{-M alpha} sum_j C(m,j) (-M)^j g_{m-j}
+    g = gamma_pi(f.alpha, pi1, f.m).coeffs
     poly = tuple(comb(f.m, j) * (-1) ** j * g[f.m - j] for j in range(f.m + 1))
     return AsymptoticPrediction(prime, e, scale, f.alpha, pi1, poly)
 

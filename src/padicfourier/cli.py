@@ -16,8 +16,8 @@ field-path message, a log order m or ``gamma --order`` above
 ``MAX_JET_ORDER``, a t-grid beyond ``MAX_GRID_EXPONENT`` or
 ``MAX_GRID_ROWS``, or a cell enumeration beyond 2^24 cosets); 2
 verification failure inside the stabilized region; 3 numeric error (pole
-proximity, a p^(c*alpha), p^-alpha or p^l term or a sphere density
-beyond the floating range).
+proximity, a p^(c*alpha) or p^l term, a sphere density, a jet entry or
+a J, <f, phi> or F[phi] beyond the floating range).
 
 Configs are JSON; the schema is documented in the README.  Every field is
 read through ``_field``: it parses, or raises ``ConfigError`` with its
@@ -49,6 +49,7 @@ from .characters import make_character, trivial_character
 from .distributions import DiracDelta, PiAlphaLog, PLog, QahDistribution, apply
 from .errors import NumericOverflow, PadicError, PoleProximity
 from .gamma import bernoulli, gamma_p
+from .jets import Jet
 from .qp import Prime
 from .singular import SingularIntegralRequest, brute_force_oracle, singular_fourier
 from .testfn import TestFunction, delta_indicator, fourier
@@ -253,8 +254,10 @@ def _cmd_gamma(args) -> int:
     alpha = _parse(args.alpha, "--alpha", parse_complex)
     jet = gamma_p(prime, alpha, args.order)
     lines = [f"Gamma_{args.p}({_fmt_complex(alpha)}) = {_fmt_complex(jet.value)}"]
+    # the one place a theta-jet turns into d/dalpha: d^k = (ln p)^k theta^k
+    d = Jet(tuple(math.log(prime.p) ** k * c for k, c in enumerate(jet.coeffs)))
     for k in range(1, args.order + 1):
-        lines.append(f"d^{k}/dalpha^{k} = {_fmt_complex(jet.coeffs[k])}")
+        lines.append(f"d^{k}/dalpha^{k} = {_fmt_complex(d.coeffs[k])}")
     _write_output("\n".join(lines), args.out)
     return EXIT_OK
 

@@ -266,11 +266,13 @@ def _annulus_product(
     return TestFunction(prime, N, l + 1 - k, out)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _pairing(
     f: QahDistribution, phi: TestFunction, grid: Sequence | None, l0: int
 ) -> list[complex]:
     """<f(x) chi_p(xt), phi(x)> split at l0 (clamped into [l, N]), one value
-    per point (M, u) of ``grid`` (t = u p^-M), or <f, phi> when grid is None."""
+    per point (M, u) of ``grid`` (t = u p^-M), or <f, phi> when grid is None;
+    NumericOverflow when a value is not a finite float."""
     if isinstance(f, DiracDelta):
         return [phi.at(0)] * (1 if grid is None else len(grid))
     prime = phi.prime
@@ -281,7 +283,8 @@ def _pairing(
     phi0 = phi.at_zero
     if grid is None:
         s = _annulus_product(f, phi, chr_, l0).values.sum() * qp.p_power(p, lam)
-        return [complex(s) + phi0 * j0_closed_form(f, l0, [(-l0, 1)], prime)[0]]
+        value = complex(s) + phi0 * j0_closed_form(f, l0, [(-l0, 1)], prime)[0]
+        return qp.check_finite([value], "<f, phi>")
     # F[h] lies in D^-lam_-N: at t = u p^-M, M <= -lam, it is the table's word
     # u p^(-lam-M) mod p^(N-lam) (one power per sphere, one int64 array of
     # words, both factors below 2^24), else 0; J0 reads M and u mod p^k0
@@ -297,7 +300,8 @@ def _pairing(
     keys = [(M, u % p**chr_.k0) for M, u in grid]
     points = list(dict.fromkeys(keys))
     j0 = dict(zip(points, j0_closed_form(f, l0, points, prime)))
-    return [s + phi0 * j0[key] for s, key in zip(split.tolist(), keys)]
+    values = [s + phi0 * j0[key] for s, key in zip(split.tolist(), keys)]
+    return qp.check_finite(values, "J(t)")
 
 
 def apply(f: QahDistribution, phi: TestFunction) -> complex:

@@ -3,19 +3,19 @@
 Closed forms implemented here:
 
 * Gamma_p(alpha) = (1 - p^{alpha-1}) / (1 - p^{-alpha}), with
-  alpha-derivatives to any order via jet arithmetic;
+  theta-derivatives (theta = log_p(e) d/dalpha) to any order via jet
+  arithmetic;
 * Gamma_p(pi_alpha) for a ramified pi_1 of rank k0, the improper
   integral sum_gamma p^{gamma(alpha-1)} G_gamma where G_gamma is the exact
   Haar integral of pi_1 * chi_p over the sphere S_gamma.  Every G_gamma
   but G_{k0} is an exact zero, so the integral is its one resonant shell
   p^{k0(alpha-1)} G_{k0}, a finite Gauss sum, and no shell is summed;
-* the ball tail (``ball_tail``): entry m of the jet of the continued
-  ball integral (1-1/p) p^{lam alpha} / (1-p^{-alpha}) of |x|^{alpha-1}
-  over B_lam, times (log_p e)^m (I_0(alpha; m) at lam = 0).  It is the
-  trivial-pi_1 tail of both ``j0_closed_form`` and the brute-force
-  oracle, and the only part of this module the left side reads;
-  Gamma_p and Gamma_p(pi_alpha) serve the right-hand side (``gamma_pi``)
-  and ``padic-fourier gamma``;
+* the ball tail (``ball_tail``): theta^m of the continued ball integral
+  (1-1/p) p^{lam alpha} / (1-p^{-alpha}) of |x|^{alpha-1} over B_lam
+  (I_0(alpha; m) at lam = 0).  It is the trivial-pi_1 tail of both
+  ``j0_closed_form`` and the brute-force oracle, and the only part of
+  this module the left side reads; Gamma_p and Gamma_p(pi_alpha) serve
+  the right-hand side (``gamma_pi``) and ``padic-fourier gamma``;
 * Bernoulli numbers from the binomial recurrence, and the power-sum
   polynomial S_s(n) = 1^s + ... + n^s, kept as integer coefficients over
   one denominator and evaluated as a polynomial at any integer (for
@@ -27,14 +27,14 @@ Poles of the continued forms sit at alpha = 2 pi i j / ln p; inputs within
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 from .characters import NormedMultChar, gauss_sum
-from .errors import NumericOverflow, PoleProximity
+from .errors import PoleProximity
 from .jets import Jet, p_power_jet
 from .qp import Prime, p_power
 
@@ -42,59 +42,45 @@ from .qp import Prime, p_power
 POLE_TOLERANCE = 1e-12
 
 
-def check_pole(prime: Prime, alpha: complex) -> None:
-    try:
-        d = 1 - cmath.exp(-complex(alpha) * math.log(prime.p))
-    except OverflowError:
-        raise NumericOverflow(
-            f"{prime.p}^-alpha with alpha = {alpha} is not a finite float"
-        ) from None
-    if abs(d) <= POLE_TOLERANCE:
+def _denominator(prime: Prime, alpha: complex, order: int) -> Jet:
+    """Theta-jet of 1 - p^{-alpha}; PoleProximity within POLE_TOLERANCE of 0."""
+    den = Jet.constant(1, order) - p_power_jet(prime.p, -1, alpha, order)
+    if abs(den.value) <= POLE_TOLERANCE:
         raise PoleProximity(
             f"alpha = {alpha} is within {POLE_TOLERANCE} of a pole "
-            f"2*pi*i*j/ln({prime.p}) (|1 - p^-alpha| = {abs(d):.3e})"
+            f"2*pi*i*j/ln({prime.p}) (|1 - p^-alpha| = {abs(den.value):.3e})"
         )
+    return den
 
 
 def gamma_p(prime: Prime, alpha: complex, order: int = 0) -> Jet:
-    """Jet of Gamma_p(alpha) = (1 - p^{alpha-1}) / (1 - p^{-alpha})."""
-    check_pole(prime, alpha)
+    """Theta-jet of Gamma_p(alpha) = (1 - p^{alpha-1}) / (1 - p^{-alpha})."""
+    den = _denominator(prime, alpha, order)
     p = prime.p
-    one = Jet.constant(1, order)
-    num = one - p_power_jet(p, 1, alpha, order).scale(Fraction(1, p))
-    den = one - p_power_jet(p, -1, alpha, order)
+    num = Jet.constant(1, order) - p_power_jet(p, 1, alpha, order).scale(Fraction(1, p))
     return num / den
 
 
 def ball_tail(prime: Prime, alpha: complex, m: int):
-    """lam |-> entry m of the jet of the continued integral over B_lam of
-    |x|^{alpha-1} dx, (1 - 1/p) p^{lam*alpha} / (1 - p^{-alpha}), times
-    (log_p e)^m; the pole check and the 1 - p^{-alpha} jet are done once
-    for every lam."""
-    check_pole(prime, alpha)
+    """lam |-> theta^m of the continued integral over B_lam of
+    |x|^{alpha-1} dx, (1 - 1/p) p^{lam*alpha} / (1 - p^{-alpha}): the pole
+    check and the one jet division are done once for every lam, which
+    takes the Leibniz product of the jet of p^{lam*alpha} with it."""
     p = prime.p
-    den = Jet.constant(1, m) - p_power_jet(p, -1, alpha, m)
-    logp_e_m = (1.0 / math.log(p)) ** m  # the factor logp_scaled gives entry m
     # (p - 1) / p is float(1 - Fraction(1, p)): both round the same rational
-    return lambda lam: (
-        (p_power_jet(p, lam, alpha, m) / den).scale((p - 1) / p).coeffs[m] * logp_e_m
-    )
-
-
-def logp_scaled(jet: Jet, p: int) -> Jet:
-    """Apply the log_p^k e factor to entry k, turning d^k/dalpha^k into
-    the log_p-derivative normalization the asymptotic formulas use."""
-    s = 1.0 / math.log(p)  # log_p e
-    return Jet(tuple(c * s**k for k, c in enumerate(jet.coeffs)))
+    q = (Jet.constant((p - 1) / p, m) / _denominator(prime, alpha, m)).coeffs
+    weights = [comb(m, j) * q[m - j] for j in range(m + 1)]
+    # summed from -0j, which adds to any z as z does, signed zeros too
+    return lambda lam: sum(map(mul, p_power_jet(p, lam, alpha, m).coeffs, weights), -0j)
 
 
 def gamma_pi(alpha: complex, pi1: NormedMultChar, order: int = 0) -> Jet:
-    """Jet of Gamma_p(pi_alpha) = F[pi_alpha](1), pi_alpha(x) =
+    """Theta-jet of Gamma_p(pi_alpha) = F[pi_alpha](1), pi_alpha(x) =
     |x|_p^{alpha-1} pi_1(x).
 
     Trivial pi_1 delegates to the closed form :func:`gamma_p`.  Ramified
     pi_1 of rank k0 is the resonant shell |x|_p = p^{k0} alone:
-    p^{k0(alpha-1)} G_{k0}, with derivatives (k0 ln p)^k times it.
+    p^{k0(alpha-1)} G_{k0}, with theta-derivatives k0^k times it.
     """
     prime = pi1.prime
     if pi1.is_trivial():

@@ -1,10 +1,11 @@
 """Truncated Taylor (jet) arithmetic in the parameter alpha.
 
-A Jet stores (f(a), f'(a), ..., f^(m)(a)) for a function of alpha at a
-fixed point.  Every closed form in this package is built from terms
-p^{c*alpha}, whose derivatives (c ln p)^k p^{c*alpha} are exact, so jets
-give exact higher derivatives up to floating rounding -- no symbolic
-differentiation and no finite-difference truncation error.
+A Jet stores (f(a), theta f(a), ..., theta^m f(a)) for a function of alpha
+at a fixed point, theta = (log_p e) d/dalpha.  Every closed form in this
+package is built from terms p^{c*alpha}, whose theta-derivatives
+c^k p^{c*alpha} are exact, so jets give exact higher derivatives up to
+floating rounding -- no symbolic differentiation and no finite-difference
+truncation error.
 """
 
 from __future__ import annotations
@@ -19,9 +20,13 @@ from .errors import NumericOverflow
 
 @dataclass(frozen=True)
 class Jet:
-    """coeffs[k] = d^k f / d alpha^k at the expansion point, k <= order."""
+    """coeffs[k] = theta^k f at the expansion point, k <= order: finite."""
 
     coeffs: tuple[complex, ...]
+
+    def __post_init__(self):
+        if not all(map(cmath.isfinite, self.coeffs)):
+            raise NumericOverflow(f"a jet entry of order {self.order} is not a finite float")
 
     @property
     def order(self) -> int:
@@ -66,20 +71,22 @@ class Jet:
 
 
 def p_power_jet(p: int, c, alpha: complex, order: int) -> Jet:
-    """Jet of alpha |-> p^{c*alpha}; derivatives are (c ln p)^k p^{c*alpha}.
-    Raises NumericOverflow when a coefficient is not a finite float."""
-    lnp = math.log(p)
+    """Jet of alpha |-> p^{c*alpha}, entries c^k p^{c*alpha}; past the float
+    range of that product, sign(c)^k e^{k ln|c| + c alpha ln p}: 0 below it
+    (a zero signed as the product signs it), NumericOverflow above it."""
+    z = complex(alpha) * (c * math.log(p))
     try:
-        base = cmath.exp(complex(alpha) * (c * lnp))
-        # a base that underflowed to 0 makes each coefficient a zero whose
-        # sign alone (c ln p)^k sets, however far past the float range it is
-        x = c * lnp if base else math.copysign(1.0, c * lnp)
-        coeffs = tuple(x**k * base for k in range(order + 1))
-        if all(map(cmath.isfinite, coeffs)):
-            return Jet(coeffs)
-    except OverflowError:
+        base = cmath.exp(z)
+        if base:  # else c^k p^{c*alpha} may still be in range
+            return Jet(tuple(c**k * base for k in range(order + 1)))
+    except (OverflowError, NumericOverflow):
         pass
-    raise NumericOverflow(
-        f"{p}^(c*alpha) with c = {c}, alpha = {alpha} (order {order}) "
-        "is not a finite float"
-    )
+    s, lc = math.copysign(1.0, c), math.log(abs(c))  # c != 0, as p^0 = 1
+    coeffs = (s**k * cmath.exp(complex(k * lc + z.real, z.imag)) for k in range(order + 1))
+    try:
+        return Jet(tuple(coeffs))
+    except OverflowError:
+        raise NumericOverflow(
+            f"{p}^(c*alpha) with c = {c}, alpha = {alpha} (order {order}) "
+            "is not a finite float"
+        ) from None

@@ -18,6 +18,7 @@ enumeration deterministic and reproducible.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -143,6 +144,20 @@ def check_word_count(p: int, n: int) -> None:
     past _MAX_DIGITS digits without building p^n."""
     if n > _MAX_DIGITS or p**n > MAX_WORDS:
         raise BadWindow(f"coset enumeration too large: {p}^{n} words")
+
+
+def check_finite(values, what: str):
+    """values (an array or a list of complex), or NumericOverflow naming
+    what they are when one is not a finite float.  Its callers compute them
+    under np.errstate(over="ignore", invalid="ignore"): numpy's overflow
+    raises here, not as a warning."""
+    if isinstance(values, np.ndarray):
+        finite = np.isfinite(values).all()
+    else:
+        finite = all(map(cmath.isfinite, values))
+    if not finite:
+        raise NumericOverflow(f"{what} is not a finite float")
+    return values
 
 
 def _coset_words(p: int, n: int) -> np.ndarray:

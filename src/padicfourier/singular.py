@@ -91,6 +91,7 @@ def singular_fourier(req: SingularIntegralRequest) -> complex | list[complex]:
     return req._shaped(_pairing(req.f, req.phi, req._grid, req.level()))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def brute_force_oracle(
     req: SingularIntegralRequest, refine: int = 0
 ) -> complex | list[complex]:
@@ -99,7 +100,8 @@ def brute_force_oracle(
     plus the closed-form tail below it (geometric jet for trivial pi_1,
     exact zero for ramified, finite power sum for PLog).  It shares no
     sphere kernel with ``singular_fourier``.  A tuple of t gives a list,
-    one J per t; the points of one norm share everything but chi_p."""
+    one J per t; the points of one norm share everything but chi_p.
+    NumericOverflow when a J is not a finite float."""
     if refine < 0:
         raise ValueError(f"refine must be >= 0, got {refine}")
     f, phi, grid = req.f, req.phi, req._grid
@@ -205,7 +207,7 @@ def brute_force_oracle(
         for (i, _), total in zip(members, totals):
             values[i] = total + phi.at_zero * tail
         roots = view = None  # freed before the next norm builds its table
-    return req._shaped(values)
+    return req._shaped(qp.check_finite(values, "J(t) (oracle)"))
 
 
 #: i^q for a quarter turn q

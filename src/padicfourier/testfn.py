@@ -90,11 +90,14 @@ def delta_indicator(prime: Prime, k: int) -> TestFunction:
     return TestFunction(prime, k, k, [1.0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fourier(phi: TestFunction) -> TestFunction:
     """Exact Fourier transform; maps D^l_N onto D^{-N}_{-l}.  Words j, c
-    meet in chi_p(xi_j x_c) = e^{2 pi i jc / p^{N-l}}: an unscaled ifft."""
+    meet in chi_p(xi_j x_c) = e^{2 pi i jc / p^{N-l}}: an unscaled ifft.
+    NumericOverflow when a value is not a finite float."""
     scale = qp.p_power(phi.prime.p, phi.l)
     vals = scale * np.fft.ifft(phi.values, norm="forward")
+    qp.check_finite(vals, "a Fourier transform value")
     return TestFunction(phi.prime, -phi.l, -phi.N, vals)
 
 

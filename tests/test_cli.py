@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from padicfourier import Prime, enumerate_cosets, fourier, qp, random_testfn
+from padicfourier import Prime, enumerate_cosets, fourier, gamma_p, qp, random_testfn
 from padicfourier.cli import MAX_GRID_EXPONENT, MAX_GRID_ROWS, MAX_JET_ORDER, run
 
 POWER_CFG = {
@@ -125,6 +125,72 @@ def test_gamma_subcommand(capsys):
     assert run(["gamma", "--p", "2", "--alpha", "2", "--order", "0"]) == 0
     out = capsys.readouterr().out
     assert "-1.3333333333333333" in out
+
+
+def test_gamma_derivatives_match_central_differences(capsys):
+    # the jets hold theta = log_p(e) d/dalpha; the command prints d/dalpha,
+    # so its lines must match differences of the plain value Gamma_p(alpha)
+    alpha, h = 1.3 - 0.4j, 1e-3
+    for p in (2, 3):
+        assert run(["gamma", "--p", str(p), "--alpha", "1.3-0.4i", "--order", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+
+        def g(x):
+            return gamma_p(Prime(p), alpha + x * h, 0).value
+
+        fd = {
+            1: (g(1) - g(-1)) / (2 * h),
+            2: (g(1) - 2 * g(0) + g(-1)) / h**2,
+            3: (g(2) - 2 * g(1) + 2 * g(-1) - g(-2)) / (2 * h**3),
+        }
+        for k in (1, 2, 3):
+            label, value = lines[k].split(" = ")
+            assert label == f"d^{k}/dalpha^{k}"
+            got = complex(value.replace("i", "j"))
+            assert abs(got - fd[k]) < 1e-5 * (1 + abs(fd[k])), (p, k, got, fd[k])
+
+
+def test_gamma_past_the_float_range_is_a_numeric_error(capsys):
+    # near the pole at 0 the jet's high entries pass the float range; the
+    # division once made inf - inf of them and printed nan at exit 0
+    assert run(["gamma", "--p", "2", "--alpha", "1e-10", "--order", "64"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numeric error: ")
+    assert "nan" not in captured.out
+
+
+#: phi(0) = 0.5 and eight values near the float limit: F[phi], <f, phi> and
+#: J pass the float range, where each command once printed nan (or erdelyi
+#: compared nan rows) instead of a numeric error
+HUGE_CFG = {
+    "prime": 3,
+    "distribution": {
+        "variant": "pi-alpha-log",
+        "alpha": 1.5,
+        "m": 1,
+        "character": {"kind": "trivial"},
+    },
+    "test_function": {
+        "kind": "table",
+        "N": 1,
+        "l": -1,
+        "values": [[0.5, 0.0]] + [[1e308, 1e308]] * 8,
+    },
+    "t_grid": {"M_min": -3, "M_max": 4, "units_per_sphere": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["verify"], ["erdelyi"], ["eval-dist"], ["singular", "--t", "1/3"],
+     ["singular", "--t", "1/3", "--oracle"], ["fourier"]],
+    ids=" ".join,
+)
+def test_values_past_the_float_range_are_a_numeric_error(tmp_path, capsys, command):
+    assert run(command + ["--config", write_cfg(tmp_path, HUGE_CFG)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numeric error: ") and "Traceback" not in captured.err
+    assert "nan" not in captured.out
 
 
 def test_chi_subcommand(capsys):
@@ -261,7 +327,9 @@ LARGE_CFG = {
 #: product multiplied as one broadcast per row; large: from the last
 #: implementation that split a Fraction per row; cubic, quintic and large:
 #: re-pinned when the ramified P(M) = Gamma (k0 - M)^m became one term
-#: about its root, which moved only rhs and abs_err); every row's floats,
+#: about its root, which moved only rhs and abs_err; binary: re-pinned when
+#: the jets took theta = log_p(e) d/dalpha, which moved last digits of its
+#: J and rhs, 2.6e-16 relative at most); every row's floats,
 #: their formatting and the JSON layout must keep these bytes (PLog has no
 #: Erdelyi check)
 PINNED_REPORTS = {
@@ -275,8 +343,8 @@ PINNED_REPORTS = {
     ("cubic", "erdelyi", "json"): "2802688ef46c352b961058f022532065091c436e1699028cb59761ee3e5e803a",
     ("plog", "verify", "csv"): "6233b1cb2894aa0fd39e8d7a21a0d9b0596742762d99abf9a69037e7ec212e30",
     ("plog", "verify", "json"): "4f29e7c15ac230cc846cce503ce1c2422f69a74530d4f372a297a60794a5c00f",
-    ("binary", "verify", "csv"): "dc4296b725e8c61c1cebd9e44f7e6a8bbc8487a5f55b76f568c4087e7baa4f51",
-    ("binary", "verify", "json"): "cbd3ddc9008295e6df81a02022c0bb245c4543a023c810435887835f8ca4039d",
+    ("binary", "verify", "csv"): "dd31adf63366f889e6121bed9af47fe828b3f3c75e8337ba46cd2b6e7d313e8c",
+    ("binary", "verify", "json"): "10bbc875811cae690638f35273e3433efdada58c63f4e9b7e0dd0996ddb04de4",
     ("quintic", "verify", "csv"): "85c4f9df30c6b6031a574f0ffc4e371933134db2678305ed0b8f4bf3454422d4",
     ("quintic", "verify", "json"): "333aa004b0c2c5597696ea0585387ecd312ed48f021492cf27a66f097f0d466c",
     ("large", "verify", "csv"): "1578c20f0fd07516dc1972386313f68f79ea53fb9217c2d01d82632e12c7911f",

@@ -13,6 +13,7 @@ from padicfourier import (
     PiAlphaLog,
     Prime,
     bernoulli,
+    delta_indicator,
     faulhaber_sum,
     gamma_p,
     gamma_pi,
@@ -20,6 +21,7 @@ from padicfourier import (
     p_power_jet,
     quadratic_character,
     trivial_character,
+    verify_stabilization,
 )
 from padicfourier.characters import sphere_char_chi_integral
 from padicfourier.errors import PoleProximity
@@ -73,12 +75,14 @@ def test_pole_proximity():
         j0_closed_form(PiAlphaLog(1e-14, trivial_character(P2)), 0, [(0, 1)], P2)
 
 
-def jet_fd_check(fn, alpha, order, h=1e-5, tol=1e-4):
+def jet_fd_check(fn, p, alpha, order, h=1e-5, tol=1e-4):
+    # entry k against theta = log_p(e) d/dalpha of entry k-1, by a central
+    # difference
     jet = fn(alpha, order)
     for k in range(1, order + 1):
         fd = (fn(alpha + h, order).coeffs[k - 1] - fn(alpha - h, order).coeffs[k - 1]) / (
             2 * h
-        )
+        ) / math.log(p)
         assert abs(jet.coeffs[k] - fd) < tol * (1 + abs(fd)), (k, jet.coeffs[k], fd)
 
 
@@ -86,7 +90,7 @@ def test_gamma_p_jets_match_finite_differences():
     rng = random.Random(12)
     for _ in range(10):
         alpha = complex(rng.uniform(0.3, 2.5), rng.uniform(-1, 1))
-        jet_fd_check(lambda a, m: gamma_p(P3, a, m), alpha, 3)
+        jet_fd_check(lambda a, m: gamma_p(P3, a, m), 3, alpha, 3)
 
 
 def test_i0_examples_and_jets():
@@ -149,19 +153,19 @@ def test_gamma_pi_ramified_stabilizes_and_has_known_modulus():
 def test_gamma_pi_ramified_jets_match_finite_differences():
     quad = quadratic_character(P3)
     jet_fd_check(
-        lambda a, m: gamma_pi(a, quad, m), 1.0, 3, h=1e-6, tol=1e-5
+        lambda a, m: gamma_pi(a, quad, m), 3, 1.0, 3, h=1e-6, tol=1e-5
     )
-    jet_fd_check(lambda a, m: gamma_pi(a, cubic_mod9(), m), 1.5, 2)
-    # only one shell survives, so d/dalpha Gamma = (k0 ln p) Gamma exactly
+    jet_fd_check(lambda a, m: gamma_pi(a, cubic_mod9(), m), 3, 1.5, 2)
+    # only one shell survives, so theta Gamma = k0 Gamma exactly
     for chr_ in (quad, cubic_mod9()):
         jet = gamma_pi(0.8 - 0.3j, chr_, 1)
-        want = chr_.k0 * math.log(3) * jet.coeffs[0]
+        want = chr_.k0 * jet.coeffs[0]
         assert abs(jet.coeffs[1] - want) < 1e-12 * (1 + abs(want))
 
 
 def shell_sum(chr_, alpha, order):
     """The improper integral summed shell by shell over |gamma| <= k0 + 4,
-    with the term-wise alpha-derivatives (gamma ln p)^k p^{gamma(alpha-1)} G_gamma."""
+    with the term-wise theta-derivatives gamma^k p^{gamma(alpha-1)} G_gamma."""
     p, k0 = chr_.prime.p, chr_.k0
     total = Jet.constant(0, order)
     for gamma in range(-k0 - 4, k0 + 5):
@@ -189,7 +193,25 @@ def test_gamma_pi_evaluates_no_zero_shell():
     g = gamma_pi(-400, quad, 2)
     want = 3 ** -400.5  # |Gamma_p(pi_alpha)| = p^{k0 (Re alpha - 1/2)}
     assert abs(abs(g.value) - want) < 1e-10 * want
-    assert g.coeffs[2] == pytest.approx(math.log(3) ** 2 * g.value, rel=1e-12)
+    assert g.coeffs[2] == pytest.approx(g.value, rel=1e-12, abs=0)  # k0^2 = 1
+
+
+def test_the_ball_tail_divides_once_per_call(monkeypatch):
+    # a 1024-sphere sweep at m = 64 reads J0's ball tail once per sphere:
+    # one jet division per call of ball_tail (and one in Gamma_p), not one
+    # order-64 division per sphere
+    calls = []
+    divide = Jet.__truediv__
+
+    def counting(self, other):
+        calls.append(self.order)
+        return divide(self, other)
+
+    monkeypatch.setattr(Jet, "__truediv__", counting)
+    f = PiAlphaLog(1.5, trivial_character(P3), 64)
+    rep = verify_stabilization(f, delta_indicator(P3, 0), 1, 1024, units_per_sphere=1)
+    assert len(rep.rows) == 1024 and rep.ok
+    assert calls == [64, 64]
 
 
 def test_bernoulli_values():

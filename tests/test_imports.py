@@ -1,6 +1,7 @@
-"""Import hygiene of the package sources, checked with ``ast``: every
-imported name is used (or marked ``# noqa: F401``), and every ``__all__``
-entry resolves.  No linter is assumed to be installed."""
+"""Import hygiene, checked with ``ast``: every name the package sources,
+the tests and the tools import is used (or marked ``# noqa: F401``), and
+every ``__all__`` entry of the package resolves.  No linter is assumed to
+be installed."""
 
 import ast
 import importlib
@@ -8,7 +9,11 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "padicfourier").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "padicfourier").glob("*.py"))
+#: every Python file whose imports are checked: the package, the tests and
+#: the tools (their names do not collide, so the file name is the test id)
+CHECKED = SOURCES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
 
 
 def imported_names(tree: ast.Module, lines: list[str]) -> dict[str, int]:
@@ -53,7 +58,7 @@ def exported_names(tree: ast.Module) -> list[str]:
     return []
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", CHECKED, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     text = path.read_text()
     tree = ast.parse(text)

@@ -1,21 +1,52 @@
 """Jet (truncated Taylor) arithmetic."""
 
+import cmath
 import math
 
 import pytest
 
 from padicfourier import Jet, p_power_jet
+from padicfourier.errors import NumericOverflow
 
 
-def fd_derivative(fn, x, h=1e-6):
-    return (fn(x + h) - fn(x - h)) / (2 * h)
+def fd_theta(fn, x, p, h=1e-6):
+    # theta = log_p(e) d/dalpha, by a central difference
+    return (fn(x + h) - fn(x - h)) / (2 * h) / math.log(p)
 
 
 def test_p_power_jet_is_exact():
     jet = p_power_jet(3, -2, 0.7 + 0.1j, 3)
     base = 3 ** (-2 * (0.7 + 0.1j))
     for k in range(4):
-        assert jet.coeffs[k] == pytest.approx((-2 * math.log(3)) ** k * base)
+        assert jet.coeffs[k] == pytest.approx((-2) ** k * base)
+
+
+def test_p_power_jet_past_the_float_range():
+    # 70001^64 is past the float range and 2^(-70001 * 0.001) is not: the
+    # entries are taken in logarithms and stay finite
+    jet = p_power_jet(2, -70001, 0.001, 64)
+    for k in (0, 1, 63, 64):
+        want = (-1) ** k * math.exp(k * math.log(70001) - 70001 * 0.001 * math.log(2))
+        assert jet.coeffs[k] == pytest.approx(want, rel=1e-12)
+    # below the range every entry is a zero signed as (-1)^k times the
+    # underflowed power
+    zero = cmath.exp(complex(1.5, -0.5) * (-100000 * math.log(3)))
+    jet = p_power_jet(3, -100000, 1.5 - 0.5j, 64)
+    for k, entry in enumerate(jet.coeffs):
+        want = (-1.0) ** k * zero
+        assert entry == 0 and [math.copysign(1, x) for x in (entry.real, entry.imag)] == [
+            math.copysign(1, x) for x in (want.real, want.imag)
+        ]
+    with pytest.raises(NumericOverflow):
+        p_power_jet(3, 100000, 1.5, 2)
+
+
+def test_a_jet_entry_is_a_finite_float():
+    with pytest.raises(NumericOverflow, match="a jet entry of order 2"):
+        Jet((1, math.inf, 0))
+    big = Jet((1e308, 1e308))
+    with pytest.raises(NumericOverflow):
+        big + big
 
 
 def test_ring_laws():
@@ -54,5 +85,5 @@ def test_composite_jet_matches_finite_differences():
     assert jet.coeffs[0] == pytest.approx(value(alpha))
     # entry k vs central difference of entry k-1
     for k in range(1, 4):
-        fd = fd_derivative(lambda a, kk=k - 1: jet_at(a, 3).coeffs[kk], alpha)
+        fd = fd_theta(lambda a, kk=k - 1: jet_at(a, 3).coeffs[kk], alpha, 2)
         assert abs(jet.coeffs[k] - fd) < 1e-4 * (1 + abs(fd))

@@ -38,7 +38,6 @@ from padicfourier import (
 from padicfourier import qp
 from padicfourier.characters import sphere_char_chi_integral, sphere_chi_integral
 from padicfourier.distributions import density_on_sphere
-from padicfourier.gamma import logp_scaled
 from padicfourier.errors import BadWindow, NumericOverflow, PoleProximity, ZeroArgument
 from padicfourier.singular import _oracle_tail, _roots
 
@@ -209,9 +208,10 @@ def fraction_j0(f, l0, t, prime):
     value = 0j
     if f.pi1.is_trivial():
         den = Jet.constant(1, f.m) - p_power_jet(p, -1, f.alpha, f.m)
+        q = (Jet.constant(1 - Fr(1, p), f.m) / den).coeffs
         lam = l0 if near else -M
-        jet = (p_power_jet(p, lam, f.alpha, f.m) / den).scale(1 - Fr(1, p))
-        value = logp_scaled(jet, p).coeffs[f.m]
+        power = p_power_jet(p, lam, f.alpha, f.m).coeffs
+        value = sum((power[j] * (math.comb(f.m, j) * q[f.m - j]) for j in range(f.m + 1)), -0j)
     if not near and k - M <= l0:
         power = p_power_jet(p, k - M, f.alpha, 0).value * qp.p_power(p, -k)
         value += (k - M) ** f.m * power * sphere_char_chi_integral(f.pi1, k, u)
