@@ -45,13 +45,13 @@ where chi_p == 1 on B_{l0}.  J0
   J independent of the split level).
 
 A point comes split once, t = u p^-M with |t|_p = p^M, as a request holds
-it; F[h] is read off its table at a word of u, and J0 is keyed by
-(|t|_p, u mod p^k0): one ``j0_closed_form`` call takes every key of the
-batch and does the work that depends on neither (the pole check, the
-1 - p^-alpha jet, the PLog S_{m-1}(l0)) once, in ints and floats, with
-one Gauss sum per residue.  J does not depend on l0; a level outside [l, N] is
-evaluated at the nearest end, so the table never exceeds
-p^(N-l+max(k0,1)-1) entries.
+it; F[h] is read off its table at a word of u, and one ``j0_closed_form``
+call takes the batch's points as they stand: it computes J0's radial part
+once per norm sphere M, its sphere integral (one Gauss sum) once per
+residue u mod p^k0, and the work that depends on neither (the pole check,
+the 1 - p^-alpha jet, the PLog S_{m-1}(l0)) once, in ints and floats.  J
+does not depend on l0; a level outside [l, N] is evaluated at the nearest
+end, so the table never exceeds p^(N-l+max(k0,1)-1) entries.
 
 ``homogeneity_defect`` checks the graded scaling law.  The lower-order
 companion families are not printed in the source material; they are
@@ -128,26 +128,25 @@ QahDistribution = PiAlphaLog | PLog | DiracDelta
 
 
 def density_on_sphere(f: QahDistribution, prime: Prime, gamma: int) -> complex:
-    """The radial factor of f on S_gamma (|x|_p = p^gamma); NumericOverflow
-    when it is not a finite float."""
+    """The radial factor of f on S_gamma (|x|_p = p^gamma), gamma^m p^(c gamma)
+    with c = alpha - 1 (for PLog c = -1, and m - 1 in place of m): that
+    product where it is a finite float, else entry m of the jet of
+    p^(gamma c), 0 below the float range and NumericOverflow above it."""
     p = prime.p
     try:
         if isinstance(f, PiAlphaLog):
-            value = cmath.exp((f.alpha - 1) * gamma * math.log(p)) * gamma**f.m
+            c, m = f.alpha - 1, f.m
+            value = cmath.exp(c * gamma * math.log(p)) * gamma**m
         elif isinstance(f, PLog):
-            value = qp.p_power(p, -gamma) * gamma ** (f.m - 1)
+            c, m = -1, f.m - 1
+            value = qp.p_power(p, -gamma) * gamma**m
         else:
             raise TypeError(f"no sphere density for {f!r}")
+        if cmath.isfinite(value):
+            return value
     except (OverflowError, NumericOverflow):
-        value = cmath.inf
-    if not cmath.isfinite(value):
-        what = (
-            f"{p}^((alpha-1)*gamma) with alpha = {f.alpha}"
-            if isinstance(f, PiAlphaLog)
-            else f"{p}^-gamma gamma^(m-1) with m = {f.m}"
-        )
-        raise NumericOverflow(f"{what}, gamma = {gamma} is not a finite float")
-    return value
+        pass
+    return p_power_jet(p, gamma, c, m).coeffs[m]
 
 
 def char_of(f: QahDistribution, prime: Prime) -> NormedMultChar:
@@ -164,12 +163,12 @@ def j0_closed_form(
     """The continued integral of f(x) chi_p(xt) over B_{l0} (for the PLog
     family: of the chi_p(xt) - 1 variant, plus the pinning correction), in
     closed form, at every point (M, u) with t = u p^-M, as a request holds
-    them (u known modulo p^k0 at least): one J0 per point, with the
-    pole check, the 1 - p^-alpha jet and the PLog S_{m-1}(l0) computed once
-    for all of them.  The point (-l0, 1) gives chi_p == 1 on B_l0; at
-    l0 = 0 that is I_0."""
+    them (u known modulo p^k0 at least): one J0 per point, with its radial
+    part computed once per norm sphere M and its sphere integral once per
+    residue u mod p^k0, and the pole check, the 1 - p^-alpha jet and the
+    PLog S_{m-1}(l0) once for all of them.  The point (-l0, 1) gives
+    chi_p == 1 on B_l0; at l0 = 0 that is I_0."""
     p = prime.p
-    values = []
     if isinstance(f, PLog):
         # exact rationals over one denominator p * den, S_{m-1} = S / den;
         # an int quotient rounds as float(Fraction) does
@@ -181,60 +180,60 @@ def j0_closed_form(
 
         S_l0 = S(l0)
         pinning = complex((p - 1) * S_l0 / (p * den))
-        for M, _ in points:
+        k0 = 0
+
+        def radial(M):
             value = 0  # M <= -l0: chi_p == 1 on all of B_l0
             if M > -l0:
                 value = (-((1 - M) ** s) * den - (p - 1) * (S_l0 - S(-M))) / (p * den)
-            values.append(complex(value) + pinning)
-        return values
+            return complex(value) + pinning, None
 
-    if not isinstance(f, PiAlphaLog):
+    elif isinstance(f, PiAlphaLog):
+        # the ball tail B_min(l0, -M), where chi_p == 1 and a ramified pi_1
+        # integrates to zero (ball_tail checks the pole)
+        chr_, alpha, m = f.pi1, f.alpha, f.m
+        k0, k = chr_.k0, max(chr_.k0, 1)
+        tail = ball_tail(prime, alpha, m) if chr_.is_trivial() else lambda g: 0j
+        scale = qp.p_power(p, -k)
+
+        def radial(M):
+            # plus the one resonant sphere |xt|_p = p^k if it lies in B_l0
+            # (then M > -l0); every other sphere is an exact zero.  x = y p^M
+            # makes it one power gamma^m p^(alpha gamma - k), which a deep t
+            # underflows where p^((alpha-1) gamma) alone would overflow, times
+            # the sphere integral at u mod p^k0; past the float range of that
+            # product, entry m of the jet of p^(gamma alpha) stands in for it
+            value, gamma = tail(min(l0, -M)), k - M
+            if gamma > l0:
+                return value, None
+            try:
+                term = gamma**m * (p_power_jet(p, gamma, alpha, 0).value * scale)
+                if cmath.isfinite(term):
+                    return value, term
+            except OverflowError:  # gamma^m has no float
+                pass
+            return value, p_power_jet(p, gamma, alpha, m).coeffs[m] * scale
+
+        def sphere(w):
+            # the integral over S_k of pi_1(y) chi_p(yu): -1 for trivial
+            # pi_1, else a Gauss sum
+            if chr_.is_trivial():
+                return -1 + 0j
+            return gauss_sum(chr_, w) * qp.p_power(p, k - k0)
+
+    else:
         raise TypeError(f"no J0 closed form for {f!r}")
 
-    # the ball tail B_min(l0, -M), where chi_p == 1 and a ramified pi_1
-    # integrates to zero (ball_tail checks the pole)
-    chr_, alpha, m = f.pi1, f.alpha, f.m
-    k = max(chr_.k0, 1)
-    tail = ball_tail(prime, alpha, m) if chr_.is_trivial() else lambda g: 0j
-
-    # plus the one resonant sphere |xt|_p = p^k if it lies in B_l0; every
-    # other sphere is an exact zero.  x = y p^M makes it one guarded power
-    # p^(alpha gamma - k), which a deep t underflows where p^((alpha-1) gamma)
-    # alone would overflow, times the integral over S_k of pi_1(y) chi_p(yu):
-    # -1 for trivial pi_1, else a Gauss sum at u mod p^k0
-    # (chi_p == 1 on all of B_l0 at the near points M <= -l0, where J0 does
-    # not depend on t: it is computed once, at the first of them)
-    scale = qp.p_power(p, -k)
-    near, sphere = None, {}
+    radii, spheres, values = {}, {}, []
     for M, u in points:
-        if M <= -l0:
-            if near is None:
-                near = tail(l0)
-            values.append(near)
-            continue
-        value = tail(-M)
-        if k - M <= l0:
-            gamma = k - M
-            power = p_power_jet(p, gamma, alpha, 0).value * scale
-            w = u % p**chr_.k0
-            if w not in sphere:
-                sphere[w] = (
-                    -1 + 0j
-                    if chr_.is_trivial()
-                    else gauss_sum(chr_, w) * qp.p_power(p, k - chr_.k0)
-                )
-            try:
-                term = gamma**m * power
-            except OverflowError:
-                # gamma^m is past the float range, at a t so deep that the
-                # power is tiny or 0: take gamma^m in two halves around it
-                term = gamma ** (m // 2) * power * gamma ** (m - m // 2)
-            value += term * sphere[w]
-            if not cmath.isfinite(value):
-                raise NumericOverflow(
-                    f"gamma^m p^(alpha gamma) with gamma = {gamma}, m = {m}, "
-                    f"alpha = {alpha} is not a finite float"
-                )
+        if M not in radii:
+            radii[M] = radial(M)
+        value, term = radii[M]
+        if term is not None:
+            w = u % p**k0
+            if w not in spheres:
+                spheres[w] = sphere(w)
+            value += term * spheres[w]
         values.append(value)
     return values
 
@@ -287,8 +286,7 @@ def _pairing(
         return qp.check_finite([value], "<f, phi>")
     # F[h] lies in D^-lam_-N: at t = u p^-M, M <= -lam, it is the table's word
     # u p^(-lam-M) mod p^(N-lam) (one power per sphere, one int64 array of
-    # words, both factors below 2^24), else 0; J0 reads M and u mod p^k0
-    # (k0 > N - lam on a delta's window)
+    # words, both factors below 2^24), else 0; J0 takes the grid as it stands
     split = np.zeros(len(grid), dtype=np.complex128)
     inside = [i for i, (M, _) in enumerate(grid) if M <= -lam]
     if inside:
@@ -297,10 +295,8 @@ def _pairing(
         words = np.array([(grid[i][1] % mod, shift[grid[i][0]]) for i in inside], np.int64)
         h = _annulus_product(f, phi, chr_, l0)
         split[inside] = fourier_at(h, words.prod(axis=1) % mod)
-    keys = [(M, u % p**chr_.k0) for M, u in grid]
-    points = list(dict.fromkeys(keys))
-    j0 = dict(zip(points, j0_closed_form(f, l0, points, prime)))
-    values = [s + phi0 * j0[key] for s, key in zip(split.tolist(), keys)]
+    j0 = j0_closed_form(f, l0, grid, prime)
+    values = [s + phi0 * z for s, z in zip(split.tolist(), j0)]
     return qp.check_finite(values, "J(t)")
 
 

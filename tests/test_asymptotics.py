@@ -505,27 +505,39 @@ def test_each_sweep_runs_one_fourier_transform(monkeypatch):
 
 
 def test_j0_once_per_norm_sphere(monkeypatch):
+    # a sweep hands J0 its grid as it stands, in one call, and J0 evaluates
+    # its resonant power gamma^m p^(alpha gamma - k) once per norm sphere,
+    # not once per (sphere, residue u mod p^k0)
     from padicfourier import distributions
 
-    calls = []
-    real = distributions.j0_closed_form
+    calls, powers = [], []
+    real_j0, real_power = distributions.j0_closed_form, distributions.p_power_jet
 
-    def counting(*args):
+    def counting_j0(*args):
         calls.append(args)
-        return real(*args)
+        return real_j0(*args)
 
-    # one call per sweep, with one point per norm sphere
-    monkeypatch.setattr(distributions, "j0_closed_form", counting)
+    def counting_power(p, c, alpha, order):
+        powers.append(c)
+        return real_power(p, c, alpha, order)
+
+    monkeypatch.setattr(distributions, "j0_closed_form", counting_j0)
+    monkeypatch.setattr(distributions, "p_power_jet", counting_power)
+    # split at l0 = l = -1, the resonant sphere gamma = 1 - M lies in B_l0
+    # on the four spheres M = 2..5 of the eight M = -2..5
     phi = random_testfn(P2, 1, -1, seed=84)
     rep = verify_stabilization(PiAlphaLog(1.5, trivial_character(P2), 1), phi, -2, 5, 3)
-    assert len(rep.rows) == 24 and len(calls) == 1 and len(calls[0][2]) == 8
-    # ramified J0 depends on the direction of t only through u mod p^k0:
-    # units 1, 2, 4 are two residues mod 3, so one point per (sphere, residue)
+    assert len(rep.rows) == 24 and len(calls) == 1 and len(calls[0][2]) == 24
+    assert sorted(powers) == [-4, -3, -2, -1]
+    # ramified J0 depends on the direction of t through u mod p^k0: units
+    # 1, 2, 4 are two residues mod 3, and still one power per sphere
     calls.clear()
+    powers.clear()
     phi = random_testfn(P3, 1, -1, seed=85)
     f = PiAlphaLog(1.5, quadratic_character(P3), 0)
     rep = verify_stabilization(f, phi, -2, 5, 3)
-    assert len(rep.rows) == 24 and len(calls) == 1 and len(calls[0][2]) == 16
+    assert len(rep.rows) == 24 and len(calls) == 1 and len(calls[0][2]) == 24
+    assert sorted(powers) == [-4, -3, -2, -1]
 
 
 def test_each_t_is_split_once(monkeypatch):

@@ -193,6 +193,35 @@ def test_values_past_the_float_range_are_a_numeric_error(tmp_path, capsys, comma
     assert "nan" not in captured.out
 
 
+#: phi in D^-100002_-100000 with m = 64: gamma^64 (about 1e320) has no float
+#: on the spheres gamma = -100000, -100001, while p^(0.5 gamma) underflows to
+#: 0, so the densities, <f, phi>, J and the oracle are all 0
+DEEP_CFG = {
+    "prime": 3,
+    "distribution": {
+        "variant": "pi-alpha-log",
+        "alpha": 1.5,
+        "m": 64,
+        "character": {"kind": "trivial"},
+    },
+    "test_function": {
+        "kind": "table",
+        "N": -100000,
+        "l": -100002,
+        "values": [[0.5, 0.0]] + [[1.0, 0.0]] * 8,
+    },
+}
+
+
+def test_a_deep_window_whose_densities_underflow_evaluates(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, DEEP_CFG)
+    assert run(["eval-dist", "--config", cfg]) == 0
+    assert capsys.readouterr().out.splitlines() == ["<f, phi> = 0+0i"]
+    assert run(["singular", "--t", "1", "--oracle", "--config", cfg]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == ["J(t = 1) = 0+0i", "oracle    = 0+0i", "|J - oracle| = 0"]
+
+
 def test_chi_subcommand(capsys):
     assert run(["chi", "--p", "3", "--x", "1/3"]) == 0
     out = capsys.readouterr().out

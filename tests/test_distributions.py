@@ -99,6 +99,14 @@ def test_apply_dirac_delta():
     assert apply(DiracDelta(), phi) == phi.at(0)
 
 
+def test_the_delta_has_no_sphere_density_and_no_j0():
+    # the pairing core answers the delta before either is asked
+    with pytest.raises(TypeError, match="no sphere density"):
+        density_on_sphere(DiracDelta(), P3, 1)
+    with pytest.raises(TypeError, match="no J0 closed form"):
+        j0_closed_form(DiracDelta(), 0, [(0, 1)], P3)
+
+
 def test_apply_pole_proximity():
     with pytest.raises(PoleProximity):
         apply(PiAlphaLog(1e-15 + 0j, trivial_character(P2), 1), delta_indicator(P2, 0))
