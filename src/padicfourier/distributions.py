@@ -271,7 +271,10 @@ def _pairing(
 ) -> list[complex]:
     """<f(x) chi_p(xt), phi(x)> split at l0 (clamped into [l, N]), one value
     per point (M, u) of ``grid`` (t = u p^-M), or <f, phi> when grid is None;
-    NumericOverflow when a value is not a finite float."""
+    NumericOverflow when a value is not a finite float.  Both are linear in
+    phi: where the split leaves the float range on the way, phi 2^-e, e half
+    the binary exponent of phi's largest component, is evaluated once more
+    and its values multiplied by 2^e, which rounds nothing."""
     if isinstance(f, DiracDelta):
         return [phi.at(0)] * (1 if grid is None else len(grid))
     prime = phi.prime
@@ -279,25 +282,39 @@ def _pairing(
     chr_ = char_of(f, prime)
     l0 = min(max(l0, phi.l), phi.N)
     lam = phi.l + 1 - max(chr_.k0, 1)
-    phi0 = phi.at_zero
-    if grid is None:
-        s = _annulus_product(f, phi, chr_, l0).values.sum() * qp.p_power(p, lam)
-        value = complex(s) + phi0 * j0_closed_form(f, l0, [(-l0, 1)], prime)[0]
-        return qp.check_finite([value], "<f, phi>")
-    # F[h] lies in D^-lam_-N: at t = u p^-M, M <= -lam, it is the table's word
-    # u p^(-lam-M) mod p^(N-lam) (one power per sphere, one int64 array of
-    # words, both factors below 2^24), else 0; J0 takes the grid as it stands
-    split = np.zeros(len(grid), dtype=np.complex128)
-    inside = [i for i, (M, _) in enumerate(grid) if M <= -lam]
-    if inside:
-        mod = p ** (phi.N - lam)
-        shift = {M: pow(p, -lam - M, mod) for M in {grid[i][0] for i in inside}}
-        words = np.array([(grid[i][1] % mod, shift[grid[i][0]]) for i in inside], np.int64)
-        h = _annulus_product(f, phi, chr_, l0)
-        split[inside] = fourier_at(h, words.prod(axis=1) % mod)
-    j0 = j0_closed_form(f, l0, grid, prime)
-    values = [s + phi0 * z for s, z in zip(split.tolist(), j0)]
-    return qp.check_finite(values, "J(t)")
+    what = "<f, phi>" if grid is None else "J(t)"
+
+    def evaluate(phi):
+        phi0 = phi.at_zero
+        if grid is None:
+            s = _annulus_product(f, phi, chr_, l0).values.sum() * qp.p_power(p, lam)
+            values = [complex(s) + phi0 * j0_closed_form(f, l0, [(-l0, 1)], prime)[0]]
+            return qp.check_finite(values, what)
+        # F[h] lies in D^-lam_-N: at t = u p^-M, M <= -lam, it is the table's
+        # word u p^(-lam-M) mod p^(N-lam) (one power per sphere, one int64
+        # array of words, both factors below 2^24), else 0; J0 takes the grid
+        # as it stands
+        split = np.zeros(len(grid), dtype=np.complex128)
+        inside = [i for i, (M, _) in enumerate(grid) if M <= -lam]
+        if inside:
+            mod = p ** (phi.N - lam)
+            shift = {M: pow(p, -lam - M, mod) for M in {grid[i][0] for i in inside}}
+            words = np.array([(grid[i][1] % mod, shift[grid[i][0]]) for i in inside], np.int64)
+            h = _annulus_product(f, phi, chr_, l0)
+            split[inside] = fourier_at(h, words.prod(axis=1) % mod)
+        j0 = j0_closed_form(f, l0, grid, prime)
+        values = [s + phi0 * z for s, z in zip(split.tolist(), j0)]
+        return qp.check_finite(values, what)
+
+    try:
+        return evaluate(phi)
+    except NumericOverflow:
+        v = phi.values
+        e = math.frexp(np.maximum(abs(v.real), abs(v.imag)).max())[1] // 2
+        if e <= 0:
+            raise
+        values = evaluate(TestFunction(prime, phi.N, phi.l, v * 2.0**-e))
+        return qp.check_finite([z * 2.0**e for z in values], what)
 
 
 def apply(f: QahDistribution, phi: TestFunction) -> complex:

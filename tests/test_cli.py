@@ -159,9 +159,9 @@ def test_gamma_past_the_float_range_is_a_numeric_error(capsys):
     assert "nan" not in captured.out
 
 
-#: phi(0) = 0.5 and eight values near the float limit: F[phi], <f, phi> and
-#: J pass the float range, where each command once printed nan (or erdelyi
-#: compared nan rows) instead of a numeric error
+#: phi(0) = 0.5 and eight values near the float limit: F[phi], <f, phi>, the
+#: oracle's cell sums and J at most t pass the float range, where each command
+#: once printed nan (or erdelyi compared nan rows) instead of a numeric error
 HUGE_CFG = {
     "prime": 3,
     "distribution": {
@@ -182,8 +182,8 @@ HUGE_CFG = {
 
 @pytest.mark.parametrize(
     "command",
-    [["verify"], ["erdelyi"], ["eval-dist"], ["singular", "--t", "1/3"],
-     ["singular", "--t", "1/3", "--oracle"], ["fourier"]],
+    [["verify"], ["erdelyi"], ["eval-dist"], ["singular", "--t", "1/3", "--oracle"],
+     ["fourier"]],
     ids=" ".join,
 )
 def test_values_past_the_float_range_are_a_numeric_error(tmp_path, capsys, command):
@@ -191,6 +191,31 @@ def test_values_past_the_float_range_are_a_numeric_error(tmp_path, capsys, comma
     captured = capsys.readouterr()
     assert captured.err.startswith("numeric error: ") and "Traceback" not in captured.err
     assert "nan" not in captured.out
+
+
+def singular_j(tmp_path, capsys, cfg, t):
+    assert run(["singular", "--t", t, "--config", write_cfg(tmp_path, cfg)]) == 0
+    return complex(capsys.readouterr().out.splitlines()[0].split(" = ")[-1].replace("i", "j"))
+
+
+@pytest.mark.parametrize(
+    "character, t, want",
+    [("trivial", "1/3", -0.09836896836084108), ("quadratic", "3", -2.6611204127129596e292)],
+    ids=["trivial", "quadratic"],
+)
+def test_a_finite_j_of_a_table_near_the_float_limit(tmp_path, capsys, character, t, want):
+    # J is linear in phi: where the split passes the float range on the way,
+    # phi 2^-e is evaluated and its J multiplied by 2^e, which rounds
+    # nothing, so J has the bits of the table scaled by 2^-64 (which
+    # evaluates in range at once) times 2^64
+    cfg = copy.deepcopy(HUGE_CFG)
+    cfg["distribution"]["character"] = {"kind": character}
+    J = singular_j(tmp_path, capsys, cfg, t)
+    assert J == want
+    values = cfg["test_function"]["values"]
+    cfg["test_function"]["values"] = [[math.ldexp(x, -64) for x in z] for z in values]
+    want = singular_j(tmp_path, capsys, cfg, t) * 2.0**64
+    assert (J.real.hex(), J.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
 #: phi in D^-100002_-100000 with m = 64: gamma^64 (about 1e320) has no float
