@@ -180,7 +180,7 @@ def j0_closed_form(
 
         S_l0 = S(l0)
         pinning = complex((p - 1) * S_l0 / (p * den))
-        k0 = 0
+        mod = 1
 
         def radial(M):
             value = 0  # M <= -l0: chi_p == 1 on all of B_l0
@@ -193,6 +193,7 @@ def j0_closed_form(
         # integrates to zero (ball_tail checks the pole)
         chr_, alpha, m = f.pi1, f.alpha, f.m
         k0, k = chr_.k0, max(chr_.k0, 1)
+        mod = p**k0
         tail = ball_tail(prime, alpha, m) if chr_.is_trivial() else lambda g: 0j
         scale = qp.p_power(p, -k)
 
@@ -230,7 +231,7 @@ def j0_closed_form(
             radii[M] = radial(M)
         value, term = radii[M]
         if term is not None:
-            w = u % p**k0
+            w = u % mod
             if w not in spheres:
                 spheres[w] = sphere(w)
             value += term * spheres[w]
