@@ -166,8 +166,9 @@ def j0_closed_form(
     them (u known modulo p^k0 at least): one J0 per point, with its radial
     part computed once per norm sphere M and its sphere integral once per
     residue u mod p^k0, and the pole check, the 1 - p^-alpha jet and the
-    PLog S_{m-1}(l0) once for all of them.  The point (-l0, 1) gives
-    chi_p == 1 on B_l0; at l0 = 0 that is I_0."""
+    PLog S_{m-1}(l0) once for all of them; NumericOverflow when a J0 is not
+    a finite float.  The point (-l0, 1) gives chi_p == 1 on B_l0; at
+    l0 = 0 that is I_0."""
     p = prime.p
     if isinstance(f, PLog):
         # exact rationals over one denominator p * den, S_{m-1} = S / den;
@@ -236,7 +237,7 @@ def j0_closed_form(
                 spheres[w] = sphere(w)
             value += term * spheres[w]
         values.append(value)
-    return values
+    return qp.check_finite(values, "J0")
 
 
 def _annulus_product(

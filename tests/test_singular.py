@@ -942,6 +942,16 @@ def test_oracle_builds_one_root_table_per_t(monkeypatch):
         assert built == [(3, 3), (3, 4), (3, 6)]
 
 
+def test_a_j0_past_the_float_range_is_a_numeric_error():
+    # near the pole at 0 the ball tail's weight (1 - 1/p)/(1 - p^-alpha) is
+    # about 6e9 and p^(l0 alpha) about 1e300: each is a float, their product
+    # is not, and J0 at the near point once returned inf+0j
+    f = PiAlphaLog(1e-10, trivial_character(P3), 0)
+    l0 = 6_300_000_000_000
+    with pytest.raises(NumericOverflow, match="J0 is not a finite float"):
+        j0_closed_form(f, l0, [(-l0, 1)], P3)
+
+
 def test_j0_at_a_depth_where_the_power_underflows():
     # at |t|_3 = 3^100000 with m = 64, gamma^m (about 1e320) is past the
     # float range while p^(alpha gamma) underflows to 0: J is 0 like the
