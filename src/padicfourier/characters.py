@@ -13,14 +13,9 @@ those integers, so all cancellation structure stays exact, and ``_root``
 turns a numerator into a complex value: it builds the complex table that
 pi_1(x) is read from, and it evaluates chi_p and the Gauss sum terms.
 
-The module also provides the exact one-sphere integrals:
-
-* integral of chi_p(xt) over a sphere (a rational, possibly 0);
-* integral of pi_1(x) chi_p(xt) over a sphere, which vanishes exactly
-  unless |t|_p * p^gamma = p^{k0} and is a finite Gauss sum there.
-  Gamma_p(pi_alpha)'s resonant shell and J0 read ``gauss_sum`` itself.
-
-The exact-zero branches rest on two facts: full-period additive
+An integral of pi_1(x) chi_p(xt) over a sphere is an exact zero except
+on the one resonant sphere, where J0 and Gamma_p(pi_alpha) read
+``gauss_sum``.  The zeros rest on two facts: full-period additive
 character sums vanish, and a ramified pi_1 sums to zero over every
 subgroup 1 + p^j Z_p with j < k0.  The second follows from the two
 properties checked at character construction, the group law and rank
@@ -84,7 +79,8 @@ class NormedMultChar:
     and rank minimality (pi_1 is not trivial on 1 + p^{k0-1} Z_p).
     Together these make pi_1 a nontrivial homomorphism on every subgroup
     1 + p^j Z_p with j < k0, so its values there cover some mu_d, d >= 2,
-    uniformly and sum to zero: the exact zeros of the sphere integrals.
+    uniformly and sum to zero: the exact zeros of the off-resonance
+    sphere integrals.
     """
 
     def __init__(self, prime: Prime, k0: int, angles: dict[int, Rational]):
@@ -216,45 +212,6 @@ def eval_pi1(chr_: NormedMultChar, x: Rational) -> complex:
     p = chr_.prime.p
     u = x if isinstance(x, int) and x % p else qp.split(x, chr_.prime, chr_.k0)[1]
     return complex(chr_._table[u % p**chr_.k0])
-
-
-# ---------------------------------------------------------------------------
-# exact one-sphere integrals
-
-
-def sphere_chi_integral(prime: Prime, gamma: int, t: Rational) -> Fraction:
-    """integral over S_gamma of chi_p(xt) dx, with v the valuation of t
-    (+inf at t = 0): the full measure p^gamma - p^{gamma-1} for v >= gamma,
-    the resonant value -p^{gamma-1} for v = gamma - 1, else 0."""
-    v = qp.valuation(t, prime)
-    p = Fraction(prime.p)
-    if v >= gamma:
-        return p**gamma - p ** (gamma - 1)
-    if v == gamma - 1:
-        return -(p ** (gamma - 1))
-    return Fraction(0)
-
-
-def sphere_char_chi_integral(
-    chr_: NormedMultChar, gamma: int, t: Rational
-) -> complex:
-    """integral over S_gamma of pi_1(x) chi_p(xt) dx, exactly.
-
-    For a ramified character of rank k0 the integral vanishes unless
-    gamma = k0 + log_p|1/t|, i.e. |xt|_p = p^{k0} on the sphere, where it
-    is the finite Gauss sum p^{gamma-k0} * sum_u pi_1(u) chi_p(u w / p^{k0}).
-    """
-    prime = chr_.prime
-    if chr_.k0 == 0:
-        return complex(sphere_chi_integral(prime, gamma, t))
-    if t == 0:
-        return 0j  # chi_p == 1, and pi_1 sums to zero over every sphere
-    M, w = qp.split(t, prime, chr_.k0)  # |t|_p = p^M, unit part w
-    if gamma + M != chr_.k0:
-        # chi is either constant on pi_1-cells that sum to zero (gamma+M < k0)
-        # or sums to zero inside each pi_1-cell (gamma+M > k0)
-        return 0j
-    return gauss_sum(chr_, w) * qp.p_power(prime.p, gamma - chr_.k0)
 
 
 def gauss_sum(chr_: NormedMultChar, w: int) -> complex:

@@ -221,7 +221,7 @@ def j0_closed_form(
             # pi_1, else a Gauss sum
             if chr_.is_trivial():
                 return -1 + 0j
-            return gauss_sum(chr_, w) * qp.p_power(p, k - k0)
+            return gauss_sum(chr_, w)
 
     else:
         raise TypeError(f"no J0 closed form for {f!r}")

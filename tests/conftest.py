@@ -1,11 +1,13 @@
 """Test-suite settings: hypothesis draws the same examples on every run,
-and a failure prints the blob that reproduces it."""
+and a failure prints the blob that reproduces it.  Also the sphere
+references that more than one test module reads."""
 
 import warnings
+from fractions import Fraction as Fr
 
 from hypothesis import settings
 
-from padicfourier import enumerate_cosets, valuation
+from padicfourier import chi, enumerate_cosets, eval_pi1, valuation
 
 settings.register_profile("padicfourier", derandomize=True, print_blob=True)
 settings.load_profile("padicfourier")
@@ -28,3 +30,20 @@ def sphere_cosets(prime, gamma, l):
     enumeration order: a reference that does not read the oracle's own
     sphere words."""
     return [c for c in enumerate_cosets(prime, gamma, l) if valuation(c, prime) == -gamma]
+
+
+def brute_sphere_integral(chr_, gamma, t, depth=2):
+    """The integral of pi_1(x) chi_p(xt) over S_gamma, refined far beyond
+    constancy and summed pointwise: an oracle that reads no Gauss sum."""
+    prime = chr_.prime
+    level = gamma - max(chr_.k0, 1) - depth
+    if t != 0:
+        level = min(level, valuation(t, prime) - depth)
+    total = 0j
+    for c in sphere_cosets(prime, gamma, level):
+        total += (
+            eval_pi1(chr_, c)
+            * chi(c * t, prime).to_complex()
+            * float(Fr(prime.p) ** level)
+        )
+    return total

@@ -1,4 +1,4 @@
-"""Additive and multiplicative characters; exact sphere integrals."""
+"""Additive and multiplicative characters; Gauss sums and sphere integrals."""
 
 import cmath
 import itertools
@@ -19,11 +19,7 @@ from padicfourier import (
     quadratic_character,
     trivial_character,
 )
-from padicfourier.characters import (
-    gauss_sum,
-    sphere_char_chi_integral,
-    sphere_chi_integral,
-)
+from padicfourier.characters import gauss_sum
 from padicfourier.errors import (
     BadTable,
     BadWindow,
@@ -33,7 +29,7 @@ from padicfourier.errors import (
     ZeroArgument,
 )
 
-from conftest import sphere_cosets
+from conftest import brute_sphere_integral, sphere_cosets
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -391,62 +387,31 @@ def test_sphere_orthogonality_of_ramified_characters():
             assert abs(total) < 1e-12
 
 
-def brute_sphere_integral(chr_, gamma, t, depth=2):
-    """Independent oracle: refine far beyond constancy and sum pointwise."""
-    prime = chr_.prime
-    level = gamma - max(chr_.k0, 1) - depth
-    if t != 0:
-        from padicfourier import valuation
-
-        level = min(level, valuation(t, prime) - depth)
-    total = 0j
-    for c in sphere_cosets(prime, gamma, level):
-        total += (
-            eval_pi1(chr_, c)
-            * chi(c * t, prime).to_complex()
-            * float(Fr(prime.p) ** level)
-        )
-    return total
-
-
-def test_ball_and_sphere_chi_integrals():
-    for p, gamma in ((2, 0), (3, -1), (5, 1)):
-        prime = Prime(p)
-        full = Fr(p) ** gamma - Fr(p) ** (gamma - 1)
-        assert sphere_chi_integral(prime, gamma, 0) == full
-        for M in range(-3, 4):
-            t = Fr(2 if p != 2 else 1) * Fr(p) ** (-M)
+def test_sphere_integrals_match_brute_force():
+    # the trivial pi_1 integrates chi_p(xt) over S_gamma to the full measure
+    # while chi_p == 1, to -p^(gamma-1) one norm further and to 0 beyond
+    for gamma in (-1, 0, 1, 2):
+        full = Fr(3) ** gamma - Fr(3) ** (gamma - 1)
+        for M in range(-2, 4):
+            want = 0
             if M <= -gamma:
                 want = full
             elif M == 1 - gamma:
-                want = -(Fr(p) ** (gamma - 1))
-            else:
-                want = Fr(0)
-            assert sphere_chi_integral(prime, gamma, t) == want
-    # sphere integral against the pointwise oracle
-    for gamma in (-1, 0, 1, 2):
-        for M in range(-2, 4):
-            t = Fr(1) * Fr(3) ** (-M)
-            exact = sphere_chi_integral(P3, gamma, t)
-            brute = brute_sphere_integral(trivial_character(P3), gamma, t)
-            assert abs(complex(exact) - brute) < 1e-12
-
-
-def test_sphere_char_chi_integral_matches_brute_force():
+                want = -(Fr(3) ** (gamma - 1))
+            brute = brute_sphere_integral(trivial_character(P3), gamma, Fr(3) ** -M)
+            assert abs(complex(want) - brute) < 1e-12, (gamma, M)
+    # a ramified pi_1 integrates to a Gauss sum at the resonance
+    # gamma + M = k0 and to zero everywhere else, at t = 0 too
     for chr_ in (quadratic_character(P3), cubic_mod9(), quadratic_character(P5)):
         p, k0 = chr_.prime.p, chr_.k0
         for gamma in range(-1, k0 + 2):
-            # resonance sits at M = k0 - gamma; probe around it and at chi == 1
             for M in (k0 - gamma - 1, k0 - gamma, k0 - gamma + 1, -gamma):
                 for u in (1, p + 1):
-                    t = Fr(u) * Fr(p) ** (-M)
-                    exact = sphere_char_chi_integral(chr_, gamma, t)
-                    brute = brute_sphere_integral(chr_, gamma, t, depth=1)
-                    assert abs(exact - brute) < 1e-11, (chr_, gamma, M, u)
-                    if gamma + M != k0:
-                        assert exact == 0  # exact zero off resonance
-            # at t = 0, chi_p == 1 and pi_1 sums to zero over the sphere
-            assert sphere_char_chi_integral(chr_, gamma, 0) == 0
+                    brute = brute_sphere_integral(chr_, gamma, Fr(u) * Fr(p) ** -M, depth=1)
+                    want = 0j
+                    if gamma + M == k0:
+                        want = gauss_sum(chr_, u % p**k0) * float(Fr(p) ** (gamma - k0))
+                    assert abs(want - brute) < 1e-11, (chr_, gamma, M, u)
             assert abs(brute_sphere_integral(chr_, gamma, 0, depth=1)) < 1e-11
 
 
@@ -454,5 +419,5 @@ def test_gauss_sum_modulus():
     # on the resonant sphere the integral is a primitive Gauss sum:
     # |integral over S_k0 at t = 1| = p^{k0/2}
     for chr_ in (quadratic_character(P3), quadratic_character(P5), cubic_mod9()):
-        g = sphere_char_chi_integral(chr_, chr_.k0, 1)
+        g = gauss_sum(chr_, 1)
         assert abs(abs(g) - chr_.prime.p ** (chr_.k0 / 2)) < 1e-12

@@ -23,9 +23,11 @@ from padicfourier import (
     trivial_character,
     verify_stabilization,
 )
-from padicfourier.characters import sphere_char_chi_integral
+from padicfourier.characters import gauss_sum
 from padicfourier.errors import PoleProximity
 from padicfourier.gamma import faulhaber_coeffs
+
+from conftest import brute_sphere_integral
 
 P2, P3, P5, P7 = Prime(2), Prime(3), Prime(5), Prime(7)
 
@@ -163,27 +165,34 @@ def test_gamma_pi_ramified_jets_match_finite_differences():
         assert abs(jet.coeffs[1] - want) < 1e-12 * (1 + abs(want))
 
 
-def shell_sum(chr_, alpha, order):
-    """The improper integral summed shell by shell over |gamma| <= k0 + 4,
-    with the term-wise theta-derivatives gamma^k p^{gamma(alpha-1)} G_gamma."""
-    p, k0 = chr_.prime.p, chr_.k0
+def shell_sum(chr_, alpha, order, shells):
+    """The improper integral summed shell by shell over the integrals G_gamma
+    of pi_1(x) chi_p(x) on S_gamma, gamma -> G_gamma, with the term-wise
+    theta-derivatives gamma^k p^{gamma(alpha-1)} G_gamma."""
+    p = chr_.prime.p
     total = Jet.constant(0, order)
-    for gamma in range(-k0 - 4, k0 + 5):
-        g = sphere_char_chi_integral(chr_, gamma, 1)
+    for gamma, g in shells.items():
         term = p_power_jet(p, gamma, alpha, order).scale(g * float(Fr(p) ** (-gamma)))
         total = total + term
     return total
 
 
 def test_gamma_pi_is_its_one_resonant_shell():
-    # every shell but |x|_p = p^{k0} is an exact zero, so the shell sum and
-    # the one-shell jet agree to the last bit
+    # every shell but |x|_p = p^{k0} is an exact zero, so the shell sum over
+    # |gamma| <= k0 + 4 and the one-shell jet agree to the last bit; and the
+    # pointwise shells, which read no Gauss sum, agree to rounding
     chars = [quadratic_character(P) for P in (P3, P5, P7)] + [cubic_mod9()]
     for chr_ in chars:
+        k0 = chr_.k0
+        exact = {g: gauss_sum(chr_, 1) if g == k0 else 0j for g in range(-k0 - 4, k0 + 5)}
+        brute = {g: brute_sphere_integral(chr_, g, 1, depth=1) for g in range(-k0 - 1, k0 + 2)}
         for alpha in (1, 1.5, 0.7 + 0.4j, -1.3 - 0.2j):
             for order in range(4):
-                want = shell_sum(chr_, alpha, order)
-                assert gamma_pi(alpha, chr_, order) == want, (chr_, alpha)
+                jet = gamma_pi(alpha, chr_, order)
+                assert jet == shell_sum(chr_, alpha, order, exact), (chr_, alpha)
+                want = shell_sum(chr_, alpha, order, brute)
+                for got, w in zip(jet.coeffs, want.coeffs):
+                    assert abs(got - w) < 1e-12 * (1 + abs(w)), (chr_, alpha, order)
 
 
 def test_gamma_pi_evaluates_no_zero_shell():

@@ -36,7 +36,7 @@ from padicfourier import (
     valuation,
 )
 from padicfourier import qp
-from padicfourier.characters import sphere_char_chi_integral, sphere_chi_integral
+from padicfourier.characters import gauss_sum
 from padicfourier.distributions import density_on_sphere
 from padicfourier.errors import BadWindow, NumericOverflow, PoleProximity, ZeroArgument
 from padicfourier.singular import _oracle_tail, _roots
@@ -214,7 +214,8 @@ def fraction_j0(f, l0, t, prime):
         value = sum((power[j] * (math.comb(f.m, j) * q[f.m - j]) for j in range(f.m + 1)), -0j)
     if not near and k - M <= l0:
         power = p_power_jet(p, k - M, f.alpha, 0).value * qp.p_power(p, -k)
-        value += (k - M) ** f.m * power * sphere_char_chi_integral(f.pi1, k, u)
+        sphere = (-1 + 0j) if f.pi1.is_trivial() else gauss_sum(f.pi1, u)
+        value += (k - M) ** f.m * power * sphere
     return value
 
 
@@ -513,7 +514,13 @@ def per_cell_oracle(f, phi, t, refine):
             vals *= _roots(p, E)[words * step % mod]
         cell = complex(vals.sum()) * qp.p_power(p, lam)
         if pinned:
-            drop = sphere_chi_integral(prime, g, t) - sphere_chi_integral(prime, g, 0)
+            # chi_p(xt) - 1 integrated over S_g: 0 while chi_p == 1 there,
+            # then -p^g at d = g + M = 1 and minus the measure beyond
+            drop, d = Fr(0), g + M
+            if d == 1:
+                drop = -Fr(p) ** g
+            elif d > 1:
+                drop = -(Fr(p) ** g - Fr(p) ** (g - 1))
             cell += phi.at_zero * float(drop)
         total += density_on_sphere(f, prime, g) * cell
     return total + phi.at_zero * _oracle_tail(f, prime, gamma_star)
