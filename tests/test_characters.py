@@ -387,19 +387,27 @@ def test_sphere_orthogonality_of_ramified_characters():
             assert abs(total) < 1e-12
 
 
-def test_sphere_integrals_match_brute_force():
+def test_ball_and_sphere_chi_integrals():
     # the trivial pi_1 integrates chi_p(xt) over S_gamma to the full measure
-    # while chi_p == 1, to -p^(gamma-1) one norm further and to 0 beyond
-    for gamma in (-1, 0, 1, 2):
-        full = Fr(3) ** gamma - Fr(3) ** (gamma - 1)
-        for M in range(-2, 4):
+    # while chi_p == 1 (t = 0 too), to -p^(gamma-1) one norm further and to
+    # 0 beyond
+    cases = [(2, 0, 1, range(-3, 4)), (3, -1, 2, range(-3, 4)), (5, 1, 2, range(-3, 4))]
+    cases += [(3, gamma, 1, range(-2, 4)) for gamma in (-1, 0, 1, 2)]
+    for p, gamma, u, norms in cases:
+        trivial = trivial_character(Prime(p))
+        full = Fr(p) ** gamma - Fr(p) ** (gamma - 1)
+        assert abs(complex(full) - brute_sphere_integral(trivial, gamma, 0)) < 1e-12
+        for M in norms:
             want = 0
             if M <= -gamma:
                 want = full
             elif M == 1 - gamma:
-                want = -(Fr(3) ** (gamma - 1))
-            brute = brute_sphere_integral(trivial_character(P3), gamma, Fr(3) ** -M)
-            assert abs(complex(want) - brute) < 1e-12, (gamma, M)
+                want = -(Fr(p) ** (gamma - 1))
+            brute = brute_sphere_integral(trivial, gamma, Fr(u) * Fr(p) ** -M)
+            assert abs(complex(want) - brute) < 1e-12, (p, gamma, M)
+
+
+def test_sphere_char_chi_integral_matches_brute_force():
     # a ramified pi_1 integrates to a Gauss sum at the resonance
     # gamma + M = k0 and to zero everywhere else, at t = 0 too
     for chr_ in (quadratic_character(P3), cubic_mod9(), quadratic_character(P5)):
