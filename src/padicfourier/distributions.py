@@ -21,9 +21,14 @@ Split at a level l0 in [l, N] (phi in D^l_N),
 h is a test function in D^lam_N with lam = l + 1 - max(k0, 1) (pi_1 of
 rank k0 is constant on cosets of B_{gamma-k0} inside S_gamma), so F[h] is
 one table of ``testfn.fourier``, read by ``testfn.fourier_at`` at the
-words of the batch's t (the whole FFT, or a partial transform when a wide
-table is read at few words), and it vanishes for |t|_p > p^-lam: beyond
-that J(t) = phi(0) J0(t), the cause of the stabilization theorem.
+words of the batch's t, and it vanishes for |t|_p > p^-lam: beyond that
+J(t) = phi(0) J0(t), the cause of the stabilization theorem.  h is
+phi - phi(0) 1_{B_l0} times the density and pi_1 of each word's sphere
+(``_AnnulusProduct``), and it is built only for the whole FFT: where a
+wide table is read at few words, the partial transform reads phi's own
+table with those factors folded in, as in its layout they depend on the
+column alone, save a few exception columns.  At N = l no sphere lies
+outside B_l: h and F[h] are 0.
 <f, phi> is F[h](0) = p^lam * sum(h) plus phi(0) J0 at |t|_p = p^-l0,
 where chi_p == 1 on B_{l0}.  J0
 (``j0_closed_form``) is the continued integral of f chi_p over B_{l0}:
@@ -42,7 +47,9 @@ where chi_p == 1 on B_{l0}.  J0
   (1-1/p) S_{m-1}(l0): the PLog regularization subtracts phi(0) over B_0,
   not B_{l0}, and the exact difference is the integral of the density
   over the annulus between the two balls (it vanishes at l0 = 0 and makes
-  J independent of the split level).
+  J independent of the split level).  For |t|_p > p^-l0 the two
+  S_{m-1}(l0) cancel, so J0 is the one quotient
+  -(1/p)(1-M)^{m-1} + (1-1/p) S_{m-1}(-M), rounded once.
 
 A point comes split once, t = u p^-M with |t|_p = p^M, as a request holds
 it; F[h] is read off its table at a word of u, and one ``j0_closed_form``
@@ -179,15 +186,15 @@ def j0_closed_form(
         def S(n):
             return sum(c * n**i for i, c in enumerate(ints))
 
-        S_l0 = S(l0)
-        pinning = complex((p - 1) * S_l0 / (p * den))
+        pinning = complex((p - 1) * S(l0) / (p * den))
         mod = 1
 
         def radial(M):
-            value = 0  # M <= -l0: chi_p == 1 on all of B_l0
-            if M > -l0:
-                value = (-((1 - M) ** s) * den - (p - 1) * (S_l0 - S(-M))) / (p * den)
-            return complex(value) + pinning, None
+            if M <= -l0:  # chi_p == 1 on all of B_l0
+                return pinning, None
+            # the pinning's S_{m-1}(l0) cancels exactly: one quotient, not
+            # a difference of two roundings of size S_{m-1}(l0)
+            return complex((-((1 - M) ** s) * den + (p - 1) * S(-M)) / (p * den)), None
 
     elif isinstance(f, PiAlphaLog):
         # the ball tail B_min(l0, -M), where chi_p == 1 and a ramified pi_1
@@ -240,31 +247,76 @@ def j0_closed_form(
     return qp.check_finite(values, "J0")
 
 
-def _annulus_product(
-    f: QahDistribution, phi: TestFunction, chr_: NormedMultChar, l0: int
-) -> TestFunction:
+class _AnnulusProduct:
     """h = f (phi - phi(0) 1_{B_l0}) outside B_l and 0 on B_l, as a member
-    of D^lam_N, lam = l + 1 - max(k0, 1); l <= l0 <= N."""
-    prime = phi.prime
-    p, N, l = prime.p, phi.N, phi.l
-    k = max(chr_.k0, 1)
-    # word w of B_N / B_lam is x = w p^-N; phi reads it modulo p^(N-l), so
-    # subtracting phi(0) on B_l0 leaves exact zeros on B_l
-    qp.check_word_count(p, N - l + k - 1)
-    out = np.tile(phi.values, p ** (k - 1))
-    out[:: p ** (N - l0)] -= phi.values[0]
-    # the view out[::p^v] holds the words p^v w'; those with w' a unit lie
-    # on S_{N-v}.  In rows of p^k of them, a nonzero last digit of w' selects
-    # S_{N-v} and pi_1(x) is the table at w' mod p^k0.  These residues are
-    # the outer axes and order="C" holds numpy to them: the inner loop is a
-    # long strided run down the rows, with the same product per word and so
-    # the same bits (a call per residue gives the deepest sphere runs of one
-    # word, which numpy rounds differently).  N = l has no sphere and no row
-    pi1 = np.resize(chr_.complex_table(), p**k).reshape(-1, p)[:, 1:, None] if N > l else None
-    for v in range(N - l):
-        sphere = out[:: p**v].reshape(-1, p ** (k - 1), p).transpose(1, 2, 0)[:, 1:]
-        np.multiply(sphere, density_on_sphere(f, prime, N - v) * pi1, out=sphere, order="C")
-    return TestFunction(prime, N, l + 1 - k, out)
+    of D^lam_N, lam = l + 1 - max(k0, 1); l <= l0 <= N.  It is held as
+    psi = phi - phi(0) 1_{B_l0} on phi's own p^(N-l) words and the factor
+    h / psi on each sphere; ``values`` builds h (the FFT route and
+    ``apply``), ``columns`` folds the factors into ``fourier_at``'s partial
+    transform, which builds no p^(N-lam)-word table."""
+
+    def __init__(self, f: QahDistribution, phi: TestFunction, chr_: NormedMultChar, l0: int):
+        prime = phi.prime
+        p, N, l = prime.p, phi.N, phi.l
+        self.prime, self.N, self.k = prime, N, max(chr_.k0, 1)
+        self.l = l + 1 - self.k
+        # word w of B_N / B_lam is x = w p^-N; h reads psi at w mod p^(N-l)
+        qp.check_word_count(p, N - self.l)
+        # a copy only when l0 > l: at l0 = l the only such word is 0, which
+        # lies on B_l, where h is 0
+        self.psi = phi.values
+        if l0 > l:
+            self.psi = self.psi.copy()
+            self.psi[:: p ** (N - l0)] -= self.psi[0]
+        # the word p^v w', w' a unit, lies on S_(N-v) and pi_1(x) is the
+        # table at w' mod p^k0: h / psi is factors[v, w' mod p^k], the
+        # density times pi_1 for the N - l spheres v < N - l, and 0 on B_l
+        self.spheres = N - l
+        density = np.array([density_on_sphere(f, prime, N - v) for v in range(N - l)], complex)
+        self.factors = np.zeros((N - self.l + 1, p**self.k), dtype=np.complex128)
+        self.factors[: N - l] = np.multiply.outer(density, chr_.complex_table())
+
+    @property
+    def values(self) -> np.ndarray:
+        """h's p^(N-lam) words, built at each read."""
+        p, k = self.prime.p, self.k
+        out = np.tile(self.psi, p ** (k - 1))
+        out[:: len(self.psi)] = 0  # B_l
+        # the view out[::p^v] holds the words p^v w'; those with w' a unit lie
+        # on S_(N-v).  In rows of p^k of them, a nonzero last digit of w'
+        # selects S_(N-v).  These residues are the outer axes and order="C"
+        # holds numpy to them: the inner loop is a long strided run down the
+        # rows, with the same product per word and so the same bits (a call
+        # per residue gives the deepest sphere runs of one word, which numpy
+        # rounds differently); phi x factor, as numpy's complex product does
+        # not commute to the bit
+        for v, row in enumerate(self.factors[: self.spheres]):
+            sphere = out[:: p**v].reshape(-1, p ** (k - 1), p).transpose(1, 2, 0)[:, 1:]
+            np.multiply(sphere, row.reshape(-1, p)[:, 1:, None], out=sphere, order="C")
+        return out
+
+    def columns(self, s: int):
+        """h in ``fourier_at``'s layout, w = a p^s + b: rows of psi (h's row
+        a reads psi's row a mod their count), the factor h / psi of each
+        column b, and the exception columns with h's words there.  Off
+        b = 0, h / psi depends on b alone, as v(w) = v(b) and pi_1 reads
+        w p^-v(w) mod p^k0, except where v(b) + k0 > s: there pi_1 reads
+        digits of a too.  So the exceptions are the multiples of p^e,
+        e = s + 1 - max(k0, 1), and h / psi at p^e m is row e + v(m) at m's
+        unit part, as at b = m it is row v(b)."""
+        p, n, k = self.prime.p, self.N - self.l, self.k
+        e = max(s + 1 - k, 0)
+        v = np.zeros(p ** (n - e), dtype=np.intp)  # v(m), m < p^(n-e)
+        for j in range(1, n - e + 1):
+            v[:: p**j] += 1
+        unit = np.arange(len(v)) // p**v % p**k
+        scale = self.factors[v[: p**s], unit[: p**s]]
+        scale[:: p**e] = 0
+        # h's word p^e m reads psi at p^e m mod p^(N-l): psi[::p^e] repeated
+        psi = self.psi
+        extra = psi[:: p**e] * self.factors[v + e, unit].reshape(p ** (k - 1), -1)
+        rows = psi.reshape(-1, p**s) if len(psi) >= p**s else np.resize(psi, (1, p**s))
+        return rows, scale, np.arange(0, p**s, p**e), extra.reshape(p ** (n - s), -1)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -287,9 +339,13 @@ def _pairing(
     what = "<f, phi>" if grid is None else "J(t)"
 
     def evaluate(phi):
-        phi0 = phi.at_zero
+        # N = l leaves no sphere outside B_l: h and F[h] are 0, and p^lam
+        # need not be a float
+        phi0, annulus = phi.at_zero, phi.N > phi.l
         if grid is None:
-            s = _annulus_product(f, phi, chr_, l0).values.sum() * qp.p_power(p, lam)
+            s = 0
+            if annulus:
+                s = _AnnulusProduct(f, phi, chr_, l0).values.sum() * qp.p_power(p, lam)
             values = [complex(s) + phi0 * j0_closed_form(f, l0, [(-l0, 1)], prime)[0]]
             return qp.check_finite(values, what)
         # F[h] lies in D^-lam_-N: at t = u p^-M, M <= -lam, it is the table's
@@ -298,11 +354,11 @@ def _pairing(
         # as it stands
         split = np.zeros(len(grid), dtype=np.complex128)
         inside = [i for i, (M, _) in enumerate(grid) if M <= -lam]
-        if inside:
+        if inside and annulus:
             mod = p ** (phi.N - lam)
             shift = {M: pow(p, -lam - M, mod) for M in {grid[i][0] for i in inside}}
             words = np.array([(grid[i][1] % mod, shift[grid[i][0]]) for i in inside], np.int64)
-            h = _annulus_product(f, phi, chr_, l0)
+            h = _AnnulusProduct(f, phi, chr_, l0)
             split[inside] = fourier_at(h, words.prod(axis=1) % mod)
         j0 = j0_closed_form(f, l0, grid, prime)
         values = [s + phi0 * z for s, z in zip(split.tolist(), j0)]

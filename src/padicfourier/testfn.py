@@ -16,7 +16,10 @@ a two-factor partial transform (one matrix product) stands in for the
 whole FFT.  The singular integral is such a transform too: its sphere
 part is F[h] of the annulus product h in ``distributions``, read at the
 words of the points at or inside the cutoff, and it vanishes for
-|xi|_p > p^{-l} because F[h] lives in D^{-N}_{-l}.
+|xi|_p > p^{-l} because F[h] lives in D^{-N}_{-l}.  The partial transform
+takes its table as rows times a factor per column (``columns``), so it
+reads h off phi's own table with h's sphere factors folded in; only the
+whole FFT builds h.
 """
 
 from __future__ import annotations
@@ -78,6 +81,11 @@ class TestFunction:
         # only the digits above p^l select a coset
         return self.values[(words % p ** (level - self.l)) * p ** (self.N - level)]
 
+    def columns(self, s: int):
+        """The table in ``fourier_at``'s layout, word w = a p^s + b at row a
+        and column b: no column factor and no exception columns."""
+        return self.values.reshape(-1, self.prime.p**s), None, None, None
+
     def __repr__(self):
         return (
             f"TestFunction(p={self.prime.p}, N={self.N}, l={self.l}, "
@@ -116,19 +124,36 @@ def fourier_at(phi: TestFunction, words) -> np.ndarray:
     F[j] = p^l sum_a e^(2 pi i j a / A) (H @ R_j)[a],
     one product of p^n K multiply-adds, below the FFT's p^n log2(p^n).  It
     takes B K roots of order p^n and A of order A, each from its exact
-    integer angle.  Any other read transforms the whole table and gathers
-    from it."""
+    integer angle.  ``phi.columns(n//2)`` gives H: rows whose count
+    divides A (H's row a is row a mod that count) times a factor per
+    column, and the exception columns' entries apart, so that
+    H @ R_j = rows @ (factor R_j) + exceptions @ R_j[exception columns].
+    A TestFunction's rows are its values, with no factor and no exception;
+    the annulus product of ``distributions`` gives phi's own rows and its
+    sphere factors, so its table is never built here.  Any other read
+    transforms the whole table (``fourier``) and gathers from it."""
     words = np.asarray(words, dtype=np.int64)
-    size = len(phi.values)
+    p, n = phi.prime.p, phi.N - phi.l
+    size = p**n
     if size >= PARTIAL_FLOOR:
-        distinct, inverse = np.unique(words, return_inverse=True)
+        # a Python set sorts a few words faster than np.unique does
+        listed = words.ravel().tolist()
+        distinct = sorted(set(listed))
         if len(distinct) < size.bit_length():
-            p = phi.prime.p
-            B = p ** ((phi.N - phi.l) // 2)
+            index = {w: i for i, w in enumerate(distinct)}
+            inverse = np.array([index[w] for w in listed], dtype=np.intp).reshape(words.shape)
+            distinct = np.array(distinct, dtype=np.int64)
+            B = p ** (n // 2)
             A = size // B
+            rows, scale, cols, extra = phi.columns(n // 2)
             fine = _cis(_outer_mod(B, distinct, size), size)
             coarse = _cis(np.arange(A), A)[_outer_mod(A, distinct, A)]
-            vals = np.einsum("ak,ak->k", phi.values.reshape(A, B) @ fine, coarse)
+            head = rows @ (fine if scale is None else scale[:, None] * fine)
+            if len(head) < A:
+                head = np.tile(head, (A // len(head), 1))
+            if extra is not None:
+                head += extra @ fine[cols]
+            vals = np.einsum("ak,ak->k", head, coarse)
             return qp.p_power(p, phi.l) * vals[inverse]
     return fourier(phi).values[words]
 

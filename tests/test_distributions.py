@@ -31,7 +31,7 @@ from padicfourier import (
 )
 from padicfourier import qp
 from padicfourier.distributions import (
-    _annulus_product,
+    _AnnulusProduct,
     _pairing,
     char_of,
     density_on_sphere,
@@ -340,7 +340,7 @@ def test_f_h_read_by_index_equals_the_transform_at_t(pi1):
     units = [1, 2, 4, 5, -7, Fr(2, 5), Fr(-11, 7)]
     for phi in (random_testfn(P3, 1, -2, seed=90), delta_indicator(P3, -1)):
         l0 = phi.l
-        transform = fourier(_annulus_product(f, phi, char_of(f, P3), l0))
+        transform = fourier(_AnnulusProduct(f, phi, char_of(f, P3), l0))
         ts = [Fr(u) * Fr(3) ** -M for M in range(-3, 7) for u in units]
         got = _pairing(f, phi, SingularIntegralRequest(f, phi, ts)._grid, l0)
         for t, J in zip(ts, got):
@@ -400,9 +400,85 @@ def test_annulus_product_keeps_the_broadcast_bits(p):
         for f in fs:
             chr_ = char_of(f, prime)
             for l0 in range(phi.l, N + 1):
-                got = _annulus_product(f, phi, chr_, l0)
+                got = _AnnulusProduct(f, phi, chr_, l0)
                 want = broadcast_annulus_product(f, phi, chr_, l0)
                 assert got.values.tobytes() == want.tobytes(), (width, f, l0)
+
+
+#: the characters each fold table is read with: every rank up to mod 25,
+#: and at p = 3 a rank-6 pi_1, which on the 3^8 table leaves phi 3^3
+#: words, fewer than a 3^4-word row of the layout
+FOLD_CHARACTERS = {
+    2: [trivial_character(P2), generated_character(P2, 2, 3)],
+    3: [
+        trivial_character(P3),
+        quadratic_character(P3),
+        cubic_mod9(),
+        generated_character(P3, 6, 2),
+    ],
+    5: [trivial_character(P5), quadratic_character(P5), generated_character(P5, 2, 2)],
+}
+
+
+@pytest.mark.parametrize(
+    "prime, n", [(P3, 8), (P3, 9), (P2, 12), (P5, 6)], ids=["3^8", "3^9", "2^12", "5^6"]
+)
+def test_folded_partial_transform_equals_the_transform_of_h(monkeypatch, prime, n):
+    # a few words of h's p^n-word table are read straight from phi's table,
+    # the sphere factors folded into the partial transform: within
+    # fourier_at's 2 n eps ||h||_1 of the FFT of the built h, for every
+    # family, at every split level and at words u p^s of every valuation
+    from padicfourier import testfn
+
+    p = prime.p
+    fs = [PiAlphaLog(0.7 - 0.4j, chr_, 1) for chr_ in FOLD_CHARACTERS[p]]
+    fs += [PLog(m) for m in (1, 2, 3)]
+    cases = []
+    for f in fs:
+        chr_ = char_of(f, prime)
+        phi = random_testfn(prime, 1, max(chr_.k0, 1) - n, seed=10 * n + chr_.k0)
+        for l0 in (phi.l, phi.l + 1, phi.N):
+            h = _AnnulusProduct(f, phi, chr_, l0)
+            assert h.N - h.l == n
+            values = h.values
+            bound = 2 * n * np.finfo(float).eps * p**h.l * float(np.abs(values).sum())
+            cases.append((f, l0, h, fourier(h).values, bound))
+
+    def unreachable(phi):
+        raise AssertionError("a few-word read of h ran the full FFT")
+
+    monkeypatch.setattr(testfn, "fourier", unreachable)
+    units = np.array([1, 2, p - 1, p + 1, 7 * p + 2])
+    for f, l0, h, want, bound in cases:
+        for s in range(n + 1):
+            words = units * p**s % p**n
+            got = testfn.fourier_at(h, words)
+            assert np.abs(got - want[words]).max() <= bound, (f, l0, s)
+
+
+def test_a_delta_window_with_a_finite_value_evaluates():
+    # on Delta_700 (N = l) h is 0 and J is phi(0) J0: p^lam = 3^700 is no
+    # float, and nothing multiplies by it.  |t|_3 = 3^-705 puts chi_p == 1
+    # on B_700, so J is <f, phi> there
+    phi = delta_indicator(P3, 700)
+    f = PiAlphaLog(0.5, trivial_character(P3), 0)
+    want = j0_closed_form(f, 700, [(-700, 1)], P3)[0]
+    series = (2 / 3) * 3.0**350 / (1 - 3**-0.5)  # (2/3) sum_(g <= 700) 3^(g/2)
+    assert want.real == pytest.approx(series, rel=1e-13) and want.imag == 0
+    assert apply(f, phi) == want
+    assert singular_fourier(SingularIntegralRequest(f, phi, 3**705)) == want
+    # PLog(3): (1 - 1/p) S_2(700) = (2/3) sum_(g <= 700) g^2, to the bit
+    assert apply(PLog(3), phi) == float(Fr(2, 3) * sum(g * g for g in range(701)))
+
+
+def test_plog_j0_keeps_its_digits_on_a_deep_window():
+    # the pinning's S_2(700) (about 7.6e7) cancels in J0 exactly, so the
+    # rows at |t|_3 > 3^-700 match the right-hand side to the bit
+    report = verify_stabilization(PLog(3), delta_indicator(P3, 700), -3, 3)
+    assert report.ok
+    assert [r.abs_err for r in report.rows] == [0.0] * len(report.rows)
+    J = {r.M: r.J for r in report.rows}
+    assert (J[-2], J[-1], J[0]) == (1 / 3, -2 / 3, -1 / 3)
 
 
 def test_delta_window_at_a_large_prime_builds_no_pi1_row():

@@ -204,7 +204,7 @@ def fraction_j0(f, l0, t, prime):
                 faulhaber_sum(s, l0) - faulhaber_sum(s, -M)
             )
         pinning = (1 - Fr(1, p)) * faulhaber_sum(s, l0) if l0 else 0
-        return complex(value) + complex(pinning)
+        return complex(value + pinning)
     value = 0j
     if f.pi1.is_trivial():
         den = Jet.constant(1, f.m) - p_power_jet(p, -1, f.alpha, f.m)
@@ -360,7 +360,7 @@ def test_deep_request_skips_the_transform(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a deep request built h or ran fourier")
 
-    monkeypatch.setattr(distributions, "_annulus_product", unreachable)
+    monkeypatch.setattr(distributions, "_AnnulusProduct", unreachable)
     monkeypatch.setattr(distributions, "fourier_at", unreachable)
     for f, t in cases:
         ts = t if isinstance(t, tuple) else (t,)
@@ -383,6 +383,45 @@ def test_lone_t_inside_the_cutoff_reads_one_word_of_a_wide_table(monkeypatch):
     monkeypatch.setattr(testfn, "fourier", unreachable)
     got = singular_fourier(req(f, phi, Fr(1, 27)))
     assert abs(got - want) < 1e-12 * (1 + abs(want))
+
+
+def test_a_few_word_sweep_of_a_wide_table_builds_no_h(monkeypatch):
+    # phi has 3^9 words; 12 points inside the cutoff (4 spheres x 3 units,
+    # fewer than the 15 bits of 3^9) are read off phi's own table with the
+    # sphere factors folded in: neither h nor a full FFT is built, and J is
+    # within 2 n eps ||h||_1 of the FFT of the built h
+    from padicfourier import distributions, testfn
+
+    phi = random_testfn(P3, 1, -8, seed=71)
+    cases = [
+        PiAlphaLog(1.3, trivial_character(P3), 1),
+        PLog(2),
+        PiAlphaLog(0.9 + 0.4j, cubic_mod9(), 1),  # h has 3^10 words
+    ]
+    wants = []
+    for f in cases:
+        chr_ = distributions.char_of(f, P3)
+        h = distributions._AnnulusProduct(f, phi, chr_, phi.l)
+        n = h.N - h.l
+        bound = 2 * n * np.finfo(float).eps * 3.0**h.l * float(np.abs(h.values).sum())
+        top = -h.l  # |t|_3 <= 3^-lam: M <= -lam
+        ts = [Fr(u) * Fr(3) ** -M for M in range(top - 3, top + 1) for u in (1, 2, 4)]
+        transform = fourier(h)
+        want = [
+            transform.at(t)
+            + phi.at_zero * j0_closed_form(f, phi.l, [qp.split(t, P3, max(chr_.k0, 1))], P3)[0]
+            for t in ts
+        ]
+        wants.append((f, ts, want, bound))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a few-word sweep built h or ran the full FFT")
+
+    monkeypatch.setattr(distributions._AnnulusProduct, "values", property(unreachable))
+    monkeypatch.setattr(testfn, "fourier", unreachable)
+    for f, ts, want, bound in wants:
+        got = singular_fourier(req(f, phi, ts))
+        assert max(abs(a - b) for a, b in zip(got, want)) <= bound, f
 
 
 def test_reduces_to_pairing_for_tiny_t():
