@@ -12,14 +12,12 @@ cells on every sphere down to an analytic-tail boundary, plus the
 geometric-jet tail, with no split, no closed-form branches and no shared
 sphere kernel.  Each cell's chi_p(ct) is a root of unity read off one
 table of p^E-th roots per norm sphere |t|_p, not one complex exp per
-cell.  On a sphere S_g it reads the strided view of every p^(E-d)-th
-root, d = g + M, at the index w u mod p^d of the cell word w: the word
-itself when u = 1 mod p^d, with no arithmetic.  That index repeats with
-the low d digits of w, so it is computed over one period and the roots
-tiled.  The cell values, phi (minus phi(0) for PLog) times pi_1, and the
-sphere's density are computed once per g per request, as one row over
-the low digits they read, and shared by every norm that sums S_g; each t
-still adds one term per cell in word order.
+cell.  On a sphere S_g a cell word w has the value row[w mod p^h] (one
+row per g per request) and the root w u mod p^d, d = g + M, of the
+table.  The factor of longer period is summed over the residue classes
+of the other once per sphere and norm; each direction then takes one dot
+product over the units below p^min(d, h).  A sphere whose |cell| sum is
+past the float range is refused before any root table is built.
 """
 
 from __future__ import annotations
@@ -101,7 +99,7 @@ def brute_force_oracle(
     exact zero for ramified, finite power sum for PLog).  It shares no
     sphere kernel with ``singular_fourier``.  A tuple of t gives a list,
     one J per t; the points of one norm share everything but chi_p.
-    NumericOverflow when a J is not a finite float."""
+    NumericOverflow when a J or a sphere's |cell| sum is not a finite float."""
     if refine < 0:
         raise ValueError(f"refine must be >= 0, got {refine}")
     f, phi, grid = req.f, req.phi, req._grid
@@ -125,6 +123,7 @@ def brute_force_oracle(
     # request raises before it enumerates
     plans = []
     densities: dict[int, complex] = {}  # per sphere S_g, shared by every norm
+    deepest: dict[int, int] = {}  # per S_g, the most digits of any norm's words
     for M, members in norms.items():
         gamma_star = min(-M, l) - refine
         spheres = []
@@ -142,72 +141,73 @@ def brute_force_oracle(
                 pinned = phi.at_zero * (0.0 if d <= 0 else -(p if d == 1 else p - 1) / p ** (1 - g))
             if g not in densities:
                 densities[g] = density_on_sphere(f, prime, g)
+            deepest[g] = max(deepest.get(g, n), n)
             spheres.append((g, n, measure, pinned))
         plans.append((M, members, spheres, _oracle_tail(f, prime, gamma_star)))
     # phi and pi_1 read only the digits of a cell word w below p^h (h <= n,
-    # as lam <= min(l, g - max(k0, 1))): one row of cell values per S_g
-    # over the units below p^h, which are the first words of every norm's
-    # sphere, and the sphere's ascending words repeat that row once per
-    # high-digit block
+    # as lam <= min(l, g - max(k0, 1))): one row of cell values per S_g over
+    # the units below p^h, in blocks of the units below any p^k, k <= h.  The
+    # sums below add each entry's p^(n-h) copies before chi_p cancels any,
+    # which past the float range is rounding noise
     rows = {}
-    for g in densities:
-        units = qp._sphere_words(p, max(g - l, k0, 1))
+    for g, n in deepest.items():
+        h = max(g - l, k0, 1)
+        units = qp._sphere_words(p, h)
         row = phi.sample(units, g)
         if is_plog and g <= 0:
             row -= phi.values[0]
         if k0 >= 1:
             row *= chr_.complex_table()[units % p**k0]
-        rows[g] = row
+        qp.check_finite([np.abs(row).sum() * p ** (n - h)], f"the oracle's |cell| sum on S_{g}")
+        rows[g] = (h, units, row)
     values = [0j] * len(grid)
     for M, members, spheres, tail in plans:
-        # one table of p^E-th roots, E = top + M, for every sphere and
-        # direction of this norm.  The top sphere's p^(top-lam) >= p^E
-        # words passed the 2^24 cap, so E <= qp._MAX_DIGITS
+        # one table of p^E-th roots per norm, E = top + M <= qp._MAX_DIGITS
+        # as the top sphere's p^(top-lam) >= p^E words passed the 2^24 cap
         E = top + M
         roots = _roots(p, E) if E > 0 else None
         totals = [0j] * len(members)
         for g, n, measure, pinned in spheres:
-            row, size = rows[g], (p - 1) * p ** (n - 1)
-            # on a cell c = w p^-g, chi_p(ct) = e^(2 pi i w u / p^d) with
-            # d = g + M: entry w u mod p^d of the every-p^(E-d)-th-root view
-            # of the table, the very root roots[w u p^(top-g) mod p^E].  It
-            # reads only the low d digits of w, so it repeats with the
-            # period of the first (p-1) p^(d-1) words (chi_p == 1 if d <= 0)
+            h, units, row = rows[g]
             d = g + M
-            if d > 0:
-                period, mod = qp._sphere_words(p, d), p**d
-                view = roots[:: p ** (E - d)]
-            flat = None
-            for j, (_, u) in enumerate(members):
-                if d > 0:
-                    index = period  # w u mod p^d, when u = 1 mod p^d
-                    if u % mod != 1:
-                        # w and u mod p^d are below p^d <= 2^24: the int64
-                        # products stay exact; floor division by the scalar
-                        # mod multiplies and shifts, where % divides
-                        index = period * (u % mod)
-                        index -= index // mod * mod
-                    cells = view[index]
-                    del index
-                    if cells.size < size:
-                        cells = np.tile(cells, size // cells.size)
-                    grid = cells.reshape(-1, row.size)
-                    np.multiply(row, grid, out=grid)
-                    cell = complex(cells.sum())
-                    # free them before the next direction builds its own
-                    del cells, grid
-                else:  # chi_p == 1 on S_g, the same sum for every u
-                    if flat is None:
-                        flat = complex(np.tile(row, size // row.size).sum())
-                    cell = flat
-                cell *= measure
+            if d <= 0:  # chi_p == 1 on S_g
+                cells = [np.tile(row, (p - 1) * p ** (n - 1) // row.size).sum()] * len(members)
+                scale = measure
+            else:
+                # chi_p(ct), c = w p^-g, is entry w u mod p^d of the strided
+                # view and the value is row[w mod p^h]: each is summed over its
+                # classes mod p^k once, and as w -> w u permutes the words,
+                # direction u reads values of class a against roots of class a u
+                k = min(d, h)
+                width = (p - 1) * p ** (k - 1)  # the units below p^k
+                folded, classes = _fold(row, width), _fold(roots[:: p ** (E - d)], p**k)
+                cells = [np.einsum("i,i", folded, classes[_times(units[:width], u, p**k)])
+                         for _, u in members]
+                scale = qp.p_power(p, g - max(d, h))  # p^(n - max(d, h)) cells of p^lam
+            for j, cell in enumerate(cells):
+                cell = complex(cell) * scale
                 if pinned is not None:
                     cell += pinned
                 totals[j] += densities[g] * cell
         for (i, _), total in zip(members, totals):
             values[i] = total + phi.at_zero * tail
-        roots = view = None  # freed before the next norm builds its table
+        roots = classes = None  # freed before the next norm builds its table
     return req._shaped(qp.check_finite(values, "J(t) (oracle)"))
+
+
+def _fold(x: np.ndarray, width: int) -> np.ndarray:
+    # the sums of x's entries at each position of its blocks of `width`, in
+    # numpy's loops: BLAS picks its kernel and threads, so maybe bits, per host
+    return x if x.size == width else np.einsum("ij->j", x.reshape(-1, width))
+
+
+def _times(units: np.ndarray, u: int, mod: int) -> np.ndarray:
+    # units u mod `mod`, exact in int64; floor division multiplies and shifts
+    if u % mod == 1:
+        return units
+    index = units * (u % mod)
+    index -= index // mod * mod
+    return index
 
 
 #: i^q for a quarter turn q

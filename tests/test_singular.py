@@ -1,5 +1,6 @@
 """Singular Fourier integrals: closed forms, decomposition, oracle."""
 
+import cmath
 import math
 import random
 import tracemalloc
@@ -18,6 +19,7 @@ from padicfourier import (
     NormedMultChar,
     Prime,
     SingularIntegralRequest,
+    TestFunction,
     apply,
     brute_force_oracle,
     chi,
@@ -44,6 +46,7 @@ from padicfourier.singular import _oracle_tail, _roots
 from conftest import sphere_cosets
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
+EPS = np.finfo(float).eps
 
 
 def cubic_mod9():
@@ -445,8 +448,6 @@ def test_reduces_to_pairing_for_tiny_t():
 
 
 def test_linearity_in_phi():
-    from padicfourier import TestFunction
-
     f = PiAlphaLog(0.9 + 0.4j, cubic_mod9(), 1)
     a = random_testfn(P3, 1, -1, seed=63)
     b = random_testfn(P3, 1, -1, seed=64)
@@ -525,10 +526,12 @@ def test_oracle_batch_at_the_deepest_root_table():
 
 def per_cell_oracle(f, phi, t, refine):
     """The oracle one t at a time, with phi, pi_1 and chi_p sampled on
-    every cell of every sphere: the same terms in the same word order as
-    brute_force_oracle, so the same bits."""
+    every cell of every sphere and each cell's term density x value x root
+    x measure added exactly (math.fsum on the real and imaginary parts):
+    J, and the sum of |term|, which bounds the rounding of any order of
+    summation of those terms."""
     if isinstance(f, DiracDelta):
-        return phi.at(0)
+        return phi.at(0), abs(phi.at(0))
     prime, l = phi.prime, phi.l
     p = prime.p
     chr_ = f.pi1 if isinstance(f, PiAlphaLog) else trivial_character(prime)
@@ -538,7 +541,7 @@ def per_cell_oracle(f, phi, t, refine):
     mod = p ** max(E, 0)
     u = qp.split(t, prime, max(E, 0))[1]
     gamma_star = min(-M, l) - refine
-    total = 0j
+    terms = [np.array([phi.at_zero * _oracle_tail(f, prime, gamma_star)])]
     for g in range(gamma_star + 1, top + 1):
         lam = min(l, -M, g - max(chr_.k0, 1)) - refine
         words = qp._sphere_words(p, g - lam)
@@ -551,7 +554,8 @@ def per_cell_oracle(f, phi, t, refine):
         step = u * pow(p, top - g, mod) % mod
         if step:
             vals *= _roots(p, E)[words * step % mod]
-        cell = complex(vals.sum()) * qp.p_power(p, lam)
+        density = density_on_sphere(f, prime, g)
+        terms.append(vals * (density * qp.p_power(p, lam)))
         if pinned:
             # chi_p(xt) - 1 integrated over S_g: 0 while chi_p == 1 there,
             # then -p^g at d = g + M = 1 and minus the measure beyond
@@ -560,15 +564,27 @@ def per_cell_oracle(f, phi, t, refine):
                 drop = -Fr(p) ** g
             elif d > 1:
                 drop = -(Fr(p) ** g - Fr(p) ** (g - 1))
-            cell += phi.at_zero * float(drop)
-        total += density_on_sphere(f, prime, g) * cell
-    return total + phi.at_zero * _oracle_tail(f, prime, gamma_star)
+            terms.append(np.array([density * phi.at_zero * float(drop)]))
+    terms = np.concatenate(terms)
+    return complex(math.fsum(terms.real), math.fsum(terms.imag)), float(np.abs(terms).sum())
 
 
-def test_oracle_keeps_the_per_cell_bits():
-    # one row of cell values per sphere, shared by every norm, and chi_p
-    # gathered over one period of the index and tiled across the sphere,
-    # change no term and no summation order
+#: the bound on the oracle's error against the exact sum of its terms, in
+#: eps times the sum of |term|.  The worst seen over the tests below is 1.8,
+#: for the folded sums and for the earlier word-order sum of every cell alike
+ORACLE_ULPS = 8
+
+
+def assert_per_cell(got, want):
+    for value, (exact, mass) in zip(got, want):
+        assert abs(value - exact) <= ORACLE_ULPS * EPS * mass, (value, exact, mass)
+
+
+def test_oracle_keeps_the_per_cell_terms():
+    # one row of cell values per sphere, shared by every norm, and each
+    # sphere's periodic factor folded over the residues of the other once
+    # for every direction, sum every cell's term to within a few rounding
+    # errors of their exact sum
     rng = random.Random(71)
     shallow = 0
     for trial in range(300):
@@ -588,18 +604,16 @@ def test_oracle_keeps_the_per_cell_bits():
         ]
         ts += rng.sample(ts, rng.randint(0, len(ts)))
         # a shallow norm, 0 < E = top + M < top - l: even unrefined, the
-        # top sphere's words outnumber one period of its index
+        # top sphere's words outnumber one period of its roots
         Ms = [-valuation(t, prime) for t in ts]
         shallow += refine == 0 and any(0 < top + M < top - phi.l for M in Ms)
         want = [per_cell_oracle(f, phi, t, refine) for t in ts]
-        assert brute_force_oracle(req(f, phi, tuple(ts)), refine=refine) == want, (
-            f, phi, ts, refine
-        )
+        assert_per_cell(brute_force_oracle(req(f, phi, tuple(ts)), refine=refine), want)
     assert shallow >= 5
-    # fixed directions: on S_g of norm M, u = 1 reads the strided root view
-    # at the words themselves, u = 1 + p^2 only where d = g + M <= 2, and
-    # u = p^3 - 1 only at d = 1, p = 2; a batch of all three at one norm
-    # switches branch from direction to direction
+    # fixed directions: u = 1 reads each residue class at itself (no index
+    # arithmetic), u = 1 + p^2 moves it only where the class modulus is
+    # above p^2, and u = p^3 - 1 moves it at every modulus but 2; a batch
+    # of all three at one norm shares each sphere's fold
     for p in (2, 3, 5, 7):
         prime = Prime(p)
         directions = (1, 1 + p**2, p**3 - 1)
@@ -611,11 +625,72 @@ def test_oracle_keeps_the_per_cell_bits():
                     for E in (1, 2, 3, 5):
                         ts = tuple(u * Fr(p) ** (top - E) for u in directions)
                         want = [per_cell_oracle(f, phi, t, refine) for t in ts]
-                        for t, value in zip(ts, want):
-                            got = brute_force_oracle(req(f, phi, t), refine=refine)
-                            assert got == value, (f, phi, t, refine)
-                        got = brute_force_oracle(req(f, phi, ts), refine=refine)
-                        assert got == want, (f, phi, ts, refine)
+                        got = [brute_force_oracle(req(f, phi, t), refine=refine) for t in ts]
+                        assert_per_cell(got, want)
+                        assert brute_force_oracle(req(f, phi, ts), refine=refine) == got
+
+
+def fold_branches(f, phi, M, refine):
+    """Which sum each sphere of norm p^M takes in the oracle: its roots
+    folded over the cell values' period p^h ("d >= h"), its cell values
+    folded over the roots' period p^d ("0 < d < h"), or chi_p == 1 ("d <= 0")."""
+    k0 = f.pi1.k0 if isinstance(f, PiAlphaLog) else 0
+    top = max(phi.N, 0) if isinstance(f, PLog) else phi.N
+    branches = set()
+    for g in range(min(-M, phi.l) - refine + 1, top + 1):
+        d, h = g + M, max(g - phi.l, k0, 1)
+        branches.add("d <= 0" if d <= 0 else "d >= h" if d >= h else "0 < d < h")
+    return branches
+
+
+@pytest.mark.parametrize(
+    "branch, M, refine",
+    [("d >= h", 3, 0), ("d >= h", 3, 2), ("0 < d < h", 0, 0), ("d <= 0", -1, 0)],
+    ids=["roots folded", "roots folded, refine 2", "values folded", "chi_p == 1"],
+)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_each_fold_sums_every_cell(p, branch, M, refine):
+    # phi in D^-2_1, three directions at |t|_p = p^M: the spheres reach the
+    # branch, and every family's J is the exact sum of its cells' terms
+    prime = Prime(p)
+    phi = random_testfn(prime, 1, -2, seed=74 + p)
+    families = [trivial_character(prime)]
+    families += [quadratic_character(prime)] if p > 2 else []
+    families += [cubic_mod9()] if p == 3 else []
+    families = [PiAlphaLog(1.2 - 0.3j, c, 1) for c in families] + [PLog(2)]
+    q = 3 if p == 2 else 2
+    ts = tuple(Fr(u) * Fr(p) ** -M for u in (1, -q, Fr(1 + p, q)))
+    for f in families:
+        assert branch in fold_branches(f, phi, M, refine), f
+        want = [per_cell_oracle(f, phi, t, refine) for t in ts]
+        assert_per_cell(brute_force_oracle(req(f, phi, ts), refine=refine), want)
+
+
+def test_oracle_refuses_a_cell_sum_past_the_float_range(monkeypatch):
+    # eight table values near the float limit: a sphere's |cell| sum is
+    # past it, where the folded sum once returned about 1e292 of rounding
+    # noise (the split evaluator's J at t = 3 is -2.7e292); the request is
+    # refused before any root table is built
+    from padicfourier import singular
+
+    built = []
+
+    def counted(p, E):
+        built.append((p, E))
+        return _roots(p, E)
+
+    monkeypatch.setattr(singular, "_roots", counted)
+    phi = TestFunction(P3, 1, -1, [0.5] + [1e308 + 1e308j] * 8)
+    f = PiAlphaLog(1.5, quadratic_character(P3), 1)
+    for t in (Fr(1, 3), Fr(3), (Fr(3), Fr(1, 3))):
+        with pytest.raises(NumericOverflow, match=r"\|cell\| sum on S_"):
+            brute_force_oracle(req(f, phi, t))
+    assert built == []
+    # the table scaled by 1e-10 passes, and builds its one table: t = 3
+    # has E = N + M = 0, where chi_p == 1 on every sphere
+    tame = TestFunction(P3, 1, -1, phi.values * 1e-10)
+    assert all(map(cmath.isfinite, brute_force_oracle(req(f, tame, (Fr(3), Fr(1, 3))))))
+    assert built == [(3, 2)]
 
 
 def test_oracle_peak_memory_per_direction():
