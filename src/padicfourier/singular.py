@@ -10,18 +10,23 @@ closed-form J0.
 its own plain value-times-chi_p-times-measure summation over refined
 cells on every sphere down to an analytic-tail boundary, plus the
 geometric-jet tail, with no split, no closed-form branches and no shared
-sphere kernel.  Each cell's chi_p(ct) is a root of unity read off one
-table of p^E-th roots per norm sphere |t|_p, not one complex exp per
+sphere kernel.  Each cell's chi_p(ct) is a root of unity read off a
+table of p^E-th roots for its norm sphere |t|_p, not one complex exp per
 cell.  On a sphere S_g a cell word w has the value row[w mod p^h] (one
 row per g per request) and the root w u mod p^d, d = g + M, of the
 table.  The factor of longer period is summed over the residue classes
 of the other once per sphere and norm; each direction then takes one dot
-product over the units below p^min(d, h).  A sphere whose |cell| sum is
-past the float range is refused before any root table is built.
+product over the units below p^min(d, h).  The roots' classes depend on
+(p, E, d, k) alone, so they are kept across calls in a bounded LRU: a
+norm builds its table only for classes not kept, and a warm call equals
+a cold one bit for bit.  A sphere whose |cell| sum is past the float
+range is refused before any root table is built.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -124,6 +129,7 @@ def brute_force_oracle(
     plans = []
     densities: dict[int, complex] = {}  # per sphere S_g, shared by every norm
     deepest: dict[int, int] = {}  # per S_g, the most digits of any norm's words
+    tails: dict[int, complex] = {}  # per boundary gamma*
     for M, members in norms.items():
         gamma_star = min(-M, l) - refine
         spheres = []
@@ -143,7 +149,9 @@ def brute_force_oracle(
                 densities[g] = density_on_sphere(f, prime, g)
             deepest[g] = max(deepest.get(g, n), n)
             spheres.append((g, n, measure, pinned))
-        plans.append((M, members, spheres, _oracle_tail(f, prime, gamma_star)))
+        if gamma_star not in tails:  # every norm past the threshold has l - refine
+            tails[gamma_star] = _oracle_tail(f, prime, gamma_star)
+        plans.append((M, members, spheres, tails[gamma_star]))
     # phi and pi_1 read only the digits of a cell word w below p^h (h <= n,
     # as lam <= min(l, g - max(k0, 1))): one row of cell values per S_g over
     # the units below p^h, in blocks of the units below any p^k, k <= h.  The
@@ -162,10 +170,11 @@ def brute_force_oracle(
         rows[g] = (h, units, row)
     values = [0j] * len(grid)
     for M, members, spheres, tail in plans:
-        # one table of p^E-th roots per norm, E = top + M <= qp._MAX_DIGITS
-        # as the top sphere's p^(top-lam) >= p^E words passed the 2^24 cap
+        # one table of p^E-th roots for the norm, E = top + M <= qp._MAX_DIGITS
+        # as the top sphere's p^(top-lam) >= p^E words passed the 2^24 cap,
+        # built at its first sphere whose root classes are not kept
         E = top + M
-        roots = _roots(p, E) if E > 0 else None
+        roots = None
         totals = [0j] * len(members)
         for g, n, measure, pinned in spheres:
             h, units, row = rows[g]
@@ -180,7 +189,13 @@ def brute_force_oracle(
                 # direction u reads values of class a against roots of class a u
                 k = min(d, h)
                 width = (p - 1) * p ** (k - 1)  # the units below p^k
-                folded, classes = _fold(row, width), _fold(roots[:: p ** (E - d)], p**k)
+                key = (p, E, d, k)
+                classes = _CLASSES.get(key)
+                if classes is None:
+                    if roots is None:
+                        roots = _roots(p, E)
+                    classes = _CLASSES.put(key, _fold(roots[:: p ** (E - d)], p**k))
+                folded = _fold(row, width)
                 cells = [np.einsum("i,i", folded, classes[_times(units[:width], u, p**k)])
                          for _, u in members]
                 scale = qp.p_power(p, g - max(d, h))  # p^(n - max(d, h)) cells of p^lam
@@ -193,6 +208,48 @@ def brute_force_oracle(
             values[i] = total + phi.at_zero * tail
         roots = classes = None  # freed before the next norm builds its table
     return req._shaped(qp.check_finite(values, "J(t) (oracle)"))
+
+
+class _RootClasses:
+    """An LRU of the oracle's root classes by (p, E, d, k), read-only and
+    at most ``bound`` bytes in all; an array past the bound is handed back
+    but not kept."""
+
+    def __init__(self, bound: int):
+        self.bound, self.nbytes = bound, 0
+        self._arrays: OrderedDict[tuple[int, int, int, int], np.ndarray] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple[int, int, int, int]) -> np.ndarray | None:
+        with self._lock:
+            classes = self._arrays.get(key)
+            if classes is not None:
+                self._arrays.move_to_end(key)
+            return classes
+
+    def put(self, key: tuple[int, int, int, int], classes: np.ndarray) -> np.ndarray:
+        if classes.nbytes > self.bound:
+            return classes
+        # a copy of a view, which would keep its whole root table alive
+        classes = classes.copy() if classes.base is not None else classes
+        classes.flags.writeable = False
+        with self._lock:
+            old = self._arrays.pop(key, None)
+            self.nbytes += classes.nbytes - (0 if old is None else old.nbytes)
+            self._arrays[key] = classes
+            while self.nbytes > self.bound:
+                self.nbytes -= self._arrays.popitem(last=False)[1].nbytes
+        return classes
+
+    def clear(self) -> None:
+        with self._lock:
+            self._arrays.clear()
+            self.nbytes = 0
+
+
+#: 2^14 complex values: an oracle-deep pass keeps 229 arrays of at most 9
+#: values, while a 3^10-word sphere's classes are not kept
+_CLASSES = _RootClasses(1 << 18)
 
 
 def _fold(x: np.ndarray, width: int) -> np.ndarray:
@@ -227,7 +284,8 @@ def _turns(n: int, count: int) -> np.ndarray:
 def _roots(p: int, E: int) -> np.ndarray:
     """The p^E-th roots of unity e^(2 pi i k / p^E), k < p^E: the outer
     product of the p^(E-h)-th roots and the first p^h of the p^E-th roots,
-    h = E // 2, so about 2 p^(E/2) exps.  Each norm builds its own: for
+    h = E // 2, so about 2 p^(E/2) exps.  The oracle builds one per norm
+    whose root classes are not kept, never one from a larger table's: for
     even E the p^(E+1) table splits off finer coarse roots, so its every
     p-th entry is the same root as this table's but not the same bits."""
     h = E // 2

@@ -671,15 +671,7 @@ def test_oracle_refuses_a_cell_sum_past_the_float_range(monkeypatch):
     # past it, where the folded sum once returned about 1e292 of rounding
     # noise (the split evaluator's J at t = 3 is -2.7e292); the request is
     # refused before any root table is built
-    from padicfourier import singular
-
-    built = []
-
-    def counted(p, E):
-        built.append((p, E))
-        return _roots(p, E)
-
-    monkeypatch.setattr(singular, "_roots", counted)
+    built = count_roots(monkeypatch)
     phi = TestFunction(P3, 1, -1, [0.5] + [1e308 + 1e308j] * 8)
     f = PiAlphaLog(1.5, quadratic_character(P3), 1)
     for t in (Fr(1, 3), Fr(3), (Fr(3), Fr(1, 3))):
@@ -693,7 +685,7 @@ def test_oracle_refuses_a_cell_sum_past_the_float_range(monkeypatch):
     assert built == [(3, 2)]
 
 
-def test_oracle_peak_memory_per_direction():
+def test_oracle_peak_memory_per_direction(monkeypatch):
     # one root table, one index and one cell array alive at a time: a
     # batch of three directions at p = 3, |t|_3 = 3^11 may not keep an
     # index or a gather per direction
@@ -702,6 +694,7 @@ def test_oracle_peak_memory_per_direction():
     f = PiAlphaLog(1.5, trivial_character(P3), 0)
     request = req(f, phi, tuple(Fr(u, p**E) for u in (1, 2, 5)))
     brute_force_oracle(request)  # fills the word cache
+    count_roots(monkeypatch)  # and no kept root classes: the table is built
     tracemalloc.start()
     try:
         brute_force_oracle(request)
@@ -918,15 +911,14 @@ def test_batched_j_matches_exact_angle_reference(case):
 ORACLE_BUDGET = 2200
 
 
-def oracle_cells(f, phi, t, refine):
+def oracle_cells(f, N, l, M, refine):
     """The oracle's spheres with their cell levels, [(g, lam)], and its
-    tail boundary gamma*."""
-    M = -valuation(t, phi.prime)
-    gamma_star = min(-M, phi.l) - refine
+    tail boundary gamma*, for phi in D^l_N and |t|_p = p^M."""
+    gamma_star = min(-M, l) - refine
     k = max(f.pi1.k0, 1) if isinstance(f, PiAlphaLog) else 1
-    top = max(phi.N, 0) if isinstance(f, PLog) else phi.N
+    top = max(N, 0) if isinstance(f, PLog) else N
     spheres = range(gamma_star + 1, top + 1)
-    return [(g, min(phi.l, -M, g - k) - refine) for g in spheres], gamma_star
+    return [(g, min(l, -M, g - k) - refine) for g in spheres], gamma_star
 
 
 def reference_oracle(f, phi, t, refine):
@@ -934,7 +926,7 @@ def reference_oracle(f, phi, t, refine):
     cell, plus the oracle's closed-form tail."""
     prime = phi.prime
     chr_ = f.pi1 if isinstance(f, PiAlphaLog) else trivial_character(prime)
-    spheres, gamma_star = oracle_cells(f, phi, t, refine)
+    spheres, gamma_star = oracle_cells(f, phi.N, phi.l, -valuation(t, prime), refine)
     terms = [phi.at_zero * _oracle_tail(f, prime, gamma_star)]
     for g, lam in spheres:
         weight = density_on_sphere(f, prime, g) * float(Fr(prime.p) ** lam)
@@ -966,23 +958,26 @@ def oracle_cases(draw):
     # E = N + log_p|t|_p: a table of at least p^6 roots; p^3 for p = 5,
     # whose 5^6 cells would cost the reference about a second per example
     E = draw(st.integers(*{2: (6, 8), 3: (6, 7), 5: (3, 4)}[p]))
+
+    def cells(width, N, refine):
+        # |t|_p = p^M with M = E - top, whatever t's unit
+        M = E - (max(N, 0) if kind == "plog" else N)
+        spheres, _ = oracle_cells(f, N, N - width, M, refine)
+        return sum((p - 1) * p ** (g - lam - 1) for g, lam in spheres)
+
     # phi's width is E - 1, E or E + 1 digits: from E on, chi_p(xt) turns
-    # within phi's cosets, so the sum carries the direction of t
-    widths = [w for w in (E - 1, E, E + 1) if p**w <= ORACLE_BUDGET]
-    width = draw(st.sampled_from(widths))
-    # N < 0 takes a PLog's spheres above phi's support, up to S_0
-    N = draw(st.integers(-1, 1))
+    # within phi's cosets, so the sum carries the direction of t.  N < 0
+    # takes a PLog's spheres above phi's support, up to S_0; a (width, N)
+    # whose cells are past the budget even at refine 0 is not drawn
+    windows = [(w, N) for w in (E - 1, E, E + 1) for N in (-1, 0, 1)
+               if cells(w, N, 0) <= ORACLE_BUDGET]
+    width, N = draw(st.sampled_from(windows))
     phi = random_testfn(prime, N, N - width, seed=draw(st.integers(0, 2**16)))
     top = max(N, 0) if kind == "plog" else N
     q = 3 if p == 2 else 2
     unit = st.integers(-(p**4), p**4).filter(lambda n: n % p)
     t = Fr(draw(unit), draw(st.sampled_from([1, q, q * q]))) * Fr(p) ** (top - E)
-
-    def cells(refine):
-        spheres, _ = oracle_cells(f, phi, t, refine)
-        return sum((p - 1) * p ** (g - lam - 1) for g, lam in spheres)
-
-    refine = draw(st.integers(0, max(r for r in range(3) if cells(r) <= ORACLE_BUDGET)))
+    refine = draw(st.integers(0, max(r for r in range(3) if cells(width, N, r) <= ORACLE_BUDGET)))
     return f, phi, t, refine
 
 
@@ -1040,7 +1035,9 @@ def test_root_table_is_exact_to_a_few_ulps():
                 assert err.max() <= 4 * eps, (p, E, err.max() / eps)
 
 
-def test_oracle_builds_one_root_table_per_t(monkeypatch):
+def count_roots(monkeypatch):
+    """Give the oracle an empty cache of root classes, and the list of
+    the (p, E) of each root table it builds from now on."""
     from padicfourier import singular
 
     built = []
@@ -1050,6 +1047,14 @@ def test_oracle_builds_one_root_table_per_t(monkeypatch):
         return _roots(p, E)
 
     monkeypatch.setattr(singular, "_roots", counted)
+    monkeypatch.setattr(singular, "_CLASSES", singular._RootClasses(singular._CLASSES.bound))
+    return built
+
+
+def test_oracle_builds_one_root_table_per_t(monkeypatch):
+    from padicfourier import singular
+
+    built = count_roots(monkeypatch)
     phi = random_testfn(P3, 1, -2, seed=5)
     ts = (Fr(1, 9), Fr(2, 27), Fr(1, 18), Fr(-4, 243), Fr(2, 9))
     for f in (
@@ -1057,10 +1062,116 @@ def test_oracle_builds_one_root_table_per_t(monkeypatch):
         PiAlphaLog(0.9 + 0.4j, cubic_mod9(), 1),
         PLog(2),
     ):
+        singular._CLASSES.clear()
         built.clear()
         brute_force_oracle(req(f, phi, ts), refine=1)
         # E = N - v_3(t), one table per distinct |t|_3 in first-seen order
         assert built == [(3, 3), (3, 4), (3, 6)]
+
+
+def oracle_bits(J):
+    return [(z.real.hex(), z.imag.hex()) for z in (J if isinstance(J, list) else [J])]
+
+
+@pytest.mark.parametrize("refine", [0, 1, 2])
+@pytest.mark.parametrize("family", ["trivial", "quadratic", "cubic", "plog"])
+def test_a_warm_oracle_call_builds_no_table_and_keeps_the_bits(monkeypatch, family, refine):
+    # a sphere's root classes depend on (p, E, d, k) alone: calls with any
+    # phi, alpha or direction that meet the same shapes build no table,
+    # and read the bits a cold call computes
+    from padicfourier import singular
+
+    built = count_roots(monkeypatch)
+    f = {
+        "trivial": PiAlphaLog(1.5, trivial_character(P3), 1),
+        "quadratic": PiAlphaLog(0.8 - 0.3j, quadratic_character(P3), 2),
+        "cubic": PiAlphaLog(0.9 + 0.4j, cubic_mod9(), 1),
+        "plog": PLog(2),
+    }[family]
+    phi = random_testfn(P3, 1, -2, seed=5)
+    ts = (Fr(1, 9), Fr(2, 27), Fr(1, 18), Fr(-4, 243), Fr(2, 9))
+    cold = []
+    for t in ts:
+        singular._CLASSES.clear()
+        cold += oracle_bits(brute_force_oracle(req(f, phi, t), refine=refine))
+    singular._CLASSES.clear()
+    built.clear()
+    assert oracle_bits(brute_force_oracle(req(f, phi, ts), refine=refine)) == cold
+    assert built == [(3, 3), (3, 4), (3, 6)]
+    built.clear()
+    assert oracle_bits(brute_force_oracle(req(f, phi, ts), refine=refine)) == cold
+    assert [oracle_bits(brute_force_oracle(req(f, phi, t), refine=refine))[0] for t in ts] == cold
+    # another phi and direction at the same window and norms
+    other = random_testfn(P3, 1, -2, seed=6)
+    brute_force_oracle(req(f, other, tuple(-2 * t for t in ts)), refine=refine)
+    assert built == []
+
+
+def test_kept_root_classes_are_read_only_and_own_their_bytes(monkeypatch):
+    from padicfourier import singular
+
+    count_roots(monkeypatch)
+    phi = random_testfn(P3, 1, -2, seed=5)
+    brute_force_oracle(req(PLog(2), phi, (Fr(1, 9), Fr(-4, 243))), refine=1)
+    kept = list(singular._CLASSES._arrays.values())
+    assert kept
+    for classes in kept:
+        # no view: it would keep its whole root table alive
+        assert not classes.flags.writeable and classes.base is None
+        with pytest.raises(ValueError, match="read-only"):
+            classes[0] = 0
+
+
+def test_root_classes_evict_the_least_recent_and_keep_no_oversize_array():
+    from padicfourier.singular import _RootClasses
+
+    cache = _RootClasses(4 * 16)  # four complex values
+    cache.put("a", np.arange(2.0) + 0j)
+    cache.put("b", np.ones(1, complex))
+    assert cache.get("a") is not None  # now "b" is the least recent
+    cache.put("c", np.ones(2, complex))
+    assert list(cache._arrays) == ["a", "c"] and cache.nbytes == 64
+    big = np.ones(5, complex)
+    assert cache.put("d", big) is big and cache.get("d") is None
+    assert list(cache._arrays) == ["a", "c"] and cache.nbytes == 64
+    # a kept view is a read-only copy; the array it was taken from is not frozen
+    table = np.arange(8.0) + 0j
+    kept = cache.put("e", table[::2])
+    assert kept.base is None and not kept.flags.writeable and table.flags.writeable
+    assert list(cache._arrays) == ["e"] and cache.nbytes == 64
+    cache.clear()
+    assert not cache._arrays and cache.nbytes == 0
+
+
+def test_oracle_keeps_its_root_classes_within_their_bound(monkeypatch):
+    # phi in D^-9_1 at |t|_3 = 3^9: S_1 and S_0 fold 3^10 and 3^9 classes,
+    # past the bound of 2^14 complex values, and are not kept; the spheres
+    # below are.  Each call builds its table for those two, and the bits
+    # stay those of a cold call
+    from padicfourier import singular
+
+    built = count_roots(monkeypatch)
+    cache = singular._CLASSES
+    f = PiAlphaLog(0.7 + 0.3j, quadratic_character(P3), 1)
+    phi = random_testfn(P3, 1, -9, seed=8)
+    ts = (Fr(1, 3**9), Fr(-5, 3**9))
+    cold = oracle_bits(brute_force_oracle(req(f, phi, ts)))
+    assert cold == oracle_bits(brute_force_oracle(req(f, phi, ts)))
+    assert built == [(3, 10), (3, 10)]
+    keys = set(cache._arrays)
+    assert (3, 10, 8, 8) in keys and not keys & {(3, 10, 10, 10), (3, 10, 9, 9)}
+    assert cache.nbytes == sum(a.nbytes for a in cache._arrays.values()) <= cache.bound
+    # a bound of 30 values evicts all the while, and keeps the bits
+    monkeypatch.setattr(singular, "_CLASSES", singular._RootClasses(30 * 16))
+    small = random_testfn(P3, 1, -2, seed=5)
+    for f in (PLog(2), PiAlphaLog(0.9 + 0.4j, cubic_mod9(), 1)):
+        for refine in range(3):
+            singular._CLASSES.clear()
+            request = req(f, small, (Fr(1, 9), Fr(2, 27), Fr(-4, 243), Fr(1, 3**7)))
+            want = oracle_bits(brute_force_oracle(request, refine=refine))
+            for _ in range(2):
+                assert oracle_bits(brute_force_oracle(request, refine=refine)) == want
+                assert singular._CLASSES.nbytes <= 30 * 16
 
 
 def test_a_j0_past_the_float_range_is_a_numeric_error():

@@ -1,12 +1,14 @@
 """tools/same_outputs.py: the fingerprint that two checkouts' outputs are
-compared by must tell apart any two values with different bits, and its
+compared by must tell apart any two values with different bits, its
 flags-only digest must see every flag, exponent and grid point but no
-floating value."""
+floating value, and an operation whose second run differs from its first
+has no digest."""
 
 import dataclasses
 import importlib.util
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -97,3 +99,26 @@ def test_file_flags_of_a_text_output_are_its_labels():
     assert same_outputs.file_flags("op0002.txt", a) == same_outputs.file_flags("op0002.txt", b)
     c = b"J(t = 1/3) = 0.5+0.25i\nrhs       = 0+0i"
     assert same_outputs.file_flags("op0002.txt", a) != same_outputs.file_flags("op0002.txt", c)
+
+
+def test_digest_runs_each_operation_twice(tmp_path):
+    runs = []
+
+    def op(result, text):
+        def run():
+            runs.append(None)
+            (tmp_path / "out.txt").write_text(text(len(runs)))
+            return result(len(runs))
+
+        return SimpleNamespace(run=run)
+
+    sha = same_outputs.digest(op(lambda n: 1.5, lambda n: "J = 1"), tmp_path, flags=False)
+    assert len(runs) == 2 and sha is not None
+    # a file rewritten with other bytes, the same on both runs, is hashed
+    moved = same_outputs.digest(op(lambda n: 1.5, lambda n: "J = 2"), tmp_path, flags=False)
+    assert moved not in (None, sha)
+    # a value or a file that moves on the second run
+    assert same_outputs.digest(op(lambda n: 0.1 * n, lambda n: "J = 2"), tmp_path, False) is None
+    assert same_outputs.digest(op(lambda n: 1.5, lambda n: f"J = {n}"), tmp_path, False) is None
+    # whose flags, with no float, stay
+    assert same_outputs.digest(op(lambda n: 0.1 * n, lambda n: "J = 2"), tmp_path, True)

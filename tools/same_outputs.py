@@ -6,10 +6,14 @@
 
 Builds the operations of the four workloads in ``bench/workloads.py`` of
 the checkout at ``--root`` (default: the one holding this script), runs
-each once and prints its label and a sha256 of what it produced: the
-return value (floats as ``float.hex``, arrays as their bytes) and the
-bytes of every file the operation wrote.  The last line hashes them all.
-Two checkouts whose outputs are byte-identical print the same lines.
+each and prints its label and a sha256 of what it produced: the return
+value (floats as ``float.hex``, arrays as their bytes) and the bytes of
+every file the operation wrote.  The last line hashes them all.  Two
+checkouts whose outputs are byte-identical print the same lines.
+
+Each operation runs twice, and the tool exits 1, naming it, when the
+second run's digest differs from the first's: a cache kept across calls
+must hand a warm call the bits a cold one computes.
 
 With ``--flags`` each line hashes only what is not a floating value: a
 change that is documented to move last digits can then show that no
@@ -91,6 +95,23 @@ def snapshot(workdir: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(workdir.iterdir()) if p.is_file()}
 
 
+def digest(op, workdir: Path, flags: bool) -> str | None:
+    """The sha256 of what op.run() returns and writes to workdir, or None
+    when a second run's differs from the first's."""
+    before = snapshot(workdir)
+    digests = set()
+    for _ in range(2):
+        with contextlib.redirect_stdout(io.StringIO()):
+            result = op.run()
+        parts: list[bytes] = []
+        canonical(result, parts, floats=not flags)
+        for file, data in snapshot(workdir).items():
+            if before.get(file) != data:
+                parts += [file.encode(), file_flags(file, data) if flags else data]
+        digests.add(hashlib.sha256(b"\0".join(parts)).hexdigest())
+    return digests.pop() if len(digests) == 1 else None
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
@@ -109,17 +130,14 @@ def main() -> int:
             with tempfile.TemporaryDirectory() as tmp:
                 workdir = Path(tmp)
                 for op in workloads.build(name, seed, workdir):
-                    before = snapshot(workdir)
-                    with contextlib.redirect_stdout(io.StringIO()):
-                        result = op.run()
-                    parts: list[bytes] = []
-                    canonical(result, parts, floats=not args.flags)
-                    for file, data in snapshot(workdir).items():
-                        if before.get(file) != data:
-                            parts += [file.encode(), file_flags(file, data) if args.flags else data]
-                    digest = hashlib.sha256(b"\0".join(parts)).hexdigest()
-                    total.update(digest.encode())
-                    print(f"{name} seed={seed} {op.label}: {digest}")
+                    label = f"{name} seed={seed} {op.label}"
+                    sha = digest(op, workdir, args.flags)
+                    if sha is None:
+                        print(f"{label}: a second run's outputs differ from the first's",
+                              file=sys.stderr)
+                        return 1
+                    total.update(sha.encode())
+                    print(f"{label}: {sha}")
     print(f"total: {total.hexdigest()}")
     return 0
 
