@@ -63,7 +63,7 @@ from .characters import NormedMultChar, eval_pi1
 from .distributions import DiracDelta, PiAlphaLog, PLog, QahDistribution, char_of
 from .errors import BadAlpha, NumericOverflow, StabilizationMismatch, ZeroArgument
 from .gamma import bernoulli, gamma_pi
-from .jets import p_power_jet
+from .jets import p_power_term
 from .qp import Prime, Rational
 from .singular import SingularIntegralRequest, brute_force_oracle, singular_fourier
 from .testfn import TestFunction
@@ -149,7 +149,7 @@ class AsymptoticPrediction:
             value = cmath.inf
         if cmath.isfinite(value):
             if self.alpha:
-                value *= p_power_jet(self.prime.p, -M, self.alpha, 0).value
+                value *= p_power_term(self.prime.p, -M, self.alpha, 0)
             return value
         m, q = len(self.poly) - 1, 0
         for c in self.poly:

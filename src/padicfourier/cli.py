@@ -16,8 +16,8 @@ field-path message, a log order m or ``gamma --order`` above
 ``MAX_JET_ORDER``, a t-grid beyond ``MAX_GRID_EXPONENT`` or
 ``MAX_GRID_ROWS``, or a cell enumeration beyond 2^24 cosets); 2
 verification failure inside the stabilized region; 3 numeric error (pole
-proximity, a p^(c*alpha) or p^l term, a sphere density, a jet entry or
-a J, <f, phi> or F[phi] beyond the floating range).
+proximity, or past the floating range: a power p^(c*alpha + b) or p^l, a J,
+<f, phi>, F[phi] or right-hand side, or the oracle's cell sums).
 
 Configs are JSON; the schema is documented in the README.  Every field is
 read through ``_field``: it parses, or raises ``ConfigError`` with its
@@ -110,7 +110,7 @@ def _jet_order(value) -> int:
 
 def _real(value) -> float:
     x = float(value)
-    if isinstance(value, bool) or not math.isfinite(x):
+    if value is True or value is False or not math.isfinite(x):
         raise ValueError(f"not a finite number: {value!r}")
     return x
 
@@ -199,10 +199,7 @@ def build_distribution(prime: Prime, spec, path="config.distribution", top=None)
 
 
 def _coset_values(raw) -> np.ndarray:
-    values = np.array([complex(float(x), float(y)) for x, y in raw])
-    if not np.isfinite(values).all():
-        raise ValueError("not a finite number among them")
-    return values
+    return np.array([complex(_real(x), _real(y)) for x, y in raw])
 
 
 def build_test_function(prime: Prime, spec, path="config.test_function"):

@@ -29,9 +29,10 @@ wide table is read at few words, the partial transform reads phi's own
 table with those factors folded in, as in its layout they depend on the
 column alone, save a few exception columns.  At N = l no sphere lies
 outside B_l: h and F[h] are 0.
-<f, phi> is F[h](0) = p^lam * sum(h) plus phi(0) J0 at |t|_p = p^-l0,
-where chi_p == 1 on B_{l0}.  J0
-(``j0_closed_form``) is the continued integral of f chi_p over B_{l0}:
+F[h] carries the cell measure p^lam in each sphere's factor, never as a
+float.  <f, phi> is F[h](0) plus phi(0) J0 at |t|_p = p^-l0, where
+chi_p == 1 on B_{l0}.  J0 (``j0_closed_form``) is the continued integral
+of f chi_p over B_{l0}:
 
 * |x|^{alpha-1} pi_1(x) log^m, any pi_1: the ball tail plus the one
   resonant sphere.  With |t|_p = p^M, k = max(k0, 1), gamma = k - M,
@@ -87,7 +88,7 @@ from . import qp
 from .characters import NormedMultChar, eval_pi1, gauss_sum, trivial_character
 from .errors import BadWindow, NumericOverflow, ZeroArgument
 from .gamma import ball_tail, faulhaber_coeffs, faulhaber_sum
-from .jets import p_power_jet
+from .jets import p_power_jet, p_power_term
 from .qp import Prime, Rational
 from .testfn import TestFunction, dilate, fourier_at
 
@@ -134,26 +135,15 @@ class DiracDelta:
 QahDistribution = PiAlphaLog | PLog | DiracDelta
 
 
-def density_on_sphere(f: QahDistribution, prime: Prime, gamma: int) -> complex:
-    """The radial factor of f on S_gamma (|x|_p = p^gamma), gamma^m p^(c gamma)
-    with c = alpha - 1 (for PLog c = -1, and m - 1 in place of m): that
-    product where it is a finite float, else entry m of the jet of
-    p^(gamma c), 0 below the float range and NumericOverflow above it."""
-    p = prime.p
-    try:
-        if isinstance(f, PiAlphaLog):
-            c, m = f.alpha - 1, f.m
-            value = cmath.exp(c * gamma * math.log(p)) * gamma**m
-        elif isinstance(f, PLog):
-            c, m = -1, f.m - 1
-            value = qp.p_power(p, -gamma) * gamma**m
-        else:
-            raise TypeError(f"no sphere density for {f!r}")
-        if cmath.isfinite(value):
-            return value
-    except (OverflowError, NumericOverflow):
-        pass
-    return p_power_jet(p, gamma, c, m).coeffs[m]
+def density_on_sphere(f: QahDistribution, prime: Prime, gamma: int, lam: int = 0) -> complex:
+    """f's radial factor on S_gamma times p^lam, a cell's measure:
+    gamma^m p^(c gamma + lam), c = alpha - 1 (for PLog c = -1 and m - 1 for
+    m), entry m of the jet of p^(gamma c + lam) (``p_power_term``)."""
+    if isinstance(f, PiAlphaLog):
+        return p_power_term(prime.p, gamma, f.alpha - 1, f.m, lam)
+    if isinstance(f, PLog):  # a real, integer power: p^(lam - gamma) rounded once
+        return p_power_term(prime.p, gamma, 0, f.m - 1, lam - gamma).real
+    raise TypeError(f"no sphere density for {f!r}")
 
 
 def char_of(f: QahDistribution, prime: Prime) -> NormedMultChar:
@@ -203,32 +193,22 @@ def j0_closed_form(
         k0, k = chr_.k0, max(chr_.k0, 1)
         mod = p**k0
         tail = ball_tail(prime, alpha, m) if chr_.is_trivial() else lambda g: 0j
-        scale = qp.p_power(p, -k)
 
         def radial(M):
             # plus the one resonant sphere |xt|_p = p^k if it lies in B_l0
             # (then M > -l0); every other sphere is an exact zero.  x = y p^M
             # makes it one power gamma^m p^(alpha gamma - k), which a deep t
             # underflows where p^((alpha-1) gamma) alone would overflow, times
-            # the sphere integral at u mod p^k0; past the float range of that
-            # product, entry m of the jet of p^(gamma alpha) stands in for it
+            # the sphere integral at u mod p^k0
             value, gamma = tail(min(l0, -M)), k - M
             if gamma > l0:
                 return value, None
-            try:
-                term = gamma**m * (p_power_jet(p, gamma, alpha, 0).value * scale)
-                if cmath.isfinite(term):
-                    return value, term
-            except OverflowError:  # gamma^m has no float
-                pass
-            return value, p_power_jet(p, gamma, alpha, m).coeffs[m] * scale
+            return value, p_power_jet(p, gamma, alpha, m, -k).coeffs[m]
 
         def sphere(w):
             # the integral over S_k of pi_1(y) chi_p(yu): -1 for trivial
             # pi_1, else a Gauss sum
-            if chr_.is_trivial():
-                return -1 + 0j
-            return gauss_sum(chr_, w)
+            return -1 + 0j if chr_.is_trivial() else gauss_sum(chr_, w)
 
     else:
         raise TypeError(f"no J0 closed form for {f!r}")
@@ -251,9 +231,12 @@ class _AnnulusProduct:
     """h = f (phi - phi(0) 1_{B_l0}) outside B_l and 0 on B_l, as a member
     of D^lam_N, lam = l + 1 - max(k0, 1); l <= l0 <= N.  It is held as
     psi = phi - phi(0) 1_{B_l0} on phi's own p^(N-l) words and the factor
-    h / psi on each sphere; ``values`` builds h (the FFT route and
-    ``apply``), ``columns`` folds the factors into ``fourier_at``'s partial
-    transform, which builds no p^(N-lam)-word table."""
+    p^lam h / psi on each sphere: each density carries the cell measure,
+    and ``measure`` is 1, so no transform or sum forms p^lam as a float.
+    ``values`` builds p^lam h (the FFT route and ``apply``), ``columns``
+    folds the factors into ``fourier_at``'s partial transform."""
+
+    measure = 1.0
 
     def __init__(self, f: QahDistribution, phi: TestFunction, chr_: NormedMultChar, l0: int):
         prime = phi.prime
@@ -269,16 +252,16 @@ class _AnnulusProduct:
             self.psi = self.psi.copy()
             self.psi[:: p ** (N - l0)] -= self.psi[0]
         # the word p^v w', w' a unit, lies on S_(N-v) and pi_1(x) is the
-        # table at w' mod p^k0: h / psi is factors[v, w' mod p^k], the
-        # density times pi_1 for the N - l spheres v < N - l, and 0 on B_l
+        # table at w' mod p^k0: p^lam h / psi is factors[v, w' mod p^k], the
+        # density times p^lam pi_1 on the spheres v < N - l, and 0 on B_l
         self.spheres = N - l
-        density = np.array([density_on_sphere(f, prime, N - v) for v in range(N - l)], complex)
+        density = [density_on_sphere(f, prime, N - v, self.l) for v in range(N - l)]
         self.factors = np.zeros((N - self.l + 1, p**self.k), dtype=np.complex128)
         self.factors[: N - l] = np.multiply.outer(density, chr_.complex_table())
 
     @property
     def values(self) -> np.ndarray:
-        """h's p^(N-lam) words, built at each read."""
+        """p^lam h's p^(N-lam) words, built at each read."""
         p, k = self.prime.p, self.k
         out = np.tile(self.psi, p ** (k - 1))
         out[:: len(self.psi)] = 0  # B_l
@@ -296,9 +279,9 @@ class _AnnulusProduct:
         return out
 
     def columns(self, s: int):
-        """h in ``fourier_at``'s layout, w = a p^s + b: rows of psi (h's row
-        a reads psi's row a mod their count), the factor h / psi of each
-        column b, and the exception columns with h's words there.  Off
+        """p^lam h in ``fourier_at``'s layout, w = a p^s + b: rows of psi
+        (h's row a reads psi's row a mod their count), the factor of each
+        column b, and the exception columns with their words.  Off
         b = 0, h / psi depends on b alone, as v(w) = v(b) and pi_1 reads
         w p^-v(w) mod p^k0, except where v(b) + k0 > s: there pi_1 reads
         digits of a too.  So the exceptions are the multiples of p^e,
@@ -339,13 +322,13 @@ def _pairing(
     what = "<f, phi>" if grid is None else "J(t)"
 
     def evaluate(phi):
-        # N = l leaves no sphere outside B_l: h and F[h] are 0, and p^lam
-        # need not be a float
+        # N = l leaves no sphere outside B_l: h and F[h] are 0, and no
+        # p^k-word row of pi_1 is built
         phi0, annulus = phi.at_zero, phi.N > phi.l
         if grid is None:
             s = 0
             if annulus:
-                s = _AnnulusProduct(f, phi, chr_, l0).values.sum() * qp.p_power(p, lam)
+                s = _AnnulusProduct(f, phi, chr_, l0).values.sum()
             values = [complex(s) + phi0 * j0_closed_form(f, l0, [(-l0, 1)], prime)[0]]
             return qp.check_finite(values, what)
         # F[h] lies in D^-lam_-N: at t = u p^-M, M <= -lam, it is the table's
@@ -394,7 +377,7 @@ def homogeneity_defect(
     if isinstance(f, DiracDelta):
         return lhs - phi.at(0)  # pi_0(t)|t|_p = 1
     if isinstance(f, PiAlphaLog):
-        scale = p_power_jet(p, logt, f.alpha, 0).value  # |t|_p^alpha
+        scale = p_power_term(p, logt, f.alpha, 0)  # |t|_p^alpha
         scale *= eval_pi1(f.pi1, t)
         rhs = scale * apply(f, phi)
         for j in range(1, f.m + 1):

@@ -41,8 +41,9 @@ class PoleProximity(PadicError):
 
 
 class NumericOverflow(PadicError):
-    """A closed-form term such as p^{c*alpha} lies beyond the floating
-    range (e.g. Re alpha < 0 at a very large |t|_p)."""
+    """A value past the floating range: a power c^k p^(c*alpha + b)
+    (``jets.p_power_term``), a measure p^l, or a J, <f, phi>, F[phi] or
+    right-hand side (e.g. Re alpha < 0 at a very large |t|_p)."""
 
 
 class BadAlpha(PadicError):

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from math import comb
 
+from . import qp
 from .errors import NumericOverflow
 
 
@@ -70,23 +71,36 @@ class Jet:
         return self.coeffs[0]
 
 
-def p_power_jet(p: int, c, alpha: complex, order: int) -> Jet:
-    """Jet of alpha |-> p^{c*alpha}, entries c^k p^{c*alpha}; past the float
-    range of that product, sign(c)^k e^{k ln|c| + c alpha ln p}: 0 below it
-    (a zero signed as the product signs it), NumericOverflow above it."""
+def p_power_jet(p: int, c: int, alpha: complex, order: int, b: int = 0) -> Jet:
+    """Jet of alpha |-> p^(c alpha + b), b an integer shift: entries
+    c^k p^(c alpha + b), each a ``p_power_term``."""
+    top = p_power_term(p, c, alpha, order, b)  # the largest: it overflows first
+    return Jet(tuple(p_power_term(p, c, alpha, k, b) for k in range(order)) + (top,))
+
+
+def p_power_term(p: int, c: int, alpha: complex, k: int, b: int = 0) -> complex:
+    """c^k p^(c alpha + b), entry k of that jet: the split evaluator's one
+    route past the float range.  In it, c^k (p^(c alpha) p^b) with p^b
+    rounded once, both factors normal floats; else sign(c)^k e^(k ln|c| +
+    (c alpha + b) ln p), 0 below the range (a zero signed as the product
+    signs it), NumericOverflow above it."""
     z = complex(alpha) * (c * math.log(p))
     try:
-        base = cmath.exp(z)
-        if base:  # else c^k p^{c*alpha} may still be in range
-            return Jet(tuple(c**k * base for k in range(order + 1)))
+        base, scale = cmath.exp(z), qp.p_power(p, b) if b else 1.0
+        term = c**k * (base * scale)
+        # with c != 0 a factor that is 0, or subnormal and so short of
+        # bits, may still give a term in range
+        if (not c or abs(base) >= 2.0**-1022 and scale >= 2.0**-1022) and cmath.isfinite(term):
+            return term
     except (OverflowError, NumericOverflow):
         pass
-    s, lc = math.copysign(1.0, c), math.log(abs(c))  # c != 0, as p^0 = 1
-    coeffs = (s**k * cmath.exp(complex(k * lc + z.real, z.imag)) for k in range(order + 1))
-    try:
-        return Jet(tuple(coeffs))
-    except OverflowError:
-        raise NumericOverflow(
-            f"{p}^(c*alpha) with c = {c}, alpha = {alpha} (order {order}) "
-            "is not a finite float"
-        ) from None
+    if c:  # else p^b alone is past the range
+        re = k * math.log(abs(c)) + z.real + b * math.log(p)
+        try:
+            return math.copysign(1.0, c) ** k * cmath.exp(complex(re, z.imag))
+        except OverflowError:
+            pass
+    times = f", times {p}^{b}" if b else ""
+    raise NumericOverflow(
+        f"{p}^(c*alpha) with c = {c}, alpha = {alpha}{times} (order {k}) is not a finite float"
+    )

@@ -56,6 +56,11 @@ class TestFunction:
         self.values = vals
 
     @property
+    def measure(self) -> float:
+        """p^l, a coset's Haar measure, by which ``fourier`` scales its sums."""
+        return qp.p_power(self.prime.p, self.l)
+
+    @property
     def at_zero(self) -> complex:
         return complex(self.values[0])
 
@@ -103,8 +108,7 @@ def fourier(phi: TestFunction) -> TestFunction:
     """Exact Fourier transform; maps D^l_N onto D^{-N}_{-l}.  Words j, c
     meet in chi_p(xi_j x_c) = e^{2 pi i jc / p^{N-l}}: an unscaled ifft.
     NumericOverflow when a value is not a finite float."""
-    scale = qp.p_power(phi.prime.p, phi.l)
-    vals = scale * np.fft.ifft(phi.values, norm="forward")
+    vals = phi.measure * np.fft.ifft(phi.values, norm="forward")
     qp.check_finite(vals, "a Fourier transform value")
     return TestFunction(phi.prime, -phi.l, -phi.N, vals)
 
@@ -154,7 +158,7 @@ def fourier_at(phi: TestFunction, words) -> np.ndarray:
             if extra is not None:
                 head += extra @ fine[cols]
             vals = np.einsum("ak,ak->k", head, coarse)
-            return qp.p_power(p, phi.l) * vals[inverse]
+            return phi.measure * vals[inverse]
     return fourier(phi).values[words]
 
 

@@ -517,9 +517,9 @@ def test_j0_once_per_norm_sphere(monkeypatch):
         calls.append(args)
         return real_j0(*args)
 
-    def counting_power(p, c, alpha, order):
+    def counting_power(p, c, alpha, order, b=0):
         powers.append(c)
-        return real_power(p, c, alpha, order)
+        return real_power(p, c, alpha, order, b)
 
     monkeypatch.setattr(distributions, "j0_closed_form", counting_j0)
     monkeypatch.setattr(distributions, "p_power_jet", counting_power)

@@ -187,8 +187,9 @@ HUGE_CFG = {
         for command in (["verify"], ["erdelyi"], ["eval-dist"],
                         ["singular", "--t", "1/3", "--oracle"], ["fourier"])
     ] + [
-        # J is finite at t = 3 (-2.7e292), but the oracle's cell sums are
-        # not: it once printed about 1e292 of rounding noise at exit 0
+        # J is finite at t = 3 (an exact 0, which the split evaluates to
+        # parts of 2^972 of rounding), but the oracle's cell sums are not:
+        # it once printed about 1e292 of rounding noise at exit 0
         pytest.param(["singular", "--t", t, "--oracle"], "quadratic",
                      id=f"singular --t {t} --oracle quadratic")
         for t in ("1/3", "3")
@@ -210,14 +211,17 @@ def singular_j(tmp_path, capsys, cfg, t):
 
 @pytest.mark.parametrize(
     "character, t, want",
-    [("trivial", "1/3", -0.09836896836084108), ("quadratic", "3", -2.6611204127129596e292)],
+    [("trivial", "1/3", -0.09836896836084108), ("quadratic", "3", complex(-2.0**972, 2.0**972))],
     ids=["trivial", "quadratic"],
 )
 def test_a_finite_j_of_a_table_near_the_float_limit(tmp_path, capsys, character, t, want):
     # J is linear in phi: where the split passes the float range on the way,
     # phi 2^-e is evaluated and its J multiplied by 2^e, which rounds
     # nothing, so J has the bits of the table scaled by 2^-64 (which
-    # evaluates in range at once) times 2^64
+    # evaluates in range at once) times 2^64.  The quadratic J is exactly 0
+    # (chi_p == 1 on both spheres, where pi_1 integrates to 0): its pinned
+    # value is the rounding of the 1e308 entries, 2^972 a part, which moved
+    # from -2.66e292 when the densities took the cell measure p^lam
     cfg = copy.deepcopy(HUGE_CFG)
     cfg["distribution"]["character"] = {"kind": character}
     J = singular_j(tmp_path, capsys, cfg, t)
@@ -255,6 +259,41 @@ def test_a_deep_window_whose_densities_underflow_evaluates(tmp_path, capsys):
     assert run(["singular", "--t", "1", "--oracle", "--config", cfg]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[:3] == ["J(t = 1) = 0+0i", "oracle    = 0+0i", "|J - oracle| = 0"]
+
+
+#: phi in D^699_700 (values 1, 0.5, 0.25): the density of S_700 or the cell
+#: measure 3^699 is past the float range while <f, phi> is not; the values
+#: are the exact sums (tests/test_distributions.py, ONE_ABOVE_A_DELTA)
+ONE_ABOVE_A_DELTA_CFG = {
+    "prime": 3,
+    "test_function": {
+        "kind": "table",
+        "N": 700,
+        "l": 699,
+        "values": [[1, 0], [0.5, 0], [0.25, 0]],
+    },
+    "t_grid": {"M_min": -706, "M_max": -695, "units_per_sphere": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "distribution, want",
+    [
+        ({"variant": "p-log", "m": 3}, 76181466.66666667),
+        ({"variant": "pi-alpha-log", "alpha": 0.5, "m": 0}, 1.1406515655861439e167),
+        ({"variant": "pi-alpha-log", "alpha": 0.5, "m": 2}, 5.559626516932433e172),
+    ],
+    ids=["plog3", "alpha0.5", "alpha0.5-m2"],
+)
+def test_one_level_above_a_delta_window_exits_0(tmp_path, capsys, distribution, want):
+    cfg = write_cfg(tmp_path, dict(ONE_ABOVE_A_DELTA_CFG, distribution=distribution))
+    assert run(["eval-dist", "--config", cfg]) == 0
+    value = capsys.readouterr().out.split(" = ")[-1].strip()
+    assert complex(value.replace("i", "j")) == pytest.approx(want, rel=1e-12)
+    # |t|_3 = 3^-704: chi_p == 1 on B_700, so J is <f, phi>
+    assert run(["singular", "--config", cfg, "--t", str(3**704)]) == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith(f") = {value}")
+    assert run(["verify", "--config", cfg]) == 0
 
 
 def test_chi_subcommand(capsys):
@@ -395,26 +434,28 @@ LARGE_CFG = {
 #: the jets took theta = log_p(e) d/dalpha, which moved last digits of its
 #: J and rhs, 2.6e-16 relative at most; cubic and ramified erdelyi:
 #: re-pinned when the oracle folded each sphere's periodic factor, which
-#: moved their oracle J by 7.1e-16 at most, |J| <= 2.3); every row's floats,
-#: their formatting and the JSON layout must keep these bytes (PLog has no
-#: Erdelyi check)
+#: moved their oracle J by 7.1e-16 at most, |J| <= 2.3; cubic, large,
+#: quintic and ramified verify: re-pinned when each sphere's density took the
+#: cell measure p^lam, which moved J by 1.2 eps of the report's largest |J|
+#: at most); every row's floats, their formatting and the JSON layout must
+#: keep these bytes (PLog has no Erdelyi check)
 PINNED_REPORTS = {
-    ("ramified", "verify", "csv"): "e329bb6b3ff523f00a3ad8c50c575402bcc5216ca36b5b01bf0d06d6809bf51a",
-    ("ramified", "verify", "json"): "f4a3cbc3a81d437117ed48b66c8eafcac3c4c0015a7cd6413c9a66fdb6faf74a",
+    ("ramified", "verify", "csv"): "15c92ea14a1a7e357e1214e536c81740bc001213618b1f127d692c28c8a05b74",
+    ("ramified", "verify", "json"): "f47fcea4bdc3b1187c86612dc3e7a0fba00ceb54e71969c728e5b8d4bc669644",
     ("ramified", "erdelyi", "csv"): "bcb60f11bcc0c28b5b69e8d27daa6187f7efd0de6628156fa1b857581a734b6e",
     ("ramified", "erdelyi", "json"): "8e812904cd4172b88fbd275e775baf7e51f5537e904ad8ed0d47e9cfba012d00",
-    ("cubic", "verify", "csv"): "8cc737ef4bfb245dd456f35bedcf458b2967486e112e7322762dbd8e3978d405",
-    ("cubic", "verify", "json"): "04348b7d7d5a60d90ba3b6ced66344e2e93cd698f3cc59f77affbf4643a38dd5",
+    ("cubic", "verify", "csv"): "71140342e434f60a61a3668c96eae19c4d836e67461fae807f4c9d9b17319fae",
+    ("cubic", "verify", "json"): "c5793f481c6bcd16501336902ecc47af42dba58d243d3319baa6e9d7cb5c1869",
     ("cubic", "erdelyi", "csv"): "7d1a272128776b9089fdf253962e4f155b970f7521016ed15a80623f8f9904bd",
     ("cubic", "erdelyi", "json"): "0d41445e252d404ab76fdd3e89219d994ec86388f38c2a4b1c1222921b605bd9",
     ("plog", "verify", "csv"): "6233b1cb2894aa0fd39e8d7a21a0d9b0596742762d99abf9a69037e7ec212e30",
     ("plog", "verify", "json"): "4f29e7c15ac230cc846cce503ce1c2422f69a74530d4f372a297a60794a5c00f",
     ("binary", "verify", "csv"): "dd31adf63366f889e6121bed9af47fe828b3f3c75e8337ba46cd2b6e7d313e8c",
     ("binary", "verify", "json"): "10bbc875811cae690638f35273e3433efdada58c63f4e9b7e0dd0996ddb04de4",
-    ("quintic", "verify", "csv"): "85c4f9df30c6b6031a574f0ffc4e371933134db2678305ed0b8f4bf3454422d4",
-    ("quintic", "verify", "json"): "333aa004b0c2c5597696ea0585387ecd312ed48f021492cf27a66f097f0d466c",
-    ("large", "verify", "csv"): "1578c20f0fd07516dc1972386313f68f79ea53fb9217c2d01d82632e12c7911f",
-    ("large", "verify", "json"): "a35b2b0b3116d81c93116dedde75b5cd962a73727d11442bca6e07eed9ea8b65",
+    ("quintic", "verify", "csv"): "751dc9171ece5a3477fd8722cd1186b055bd0922b0152977de3565f4c7a9631d",
+    ("quintic", "verify", "json"): "bd409e7d41d51d1aeb475e4ac3c00c6bab63fd17409136f5ef56519d18a9f742",
+    ("large", "verify", "csv"): "05c36a382c3bac94e949deeb9d8e3e875c3fa1d1ec2ffab3b0885eca5286fd2f",
+    ("large", "verify", "json"): "2c98e133384941074397d7bde902af3d3734290118938481bcd350b6d5d3d2b6",
 }
 
 
@@ -436,15 +477,17 @@ def test_report_bytes_are_pinned(tmp_path, case):
 #: (``singular cubic --t 1/9``: re-pinned with the ramified P about its
 #: root, where its rhs at M = k0 is an exact 0; both ``singular --oracle``
 #: lines: re-pinned when the oracle folded each sphere's periodic factor,
-#: which moved the oracle line by 1.5e-16 at most); a config name stands for
-#: ``--config`` with that config
+#: which moved the oracle line by 1.5e-16 at most; both ``eval-dist`` lines:
+#: re-pinned when each sphere's density took the cell measure p^lam, which
+#: moved <f, phi>, a cancellation to about 5e-16, by 0.1 eps of
+#: ||p^lam h||_1); a config name stands for ``--config`` with that config
 PINNED_OUTPUTS = {
     ("chi", "--p", "3", "--x", "1/3"): "e863832c120f52dba52c9836593430d0067edb7c4ddf692908db48df7763fc0a",
     ("chi", "--p", "3", "--x=-5/9"): "f2de7e8bcbfad94b08921c6b7994def02a406d1fdff6f377ebb02879af84348f",
     ("chi", "--p", "3", "--x", f"1/{3**20}"): "bfb9e359157f78bf9839b1c862602eb0a32a852de6d689f63a458f574d36e203",
     ("chi", "--p", "2", "--x", "7/2"): "5f3443134295322dba5b42d9e860c3afd024682356b84a84eae3ead20dc56322",
-    ("eval-dist", "cubic"): "dd5171d0ef049704b62c743406c352204aaa0f26abcd85c0490d3fff60c73772",
-    ("eval-dist", "ramified"): "6b9170dfb3102971b7d18fb22b67c426cbefbf8add0819baedc94272d271ebaf",
+    ("eval-dist", "cubic"): "161b1432baf67a7a030018756510c1f2b7cc864926b935497b100772ba208289",
+    ("eval-dist", "ramified"): "5cd267d569408f9767891349952d9b54abf259849502fe2010e71cf98c7ee072",
     ("singular", "cubic", "--t", "1/9", "--oracle"): "1e449314b4a4b75845248d353946386794a691968fe92f40f411e40633ac6fcc",
     ("singular", "cubic", "--t", "5/243", "--oracle"): "0e6dd4fb693e4a2a420168309dbcd6665faaa5a488e61fecff1eefd370ffbc7b",
     ("bernoulli", "--upto", "258"): "9bf2052e61213dd531e3934ac7a69d021e4edd070169d93d9c5361e6980e9f6f",
@@ -562,7 +605,7 @@ CLI_BRANCHES = [
         ),
         ["eval-dist", "--config", "{cfg}"],
         1,
-        "error: config.test_function.values: not a finite number among them",
+        "error: config.test_function.values: not a finite number: 'nan'",
     ),
     ([1, 2], ["verify", "--config", "{cfg}"], 1, "error: config: top level must be an object"),
     (
@@ -622,6 +665,16 @@ CLI_BRANCHES = [
         ["singular", "--config", "{cfg}", "--t", "1/3", "--oracle", "--refine", "10000000"],
         1,
         "coset enumeration too large: 3^10000001 words",
+    ),
+    # a boolean is no number here either, as for every other numeric field
+    (
+        dict(
+            POWER_CFG,
+            test_function={"kind": "table", "N": 0, "l": -1, "values": [[1, 0], [True, False]]},
+        ),
+        ["eval-dist", "--config", "{cfg}"],
+        1,
+        "error: config.test_function.values: not a finite number: True",
     ),
 ]
 

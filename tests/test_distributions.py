@@ -7,6 +7,8 @@ from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from padicfourier import (
     DiracDelta,
@@ -38,6 +40,7 @@ from padicfourier.distributions import (
 )
 from padicfourier.errors import BadWindow, NumericOverflow, PoleProximity, ZeroArgument
 from padicfourier.singular import SingularIntegralRequest
+from padicfourier.testfn import TestFunction
 
 from conftest import sphere_cosets
 
@@ -350,8 +353,9 @@ def test_f_h_read_by_index_equals_the_transform_at_t(pi1):
 
 
 def broadcast_annulus_product(f, phi, chr_, l0):
-    """The annulus product's values with each sphere multiplied as one
-    broadcast over rows of p^k words, p - 1 words per numpy inner loop."""
+    """The annulus product's values, each sphere's density times the cell
+    measure p^lam, with each sphere multiplied as one broadcast over rows
+    of p^k words, p - 1 words per numpy inner loop."""
     prime = phi.prime
     p, N, l = prime.p, phi.N, phi.l
     k = max(chr_.k0, 1)
@@ -360,7 +364,7 @@ def broadcast_annulus_product(f, phi, chr_, l0):
     pi1 = np.resize(chr_.complex_table(), p**k).reshape(-1, p)[:, 1:]
     for v in range(N - l):
         sphere = out[:: p**v].reshape(-1, p ** (k - 1), p)[..., 1:]
-        sphere *= density_on_sphere(f, prime, N - v) * pi1
+        sphere *= density_on_sphere(f, prime, N - v, l + 1 - k) * pi1
     return out
 
 
@@ -426,8 +430,9 @@ FOLD_CHARACTERS = {
 def test_folded_partial_transform_equals_the_transform_of_h(monkeypatch, prime, n):
     # a few words of h's p^n-word table are read straight from phi's table,
     # the sphere factors folded into the partial transform: within
-    # fourier_at's 2 n eps ||h||_1 of the FFT of the built h, for every
-    # family, at every split level and at words u p^s of every valuation
+    # fourier_at's 2 n eps ||p^lam h||_1 of the FFT of the built h (its
+    # values carry the cell measure p^lam), for every family, at every
+    # split level and at words u p^s of every valuation
     from padicfourier import testfn
 
     p = prime.p
@@ -441,7 +446,7 @@ def test_folded_partial_transform_equals_the_transform_of_h(monkeypatch, prime, 
             h = _AnnulusProduct(f, phi, chr_, l0)
             assert h.N - h.l == n
             values = h.values
-            bound = 2 * n * np.finfo(float).eps * p**h.l * float(np.abs(values).sum())
+            bound = 2 * n * np.finfo(float).eps * float(np.abs(values).sum())
             cases.append((f, l0, h, fourier(h).values, bound))
 
     def unreachable(phi):
@@ -454,6 +459,36 @@ def test_folded_partial_transform_equals_the_transform_of_h(monkeypatch, prime, 
             words = units * p**s % p**n
             got = testfn.fourier_at(h, words)
             assert np.abs(got - want[words]).max() <= bound, (f, l0, s)
+
+
+#: phi in D^(N-1)_N at p = 3 with values (1, 0.5, 0.25).  At N = 700 the
+#: density of S_700 and the cell measure 3^699 are each past the float range
+#: for one of the families, while their product and <f, phi> are not: <f, phi>
+#: is the continued integral over B_699, (2/3) sum_(g <= 699) g^m 3^(alpha g),
+#: plus S_700's 700^m 3^(700 alpha - 1) (0.5 + 0.25).  At N = -670 the cell
+#: measure 3^-671 is subnormal, with about ten of its bits left
+ONE_ABOVE_A_DELTA = [
+    (700, PLog(3), float(Fr(2, 3) * sum(g * g for g in range(700)) + Fr(700**2, 4)), 4 * 2**-52),
+    (
+        700,
+        PiAlphaLog(0.5, trivial_character(P3), 0),
+        (2 / 3) * 3**349.5 / (1 - 3**-0.5) + 0.75 * 3.0**349,
+        1e-12,  # exp of a ~380 argument carries ~380 eps
+    ),
+    (
+        700,
+        PiAlphaLog(0.5, trivial_character(P3), 2),
+        math.fsum((2 / 3) * g * g * 3 ** (g / 2) for g in range(-200, 700))
+        + 0.75 * 700**2 * 3.0**349,
+        1e-12,
+    ),
+    (
+        -670,
+        PiAlphaLog(0.5, trivial_character(P3), 0),
+        (2 / 3) * 3**-335.5 / (1 - 3**-0.5) + 0.75 * 3.0**-336,
+        1e-12,
+    ),
+]
 
 
 def test_a_delta_window_with_a_finite_value_evaluates():
@@ -469,6 +504,76 @@ def test_a_delta_window_with_a_finite_value_evaluates():
     assert singular_fourier(SingularIntegralRequest(f, phi, 3**705)) == want
     # PLog(3): (1 - 1/p) S_2(700) = (2/3) sum_(g <= 700) g^2, to the bit
     assert apply(PLog(3), phi) == float(Fr(2, 3) * sum(g * g for g in range(701)))
+    # one level up, phi in D^(N-1)_N: each sphere's density carries the cell
+    # measure, so the split never forms 3^699 (or 3^700) as a float, nor
+    # multiplies by a subnormal 3^-671.  |t|_3 = 3^-(N+4) puts chi_p == 1 on
+    # B_N, so J there is <f, phi>
+    for N, f, want, rel in ONE_ABOVE_A_DELTA:
+        phi = TestFunction(P3, N, N - 1, [1, 0.5, 0.25])
+        value = apply(f, phi)
+        assert value.imag == 0 and value.real == pytest.approx(want, rel=rel, abs=0), (N, f)
+        J = singular_fourier(SingularIntegralRequest(f, phi, Fr(3) ** (N + 4)))
+        assert J == pytest.approx(value, rel=1e-13, abs=0)
+        report = verify_stabilization(f, phi, -N - 6, -N + 5, 2)
+        assert report.ok and len([r for r in report.rows if r.M <= -N]) == 14
+        assert all(r.J == J for r in report.rows if r.M <= -N)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    N=st.integers(-2, 2),
+    width=st.integers(1, 3),
+    family=st.sampled_from(["trivial", "ramified", "plog"]),
+    m=st.integers(0, 2),
+    alpha=st.tuples(st.floats(0.3, 2.5), st.floats(-1, 1)),
+    seed=st.integers(0, 2**16),
+    flat=st.booleans(),
+    # across the range, and near each end of it more often
+    s=st.integers(-1074, 1023) | st.integers(-1074, -1000) | st.integers(1000, 1023),
+)
+# the FFT of h passes the float range: J is taken at phi 2^-e, times 2^e
+@example(p=3, N=1, width=2, family="ramified", m=1, alpha=(1.5, 0.0), seed=4, flat=True, s=1023)
+def test_j_scales_with_phi_by_powers_of_two_to_the_bit(
+    p, N, width, family, m, alpha, seed, flat, s
+):
+    # J is linear in phi, and 2^s rounds nothing: across the float range,
+    # wherever both sides are finite and neither an entry of phi 2^s nor a
+    # value of 2^s J(phi) is subnormal (a subnormal rounds to fewer bits),
+    # J(phi 2^s) is 2^s J(phi) bit for bit, at |t|_p inside and outside the
+    # cutoff and for <f, phi>.  A flat phi (one value off B_l) with a
+    # ramified pi_1 has F[h] = 0 while h is past the float range at large
+    # s: there J is evaluated at phi 2^-e and multiplied by 2^e
+    prime = Prime(p)
+    pi1 = trivial_character(prime)
+    if family == "ramified":  # of rank 1, or 2 at p = 2
+        odd = p == 2 and NormedMultChar(prime, 2, {1: Fr(0), 3: Fr(1, 2)})
+        pi1 = odd or quadratic_character(prime)
+    f = PLog(m + 1) if family == "plog" else PiAlphaLog(complex(*alpha), pi1, m)
+    phi = random_testfn(prime, N, N - width, seed)
+    if flat:
+        phi = TestFunction(prime, N, N - width, np.where(np.arange(p**width), *phi.values[1::-1]))
+
+    def normal(values):
+        parts = np.asarray(values, dtype=complex).view(float)
+        return np.isfinite(parts).all() and not ((0 < abs(parts)) & (abs(parts) < 2**-1022)).any()
+
+    v = phi.values
+    scaled = TestFunction(prime, N, N - width, np.ldexp(v.real, s) + 1j * np.ldexp(v.imag, s))
+    assume(normal(scaled.values))
+    ts = tuple(Fr(p) ** -M for M in range(-N - 2, width - N + 3))
+    try:
+        got, want = (
+            singular_fourier(SingularIntegralRequest(f, psi, ts)) + [apply(f, psi)]
+            for psi in (scaled, phi)
+        )
+        want = [complex(math.ldexp(z.real, s), math.ldexp(z.imag, s)) for z in want]
+    except (NumericOverflow, OverflowError):
+        assume(False)
+    assume(normal(want))
+    assert [(z.real.hex(), z.imag.hex()) for z in got] == [
+        (z.real.hex(), z.imag.hex()) for z in want
+    ]
 
 
 def test_plog_j0_keeps_its_digits_on_a_deep_window():

@@ -7,6 +7,7 @@ import pytest
 
 from padicfourier import Jet, p_power_jet
 from padicfourier.errors import NumericOverflow
+from padicfourier.jets import p_power_term
 
 
 def fd_theta(fn, x, p, h=1e-6):
@@ -39,6 +40,14 @@ def test_p_power_jet_past_the_float_range():
         ]
     with pytest.raises(NumericOverflow):
         p_power_jet(3, 100000, 1.5, 2)
+
+
+def test_a_factor_below_the_normal_range_is_taken_in_logarithms():
+    # 3^-670 alone is subnormal, a dozen of its bits left; times 3^150 the
+    # entry is 3^-520, a normal float, and keeps its digits
+    for k, c in ((0, 1), (2, 300**2)):
+        got = p_power_term(3, -300, -0.5, k, -670)
+        assert got.imag == 0 and got.real == pytest.approx(c * 3.0**-520, rel=1e-12, abs=0)
 
 
 def test_a_jet_entry_is_a_finite_float():

@@ -1,8 +1,8 @@
 """tools/same_outputs.py: the fingerprint that two checkouts' outputs are
 compared by must tell apart any two values with different bits, its
 flags-only digest must see every flag, exponent and grid point but no
-floating value, and an operation whose second run differs from its first
-has no digest."""
+floating value, and an operation whose run with the oracle's kept root
+classes differs from its run with none kept has no digest."""
 
 import dataclasses
 import importlib.util
@@ -122,3 +122,31 @@ def test_digest_runs_each_operation_twice(tmp_path):
     assert same_outputs.digest(op(lambda n: 1.5, lambda n: f"J = {n}"), tmp_path, False) is None
     # whose flags, with no float, stay
     assert same_outputs.digest(op(lambda n: 0.1 * n, lambda n: "J = 2"), tmp_path, True)
+
+
+def test_digest_sees_root_classes_keyed_too_coarsely(monkeypatch, tmp_path):
+    # the oracle's root classes kept by (p, d, k), without the root order
+    # p^E: a later norm with the same d reads another norm's roots.  The run
+    # that keeps none computes them afresh, so the two digests differ
+    from fractions import Fraction as Fr
+
+    from padicfourier import PiAlphaLog, Prime, brute_force_oracle, random_testfn
+    from padicfourier import singular, trivial_character
+    from padicfourier.singular import SingularIntegralRequest
+
+    class WithoutE(singular._RootClasses):
+        def get(self, key):
+            return super().get(key[:1] + key[2:])
+
+        def put(self, key, classes):
+            return super().put(key[:1] + key[2:], classes)
+
+    P3 = Prime(3)
+    phi = random_testfn(P3, 1, -1, seed=7)
+    req = SingularIntegralRequest(
+        PiAlphaLog(0.8, trivial_character(P3), 0), phi, tuple(Fr(1, 3**M) for M in (2, 3, 4))
+    )
+    op = SimpleNamespace(run=lambda: brute_force_oracle(req))
+    assert same_outputs.digest(op, tmp_path, flags=False) is not None
+    monkeypatch.setattr(singular, "_CLASSES", WithoutE(1 << 18))
+    assert same_outputs.digest(op, tmp_path, flags=False) is None
