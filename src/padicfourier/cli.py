@@ -110,7 +110,7 @@ def _jet_order(value) -> int:
 
 def _real(value) -> float:
     x = float(value)
-    if value is True or value is False or not math.isfinite(x):
+    if isinstance(value, bool) or not math.isfinite(x):
         raise ValueError(f"not a finite number: {value!r}")
     return x
 

@@ -208,7 +208,9 @@ def j0_closed_form(
         def sphere(w):
             # the integral over S_k of pi_1(y) chi_p(yu): -1 for trivial
             # pi_1, else a Gauss sum
-            return -1 + 0j if chr_.is_trivial() else gauss_sum(chr_, w)
+            if chr_.is_trivial():
+                return -1 + 0j
+            return gauss_sum(chr_, w)
 
     else:
         raise TypeError(f"no J0 closed form for {f!r}")

@@ -71,9 +71,19 @@ class Jet:
         return self.coeffs[0]
 
 
+_NORMAL = 2.0**-1022  # the least normal float
+
+
 def p_power_jet(p: int, c: int, alpha: complex, order: int, b: int = 0) -> Jet:
     """Jet of alpha |-> p^(c alpha + b), b an integer shift: entries
-    c^k p^(c alpha + b), each a ``p_power_term``."""
+    c^k p^(c alpha + b) as ``p_power_term`` takes them, each c^k times
+    entry 0 where that is a normal float and every entry is finite."""
+    try:
+        base = p_power_term(p, c, alpha, 0, b)
+        if abs(base) >= _NORMAL:
+            return Jet(tuple(c**k * base for k in range(order + 1)))
+    except (OverflowError, NumericOverflow):
+        pass
     top = p_power_term(p, c, alpha, order, b)  # the largest: it overflows first
     return Jet(tuple(p_power_term(p, c, alpha, k, b) for k in range(order)) + (top,))
 
@@ -81,20 +91,24 @@ def p_power_jet(p: int, c: int, alpha: complex, order: int, b: int = 0) -> Jet:
 def p_power_term(p: int, c: int, alpha: complex, k: int, b: int = 0) -> complex:
     """c^k p^(c alpha + b), entry k of that jet: the split evaluator's one
     route past the float range.  In it, c^k (p^(c alpha) p^b) with p^b
-    rounded once, both factors normal floats; else sign(c)^k e^(k ln|c| +
-    (c alpha + b) ln p), 0 below the range (a zero signed as the product
-    signs it), NumericOverflow above it."""
-    z = complex(alpha) * (c * math.log(p))
+    rounded once, where both factors and their product are normal floats
+    (for c = 0, p^b alone); else sign(c)^k e^(k ln|c| + (c alpha + b) ln p),
+    0 below the range (a zero signed as the product signs it),
+    NumericOverflow above it."""
     try:
-        base, scale = cmath.exp(z), qp.p_power(p, b) if b else 1.0
-        term = c**k * (base * scale)
-        # with c != 0 a factor that is 0, or subnormal and so short of
-        # bits, may still give a term in range
-        if (not c or abs(base) >= 2.0**-1022 and scale >= 2.0**-1022) and cmath.isfinite(term):
-            return term
-    except (OverflowError, NumericOverflow):
+        base = cmath.exp(complex(alpha) * (c * math.log(p))) if alpha else 1 + 0j
+        scale = qp.p_power(p, b) if b else 1.0
+        product = base * scale
+        # a subnormal is short of bits, and with c != 0, c^k may still
+        # bring the term into range
+        if not c or abs(base) >= _NORMAL and scale >= _NORMAL and abs(product) >= _NORMAL:
+            term = c**k * product
+            if cmath.isfinite(term):
+                return term
+    except (OverflowError, NumericOverflow):  # a factor or c^k has no float
         pass
     if c:  # else p^b alone is past the range
+        z = complex(alpha) * (c * math.log(p))
         re = k * math.log(abs(c)) + z.real + b * math.log(p)
         try:
             return math.copysign(1.0, c) ** k * cmath.exp(complex(re, z.imag))

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -48,6 +49,13 @@ def test_a_factor_below_the_normal_range_is_taken_in_logarithms():
     for k, c in ((0, 1), (2, 300**2)):
         got = p_power_term(3, -300, -0.5, k, -670)
         assert got.imag == 0 and got.real == pytest.approx(c * 3.0**-520, rel=1e-12, abs=0)
+    # both factors normal, their product not: 3^-419 3^-420 rounds to 0 and
+    # 3^-300 3^-346 is subnormal, while c^k brings the entry back into range
+    for c, k, b in ((-419, 64, -420), (-300, 2, -346)):
+        want = float(Fraction(c) ** k * Fraction(3) ** (c + b))
+        got = p_power_term(3, c, 1, k, b)
+        assert got.imag == 0 and got.real == pytest.approx(want, rel=1e-12, abs=0)
+        assert p_power_jet(3, c, 1, k, b).coeffs[k] == got
 
 
 def test_a_jet_entry_is_a_finite_float():
