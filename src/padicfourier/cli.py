@@ -16,8 +16,9 @@ field-path message, a log order m or ``gamma --order`` above
 ``MAX_JET_ORDER``, a t-grid beyond ``MAX_GRID_EXPONENT`` or
 ``MAX_GRID_ROWS``, or a cell enumeration beyond 2^24 cosets); 2
 verification failure inside the stabilized region; 3 numeric error (pole
-proximity, or past the floating range: a power p^(c*alpha + b) or p^l, a J,
-<f, phi>, F[phi] or right-hand side, or the oracle's cell sums).
+proximity, or past the floating range: a power p^(c*alpha + b) or p^l, a
+sphere's density or the oracle's sphere mass, a J, <f, phi>, F[phi] or
+right-hand side, or the oracle's |cell| sum on a sphere).
 
 Configs are JSON; the schema is documented in the README.  Every field is
 read through ``_field``: it parses, or raises ``ConfigError`` with its

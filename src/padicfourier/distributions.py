@@ -136,13 +136,18 @@ QahDistribution = PiAlphaLog | PLog | DiracDelta
 
 
 def density_on_sphere(f: QahDistribution, prime: Prime, gamma: int, lam: int = 0) -> complex:
-    """f's radial factor on S_gamma times p^lam, a cell's measure:
-    gamma^m p^(c gamma + lam), c = alpha - 1 (for PLog c = -1 and m - 1 for
-    m), entry m of the jet of p^(gamma c + lam) (``p_power_term``)."""
-    if isinstance(f, PiAlphaLog):
-        return p_power_term(prime.p, gamma, f.alpha - 1, f.m, lam)
-    if isinstance(f, PLog):  # a real, integer power: p^(lam - gamma) rounded once
-        return p_power_term(prime.p, gamma, 0, f.m - 1, lam - gamma).real
+    """f's radial factor on S_gamma times p^lam (a cell's measure; at lam =
+    gamma, f's mass on S_gamma): gamma^m p^(c gamma + lam), c = alpha - 1
+    (for PLog c = -1 and m - 1 for m), entry m of the jet of p^(gamma c +
+    lam) (``p_power_term``); NumericOverflow naming f, S_gamma and p^lam."""
+    try:
+        if isinstance(f, PiAlphaLog):
+            return p_power_term(prime.p, gamma, f.alpha - 1, f.m, lam)
+        if isinstance(f, PLog):  # a real, integer power: p^(lam - gamma) rounded once
+            return p_power_term(prime.p, gamma, 0, f.m - 1, lam - gamma).real
+    except NumericOverflow:
+        what = f"the density of {f!r} on S_{gamma}, times {prime.p}^{lam},"
+        raise NumericOverflow(f"{what} is not a finite float") from None
     raise TypeError(f"no sphere density for {f!r}")
 
 

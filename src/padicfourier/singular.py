@@ -7,20 +7,22 @@ stands.  ``singular_fourier`` hands the points to the pairing core in
 at the words of the points inside its support, plus phi(0) times the
 closed-form J0.
 ``brute_force_oracle`` recomputes J on a structurally different path:
-its own plain value-times-chi_p-times-measure summation over refined
-cells on every sphere down to an analytic-tail boundary, plus the
-geometric-jet tail, with no split, no closed-form branches and no shared
-sphere kernel.  Each cell's chi_p(ct) is a root of unity read off a
-table of p^E-th roots for its norm sphere |t|_p, not one complex exp per
-cell.  On a sphere S_g a cell word w has the value row[w mod p^h] (one
-row per g per request) and the root w u mod p^d, d = g + M, of the
-table.  The factor of longer period is summed over the residue classes
-of the other once per sphere and norm; each direction then takes one dot
-product over the units below p^min(d, h).  The roots' classes depend on
-(p, E, d, k) alone, so they are kept across calls in a bounded LRU: a
-norm builds its table only for classes not kept, and a warm call equals
-a cold one bit for bit.  A sphere whose |cell| sum is past the float
-range is refused before any root table is built.
+its own plain sum of value times chi_p over refined cells on every
+sphere down to an analytic-tail boundary, plus the geometric-jet tail,
+with no split, no closed-form branches and no shared sphere kernel.
+Each cell's chi_p(ct) is a root of unity read off a table of p^E-th
+roots for its norm sphere |t|_p, not one complex exp per cell.  On a
+sphere S_g a cell word w has the value row[w mod p^h] (one row per g per
+request) and the root w u mod p^d, d = g + M, of the table.  The factor
+of longer period is summed over the residue classes of the other once
+per sphere and norm; each direction then takes one dot product over the
+units below p^min(d, h), scaled by p^-max(d, h), a normal float, times
+f's mass g^m p^(alpha g) (its density times p^g), taken once per sphere:
+no cell measure is formed.  The roots' classes depend on (p, E, d, k)
+alone, so they are kept across calls in a bounded LRU: a norm builds its
+table only for classes not kept, and a warm call equals a cold one bit
+for bit.  A sphere whose row of |cell values| sums past the float range
+is refused before any root table is built.
 """
 
 from __future__ import annotations
@@ -104,16 +106,16 @@ def brute_force_oracle(
     exact zero for ramified, finite power sum for PLog).  It shares no
     sphere kernel with ``singular_fourier``.  A tuple of t gives a list,
     one J per t; the points of one norm share everything but chi_p.
-    NumericOverflow when a J or a sphere's |cell| sum is not a finite float."""
+    NumericOverflow when a J, a sphere's mass or its row's |cell| sum is
+    not a finite float."""
     if refine < 0:
         raise ValueError(f"refine must be >= 0, got {refine}")
     f, phi, grid = req.f, req.phi, req._grid
     if isinstance(f, DiracDelta):
         return req._shaped([phi.at(0)] * len(grid))
     prime, l = phi.prime, phi.l
-    p = prime.p
     chr_ = char_of(f, prime)
-    k0 = chr_.k0
+    p, k0 = prime.p, chr_.k0
     is_plog = isinstance(f, PLog)
     # the PLog regularization subtracts phi(0) over all of B_0, so its
     # sphere sums run to S_0 even when phi's support stops below it
@@ -122,43 +124,31 @@ def brute_force_oracle(
     norms: dict[int, list[tuple[int, int]]] = {}
     for i, (M, u) in enumerate(grid):
         norms.setdefault(M, []).append((i, u))
-    # every sphere of every norm is checked (word count, cell measure p^lam,
-    # density) and every tail evaluated, in the order a per-t evaluation
-    # meets them, before any cell is summed: an oversize or overflowing
-    # request raises before it enumerates
+    # every sphere of every norm is checked (word count, mass) and every
+    # tail evaluated, in the order a per-t evaluation meets them, before
+    # any cell is summed: an oversize or overflowing request raises before
+    # it enumerates
     plans = []
-    densities: dict[int, complex] = {}  # per sphere S_g, shared by every norm
-    deepest: dict[int, int] = {}  # per S_g, the most digits of any norm's words
+    masses: dict[int, complex] = {}  # per sphere S_g, shared by every norm
     tails: dict[int, complex] = {}  # per boundary gamma*
     for M, members in norms.items():
         gamma_star = min(-M, l) - refine
-        spheres = []
-        for g in range(gamma_star + 1, top + 1):
-            lam = min(l, -M, g - max(k0, 1)) - refine
-            n = g - lam  # digits per cell word
-            qp.check_word_count(p, n)
-            measure = qp.p_power(p, lam)
-            # interior PLog integrand is phi*chi - phi(0), i.e. the (phi -
-            # phi(0))*chi cells plus phi(0)*(chi - 1), whose integral over S_g
-            # is 0 for g + M <= 0, -p^g at g + M = 1, else -(p - 1) p^(g-1)
-            pinned = None
-            if is_plog and g <= 0:
-                d = g + M
-                pinned = phi.at_zero * (0.0 if d <= 0 else -(p if d == 1 else p - 1) / p ** (1 - g))
-            if g not in densities:
-                densities[g] = density_on_sphere(f, prime, g)
-            deepest[g] = max(deepest.get(g, n), n)
-            spheres.append((g, n, measure, pinned))
+        spheres = range(gamma_star + 1, top + 1)
+        for g in spheres:
+            lam = min(l, -M, g - max(k0, 1)) - refine  # cells of measure p^lam
+            qp.check_word_count(p, g - lam)
+            if g not in masses:  # f's density on S_g times p^g, g^m p^(alpha g)
+                masses[g] = density_on_sphere(f, prime, g, g)
         if gamma_star not in tails:  # every norm past the threshold has l - refine
             tails[gamma_star] = _oracle_tail(f, prime, gamma_star)
         plans.append((M, members, spheres, tails[gamma_star]))
-    # phi and pi_1 read only the digits of a cell word w below p^h (h <= n,
-    # as lam <= min(l, g - max(k0, 1))): one row of cell values per S_g over
-    # the units below p^h, in blocks of the units below any p^k, k <= h.  The
-    # sums below add each entry's p^(n-h) copies before chi_p cancels any,
+    # phi and pi_1 read only the digits of a cell word w below p^h (h <=
+    # n = g - lam, as lam <= min(l, g - max(k0, 1))): one row of cell values
+    # per S_g over the units below p^h, in blocks of the units below any p^k,
+    # k <= h.  The sums below add a row's entries before chi_p cancels any,
     # which past the float range is rounding noise
     rows = {}
-    for g, n in deepest.items():
+    for g in masses:
         h = max(g - l, k0, 1)
         units = qp._sphere_words(p, h)
         row = phi.sample(units, g)
@@ -166,7 +156,7 @@ def brute_force_oracle(
             row -= phi.values[0]
         if k0 >= 1:
             row *= chr_.complex_table()[units % p**k0]
-        qp.check_finite([np.abs(row).sum() * p ** (n - h)], f"the oracle's |cell| sum on S_{g}")
+        qp.check_finite([np.abs(row).sum()], f"the oracle's |cell| sum on S_{g}")
         rows[g] = (h, units, row)
     values = [0j] * len(grid)
     for M, members, spheres, tail in plans:
@@ -176,12 +166,11 @@ def brute_force_oracle(
         E = top + M
         roots = None
         totals = [0j] * len(members)
-        for g, n, measure, pinned in spheres:
+        for g in spheres:
             h, units, row = rows[g]
             d = g + M
             if d <= 0:  # chi_p == 1 on S_g
-                cells = [np.tile(row, (p - 1) * p ** (n - 1) // row.size).sum()] * len(members)
-                scale = measure
+                sums = [row.sum()] * len(members)
             else:
                 # chi_p(ct), c = w p^-g, is entry w u mod p^d of the strided
                 # view and the value is row[w mod p^h]: each is summed over its
@@ -196,14 +185,18 @@ def brute_force_oracle(
                         roots = _roots(p, E)
                     classes = _CLASSES.put(key, _fold(roots[:: p ** (E - d)], p**k))
                 folded = _fold(row, width)
-                cells = [np.einsum("i,i", folded, classes[_times(units[:width], u, p**k)])
-                         for _, u in members]
-                scale = qp.p_power(p, g - max(d, h))  # p^(n - max(d, h)) cells of p^lam
-            for j, cell in enumerate(cells):
-                cell = complex(cell) * scale
-                if pinned is not None:
-                    cell += pinned
-                totals[j] += densities[g] * cell
+                sums = [np.einsum("i,i", folded, classes[_times(units[:width], u, p**k)])
+                        for _, u in members]
+            # each term of a sum stands for p^(n - max(d, h)) cells of measure
+            # p^lam = p^(g - n): p^-max(d, h) times the mass's p^g.  PLog's
+            # interior integrand is phi*chi - phi(0): the (phi - phi(0))*chi
+            # cells plus phi(0)*(chi - 1), whose integral over S_g is, in units
+            # of p^g, 0 for d <= 0, -1 at d = 1, else -(1 - 1/p)
+            scale, pinned = qp.p_power(p, -max(d, h)), 0.0
+            if is_plog and g <= 0 and d > 0:
+                pinned = -phi.at_zero * (1.0 if d == 1 else (p - 1) / p)
+            for j, s in enumerate(sums):
+                totals[j] += masses[g] * (complex(s) * scale + pinned)
         for (i, _), total in zip(members, totals):
             values[i] = total + phi.at_zero * tail
         roots = classes = None  # freed before the next norm builds its table

@@ -291,8 +291,11 @@ def test_one_level_above_a_delta_window_exits_0(tmp_path, capsys, distribution, 
     value = capsys.readouterr().out.split(" = ")[-1].strip()
     assert complex(value.replace("i", "j")) == pytest.approx(want, rel=1e-12)
     # |t|_3 = 3^-704: chi_p == 1 on B_700, so J is <f, phi>
-    assert run(["singular", "--config", cfg, "--t", str(3**704)]) == 0
-    assert capsys.readouterr().out.splitlines()[0].endswith(f") = {value}")
+    assert run(["singular", "--config", cfg, "--t", str(3**704), "--oracle"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith(f") = {value}")
+    oracle = complex(out[1].split(" = ")[-1].strip().replace("i", "j"))
+    assert oracle == pytest.approx(want, rel=1e-12)
     assert run(["verify", "--config", cfg]) == 0
 
 
@@ -437,17 +440,20 @@ LARGE_CFG = {
 #: moved their oracle J by 7.1e-16 at most, |J| <= 2.3; cubic, large,
 #: quintic and ramified verify: re-pinned when each sphere's density took the
 #: cell measure p^lam, which moved J by 1.2 eps of the report's largest |J|
-#: at most); every row's floats, their formatting and the JSON layout must
-#: keep these bytes (PLog has no Erdelyi check)
+#: at most; cubic and ramified erdelyi again when the oracle took each
+#: sphere's mass g^m p^(alpha g) in place of a cell measure, which moved
+#: their oracle J by 0.51 eps of the report's largest |J| at most, 2.5e-16
+#: with |J| <= 2.3); every row's floats, their formatting and the JSON
+#: layout must keep these bytes (PLog has no Erdelyi check)
 PINNED_REPORTS = {
     ("ramified", "verify", "csv"): "15c92ea14a1a7e357e1214e536c81740bc001213618b1f127d692c28c8a05b74",
     ("ramified", "verify", "json"): "f47fcea4bdc3b1187c86612dc3e7a0fba00ceb54e71969c728e5b8d4bc669644",
-    ("ramified", "erdelyi", "csv"): "bcb60f11bcc0c28b5b69e8d27daa6187f7efd0de6628156fa1b857581a734b6e",
-    ("ramified", "erdelyi", "json"): "8e812904cd4172b88fbd275e775baf7e51f5537e904ad8ed0d47e9cfba012d00",
+    ("ramified", "erdelyi", "csv"): "9974e6380b95df2801d9495999b78c61cb5f710e004f272e513e723360780a0d",
+    ("ramified", "erdelyi", "json"): "ca2dc970f71c733f477e0705707a26566279ff1ed5bbe111fe35b5a998d1a6b1",
     ("cubic", "verify", "csv"): "71140342e434f60a61a3668c96eae19c4d836e67461fae807f4c9d9b17319fae",
     ("cubic", "verify", "json"): "c5793f481c6bcd16501336902ecc47af42dba58d243d3319baa6e9d7cb5c1869",
-    ("cubic", "erdelyi", "csv"): "7d1a272128776b9089fdf253962e4f155b970f7521016ed15a80623f8f9904bd",
-    ("cubic", "erdelyi", "json"): "0d41445e252d404ab76fdd3e89219d994ec86388f38c2a4b1c1222921b605bd9",
+    ("cubic", "erdelyi", "csv"): "489faea066f9aebc03925a4bdcb4c3c47f102ae20cbf0b2e3458defb37852929",
+    ("cubic", "erdelyi", "json"): "3b9cc72fc6ac8d0514f4a2aa4293e2ff611fdf513d9798ccfe80fa81488668ed",
     ("plog", "verify", "csv"): "6233b1cb2894aa0fd39e8d7a21a0d9b0596742762d99abf9a69037e7ec212e30",
     ("plog", "verify", "json"): "4f29e7c15ac230cc846cce503ce1c2422f69a74530d4f372a297a60794a5c00f",
     ("binary", "verify", "csv"): "dd31adf63366f889e6121bed9af47fe828b3f3c75e8337ba46cd2b6e7d313e8c",
@@ -477,10 +483,12 @@ def test_report_bytes_are_pinned(tmp_path, case):
 #: (``singular cubic --t 1/9``: re-pinned with the ramified P about its
 #: root, where its rhs at M = k0 is an exact 0; both ``singular --oracle``
 #: lines: re-pinned when the oracle folded each sphere's periodic factor,
-#: which moved the oracle line by 1.5e-16 at most; both ``eval-dist`` lines:
-#: re-pinned when each sphere's density took the cell measure p^lam, which
-#: moved <f, phi>, a cancellation to about 5e-16, by 0.1 eps of
-#: ||p^lam h||_1); a config name stands for ``--config`` with that config
+#: which moved the oracle line by 1.5e-16 at most, and again when it took
+#: each sphere's mass in place of a cell measure, 6.2e-17 at most; both
+#: ``eval-dist`` lines: re-pinned when each sphere's density took the cell
+#: measure p^lam, which moved <f, phi>, a cancellation to about 5e-16, by
+#: 0.1 eps of ||p^lam h||_1); a config name stands for ``--config`` with
+#: that config
 PINNED_OUTPUTS = {
     ("chi", "--p", "3", "--x", "1/3"): "e863832c120f52dba52c9836593430d0067edb7c4ddf692908db48df7763fc0a",
     ("chi", "--p", "3", "--x=-5/9"): "f2de7e8bcbfad94b08921c6b7994def02a406d1fdff6f377ebb02879af84348f",
@@ -488,8 +496,8 @@ PINNED_OUTPUTS = {
     ("chi", "--p", "2", "--x", "7/2"): "5f3443134295322dba5b42d9e860c3afd024682356b84a84eae3ead20dc56322",
     ("eval-dist", "cubic"): "161b1432baf67a7a030018756510c1f2b7cc864926b935497b100772ba208289",
     ("eval-dist", "ramified"): "5cd267d569408f9767891349952d9b54abf259849502fe2010e71cf98c7ee072",
-    ("singular", "cubic", "--t", "1/9", "--oracle"): "1e449314b4a4b75845248d353946386794a691968fe92f40f411e40633ac6fcc",
-    ("singular", "cubic", "--t", "5/243", "--oracle"): "0e6dd4fb693e4a2a420168309dbcd6665faaa5a488e61fecff1eefd370ffbc7b",
+    ("singular", "cubic", "--t", "1/9", "--oracle"): "fa850a762b4222566614ec93bee7ffb857345c959b8cf3ff7ed0bdae297891e1",
+    ("singular", "cubic", "--t", "5/243", "--oracle"): "6bdf0dd71389d2ddb3225bd66743dbd743d3be4d8dada0eac90fd542141c3380",
     ("bernoulli", "--upto", "258"): "9bf2052e61213dd531e3934ac7a69d021e4edd070169d93d9c5361e6980e9f6f",
 }
 
@@ -675,6 +683,19 @@ CLI_BRANCHES = [
         ["eval-dist", "--config", "{cfg}"],
         1,
         "error: config.test_function.values: not a finite number: True",
+    ),
+    # a sphere density past the float range names f, the sphere and the
+    # power of p it carries, not the jet's variables
+    (
+        dict(
+            RAMIFIED_CFG,
+            distribution=dict(RAMIFIED_CFG["distribution"], alpha=-800),
+            test_function={"kind": "table", "N": 0, "l": -2, "values": [[1.0, 0.0]] * 9},
+        ),
+        ["eval-dist", "--config", "{cfg}"],
+        3,
+        "numeric error: the density of PiAlphaLog(alpha=(-800+0j), pi1=NormedMultChar(p=3, k0=1),"
+        " m=1) on S_-1, times 3^-2, is not a finite float",
     ),
 ]
 
@@ -882,13 +903,23 @@ def test_density_overflow_is_a_numeric_error(tmp_path, capsys):
 
 
 
-def test_plog_oracle_density_overflow_is_a_numeric_error(tmp_path, capsys):
-    # the oracle sums down to S_-699 at |t|_3 = 3^700, where the PLog
-    # density 3^-gamma gamma is beyond the floating range
+def test_oracle_sphere_mass_overflow_is_a_numeric_error(tmp_path, capsys):
+    # the oracle sums down to S_-699 at |t|_3 = 3^700, where the PLog mass
+    # of a sphere, gamma^(m-1), is a float: S_-684's 3^16 words are past the cap
     path = write_cfg(tmp_path, PLOG_CFG)
-    assert run(["singular", "--config", path, "--t", f"1/{3**700}", "--oracle"]) == 3
+    assert run(["singular", "--config", path, "--t", f"1/{3**700}", "--oracle"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("numeric error: ") and "Traceback" not in err
+    assert "coset enumeration too large: 3^16 words" in err and "Traceback" not in err
+    # alpha = 647 on S_1: J is finite, as the split's density there is
+    # 3^646, but the oracle's mass 3^647 of the sphere is past the range
+    cfg = dict(POWER_CFG, prime=3, distribution=dict(POWER_CFG["distribution"], alpha=647))
+    values = [[1, 0], [0.5, 0], [0.25, 0]]
+    cfg["test_function"] = {"kind": "table", "N": 1, "l": 0, "values": values}
+    path = write_cfg(tmp_path, cfg, "mass.json")
+    assert run(["singular", "--config", path, "--t", "1/3", "--oracle"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: the density of PiAlphaLog(alpha=(647+0j)")
+    assert "on S_1, times 3^1, is not a finite float" in err and "Traceback" not in err
 
 
 def test_pole_check_overflow_is_a_numeric_error(tmp_path, capsys):

@@ -512,8 +512,13 @@ def test_a_delta_window_with_a_finite_value_evaluates():
         phi = TestFunction(P3, N, N - 1, [1, 0.5, 0.25])
         value = apply(f, phi)
         assert value.imag == 0 and value.real == pytest.approx(want, rel=rel, abs=0), (N, f)
-        J = singular_fourier(SingularIntegralRequest(f, phi, Fr(3) ** (N + 4)))
+        request = SingularIntegralRequest(f, phi, Fr(3) ** (N + 4))
+        J = singular_fourier(request)
         assert J == pytest.approx(value, rel=1e-13, abs=0)
+        # the oracle takes each sphere's mass g^m 3^(alpha g) once, with no
+        # cell measure 3^699 or 3^-671 of its own
+        oracle = brute_force_oracle(request)
+        assert oracle.imag == 0 and oracle.real == pytest.approx(want, rel=rel, abs=0), (N, f)
         report = verify_stabilization(f, phi, -N - 6, -N + 5, 2)
         assert report.ok and len([r for r in report.rows if r.M <= -N]) == 14
         assert all(r.J == J for r in report.rows if r.M <= -N)
