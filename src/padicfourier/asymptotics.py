@@ -310,7 +310,6 @@ def _sweep(
     M_max: int,
     units_per_sphere: int,
     evaluate_J,
-    split_level: int | None,
     theorem: str,
     tolerance_scale: float,
     strict: bool,
@@ -330,7 +329,7 @@ def _sweep(
     units = unit_directions(prime, units_per_sphere)
     grid = [(M, u) for M in range(M_min, M_max + 1) for u in units]
     rhs_values = prediction._on_grid(phi.at_zero, grid)
-    request = SingularIntegralRequest(f, phi, None, split_level, _grid=tuple(grid))
+    request = SingularIntegralRequest(f, phi, None, _grid=tuple(grid))
     rows = []
     for (M, u), J, rhs in zip(grid, evaluate_J(request), rhs_values):
         err = abs(J - rhs)
@@ -380,7 +379,6 @@ def verify_stabilization(
     M_min: int,
     M_max: int,
     units_per_sphere: int = 3,
-    split_level: int | None = None,
     tolerance_scale: float = TOLERANCE_SCALE,
     strict: bool = True,
 ) -> StabilizationReport:
@@ -398,7 +396,6 @@ def verify_stabilization(
         M_max,
         units_per_sphere,
         singular_fourier,
-        split_level,
         theorem_family(f),
         tolerance_scale,
         strict,
@@ -430,7 +427,6 @@ def erdelyi_check(
         M_max,
         units_per_sphere,
         brute_force_oracle,
-        None,
         "erdelyi",
         tolerance_scale,
         strict,

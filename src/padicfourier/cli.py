@@ -319,10 +319,9 @@ def _cmd_eval_dist(args) -> int:
 def _cmd_singular(args) -> int:
     if args.refine < 0:
         raise ConfigError("--refine: must be >= 0")
-    cfg, prime, f, phi = _load(args)
+    _, prime, f, phi = _load(args)
     t = _parse(args.t, "--t", parse_rational)
-    split = _field(cfg, "split_level", "config", _integer, default=None)
-    req = SingularIntegralRequest(f, phi, t, split)
+    req = SingularIntegralRequest(f, phi, t)
     J = singular_fourier(req)
     lines = [f"J(t = {t}) = {_fmt_complex(J)}"]
     if args.oracle:
@@ -387,10 +386,7 @@ def _cmd_sweep(args) -> int:
     if erdelyi:
         report = erdelyi_check(f.alpha, f.pi1, f.m, phi, M_min, M_max, **options)
     else:
-        split = _field(cfg, "split_level", "config", _integer, default=None)
-        report = verify_stabilization(
-            f, phi, M_min, M_max, split_level=split, **options
-        )
+        report = verify_stabilization(f, phi, M_min, M_max, **options)
     _emit_report(report, cfg, args)
     return EXIT_OK if report.ok else EXIT_MISMATCH
 

@@ -56,8 +56,7 @@ def _denominator(prime: Prime, alpha: complex, order: int) -> Jet:
 def gamma_p(prime: Prime, alpha: complex, order: int = 0) -> Jet:
     """Theta-jet of Gamma_p(alpha) = (1 - p^{alpha-1}) / (1 - p^{-alpha})."""
     den = _denominator(prime, alpha, order)
-    p = prime.p
-    num = Jet.constant(1, order) - p_power_jet(p, 1, alpha, order).scale(Fraction(1, p))
+    num = Jet.constant(1, order) - p_power_jet(prime.p, 1, alpha, order, -1)
     return num / den
 
 

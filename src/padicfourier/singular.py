@@ -45,7 +45,7 @@ from .distributions import (
     density_on_sphere,
     j0_closed_form,  # noqa: F401 -- the package and bench/tracing.py bind it here
 )
-from .errors import BadWindow, ZeroArgument
+from .errors import ZeroArgument
 from .gamma import ball_tail, faulhaber_sum
 from .qp import Prime, Rational
 from .testfn import TestFunction
@@ -54,13 +54,12 @@ from .testfn import TestFunction
 @dataclass(frozen=True)
 class SingularIntegralRequest:
     """One evaluation J_{f, phi}(t), or one per t of a tuple of nonzero
-    points; split_level defaults to phi's l.  ``_grid`` holds each point
-    t = u p^-M as (M, u mod p^max(24, k0)): split from t, or given with t = None."""
+    points, paired as F[h] + phi(0) J0 split at phi's l.  ``_grid`` holds each
+    point t = u p^-M as (M, u mod p^max(24, k0)): from t, or given with t = None."""
 
     f: QahDistribution
     phi: TestFunction
     t: Rational | tuple[Rational, ...] | None
-    split_level: int | None = None
     _grid: tuple[tuple[int, int], ...] | None = field(default=None, repr=False, kw_only=True)
 
     def __post_init__(self):
@@ -77,14 +76,6 @@ class SingularIntegralRequest:
             object.__setattr__(self, "_grid", tuple(qp.split(t, self.phi.prime, k) for t in ts))
         if not self._grid:
             raise ZeroArgument("a batch of points needs at least one t")
-        l0 = self.level()
-        if l0 > self.phi.N:
-            raise BadWindow(
-                f"split level l0 = {l0} exceeds support N = {self.phi.N}"
-            )
-
-    def level(self) -> int:
-        return self.phi.l if self.split_level is None else int(self.split_level)
 
     def _shaped(self, values: list[complex]) -> complex | list[complex]:
         return values if self.t is None or isinstance(self.t, tuple) else values[0]
@@ -93,7 +84,7 @@ class SingularIntegralRequest:
 def singular_fourier(req: SingularIntegralRequest) -> complex | list[complex]:
     """J(t) = <f(x) chi_p(xt), phi(x)>, exactly (up to floating rounding).
     A tuple of t gives a list, one J per t, all read off one transform."""
-    return req._shaped(_pairing(req.f, req.phi, req._grid, req.level()))
+    return req._shaped(_pairing(req.f, req.phi, req._grid, req.phi.l))
 
 
 @np.errstate(over="ignore", invalid="ignore")

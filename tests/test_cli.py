@@ -922,6 +922,21 @@ def test_oracle_sphere_mass_overflow_is_a_numeric_error(tmp_path, capsys):
     assert "on S_1, times 3^1, is not a finite float" in err and "Traceback" not in err
 
 
+def test_gamma_p_takes_p_to_alpha_minus_one_in_range(tmp_path, capsys):
+    # Gamma_3(647) holds p^646: p^647 alone is past the float range
+    assert run(["gamma", "--p", "3", "--alpha", "647"]) == 0
+    assert capsys.readouterr().out == "Gamma_3(647+0i) = -1.6608505280232736e+308+0i\n"
+    cfg = dict(POWER_CFG, prime=3, distribution=dict(POWER_CFG["distribution"], alpha=647))
+    values = [[1, 0], [0.5, 0], [0.25, 0]]
+    cfg["test_function"] = {"kind": "table", "N": 1, "l": 0, "values": values}
+    assert run(["singular", "--config", write_cfg(tmp_path, cfg), "--t", "1/3"]) == 0
+    out = [line.rpartition(" = ") for line in capsys.readouterr().out.splitlines()]
+    lines = {key.strip(): value for key, _, value in out}
+    assert lines["J(t = 1/3)"] == "-0.33333333333333331+0i"
+    J, rhs = (complex(lines[key].replace("i", "j")) for key in ("J(t = 1/3)", "rhs"))
+    assert abs(J - rhs) <= 6e-14
+
+
 def test_pole_check_overflow_is_a_numeric_error(tmp_path, capsys):
     # the pole check's 7^-alpha at alpha = -400 is beyond the floating range
     cfg = dict(POWER_CFG, prime=7)
@@ -976,7 +991,6 @@ BAD_FIELDS = [
     (RAMIFIED_CFG, ("t_grid", "M_max"), 10**6, "config.t_grid.M_max"),
     (RAMIFIED_CFG, ("t_grid", "units_per_sphere"), MAX_GRID_ROWS, "config.t_grid"),
     (RAMIFIED_CFG, ("t_grid", "units_per_sphere"), 100000, "config.t_grid"),
-    (RAMIFIED_CFG, ("split_level",), "low", "config.split_level"),
     (RAMIFIED_CFG, ("tolerance",), "tight", "config.tolerance"),
     (RAMIFIED_CFG, ("tolerance",), -1, "config.tolerance"),
     (RAMIFIED_CFG, ("test_function",), [1, 2], "config.test_function"),
@@ -999,6 +1013,17 @@ def test_every_config_field_parses_or_names_itself(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith(f"error: {where}: "), (err, where)
             assert "Traceback" not in err
+
+
+def test_a_retired_split_level_key_is_ignored(tmp_path, capsys):
+    # J splits at phi's own l: a config that still names a split level
+    # reads as one without it, like any other unknown key
+    plain = write_cfg(tmp_path, RAMIFIED_CFG)
+    keyed = write_cfg(tmp_path, dict(RAMIFIED_CFG, split_level=1), "keyed.json")
+    assert run(["verify", "--config", plain]) == 0
+    want = capsys.readouterr().out
+    assert run(["verify", "--config", keyed]) == 0
+    assert capsys.readouterr().out == want
 
 
 def _paths(node, prefix=()):
