@@ -98,7 +98,7 @@ class AsymptoticPrediction:
     powers of x = M - k0 (constant first; x = M for k0 = 0), the
     predicted stabilization exponent e = -l + k0
     and a description of the asymptotic scale family.  ``rhs``
-    evaluates it at one t."""
+    evaluates it at one t, ``on_grid`` at points already split."""
 
     prime: Prime
     s_pred_exponent: int
@@ -112,12 +112,15 @@ class AsymptoticPrediction:
         |t|_p > p^{s_pred_exponent}; callers may probe below it)."""
         if t == 0:
             raise ZeroArgument("t = 0 has no asymptotic side")
-        return self._on_grid(phi0, [qp.split(t, self.prime, self.pi1.k0)])[0]
+        return self.on_grid(phi0, [qp.split(t, self.prime, self.pi1.k0)])[0]
 
-    def _on_grid(self, phi0: complex, points: list[tuple[int, int]]) -> list[complex]:
-        # at t = u p^{-M} for every (M, u): phi(0) r^M P(M) once per sphere
-        # M, times pi_1^{-1}(u) = pi_1(u^-1) once per residue u mod p^k0 (angle
-        # (-a_u) mod den by the group law; a conjugate would round differently)
+    def on_grid(self, phi0: complex, points: list[tuple[int, int]]) -> list[complex]:
+        """The right-hand side at every t = u p^{-M} of points, (M, u) pairs
+        as a request holds them (u known modulo p^k0 at least), one per
+        point; NumericOverflow where one is not a finite float."""
+        # phi(0) r^M P(M) once per sphere M, times pi_1^{-1}(u) = pi_1(u^-1)
+        # once per residue u mod p^k0 (angle (-a_u) mod den by the group
+        # law; a conjugate would round differently)
         mod = self.prime.p**self.pi1.k0
         spheres, twists, values = {}, {}, []
         for M, u in points:
@@ -328,7 +331,7 @@ def _sweep(
     prediction = predict_expansion(f, phi.l, prime)
     units = unit_directions(prime, units_per_sphere)
     grid = [(M, u) for M in range(M_min, M_max + 1) for u in units]
-    rhs_values = prediction._on_grid(phi.at_zero, grid)
+    rhs_values = prediction.on_grid(phi.at_zero, grid)
     request = SingularIntegralRequest(f, phi, None, _grid=tuple(grid))
     rows = []
     for (M, u), J, rhs in zip(grid, evaluate_J(request), rhs_values):

@@ -328,7 +328,7 @@ def _cmd_singular(args) -> int:
         O = brute_force_oracle(req, refine=args.refine)
         lines.append(f"oracle    = {_fmt_complex(O)}")
         lines.append(f"|J - oracle| = {_fmt(abs(J - O))}")
-    rhs = predict_expansion(f, phi.l, prime)._on_grid(phi.at_zero, req._grid)[0]
+    rhs = predict_expansion(f, phi.l, prime).on_grid(phi.at_zero, req._grid)[0]
     lines.append(f"rhs       = {_fmt_complex(rhs)}")
     _write_output("\n".join(lines), args.out)
     return EXIT_OK

@@ -10,25 +10,29 @@ closed-form J0.
 its own plain sum of value times chi_p over refined cells on every
 sphere down to an analytic-tail boundary, plus the geometric-jet tail,
 with no split, no closed-form branches and no shared sphere kernel.
-Each cell's chi_p(ct) is a root of unity read off a table of p^E-th
-roots for its norm sphere |t|_p, not one complex exp per cell.  On a
-sphere S_g a cell word w has the value row[w mod p^h] (one row per g per
-request) and the root w u mod p^d, d = g + M, of the table.  The factor
-of longer period is summed over the residue classes of the other once
-per sphere and norm; each direction then takes one dot product over the
-units below p^min(d, h), scaled by p^-max(d, h), a normal float, times
-f's mass g^m p^(alpha g) (its density times p^g), taken once per sphere:
-no cell measure is formed.  The roots' classes depend on (p, E, d, k)
-alone, so they are kept across calls in a bounded LRU: a norm builds its
-table only for classes not kept, and a warm call equals a cold one bit
-for bit.  A sphere whose row of |cell values| sums past the float range
-is refused before any root table is built.
+Each cell's chi_p(ct) is a root of unity read off a table of p^d-th
+roots, d = g + M for the sphere S_g of the norm |t|_p = p^M, not one
+complex exp per cell.  On S_g a cell word w has the value row[w mod p^h]
+and the root w u mod p^d.  The factor of longer period is summed over the
+residue classes mod p^k, k = min(d, h), of the other; each direction then
+takes one dot product over the units below p^k, scaled by p^-max(d, h), a
+normal float, times f's mass g^m p^(alpha g) (its density times p^g),
+taken once per sphere: no cell measure is formed.  The roots' classes
+depend on (p, d, k) alone, so they are kept across calls in a bounded
+LRU, and a call builds one table per d only for classes not kept; a warm
+call equals a cold one bit for bit.  Within a call, rows equal by
+construction are one row (phi is phi(0) on every S_g with g <= l), so a
+sum over a sphere deep in B_l is taken once per (row, d, k, u mod p^k) and
+read by every norm that meets it; the folds, the index arrays, the d <= 0
+row sums and the tail's jet are likewise taken once.  A sphere whose row
+of |cell values| sums past the float range is refused before any root
+table is built.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -96,7 +100,7 @@ def brute_force_oracle(
     plus the closed-form tail below it (geometric jet for trivial pi_1,
     exact zero for ramified, finite power sum for PLog).  It shares no
     sphere kernel with ``singular_fourier``.  A tuple of t gives a list,
-    one J per t; the points of one norm share everything but chi_p.
+    one J per t; a sum that repeats within the call is taken once.
     NumericOverflow when a J, a sphere's mass or its row's |cell| sum is
     not a finite float."""
     if refine < 0:
@@ -122,6 +126,8 @@ def brute_force_oracle(
     plans = []
     masses: dict[int, complex] = {}  # per sphere S_g, shared by every norm
     tails: dict[int, complex] = {}  # per boundary gamma*
+    depths: defaultdict[int, set[int]] = defaultdict(set)  # the k of each sphere, by d
+    tail_at = None  # the tail's jet, built once at the first boundary
     for M, members in norms.items():
         gamma_star = min(-M, l) - refine
         spheres = range(gamma_star + 1, top + 1)
@@ -130,16 +136,26 @@ def brute_force_oracle(
             qp.check_word_count(p, g - lam)
             if g not in masses:  # f's density on S_g times p^g, g^m p^(alpha g)
                 masses[g] = density_on_sphere(f, prime, g, g)
+            if g + M > 0:
+                depths[g + M].add(min(g + M, max(g - l, k0, 1)))
         if gamma_star not in tails:  # every norm past the threshold has l - refine
-            tails[gamma_star] = _oracle_tail(f, prime, gamma_star)
+            if tail_at is None:
+                tail_at = _oracle_tail(f, prime)
+            tails[gamma_star] = tail_at(gamma_star)
         plans.append((M, members, spheres, tails[gamma_star]))
     # phi and pi_1 read only the digits of a cell word w below p^h (h <=
     # n = g - lam, as lam <= min(l, g - max(k0, 1))): one row of cell values
-    # per S_g over the units below p^h, in blocks of the units below any p^k,
-    # k <= h.  The sums below add a row's entries before chi_p cancels any,
-    # which past the float range is rounding noise
-    rows = {}
+    # over the units below p^h, in blocks of the units below any p^k, k <= h.
+    # Rows equal by construction are one row: phi is phi(0) on every S_g,
+    # g <= l, so S_g reads the row of S_max(g, l), but PLog subtracts phi(0)
+    # on g <= 0 alone, where it reads that of S_max(g, min(l, 0)).  The sums
+    # below add a row's entries before chi_p cancels any, which past the
+    # float range is rounding noise
+    keys, rows = {}, {}
     for g in masses:
+        keys[g] = key = max(g, min(l, 0) if is_plog and g <= 0 else l)
+        if key in rows:
+            continue
         h = max(g - l, k0, 1)
         units = qp._sphere_words(p, h)
         row = phi.sample(units, g)
@@ -148,70 +164,73 @@ def brute_force_oracle(
         if k0 >= 1:
             row *= chr_.complex_table()[units % p**k0]
         qp.check_finite([np.abs(row).sum()], f"the oracle's |cell| sum on S_{g}")
-        rows[g] = (h, units, row)
+        rows[key] = (h, units, row)
+    classes = _root_classes(p, depths)
+    # a class sum depends on the row, d, k and u mod p^k alone, a fold on
+    # the row and its width, an index on k and u mod p^k: each is taken
+    # once for the call, and read by every sphere and norm that meets it
+    sums, folds, indices = {}, {}, {}
     values = [0j] * len(grid)
     for M, members, spheres, tail in plans:
-        # one table of p^E-th roots for the norm, E = top + M <= qp._MAX_DIGITS
-        # as the top sphere's p^(top-lam) >= p^E words passed the 2^24 cap,
-        # built at its first sphere whose root classes are not kept
-        E = top + M
-        roots = None
         totals = [0j] * len(members)
         for g in spheres:
-            h, units, row = rows[g]
-            d = g + M
-            if d <= 0:  # chi_p == 1 on S_g
-                sums = [row.sum()] * len(members)
-            else:
-                # chi_p(ct), c = w p^-g, is entry w u mod p^d of the strided
-                # view and the value is row[w mod p^h]: each is summed over its
-                # classes mod p^k once, and as w -> w u permutes the words,
-                # direction u reads values of class a against roots of class a u
-                k = min(d, h)
-                width = (p - 1) * p ** (k - 1)  # the units below p^k
-                key = (p, E, d, k)
-                classes = _CLASSES.get(key)
-                if classes is None:
-                    if roots is None:
-                        roots = _roots(p, E)
-                    classes = _CLASSES.put(key, _fold(roots[:: p ** (E - d)], p**k))
-                folded = _fold(row, width)
-                sums = [np.einsum("i,i", folded, classes[_times(units[:width], u, p**k)])
-                        for _, u in members]
-            # each term of a sum stands for p^(n - max(d, h)) cells of measure
-            # p^lam = p^(g - n): p^-max(d, h) times the mass's p^g.  PLog's
-            # interior integrand is phi*chi - phi(0): the (phi - phi(0))*chi
-            # cells plus phi(0)*(chi - 1), whose integral over S_g is, in units
-            # of p^g, 0 for d <= 0, -1 at d = 1, else -(1 - 1/p)
-            scale, pinned = qp.p_power(p, -max(d, h)), 0.0
+            key, d, mass = keys[g], g + M, masses[g]
+            h, units, row = rows[key]
+            k = min(d, h)
+            mod = p ** max(k, 0)
+            # PLog's interior integrand is phi*chi - phi(0): the (phi -
+            # phi(0))*chi cells plus phi(0)*(chi - 1), whose integral over
+            # S_g is, in units of p^g, 0 for d <= 0, -1 at d = 1, else -(1 - 1/p)
+            pinned = 0.0
             if is_plog and g <= 0 and d > 0:
                 pinned = -phi.at_zero * (1.0 if d == 1 else (p - 1) / p)
-            for j, s in enumerate(sums):
-                totals[j] += masses[g] * (complex(s) * scale + pinned)
+            for j, (_, u) in enumerate(members):
+                at = (key, d, k, u % mod) if d > 0 else (key,)
+                term = sums.get(at)
+                if term is None:
+                    if d <= 0:  # chi_p == 1 on S_g
+                        s = row.sum()
+                    else:
+                        # chi_p(ct), c = w p^-g, is root w u mod p^d and the
+                        # value is row[w mod p^h]: each is summed over its
+                        # classes mod p^k, and as w -> w u permutes the
+                        # words, direction u reads values of class a against
+                        # roots of class a u
+                        width = (p - 1) * p ** (k - 1)  # the units below p^k
+                        if (key, width) not in folds:
+                            folds[key, width] = _fold(row, width)
+                        if (k, u % mod) not in indices:
+                            indices[k, u % mod] = _times(units[:width], u, mod)
+                        roots = classes[d, k][indices[k, u % mod]]
+                        s = np.einsum("i,i", folds[key, width], roots)
+                    # each term of s stands for p^(n - max(d, h)) cells of
+                    # measure p^lam = p^(g - n): p^-max(d, h) times the
+                    # mass's p^g
+                    term = sums[at] = complex(s) * qp.p_power(p, -max(d, h))
+                totals[j] += mass * (term + pinned)
         for (i, _), total in zip(members, totals):
             values[i] = total + phi.at_zero * tail
-        roots = classes = None  # freed before the next norm builds its table
     return req._shaped(qp.check_finite(values, "J(t) (oracle)"))
 
 
 class _RootClasses:
-    """An LRU of the oracle's root classes by (p, E, d, k), read-only and
+    """An LRU of the oracle's root classes by (p, d, k), read-only and
     at most ``bound`` bytes in all; an array past the bound is handed back
     but not kept."""
 
     def __init__(self, bound: int):
         self.bound, self.nbytes = bound, 0
-        self._arrays: OrderedDict[tuple[int, int, int, int], np.ndarray] = OrderedDict()
+        self._arrays: OrderedDict[tuple[int, int, int], np.ndarray] = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, key: tuple[int, int, int, int]) -> np.ndarray | None:
+    def get(self, key: tuple[int, int, int]) -> np.ndarray | None:
         with self._lock:
             classes = self._arrays.get(key)
             if classes is not None:
                 self._arrays.move_to_end(key)
             return classes
 
-    def put(self, key: tuple[int, int, int, int], classes: np.ndarray) -> np.ndarray:
+    def put(self, key: tuple[int, int, int], classes: np.ndarray) -> np.ndarray:
         if classes.nbytes > self.bound:
             return classes
         # a copy of a view, which would keep its whole root table alive
@@ -234,6 +253,23 @@ class _RootClasses:
 #: 2^14 complex values: an oracle-deep pass keeps 229 arrays of at most 9
 #: values, while a 3^10-word sphere's classes are not kept
 _CLASSES = _RootClasses(1 << 18)
+
+
+def _root_classes(p: int, depths: dict[int, set[int]]) -> dict[tuple[int, int], np.ndarray]:
+    # the root classes of each d and each k in depths[d]: the kept ones,
+    # else the p^d-th roots folded mod p^k, from one table per d with a
+    # class not kept
+    classes = {}
+    for d, ks in depths.items():
+        roots = None  # the last d's table, freed before this d builds its own
+        for k in ks:
+            kept = _CLASSES.get((p, d, k))
+            if kept is None:
+                if roots is None:
+                    roots = _roots(p, d)
+                kept = _CLASSES.put((p, d, k), _fold(roots, p**k))
+            classes[d, k] = kept
+    return classes
 
 
 def _fold(x: np.ndarray, width: int) -> np.ndarray:
@@ -268,23 +304,21 @@ def _turns(n: int, count: int) -> np.ndarray:
 def _roots(p: int, E: int) -> np.ndarray:
     """The p^E-th roots of unity e^(2 pi i k / p^E), k < p^E: the outer
     product of the p^(E-h)-th roots and the first p^h of the p^E-th roots,
-    h = E // 2, so about 2 p^(E/2) exps.  The oracle builds one per norm
-    whose root classes are not kept, never one from a larger table's: for
-    even E the p^(E+1) table splits off finer coarse roots, so its every
-    p-th entry is the same root as this table's but not the same bits."""
+    h = E // 2, so about 2 p^(E/2) exps.  The oracle builds one per depth
+    d = E with a class not kept, never one from a larger table's: for even
+    E the p^(E+1) table splits off finer coarse roots, so its every p-th
+    entry is the same root as this table's but not the same bits."""
     h = E // 2
     coarse = _turns(p ** (E - h), p ** (E - h))
     return np.multiply.outer(coarse, _turns(p**E, p**h)).ravel()
 
 
-def _oracle_tail(f: QahDistribution, prime: Prime, gamma_star: int) -> complex:
-    # on B_{gamma_star}: chi == 1 and phi == phi(0)
+def _oracle_tail(f: QahDistribution, prime: Prime):
+    # gamma* |-> the integral over B_{gamma*}, where chi == 1 and phi == phi(0)
     if isinstance(f, PLog):
-        if gamma_star < 1:
-            return 0j  # the pinned B_0 part cancels exactly
-        return complex(
-            (1 - Fraction(1, prime.p)) * faulhaber_sum(f.m - 1, gamma_star)
-        )
+        # below S_1 the pinned B_0 part cancels exactly
+        weight = 1 - Fraction(1, prime.p)
+        return lambda g: complex(weight * faulhaber_sum(f.m - 1, g)) if g >= 1 else 0j
     if f.pi1.is_trivial():
-        return ball_tail(prime, f.alpha, f.m)(gamma_star)
-    return 0j  # ramified: every sphere integral of pi_1 vanishes
+        return ball_tail(prime, f.alpha, f.m)
+    return lambda g: 0j  # ramified: every sphere integral of pi_1 vanishes

@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction as Fr
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,7 +41,7 @@ from padicfourier import (
     valuation,
     verify_stabilization,
 )
-from padicfourier import asymptotics, distributions
+from padicfourier import asymptotics, distributions, qp
 from padicfourier import gamma as gamma_module
 from padicfourier.asymptotics import ReportRow, theorem_family, unit_directions
 from padicfourier.cli import run
@@ -85,6 +86,22 @@ def test_rhs_ramified_includes_unit_direction():
     want = eval_pi1(quad, Fr(1, 2)) / eval_pi1(quad, 1)
     assert a != b
     assert b / a == pytest.approx(want)
+
+
+def test_on_grid_reads_the_rhs_at_split_points():
+    # a request's (M, u) points, u modulo p^24, give the bits rhs gives at
+    # each t, for every family and a twist of rank 2
+    prime = P3
+    ts = [Fr(5, 27), Fr(-1, 3), Fr(7, 9), Fr(2, 3**12), Fr(4)]
+    points = [qp.split(t, prime, 24) for t in ts]
+    for f in (
+        PiAlphaLog(1.5 - 0.2j, trivial_character(P3), 1),
+        PiAlphaLog(0.8, cubic_mod9(), 2),
+        PLog(2),
+        DiracDelta(),
+    ):
+        pred = predict_expansion(f, -1, prime)
+        assert pred.on_grid(0.3 - 1j, points) == [pred.rhs(0.3 - 1j, t) for t in ts]
 
 
 def test_theorem_family_dispatch():
@@ -436,13 +453,15 @@ def test_each_sweep_builds_its_prediction_once(monkeypatch):
 
 
 def test_erdelyi_oracle_works_once_per_norm_sphere(monkeypatch):
-    # the oracle evaluates one tail per |t|_p, shared by the sweep's 3
-    # directions on that norm sphere, and one density and one row of cell
-    # values per sphere S_g, shared by every norm of the request
+    # the oracle builds its tail's jet once per call and evaluates it once
+    # per |t|_p, shared by the sweep's 3 directions on that norm sphere;
+    # it takes one density per sphere S_g, shared by every norm, and one
+    # row of cell values per distinct row: every S_g with g <= l = 0 reads
+    # the row of phi(0) on S_0
     from padicfourier import singular
     from padicfourier.testfn import TestFunction
 
-    tails, densities, samples = [], [], []
+    jets, tails, densities, samples = [], [], [], []
 
     def counting(calls, real):
         def wrapper(*args):
@@ -451,9 +470,12 @@ def test_erdelyi_oracle_works_once_per_norm_sphere(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(
-        singular, "_oracle_tail", counting(tails, singular._oracle_tail)
-    )
+    def tail_of(f, prime):
+        jets.append(f)
+        return counting(tails, real_tail(f, prime))
+
+    real_tail = singular._oracle_tail
+    monkeypatch.setattr(singular, "_oracle_tail", tail_of)
     monkeypatch.setattr(
         singular, "density_on_sphere", counting(densities, singular.density_on_sphere)
     )
@@ -461,13 +483,62 @@ def test_erdelyi_oracle_works_once_per_norm_sphere(monkeypatch):
         TestFunction, "sample", counting(samples, TestFunction.sample)
     )
     phi = random_testfn(P5, 1, 0, seed=82)
-    rep = erdelyi_check(0.5, quadratic_character(P5), 1, phi, 0, 4)
-    assert rep.ok and len(rep.rows) == 15
-    # at |t|_5 = 5^M the tail starts below gamma* = -M and S_{1-M} .. S_1 are
-    # summed: each S_g is first met at the first norm that sums it
-    assert tails == [-M for M in range(5)]
-    assert densities == [1, 0, -1, -2, -3]
-    assert samples == [1, 0, -1, -2, -3]
+    for pi1 in (quadratic_character(P5), trivial_character(P5)):
+        for calls in (jets, tails, densities, samples):
+            calls.clear()
+        rep = erdelyi_check(0.5, pi1, 1, phi, 0, 4)
+        assert rep.ok and len(rep.rows) == 15
+        # at |t|_5 = 5^M the tail starts below gamma* = -M and S_{1-M} .. S_1
+        # are summed: each S_g is first met at the first norm that sums it
+        assert len(jets) == 1
+        assert tails == [-M for M in range(5)]
+        assert densities == [1, 0, -1, -2, -3]
+        assert samples == [1, 0]
+    # trivial pi_1's jet is the ball tail, one per call
+    balls = []
+    monkeypatch.setattr(singular, "ball_tail", counting(balls, singular.ball_tail))
+    assert erdelyi_check(0.5, trivial_character(P5), 1, phi, 0, 4).ok
+    assert len(balls) == 1
+
+
+def test_a_deep_erdelyi_sweep_sums_each_class_once(monkeypatch):
+    # p = 2, phi in D^-3_0, |t|_2 = 2^2 .. 2^16: every S_g with g <= l
+    # reads the one row of phi(0), so a class sum depends on (row, d, k,
+    # u mod 2^k) alone, d = g + M and k = min(d, h), and the sweep takes
+    # each once: 100 sums where one per (norm, sphere, direction) took
+    # 405.  On an empty cache it builds one root table per depth d
+    from padicfourier import singular
+
+    sums, built = [], []
+    einsum, roots = np.einsum, singular._roots
+
+    def counting(subscripts, *operands, **kwargs):
+        if subscripts == "i,i":  # the oracle's class sums, and nothing else
+            sums.append(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+
+    def counted(p, d):
+        built.append((p, d))
+        return roots(p, d)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    monkeypatch.setattr(singular, "_roots", counted)
+    monkeypatch.setattr(singular, "_CLASSES", singular._RootClasses(singular._CLASSES.bound))
+    phi = random_testfn(P2, 0, -3, seed=83)
+    M_min, M_max = 2, 16
+    rep = erdelyi_check(1.2 - 0.3j, trivial_character(P2), 1, phi, M_min, M_max)
+    assert rep.ok and len(rep.rows) == 45
+    units = unit_directions(P2, 3)
+    distinct, every = set(), 0
+    for M in range(M_min, M_max + 1):
+        for g in range(min(-M, phi.l) + 1, phi.N + 1):
+            d, h = g + M, max(g - phi.l, 1)
+            if d > 0:
+                k = min(d, h)
+                distinct |= {(max(g, phi.l), d, k, u % 2**k) for u in units}
+                every += len(units)
+    assert len(sums) == len(distinct) == 100 and every == 405
+    assert built == [(2, d) for d in range(1, phi.N + M_max + 1)]
 
 
 def test_verify_plog3_wide_grid_with_oracle():
@@ -544,8 +615,6 @@ def test_each_t_is_split_once(monkeypatch):
     # a sweep hands its (M, u) grid to J, J0, the oracle and the right-hand
     # side as it stands and splits nothing; a public request splits each of
     # its t once, at construction, and its evaluations split nothing again
-    from padicfourier import qp
-
     splits = []
     real_split = qp.split
 

@@ -443,17 +443,20 @@ LARGE_CFG = {
 #: at most; cubic and ramified erdelyi again when the oracle took each
 #: sphere's mass g^m p^(alpha g) in place of a cell measure, which moved
 #: their oracle J by 0.51 eps of the report's largest |J| at most, 2.5e-16
-#: with |J| <= 2.3); every row's floats, their formatting and the JSON
-#: layout must keep these bytes (PLog has no Erdelyi check)
+#: with |J| <= 2.3, and again when the oracle read each sphere's roots off
+#: a table of p^d-th roots in place of a stride of the norm's p^E-th
+#: roots, which moved their oracle J by 2.1e-17 at most); every row's
+#: floats, their formatting and the JSON layout must keep these bytes
+#: (PLog has no Erdelyi check)
 PINNED_REPORTS = {
     ("ramified", "verify", "csv"): "15c92ea14a1a7e357e1214e536c81740bc001213618b1f127d692c28c8a05b74",
     ("ramified", "verify", "json"): "f47fcea4bdc3b1187c86612dc3e7a0fba00ceb54e71969c728e5b8d4bc669644",
-    ("ramified", "erdelyi", "csv"): "9974e6380b95df2801d9495999b78c61cb5f710e004f272e513e723360780a0d",
-    ("ramified", "erdelyi", "json"): "ca2dc970f71c733f477e0705707a26566279ff1ed5bbe111fe35b5a998d1a6b1",
+    ("ramified", "erdelyi", "csv"): "37dc02fac877a916e3cb82a42421f58b776f6e5d557bc94ea8d641eb7b72aac5",
+    ("ramified", "erdelyi", "json"): "43170cc97b132260fcd2adccd8e4ecb7fa4e7a87107427acb33c00f64584b488",
     ("cubic", "verify", "csv"): "71140342e434f60a61a3668c96eae19c4d836e67461fae807f4c9d9b17319fae",
     ("cubic", "verify", "json"): "c5793f481c6bcd16501336902ecc47af42dba58d243d3319baa6e9d7cb5c1869",
-    ("cubic", "erdelyi", "csv"): "489faea066f9aebc03925a4bdcb4c3c47f102ae20cbf0b2e3458defb37852929",
-    ("cubic", "erdelyi", "json"): "3b9cc72fc6ac8d0514f4a2aa4293e2ff611fdf513d9798ccfe80fa81488668ed",
+    ("cubic", "erdelyi", "csv"): "8954f9cea0f5e11874096aa4cc557c636fd57639c087453c61574795bffc5701",
+    ("cubic", "erdelyi", "json"): "2d49d704e47d97e22f437e3daffb1786bf39de7938485a0d5ad481549fa91c86",
     ("plog", "verify", "csv"): "6233b1cb2894aa0fd39e8d7a21a0d9b0596742762d99abf9a69037e7ec212e30",
     ("plog", "verify", "json"): "4f29e7c15ac230cc846cce503ce1c2422f69a74530d4f372a297a60794a5c00f",
     ("binary", "verify", "csv"): "dd31adf63366f889e6121bed9af47fe828b3f3c75e8337ba46cd2b6e7d313e8c",
@@ -484,7 +487,9 @@ def test_report_bytes_are_pinned(tmp_path, case):
 #: root, where its rhs at M = k0 is an exact 0; both ``singular --oracle``
 #: lines: re-pinned when the oracle folded each sphere's periodic factor,
 #: which moved the oracle line by 1.5e-16 at most, and again when it took
-#: each sphere's mass in place of a cell measure, 6.2e-17 at most; both
+#: each sphere's mass in place of a cell measure, 6.2e-17 at most;
+#: ``singular cubic --t 5/243 --oracle`` once more when the oracle read
+#: each sphere's roots off a table of p^d-th roots, d = g + M, 2.1e-17; both
 #: ``eval-dist`` lines: re-pinned when each sphere's density took the cell
 #: measure p^lam, which moved <f, phi>, a cancellation to about 5e-16, by
 #: 0.1 eps of ||p^lam h||_1); a config name stands for ``--config`` with
@@ -497,7 +502,7 @@ PINNED_OUTPUTS = {
     ("eval-dist", "cubic"): "161b1432baf67a7a030018756510c1f2b7cc864926b935497b100772ba208289",
     ("eval-dist", "ramified"): "5cd267d569408f9767891349952d9b54abf259849502fe2010e71cf98c7ee072",
     ("singular", "cubic", "--t", "1/9", "--oracle"): "fa850a762b4222566614ec93bee7ffb857345c959b8cf3ff7ed0bdae297891e1",
-    ("singular", "cubic", "--t", "5/243", "--oracle"): "6bdf0dd71389d2ddb3225bd66743dbd743d3be4d8dada0eac90fd542141c3380",
+    ("singular", "cubic", "--t", "5/243", "--oracle"): "3409c311b5a481e4a01fc86369882ec4a531181cdb075fab44bc5915d08e5447",
     ("bernoulli", "--upto", "258"): "9bf2052e61213dd531e3934ac7a69d021e4edd070169d93d9c5361e6980e9f6f",
 }
 

@@ -547,7 +547,7 @@ def per_cell_oracle(f, phi, t, refine):
     mod = p ** max(E, 0)
     u = qp.split(t, prime, max(E, 0))[1]
     gamma_star = min(-M, l) - refine
-    terms = [np.array([phi.at_zero * _oracle_tail(f, prime, gamma_star)])]
+    terms = [np.array([phi.at_zero * _oracle_tail(f, prime)(gamma_star)])]
     for g in range(gamma_star + 1, top + 1):
         lam = min(l, -M, g - max(chr_.k0, 1)) - refine
         words = qp._sphere_words(p, g - lam)
@@ -672,6 +672,23 @@ def test_each_fold_sums_every_cell(p, branch, M, refine):
         assert_per_cell(brute_force_oracle(req(f, phi, ts), refine=refine), want)
 
 
+@pytest.mark.parametrize("refine", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_plog_reads_one_row_on_each_side_of_zero(p, refine):
+    # phi in D^1_3: every S_g with g <= l = 1 has phi == phi(0), but PLog
+    # subtracts phi(0) on g <= 0 alone, so S_1 and S_0 hold two rows.
+    # Norms from p^-1 to p^3 meet both at d <= 0, d = 1 and d > 1, and
+    # every J is the exact sum of its cells' terms
+    prime = Prime(p)
+    phi = random_testfn(prime, 3, 1, seed=75 + p)
+    assert abs(phi.at_zero) > 0.1
+    q = 3 if p == 2 else 2
+    ts = tuple(Fr(u) * Fr(p) ** -M for M in (-1, 0, 1, 3) for u in (1, -q))
+    for m in (1, 2, 3):
+        want = [per_cell_oracle(PLog(m), phi, t, refine) for t in ts]
+        assert_per_cell(brute_force_oracle(req(PLog(m), phi, ts), refine=refine), want)
+
+
 def test_oracle_refuses_a_cell_sum_past_the_float_range(monkeypatch):
     # eight table values near the float limit: a sphere's |cell| sum is
     # past it, where the folded sum once returned about 1e292 of rounding
@@ -684,11 +701,12 @@ def test_oracle_refuses_a_cell_sum_past_the_float_range(monkeypatch):
         with pytest.raises(NumericOverflow, match=r"\|cell\| sum on S_"):
             brute_force_oracle(req(f, phi, t))
     assert built == []
-    # the table scaled by 1e-10 passes, and builds its one table: t = 3
-    # has E = N + M = 0, where chi_p == 1 on every sphere
+    # the table scaled by 1e-10 passes, and builds one table per depth
+    # d = g + M of t = 1/3's spheres S_0 and S_1: t = 3 has N + M = 0,
+    # where chi_p == 1 on every sphere
     tame = TestFunction(P3, 1, -1, phi.values * 1e-10)
     assert all(map(cmath.isfinite, brute_force_oracle(req(f, tame, (Fr(3), Fr(1, 3))))))
-    assert built == [(3, 2)]
+    assert built == [(3, 1), (3, 2)]
 
 
 def test_oracle_peak_memory_per_direction(monkeypatch):
@@ -934,7 +952,7 @@ def reference_oracle(f, phi, t, refine):
     prime = phi.prime
     chr_ = f.pi1 if isinstance(f, PiAlphaLog) else trivial_character(prime)
     spheres, gamma_star = oracle_cells(f, phi.N, phi.l, -valuation(t, prime), refine)
-    terms = [phi.at_zero * _oracle_tail(f, prime, gamma_star)]
+    terms = [phi.at_zero * _oracle_tail(f, prime)(gamma_star)]
     for g, lam in spheres:
         weight = density_on_sphere(f, prime, g) * float(Fr(prime.p) ** lam)
         # the PLog integrand on B_0 is phi(x) chi_p(xt) - phi(0)
@@ -1044,7 +1062,7 @@ def test_root_table_is_exact_to_a_few_ulps():
 
 def count_roots(monkeypatch):
     """Give the oracle an empty cache of root classes, and the list of
-    the (p, E) of each root table it builds from now on."""
+    the (p, d) of each root table it builds from now on."""
     from padicfourier import singular
 
     built = []
@@ -1058,7 +1076,7 @@ def count_roots(monkeypatch):
     return built
 
 
-def test_oracle_builds_one_root_table_per_t(monkeypatch):
+def test_oracle_builds_one_root_table_per_depth(monkeypatch):
     from padicfourier import singular
 
     built = count_roots(monkeypatch)
@@ -1072,8 +1090,10 @@ def test_oracle_builds_one_root_table_per_t(monkeypatch):
         singular._CLASSES.clear()
         built.clear()
         brute_force_oracle(req(f, phi, ts), refine=1)
-        # E = N - v_3(t), one table per distinct |t|_3 in first-seen order
-        assert built == [(3, 3), (3, 4), (3, 6)]
+        # the norms 3^2, 3^3 and 3^5 sum S_g down to g = -M on phi in
+        # D^-2_1: one table per depth d = g + M from 1 to N + 5, each once,
+        # however many norms and spheres share it
+        assert built == [(3, d) for d in range(1, 7)]
 
 
 def oracle_bits(J):
@@ -1083,9 +1103,9 @@ def oracle_bits(J):
 @pytest.mark.parametrize("refine", [0, 1, 2])
 @pytest.mark.parametrize("family", ["trivial", "quadratic", "cubic", "plog"])
 def test_a_warm_oracle_call_builds_no_table_and_keeps_the_bits(monkeypatch, family, refine):
-    # a sphere's root classes depend on (p, E, d, k) alone: calls with any
-    # phi, alpha or direction that meet the same shapes build no table,
-    # and read the bits a cold call computes
+    # a sphere's root classes depend on (p, d, k) alone: calls with any
+    # phi, alpha, norm or direction that meet the same shapes build no
+    # table, and read the bits a cold call computes
     from padicfourier import singular
 
     built = count_roots(monkeypatch)
@@ -1104,7 +1124,7 @@ def test_a_warm_oracle_call_builds_no_table_and_keeps_the_bits(monkeypatch, fami
     singular._CLASSES.clear()
     built.clear()
     assert oracle_bits(brute_force_oracle(req(f, phi, ts), refine=refine)) == cold
-    assert built == [(3, 3), (3, 4), (3, 6)]
+    assert built == [(3, d) for d in range(1, 7)]
     built.clear()
     assert oracle_bits(brute_force_oracle(req(f, phi, ts), refine=refine)) == cold
     assert [oracle_bits(brute_force_oracle(req(f, phi, t), refine=refine))[0] for t in ts] == cold
@@ -1151,9 +1171,10 @@ def test_root_classes_evict_the_least_recent_and_keep_no_oversize_array():
 
 
 def test_oracle_keeps_its_root_classes_within_their_bound(monkeypatch):
-    # phi in D^-9_1 at |t|_3 = 3^9: S_1 and S_0 fold 3^10 and 3^9 classes,
-    # past the bound of 2^14 complex values, and are not kept; the spheres
-    # below are.  Each call builds its table for those two, and the bits
+    # phi in D^-9_1 at |t|_3 = 3^9: S_g reads the p^d-th roots, d = g + 9,
+    # in classes mod p^d.  S_1 and S_0 fold 3^10 and 3^9 classes, past the
+    # bound of 2^14 complex values, and are not kept; the spheres below
+    # are.  Each call builds the tables of those two depths, and the bits
     # stay those of a cold call
     from padicfourier import singular
 
@@ -1164,9 +1185,9 @@ def test_oracle_keeps_its_root_classes_within_their_bound(monkeypatch):
     ts = (Fr(1, 3**9), Fr(-5, 3**9))
     cold = oracle_bits(brute_force_oracle(req(f, phi, ts)))
     assert cold == oracle_bits(brute_force_oracle(req(f, phi, ts)))
-    assert built == [(3, 10), (3, 10)]
+    assert built == [(3, d) for d in range(1, 11)] + [(3, 9), (3, 10)]
     keys = set(cache._arrays)
-    assert (3, 10, 8, 8) in keys and not keys & {(3, 10, 10, 10), (3, 10, 9, 9)}
+    assert keys == {(3, d, d) for d in range(1, 9)}
     assert cache.nbytes == sum(a.nbytes for a in cache._arrays.values()) <= cache.bound
     # a bound of 30 values evicts all the while, and keeps the bits
     monkeypatch.setattr(singular, "_CLASSES", singular._RootClasses(30 * 16))

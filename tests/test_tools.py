@@ -125,28 +125,34 @@ def test_digest_runs_each_operation_twice(tmp_path):
 
 
 def test_digest_sees_root_classes_keyed_too_coarsely(monkeypatch, tmp_path):
-    # the oracle's root classes kept by (p, d, k), without the root order
-    # p^E: a later norm with the same d reads another norm's roots.  The run
-    # that keeps none computes them afresh, so the two digests differ
+    # the oracle's root classes kept by (p, d, k) less its depth d or its
+    # modulus p^k: a later sphere reads the classes of another depth, or
+    # t = 3^-3's S_0 reads the classes mod 3^2 that t = 3^-2's S_1 kept
+    # at d = 3 in place of those mod 3.  The run that keeps none computes
+    # them afresh, so the two digests differ
     from fractions import Fraction as Fr
 
     from padicfourier import PiAlphaLog, Prime, brute_force_oracle, random_testfn
     from padicfourier import singular, trivial_character
     from padicfourier.singular import SingularIntegralRequest
 
-    class WithoutE(singular._RootClasses):
+    class Coarse(singular._RootClasses):
+        def __init__(self, drop):
+            super().__init__(1 << 18)
+            self.drop = drop
+
         def get(self, key):
-            return super().get(key[:1] + key[2:])
+            return super().get(key[: self.drop] + key[self.drop + 1 :])
 
         def put(self, key, classes):
-            return super().put(key[:1] + key[2:], classes)
+            return super().put(key[: self.drop] + key[self.drop + 1 :], classes)
 
     P3 = Prime(3)
     phi = random_testfn(P3, 1, -1, seed=7)
-    req = SingularIntegralRequest(
-        PiAlphaLog(0.8, trivial_character(P3), 0), phi, tuple(Fr(1, 3**M) for M in (2, 3, 4))
-    )
-    op = SimpleNamespace(run=lambda: brute_force_oracle(req))
+    f = PiAlphaLog(0.8, trivial_character(P3), 0)
+    reqs = [SingularIntegralRequest(f, phi, Fr(1, 3**M)) for M in (2, 3)]
+    op = SimpleNamespace(run=lambda: [brute_force_oracle(r) for r in reqs])
     assert same_outputs.digest(op, tmp_path, flags=False) is not None
-    monkeypatch.setattr(singular, "_CLASSES", WithoutE(1 << 18))
-    assert same_outputs.digest(op, tmp_path, flags=False) is None
+    for drop in (1, 2):  # d, k
+        monkeypatch.setattr(singular, "_CLASSES", Coarse(drop))
+        assert same_outputs.digest(op, tmp_path, flags=False) is None, drop
