@@ -93,7 +93,10 @@ def _coset_label(w: int, p: int, N: int) -> str:
 
 
 def parse_rational(text) -> Fraction:
-    return Fraction(str(text))  # ValueError or ZeroDivisionError otherwise
+    try:
+        return Fraction(str(text))  # ValueError otherwise
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def _integer(value) -> int:

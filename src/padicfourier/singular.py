@@ -18,23 +18,22 @@ residue classes mod p^k, k = min(d, h), of the other; each direction then
 takes one dot product over the units below p^k, scaled by p^-max(d, h), a
 normal float, times f's mass g^m p^(alpha g) (its density times p^g),
 taken once per sphere: no cell measure is formed.  The roots' classes
-depend on (p, d, k) alone, so they are kept across calls in a bounded
-LRU, and a call builds one table per d only for classes not kept; a warm
-call equals a cold one bit for bit.  Within a call, rows equal by
-construction are one row (phi is phi(0) on every S_g with g <= l), so a
-sum over a sphere deep in B_l is taken once per (row, d, k, u mod p^k) and
-read by every norm that meets it; the folds, the index arrays, the d <= 0
-row sums and the tail's jet are likewise taken once.  A sphere whose row
-of |cell values| sums past the float range is refused before any root
-table is built.
+depend on (p, d, k) alone, so the last 256 of at most 64 values are kept
+across calls; a call folds each other class it reads from a table of its
+own, and a warm call equals a cold one bit for bit.  Within a call, rows
+equal by construction are one row (phi is phi(0) on every S_g with
+g <= l), so a sum over a sphere deep in B_l is taken once per (row, d, k,
+u mod p^k) and read by every norm that meets it; the folds, the index
+arrays, the d <= 0 row sums and the tail's jet are likewise taken once.
+A sphere whose row of |cell values| sums past the float range is refused
+before any root table is built.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -126,7 +125,6 @@ def brute_force_oracle(
     plans = []
     masses: dict[int, complex] = {}  # per sphere S_g, shared by every norm
     tails: dict[int, complex] = {}  # per boundary gamma*
-    depths: defaultdict[int, set[int]] = defaultdict(set)  # the k of each sphere, by d
     tail_at = None  # the tail's jet, built once at the first boundary
     for M, members in norms.items():
         gamma_star = min(-M, l) - refine
@@ -136,8 +134,6 @@ def brute_force_oracle(
             qp.check_word_count(p, g - lam)
             if g not in masses:  # f's density on S_g times p^g, g^m p^(alpha g)
                 masses[g] = density_on_sphere(f, prime, g, g)
-            if g + M > 0:
-                depths[g + M].add(min(g + M, max(g - l, k0, 1)))
         if gamma_star not in tails:  # every norm past the threshold has l - refine
             if tail_at is None:
                 tail_at = _oracle_tail(f, prime)
@@ -165,7 +161,6 @@ def brute_force_oracle(
             row *= chr_.complex_table()[units % p**k0]
         qp.check_finite([np.abs(row).sum()], f"the oracle's |cell| sum on S_{g}")
         rows[key] = (h, units, row)
-    classes = _root_classes(p, depths)
     # a class sum depends on the row, d, k and u mod p^k alone, a fold on
     # the row and its width, an index on k and u mod p^k: each is taken
     # once for the call, and read by every sphere and norm that meets it
@@ -201,7 +196,7 @@ def brute_force_oracle(
                             folds[key, width] = _fold(row, width)
                         if (k, u % mod) not in indices:
                             indices[k, u % mod] = _times(units[:width], u, mod)
-                        roots = classes[d, k][indices[k, u % mod]]
+                        roots = _classes(p, d, k)[indices[k, u % mod]]
                         s = np.einsum("i,i", folds[key, width], roots)
                     # each term of s stands for p^(n - max(d, h)) cells of
                     # measure p^lam = p^(g - n): p^-max(d, h) times the
@@ -213,62 +208,18 @@ def brute_force_oracle(
     return req._shaped(qp.check_finite(values, "J(t) (oracle)"))
 
 
-class _RootClasses:
-    """An LRU of the oracle's root classes by (p, d, k), read-only and
-    at most ``bound`` bytes in all; an array past the bound is handed back
-    but not kept."""
-
-    def __init__(self, bound: int):
-        self.bound, self.nbytes = bound, 0
-        self._arrays: OrderedDict[tuple[int, int, int], np.ndarray] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple[int, int, int]) -> np.ndarray | None:
-        with self._lock:
-            classes = self._arrays.get(key)
-            if classes is not None:
-                self._arrays.move_to_end(key)
-            return classes
-
-    def put(self, key: tuple[int, int, int], classes: np.ndarray) -> np.ndarray:
-        if classes.nbytes > self.bound:
-            return classes
-        # a copy of a view, which would keep its whole root table alive
-        classes = classes.copy() if classes.base is not None else classes
-        classes.flags.writeable = False
-        with self._lock:
-            old = self._arrays.pop(key, None)
-            self.nbytes += classes.nbytes - (0 if old is None else old.nbytes)
-            self._arrays[key] = classes
-            while self.nbytes > self.bound:
-                self.nbytes -= self._arrays.popitem(last=False)[1].nbytes
-        return classes
-
-    def clear(self) -> None:
-        with self._lock:
-            self._arrays.clear()
-            self.nbytes = 0
+def _classes(p: int, d: int, k: int) -> np.ndarray:
+    # the p^d-th roots summed over their classes mod p^k: kept across calls
+    # when at most 64 values wide, else folded afresh from a table of their own
+    return _kept(p, d, k) if p**k <= 64 else _fold(_roots(p, d), p**k)
 
 
-#: 2^14 complex values: an oracle-deep pass keeps 229 arrays of at most 9
-#: values, while a 3^10-word sphere's classes are not kept
-_CLASSES = _RootClasses(1 << 18)
-
-
-def _root_classes(p: int, depths: dict[int, set[int]]) -> dict[tuple[int, int], np.ndarray]:
-    # the root classes of each d and each k in depths[d]: the kept ones,
-    # else the p^d-th roots folded mod p^k, from one table per d with a
-    # class not kept
-    classes = {}
-    for d, ks in depths.items():
-        roots = None  # the last d's table, freed before this d builds its own
-        for k in ks:
-            kept = _CLASSES.get((p, d, k))
-            if kept is None:
-                if roots is None:
-                    roots = _roots(p, d)
-                kept = _CLASSES.put((p, d, k), _fold(roots, p**k))
-            classes[d, k] = kept
+@lru_cache(maxsize=256)
+def _kept(p: int, d: int, k: int) -> np.ndarray:
+    # 256 arrays of at most 64 complex values: 2^18 bytes.  A read-only
+    # copy, as a view of the table would keep the whole table alive
+    classes = _fold(_roots(p, d), p**k).copy()
+    classes.flags.writeable = False
     return classes
 
 
@@ -304,10 +255,11 @@ def _turns(n: int, count: int) -> np.ndarray:
 def _roots(p: int, E: int) -> np.ndarray:
     """The p^E-th roots of unity e^(2 pi i k / p^E), k < p^E: the outer
     product of the p^(E-h)-th roots and the first p^h of the p^E-th roots,
-    h = E // 2, so about 2 p^(E/2) exps.  The oracle builds one per depth
-    d = E with a class not kept, never one from a larger table's: for even
-    E the p^(E+1) table splits off finer coarse roots, so its every p-th
-    entry is the same root as this table's but not the same bits."""
+    h = E // 2, so about 2 p^(E/2) exps.  The oracle folds each class of
+    depth d = E it does not keep from one of these, never from a larger
+    table: for even E the p^(E+1) table splits off finer coarse roots, so
+    its every p-th entry is the same root as this table's but not the
+    same bits."""
     h = E // 2
     coarse = _turns(p ** (E - h), p ** (E - h))
     return np.multiply.outer(coarse, _turns(p**E, p**h)).ravel()

@@ -702,6 +702,14 @@ CLI_BRANCHES = [
         "numeric error: the density of PiAlphaLog(alpha=(-800+0j), pi1=NormedMultChar(p=3, k0=1),"
         " m=1) on S_-1, times 3^-2, is not a finite float",
     ),
+    # a zero denominator is named, not shown as the Fraction it would make
+    (None, ["chi", "--p", "3", "--x", "1/0"], 1, "error: --x: zero denominator: '1/0'"),
+    (
+        POWER_CFG,
+        ["singular", "--config", "{cfg}", "--t", "1/0"],
+        1,
+        "error: --t: zero denominator: '1/0'",
+    ),
 ]
 
 

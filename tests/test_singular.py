@@ -3,8 +3,11 @@
 import cmath
 import math
 import random
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as Fr
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -701,9 +704,9 @@ def test_oracle_refuses_a_cell_sum_past_the_float_range(monkeypatch):
         with pytest.raises(NumericOverflow, match=r"\|cell\| sum on S_"):
             brute_force_oracle(req(f, phi, t))
     assert built == []
-    # the table scaled by 1e-10 passes, and builds one table per depth
-    # d = g + M of t = 1/3's spheres S_0 and S_1: t = 3 has N + M = 0,
-    # where chi_p == 1 on every sphere
+    # the table scaled by 1e-10 passes, and builds one table per class, at
+    # the depths d = g + M of t = 1/3's spheres S_0 and S_1: t = 3 has
+    # N + M = 0, where chi_p == 1 on every sphere
     tame = TestFunction(P3, 1, -1, phi.values * 1e-10)
     assert all(map(cmath.isfinite, brute_force_oracle(req(f, tame, (Fr(3), Fr(1, 3))))))
     assert built == [(3, 1), (3, 2)]
@@ -1061,8 +1064,8 @@ def test_root_table_is_exact_to_a_few_ulps():
 
 
 def count_roots(monkeypatch):
-    """Give the oracle an empty cache of root classes, and the list of
-    the (p, d) of each root table it builds from now on."""
+    """Empty the oracle's cache of root classes, and give the list of the
+    (p, d) of each root table it builds from now on."""
     from padicfourier import singular
 
     built = []
@@ -1072,28 +1075,41 @@ def count_roots(monkeypatch):
         return _roots(p, E)
 
     monkeypatch.setattr(singular, "_roots", counted)
-    monkeypatch.setattr(singular, "_CLASSES", singular._RootClasses(singular._CLASSES.bound))
+    singular._kept.cache_clear()
     return built
 
 
-def test_oracle_builds_one_root_table_per_depth(monkeypatch):
+def class_keys(norms, l, k0):
+    """The (d, k) of the root classes that norms p^M meet on phi with
+    constancy l, d = g + M > 0 and k = min(d, max(g - l, k0, 1)), on the
+    spheres S_g, -M < g <= N = l + 3."""
+    return {
+        (g + M, min(g + M, max(g - l, k0, 1)))
+        for M in norms
+        for g in range(1 - M, l + 4)
+    }
+
+
+def test_oracle_builds_one_root_table_per_class_not_kept(monkeypatch):
     from padicfourier import singular
 
     built = count_roots(monkeypatch)
     phi = random_testfn(P3, 1, -2, seed=5)
     ts = (Fr(1, 9), Fr(2, 27), Fr(1, 18), Fr(-4, 243), Fr(2, 9))
-    for f in (
-        PiAlphaLog(1.5, trivial_character(P3), 1),
-        PiAlphaLog(0.9 + 0.4j, cubic_mod9(), 1),
-        PLog(2),
+    for f, k0 in (
+        (PiAlphaLog(1.5, trivial_character(P3), 1), 0),
+        (PiAlphaLog(0.9 + 0.4j, cubic_mod9(), 1), 2),
+        (PLog(2), 0),
     ):
-        singular._CLASSES.clear()
+        singular._kept.cache_clear()
         built.clear()
         brute_force_oracle(req(f, phi, ts), refine=1)
         # the norms 3^2, 3^3 and 3^5 sum S_g down to g = -M on phi in
-        # D^-2_1: one table per depth d = g + M from 1 to N + 5, each once,
-        # however many norms and spheres share it
-        assert built == [(3, d) for d in range(1, 7)]
+        # D^-2_1: one table per class (d, k), d = g + M from 1 to N + 5,
+        # each once, however many norms, spheres and directions read it
+        keys = class_keys((2, 3, 5), phi.l, k0)
+        assert sorted(built) == sorted((3, d) for d, _ in keys)
+        assert singular._kept.cache_info().currsize == len(keys)
 
 
 def oracle_bits(J):
@@ -1119,12 +1135,12 @@ def test_a_warm_oracle_call_builds_no_table_and_keeps_the_bits(monkeypatch, fami
     ts = (Fr(1, 9), Fr(2, 27), Fr(1, 18), Fr(-4, 243), Fr(2, 9))
     cold = []
     for t in ts:
-        singular._CLASSES.clear()
+        singular._kept.cache_clear()
         cold += oracle_bits(brute_force_oracle(req(f, phi, t), refine=refine))
-    singular._CLASSES.clear()
+    singular._kept.cache_clear()
     built.clear()
     assert oracle_bits(brute_force_oracle(req(f, phi, ts), refine=refine)) == cold
-    assert built == [(3, d) for d in range(1, 7)]
+    assert built and len(built) == singular._kept.cache_info().currsize
     built.clear()
     assert oracle_bits(brute_force_oracle(req(f, phi, ts), refine=refine)) == cold
     assert [oracle_bits(brute_force_oracle(req(f, phi, t), refine=refine))[0] for t in ts] == cold
@@ -1140,8 +1156,9 @@ def test_kept_root_classes_are_read_only_and_own_their_bytes(monkeypatch):
     count_roots(monkeypatch)
     phi = random_testfn(P3, 1, -2, seed=5)
     brute_force_oracle(req(PLog(2), phi, (Fr(1, 9), Fr(-4, 243))), refine=1)
-    kept = list(singular._CLASSES._arrays.values())
-    assert kept
+    misses = singular._kept.cache_info().misses
+    kept = [singular._kept(3, d, k) for d, k in class_keys((2, 5), phi.l, 0)]
+    assert singular._kept.cache_info().misses == misses  # each one was kept
     for classes in kept:
         # no view: it would keep its whole root table alive
         assert not classes.flags.writeable and classes.base is None
@@ -1149,57 +1166,105 @@ def test_kept_root_classes_are_read_only_and_own_their_bytes(monkeypatch):
             classes[0] = 0
 
 
-def test_root_classes_evict_the_least_recent_and_keep_no_oversize_array():
-    from padicfourier.singular import _RootClasses
+def test_root_classes_keep_no_oversize_array_and_no_view(monkeypatch):
+    from padicfourier import singular
 
-    cache = _RootClasses(4 * 16)  # four complex values
-    cache.put("a", np.arange(2.0) + 0j)
-    cache.put("b", np.ones(1, complex))
-    assert cache.get("a") is not None  # now "b" is the least recent
-    cache.put("c", np.ones(2, complex))
-    assert list(cache._arrays) == ["a", "c"] and cache.nbytes == 64
-    big = np.ones(5, complex)
-    assert cache.put("d", big) is big and cache.get("d") is None
-    assert list(cache._arrays) == ["a", "c"] and cache.nbytes == 64
-    # a kept view is a read-only copy; the array it was taken from is not frozen
-    table = np.arange(8.0) + 0j
-    kept = cache.put("e", table[::2])
-    assert kept.base is None and not kept.flags.writeable and table.flags.writeable
-    assert list(cache._arrays) == ["e"] and cache.nbytes == 64
-    cache.clear()
-    assert not cache._arrays and cache.nbytes == 0
+    tables = []
+
+    def kept_table(p, E):
+        tables.append(_roots(p, E))
+        return tables[-1]
+
+    monkeypatch.setattr(singular, "_roots", kept_table)
+    singular._kept.cache_clear()
+    # classes mod 3^2 = 3^d are the whole table: kept as a read-only copy,
+    # and the table they were taken from is not frozen
+    kept = singular._classes(3, 2, 2)
+    assert kept.base is None and not kept.flags.writeable
+    assert tables[0].flags.writeable and not np.shares_memory(kept, tables[0])
+    assert singular._classes(3, 2, 2) is kept and len(tables) == 1
+    # 2^6 = 64 values are kept, 3^4 = 81 are not: each read folds them afresh
+    assert singular._classes(2, 6, 6) is singular._classes(2, 6, 6)
+    wide = singular._classes(3, 4, 4)
+    assert wide.size == 81 and wide.flags.writeable
+    assert singular._classes(3, 4, 4) is not wide and len(tables) == 4
+    assert singular._kept.cache_info().currsize == 2
 
 
 def test_oracle_keeps_its_root_classes_within_their_bound(monkeypatch):
     # phi in D^-9_1 at |t|_3 = 3^9: S_g reads the p^d-th roots, d = g + 9,
-    # in classes mod p^d.  S_1 and S_0 fold 3^10 and 3^9 classes, past the
-    # bound of 2^14 complex values, and are not kept; the spheres below
-    # are.  Each call builds the tables of those two depths, and the bits
+    # in classes mod p^d.  Those of S_-8 .. S_-6, 3 to 27 values, are kept;
+    # the 3^4 to 3^10 values of the spheres above are not, and each of
+    # their class sums, one per direction, builds its own table.  The bits
     # stay those of a cold call
     from padicfourier import singular
 
     built = count_roots(monkeypatch)
-    cache = singular._CLASSES
     f = PiAlphaLog(0.7 + 0.3j, quadratic_character(P3), 1)
     phi = random_testfn(P3, 1, -9, seed=8)
     ts = (Fr(1, 3**9), Fr(-5, 3**9))
     cold = oracle_bits(brute_force_oracle(req(f, phi, ts)))
+    wide = [(3, d) for d in range(4, 11) for _ in ts]
+    assert built == [(3, 1), (3, 2), (3, 3)] + wide
+    built.clear()
     assert cold == oracle_bits(brute_force_oracle(req(f, phi, ts)))
-    assert built == [(3, d) for d in range(1, 11)] + [(3, 9), (3, 10)]
-    keys = set(cache._arrays)
-    assert keys == {(3, d, d) for d in range(1, 9)}
-    assert cache.nbytes == sum(a.nbytes for a in cache._arrays.values()) <= cache.bound
-    # a bound of 30 values evicts all the while, and keeps the bits
-    monkeypatch.setattr(singular, "_CLASSES", singular._RootClasses(30 * 16))
+    assert built == wide
+    assert singular._kept.cache_info().currsize == 3
+    assert all(singular._kept(3, d, d).size == 3**d for d in (1, 2, 3))
+    # a cache of 2 classes evicts all the while, and keeps the bits of no
+    # cache at all
+    fold = singular._kept.__wrapped__
     small = random_testfn(P3, 1, -2, seed=5)
     for f in (PLog(2), PiAlphaLog(0.9 + 0.4j, cubic_mod9(), 1)):
         for refine in range(3):
-            singular._CLASSES.clear()
             request = req(f, small, (Fr(1, 9), Fr(2, 27), Fr(-4, 243), Fr(1, 3**7)))
+            monkeypatch.setattr(singular, "_kept", fold)
             want = oracle_bits(brute_force_oracle(request, refine=refine))
+            monkeypatch.setattr(singular, "_kept", lru_cache(maxsize=2)(fold))
             for _ in range(2):
                 assert oracle_bits(brute_force_oracle(request, refine=refine)) == want
-                assert singular._CLASSES.nbytes <= 30 * 16
+                assert singular._kept.cache_info().currsize <= 2
+    monkeypatch.undo()
+    # more keys than the cache holds: at most 256 are kept, and each read,
+    # evicted and folded again or not, holds the bits of a fresh fold.  A
+    # stand-in of 64 values for each table keeps 2 x 60 x 6 keys cheap
+    monkeypatch.setattr(singular, "_roots", lambda p, d: _roots(2, 6) * (d + 1j))
+    singular._kept.cache_clear()
+    try:
+        keys = [(2, d, k) for d in range(1, 61) for k in range(1, 7)]
+        for _ in range(2):
+            for key in keys:
+                got = singular._classes(*key)
+                assert got.tobytes() == fold(*key).tobytes()
+                assert singular._kept.cache_info().currsize <= 256
+        assert singular._kept.cache_info()[2:] == (256, 256)  # maxsize, currsize
+    finally:
+        singular._kept.cache_clear()  # the stand-in's classes are no roots'
+
+
+def test_concurrent_oracle_calls_keep_the_bits():
+    # four threads fill and read the one cache of root classes at once,
+    # each with the same batch: every one gets the bits of a serial call
+    from padicfourier import singular
+
+    phi = random_testfn(P3, 1, -2, seed=5)
+    request = req(
+        PiAlphaLog(0.9 + 0.4j, cubic_mod9(), 1),
+        phi,
+        (Fr(1, 9), Fr(2, 27), Fr(1, 18), Fr(-4, 243), Fr(1, 3**7)),
+    )
+    singular._kept.cache_clear()
+    serial = oracle_bits(brute_force_oracle(request, refine=1))
+    start = threading.Barrier(4)
+
+    def run(_):
+        start.wait()
+        return oracle_bits(brute_force_oracle(request, refine=1))
+
+    for _ in range(3):
+        singular._kept.cache_clear()
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert list(pool.map(run, range(4))) == [serial] * 4
 
 
 def test_a_j0_past_the_float_range_is_a_numeric_error():

@@ -136,16 +136,19 @@ def test_digest_sees_root_classes_keyed_too_coarsely(monkeypatch, tmp_path):
     from padicfourier import singular, trivial_character
     from padicfourier.singular import SingularIntegralRequest
 
-    class Coarse(singular._RootClasses):
-        def __init__(self, drop):
-            super().__init__(1 << 18)
-            self.drop = drop
+    fold = singular._kept.__wrapped__
 
-        def get(self, key):
-            return super().get(key[: self.drop] + key[self.drop + 1 :])
+    def coarse(drop):
+        memo = {}
 
-        def put(self, key, classes):
-            return super().put(key[: self.drop] + key[self.drop + 1 :], classes)
+        def kept(p, d, k):
+            key = (p, d, k)[:drop] + (p, d, k)[drop + 1 :]
+            if key not in memo:
+                memo[key] = fold(p, d, k)
+            return memo[key]
+
+        kept.__wrapped__ = fold
+        return kept
 
     P3 = Prime(3)
     phi = random_testfn(P3, 1, -1, seed=7)
@@ -154,5 +157,5 @@ def test_digest_sees_root_classes_keyed_too_coarsely(monkeypatch, tmp_path):
     op = SimpleNamespace(run=lambda: [brute_force_oracle(r) for r in reqs])
     assert same_outputs.digest(op, tmp_path, flags=False) is not None
     for drop in (1, 2):  # d, k
-        monkeypatch.setattr(singular, "_CLASSES", Coarse(drop))
+        monkeypatch.setattr(singular, "_kept", coarse(drop))
         assert same_outputs.digest(op, tmp_path, flags=False) is None, drop

@@ -12,11 +12,13 @@ every file the operation wrote.  The last line hashes them all.  Two
 checkouts whose outputs are byte-identical print the same lines.
 
 Each operation runs twice, first with the oracle's root classes kept
-across calls as the operations before it left them, then with none kept,
+across calls as the operations before it left them, then with none kept
+(``singular._kept`` swapped for the uncached ``singular._kept.__wrapped__``),
 and the tool exits 1, naming it, when the two digests differ: a cache kept
 across calls must hand a warm call the bits a cold one computes.  (A
 second warm run would not see a cache keyed too coarsely, as the first one
-is already warm from the operations before it.)
+is already warm from the operations before it.)  The swap is made in the
+``singular`` of the checkout at ``--root``, which must have ``_kept``.
 
 With ``--flags`` each line hashes only what is not a floating value: a
 change that is documented to move last digits can then show that no
@@ -106,13 +108,13 @@ def digest(op, workdir: Path, flags: bool) -> str | None:
 
     before = snapshot(workdir)
     digests = set()
-    for classes in (singular._CLASSES, singular._RootClasses(0)):
-        kept, singular._CLASSES = singular._CLASSES, classes
+    for classes in (singular._kept, singular._kept.__wrapped__):
+        kept, singular._kept = singular._kept, classes
         try:
             with contextlib.redirect_stdout(io.StringIO()):
                 result = op.run()
         finally:
-            singular._CLASSES = kept
+            singular._kept = kept
         parts: list[bytes] = []
         canonical(result, parts, floats=not flags)
         for file, data in snapshot(workdir).items():
