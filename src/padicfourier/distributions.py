@@ -90,7 +90,7 @@ from .errors import BadWindow, NumericOverflow, ZeroArgument
 from .gamma import ball_tail, faulhaber_coeffs, faulhaber_sum
 from .jets import p_power_jet, p_power_term
 from .qp import Prime, Rational
-from .testfn import TestFunction, dilate, fourier_at
+from .testfn import TestFunction, _set_up, dilate, fourier_at
 
 
 @dataclass(frozen=True)
@@ -296,10 +296,7 @@ class _AnnulusProduct:
         unit part, as at b = m it is row v(b)."""
         p, n, k = self.prime.p, self.N - self.l, self.k
         e = max(s + 1 - k, 0)
-        v = np.zeros(p ** (n - e), dtype=np.intp)  # v(m), m < p^(n-e)
-        for j in range(1, n - e + 1):
-            v[:: p**j] += 1
-        unit = np.arange(len(v)) // p**v % p**k
+        v, unit = _set_up(_column_index, 2 * p ** (n - e), p, n, k, e)
         scale = self.factors[v[: p**s], unit[: p**s]]
         scale[:: p**e] = 0
         # h's word p^e m reads psi at p^e m mod p^(N-l): psi[::p^e] repeated
@@ -307,6 +304,14 @@ class _AnnulusProduct:
         extra = psi[:: p**e] * self.factors[v + e, unit].reshape(p ** (k - 1), -1)
         rows = psi.reshape(-1, p**s) if len(psi) >= p**s else np.resize(psi, (1, p**s))
         return rows, scale, np.arange(0, p**s, p**e), extra.reshape(p ** (n - s), -1)
+
+
+def _column_index(p: int, n: int, k: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+    # v(m) and m p^-v(m) mod p^k for m < p^(n-e): h.columns' index arrays
+    v = np.zeros(p ** (n - e), dtype=np.intp)
+    for j in range(1, n - e + 1):
+        v[:: p**j] += 1
+    return v, np.arange(len(v)) // p**v % p**k
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -19,10 +19,12 @@ words of the points at or inside the cutoff, and it vanishes for
 |xi|_p > p^{-l} because F[h] lives in D^{-N}_{-l}.  The partial transform
 takes its table as rows times a factor per column (``columns``), so it
 reads h off phi's own table with h's sphere factors folded in; only the
-whole FFT builds h.
+whole FFT builds h.  Its roots and h's column index are kept (``_kept``).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -113,8 +115,8 @@ def fourier(phi: TestFunction) -> TestFunction:
     return TestFunction(phi.prime, -phi.l, -phi.N, vals)
 
 
-#: tables narrower than this take the whole FFT even for one word: there
-#: the FFT costs about what the partial transform's set-up does
+#: tables narrower than this take the whole FFT even for one word: there the
+#: FFT costs about what a cold set-up does; it stays, as moving it moves bits
 PARTIAL_FLOOR = 4096
 
 
@@ -128,8 +130,9 @@ def fourier_at(phi: TestFunction, words) -> np.ndarray:
     F[j] = p^l sum_a e^(2 pi i j a / A) (H @ R_j)[a],
     one product of p^n K multiply-adds, below the FFT's p^n log2(p^n).  It
     takes B K roots of order p^n and A of order A, each from its exact
-    integer angle.  ``phi.columns(n//2)`` gives H: rows whose count
-    divides A (H's row a is row a mod that count) times a factor per
+    integer angle, kept by (p, n, words) when B K + A K <= 2^14; a one-digit
+    table (B = 1) takes the FFT.  ``phi.columns(n//2)`` gives H: rows whose
+    count divides A (H's row a is row a mod that count) times a factor per
     column, and the exception columns' entries apart, so that
     H @ R_j = rows @ (factor R_j) + exceptions @ R_j[exception columns].
     A TestFunction's rows are its values, with no factor and no exception;
@@ -139,19 +142,16 @@ def fourier_at(phi: TestFunction, words) -> np.ndarray:
     words = np.asarray(words, dtype=np.int64)
     p, n = phi.prime.p, phi.N - phi.l
     size = p**n
-    if size >= PARTIAL_FLOOR:
+    if size >= PARTIAL_FLOOR and n >= 2:
         # a Python set sorts a few words faster than np.unique does
         listed = words.ravel().tolist()
-        distinct = sorted(set(listed))
+        distinct = tuple(sorted(set(listed)))
         if len(distinct) < size.bit_length():
             index = {w: i for i, w in enumerate(distinct)}
             inverse = np.array([index[w] for w in listed], dtype=np.intp).reshape(words.shape)
-            distinct = np.array(distinct, dtype=np.int64)
-            B = p ** (n // 2)
-            A = size // B
+            A = size // p ** (n // 2)
             rows, scale, cols, extra = phi.columns(n // 2)
-            fine = _cis(_outer_mod(B, distinct, size), size)
-            coarse = _cis(np.arange(A), A)[_outer_mod(A, distinct, A)]
+            fine, coarse = _set_up(_roots, (A + size // A) * len(distinct), p, n, distinct)
             head = rows @ (fine if scale is None else scale[:, None] * fine)
             if len(head) < A:
                 head = np.tile(head, (A // len(head), 1))
@@ -162,7 +162,27 @@ def fourier_at(phi: TestFunction, words) -> np.ndarray:
     return fourier(phi).values[words]
 
 
-def _outer_mod(count: int, words: np.ndarray, mod: int) -> np.ndarray:
+def _roots(p: int, n: int, words: tuple) -> tuple[np.ndarray, np.ndarray]:
+    # fourier_at's B x K fine roots and A x K coarse roots at the K words
+    size, A = p**n, p ** (n - n // 2)
+    fine = _cis(_outer_mod(size // A, words, size), size)
+    return fine, _cis(np.arange(A), A)[_outer_mod(A, words, A)]
+
+
+def _set_up(build, entries: int, *key) -> tuple[np.ndarray, ...]:
+    # build(*key), kept when its arrays hold at most 2^14 entries (64: 16 MiB)
+    return _kept(build, *key) if entries <= 2**14 else build(*key)
+
+
+@lru_cache(maxsize=64)
+def _kept(build, *key) -> tuple[np.ndarray, ...]:
+    arrays = build(*key)
+    for a in arrays:
+        a.flags.writeable = False  # every call that hits shares them
+    return arrays
+
+
+def _outer_mod(count: int, words, mod: int) -> np.ndarray:
     """i w mod mod for i < count, one row per i; numpy floor-divides by a
     scalar with a multiply and a shift, where % divides per entry."""
     k = np.multiply.outer(np.arange(count), words)

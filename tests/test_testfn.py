@@ -241,6 +241,90 @@ def test_partial_transform_only_for_few_words_of_wide_tables(monkeypatch):
         assert len(narrow.values) < testfn.PARTIAL_FLOOR
         with pytest.raises(AssertionError, match="full"):
             testfn.fourier_at(narrow, [1])
+    # one digit of 4099 >= 4096 words: B = 1 would make the partial
+    # transform a direct DFT of A x K roots, slower than the FFT
+    one_digit = random_testfn(Prime(4099), 0, -1, seed=20)
+    with pytest.raises(AssertionError, match="full"):
+        testfn.fourier_at(one_digit, [1])
+
+
+def test_partial_transform_gives_the_same_bits_cold_and_warm(monkeypatch):
+    # the roots and h's column index are kept across calls: a warm read
+    # hits them and gives the cold read's bits, within the l1 bound of the
+    # FFT.  A pi_1 of rank 2 (the cubic character mod 9) gives h exception
+    # columns
+    from padicfourier import NormedMultChar, singular_fourier, testfn
+    from padicfourier.distributions import _AnnulusProduct
+    from padicfourier.singular import SingularIntegralRequest
+
+    eps = np.finfo(float).eps
+    words = np.array([1, 5, 7, 2, 1, 4000, 0, 81])
+    reads = []
+    for p, n in ((3, 8), (2, 12)):
+        phi = random_testfn(Prime(p), 1, 1 - n, seed=n)
+        bound = 2 * n * eps * l1_norm(phi)
+        reads.append((lambda phi=phi: testfn.fourier_at(phi, words), bound, 1))
+    cubic = NormedMultChar(
+        P3, 2, {1: Fr(0), 2: Fr(2, 3), 4: Fr(1, 3), 5: Fr(1, 3), 7: Fr(2, 3), 8: Fr(0)}
+    )
+    f = PiAlphaLog(0.7 - 0.4j, cubic, 1)
+    phi = random_testfn(P3, 1, -6, seed=9)  # h has 3^(N - l + 1) = 3^8 words
+    h = _AnnulusProduct(f, phi, cubic, phi.l)
+    assert h.N - h.l == 8
+    ts = tuple(Fr(u, 3**M) for M in (7, 5, 3) for u in (1, 2, 4, 7))
+    req = SingularIntegralRequest(f, phi, ts)
+    bound = 2 * 8 * eps * float(np.abs(h.values).sum())
+    reads.append((lambda: np.array(singular_fourier(req)), bound, 2))
+
+    def full(phi):
+        raise AssertionError("a few-word read of a wide table ran the full FFT")
+
+    for read, bound, kept in reads:
+        monkeypatch.setattr(testfn, "PARTIAL_FLOOR", 10**9)
+        want = read()  # the whole FFT
+        monkeypatch.undo()
+        monkeypatch.setattr(testfn, "fourier", full)
+        testfn._kept.cache_clear()
+        cold = read()
+        assert testfn._kept.cache_info().misses == kept  # roots, and h's index
+        warm = read()
+        assert testfn._kept.cache_info().hits == kept
+        assert warm.tobytes() == cold.tobytes()
+        assert np.abs(warm - want).max() <= bound + eps * np.abs(want).max()
+        monkeypatch.undo()
+
+
+def test_kept_set_up_is_read_only_and_bounded():
+    from padicfourier import testfn
+    from padicfourier.distributions import _AnnulusProduct, _column_index
+
+    testfn._kept.cache_clear()
+    phi = random_testfn(P3, 1, -7, seed=21)  # 3^8 words
+    for w in range(70):
+        testfn.fourier_at(phi, [w, w + 1])
+        info = testfn._kept.cache_info()
+        assert info.currsize == min(w + 1, info.maxsize) <= 64
+    fine, coarse = testfn._kept(testfn._roots, 3, 8, (69, 70))
+    trivial = trivial_character(P3)
+    h = _AnnulusProduct(PiAlphaLog(1.3, trivial, 0), random_testfn(P3, 1, -8, seed=22), trivial, -8)
+    assert h.N - h.l == 9
+    h.columns(4)  # e = 4: 2 x 3^5 index entries
+    v, unit = testfn._kept(_column_index, 3, 9, 1, 4)
+    assert testfn._kept.cache_info().hits == 2
+    for kept in (fine, coarse, v, unit):
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 0
+    # over 2^14 entries: h's column index at s = 0 (2 x 3^9 entries) and the
+    # roots of 17 words of a 2^18-word table ((512 + 512) 17 entries) are
+    # built per call and not kept
+    testfn._kept.cache_clear()
+    h.columns(0)
+    wide = random_testfn(P2, 1, -17, seed=23)
+    words = np.arange(17) * 15000 + 3
+    got = testfn.fourier_at(wide, words)
+    assert testfn._kept.cache_info().misses == 0
+    bound = 2 * 18 * np.finfo(float).eps * l1_norm(wide)
+    assert np.abs(got - fourier(wide).values[words]).max() <= bound
 
 
 def l1_norm(phi):

@@ -1,8 +1,9 @@
 """tools/same_outputs.py: the fingerprint that two checkouts' outputs are
 compared by must tell apart any two values with different bits, its
 flags-only digest must see every flag, exponent and grid point but no
-floating value, and an operation whose run with the oracle's kept root
-classes differs from its run with none kept has no digest."""
+floating value, and an operation whose run with what is kept across calls
+(the oracle's root classes, the partial transform's roots and column
+index) differs from its run with none kept has no digest."""
 
 import dataclasses
 import importlib.util
@@ -159,3 +160,25 @@ def test_digest_sees_root_classes_keyed_too_coarsely(monkeypatch, tmp_path):
     for drop in (1, 2):  # d, k
         monkeypatch.setattr(singular, "_kept", coarse(drop))
         assert same_outputs.digest(op, tmp_path, flags=False) is None, drop
+
+
+def test_digest_sees_partial_transform_roots_keyed_too_coarsely(monkeypatch, tmp_path):
+    # the partial transform's set-up kept by (p, n) without the words: the
+    # second read of the 3^8 table takes the first read's roots.  The run
+    # that keeps none computes them afresh, so the two digests differ
+    from padicfourier import Prime, random_testfn, testfn
+
+    build = testfn._kept.__wrapped__
+    memo = {}
+
+    def kept(fn, p, n, words):
+        if (fn, p, n) not in memo:
+            memo[fn, p, n] = build(fn, p, n, words)
+        return memo[fn, p, n]
+
+    kept.__wrapped__ = build
+    phi = random_testfn(Prime(3), 1, -7, seed=5)
+    op = SimpleNamespace(run=lambda: [testfn.fourier_at(phi, [w, 2 * w]) for w in (1, 5)])
+    assert same_outputs.digest(op, tmp_path, flags=False) is not None
+    monkeypatch.setattr(testfn, "_kept", kept)
+    assert same_outputs.digest(op, tmp_path, flags=False) is None

@@ -11,14 +11,14 @@ value (floats as ``float.hex``, arrays as their bytes) and the bytes of
 every file the operation wrote.  The last line hashes them all.  Two
 checkouts whose outputs are byte-identical print the same lines.
 
-Each operation runs twice, first with the oracle's root classes kept
-across calls as the operations before it left them, then with none kept
-(``singular._kept`` swapped for the uncached ``singular._kept.__wrapped__``),
-and the tool exits 1, naming it, when the two digests differ: a cache kept
-across calls must hand a warm call the bits a cold one computes.  (A
-second warm run would not see a cache keyed too coarsely, as the first one
-is already warm from the operations before it.)  The swap is made in the
-``singular`` of the checkout at ``--root``, which must have ``_kept``.
+Each operation runs twice, first with every cache in ``KEPT`` as the
+operations before it left it, then with none kept (each swapped for its
+uncached ``__wrapped__``), and the tool exits 1, naming it, when the two
+digests differ: a cache kept across calls must hand a warm call the bits
+a cold one computes.  (A second warm run would not see a cache keyed too
+coarsely, as the first one is already warm from the operations before
+it.)  The swap is made in the modules of the checkout at ``--root``; a
+cache that checkout lacks is skipped, so an older checkout still runs.
 
 With ``--flags`` each line hashes only what is not a floating value: a
 change that is documented to move last digits can then show that no
@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import sys
@@ -46,6 +47,10 @@ import numpy as np
 #: the columns of the CSV files the CLI writes that hold no float: a
 #: report's M, t_unit, stabilized and exponents, and fourier's coset
 FLAG_COLUMNS = {"M", "t_unit", "stabilized", "s_pred_exponent", "s_emp_exponent", "coset"}
+
+#: the caches kept across calls, as (module of padicfourier, name): the
+#: oracle's root classes, and the partial transform's roots and column index
+KEPT = (("singular", "_kept"), ("testfn", "_kept"))
 
 
 def canonical(x, out: list[bytes], floats: bool = True) -> None:
@@ -102,19 +107,24 @@ def snapshot(workdir: Path) -> dict[str, bytes]:
 
 def digest(op, workdir: Path, flags: bool) -> str | None:
     """The sha256 of what op.run() returns and writes to workdir, or None
-    when a run that keeps no oracle root classes gives another one than a
-    run that reads the kept ones."""
-    from padicfourier import singular
-
+    when a run that keeps nothing across calls gives another one than a
+    run that reads what is kept."""
+    kept = []
+    for module, name in KEPT:
+        module = importlib.import_module(f"padicfourier.{module}")
+        if hasattr(module, name):
+            kept.append((module, name, getattr(module, name)))
     before = snapshot(workdir)
     digests = set()
-    for classes in (singular._kept, singular._kept.__wrapped__):
-        kept, singular._kept = singular._kept, classes
+    for cold in (False, True):
+        for module, name, cache in kept:
+            setattr(module, name, cache.__wrapped__ if cold else cache)
         try:
             with contextlib.redirect_stdout(io.StringIO()):
                 result = op.run()
         finally:
-            singular._kept = kept
+            for module, name, cache in kept:
+                setattr(module, name, cache)
         parts: list[bytes] = []
         canonical(result, parts, floats=not flags)
         for file, data in snapshot(workdir).items():
@@ -145,8 +155,8 @@ def main() -> int:
                     label = f"{name} seed={seed} {op.label}"
                     sha = digest(op, workdir, args.flags)
                     if sha is None:
-                        print(f"{label}: a run with no oracle root classes kept differs "
-                              "from one that reads the kept ones", file=sys.stderr)
+                        print(f"{label}: a run that keeps nothing across calls differs "
+                              "from one that reads what is kept", file=sys.stderr)
                         return 1
                     total.update(sha.encode())
                     print(f"{label}: {sha}")
