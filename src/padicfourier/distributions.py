@@ -24,11 +24,10 @@ one table of ``testfn.fourier``, read by ``testfn.fourier_at`` at the
 words of the batch's t, and it vanishes for |t|_p > p^-lam: beyond that
 J(t) = phi(0) J0(t), the cause of the stabilization theorem.  h is
 phi - phi(0) 1_{B_l0} times the density and pi_1 of each word's sphere
-(``_AnnulusProduct``), and it is built only for the whole FFT: where a
-wide table is read at few words, the partial transform reads phi's own
-table with those factors folded in, as in its layout they depend on the
-column alone, save a few exception columns.  At N = l no sphere lies
-outside B_l: h and F[h] are 0.
+(``_AnnulusProduct``), held in one layout: rows of phi's own table times a
+factor per column, save a few exception columns.  The partial transform
+reads that layout as it stands, and the whole FFT and ``apply`` lay h's
+table out from it.  At N = l no sphere lies outside B_l: h and F[h] are 0.
 F[h] carries the cell measure p^lam in each sphere's factor, never as a
 float.  <f, phi> is F[h](0) plus phi(0) J0 at |t|_p = p^-l0, where
 chi_p == 1 on B_{l0}.  J0 (``j0_closed_form``) is the continued integral
@@ -88,7 +87,7 @@ from . import qp
 from .characters import NormedMultChar, eval_pi1, gauss_sum, trivial_character
 from .errors import BadWindow, NumericOverflow, ZeroArgument
 from .gamma import ball_tail, faulhaber_coeffs, faulhaber_sum
-from .jets import p_power_jet, p_power_term
+from .jets import p_power_term
 from .qp import Prime, Rational
 from .testfn import TestFunction, _set_up, dilate, fourier_at
 
@@ -208,7 +207,7 @@ def j0_closed_form(
             value, gamma = tail(min(l0, -M)), k - M
             if gamma > l0:
                 return value, None
-            return value, p_power_jet(p, gamma, alpha, m, -k).coeffs[m]
+            return value, p_power_term(p, gamma, alpha, m, -k)
 
         def sphere(w):
             # the integral over S_k of pi_1(y) chi_p(yu): -1 for trivial
@@ -240,8 +239,9 @@ class _AnnulusProduct:
     psi = phi - phi(0) 1_{B_l0} on phi's own p^(N-l) words and the factor
     p^lam h / psi on each sphere: each density carries the cell measure,
     and ``measure`` is 1, so no transform or sum forms p^lam as a float.
-    ``values`` builds p^lam h (the FFT route and ``apply``), ``columns``
-    folds the factors into ``fourier_at``'s partial transform."""
+    ``columns`` is h's one layout, read by ``fourier_at``'s partial
+    transform; ``values`` lays p^lam h's table out from it (the FFT route
+    and ``apply``)."""
 
     measure = 1.0
 
@@ -261,29 +261,19 @@ class _AnnulusProduct:
         # the word p^v w', w' a unit, lies on S_(N-v) and pi_1(x) is the
         # table at w' mod p^k0: p^lam h / psi is factors[v, w' mod p^k], the
         # density times p^lam pi_1 on the spheres v < N - l, and 0 on B_l
-        self.spheres = N - l
         density = [density_on_sphere(f, prime, N - v, self.l) for v in range(N - l)]
         self.factors = np.zeros((N - self.l + 1, p**self.k), dtype=np.complex128)
         self.factors[: N - l] = np.multiply.outer(density, chr_.complex_table())
 
     @property
     def values(self) -> np.ndarray:
-        """p^lam h's p^(N-lam) words, built at each read."""
-        p, k = self.prime.p, self.k
-        out = np.tile(self.psi, p ** (k - 1))
-        out[:: len(self.psi)] = 0  # B_l
-        # the view out[::p^v] holds the words p^v w'; those with w' a unit lie
-        # on S_(N-v).  In rows of p^k of them, a nonzero last digit of w'
-        # selects S_(N-v).  These residues are the outer axes and order="C"
-        # holds numpy to them: the inner loop is a long strided run down the
-        # rows, with the same product per word and so the same bits (a call
-        # per residue gives the deepest sphere runs of one word, which numpy
-        # rounds differently); phi x factor, as numpy's complex product does
-        # not commute to the bit
-        for v, row in enumerate(self.factors[: self.spheres]):
-            sphere = out[:: p**v].reshape(-1, p ** (k - 1), p).transpose(1, 2, 0)[:, 1:]
-            np.multiply(sphere, row.reshape(-1, p)[:, 1:, None], out=sphere, order="C")
-        return out
+        """p^lam h's p^(N-lam) words, laid out from ``columns`` at each read:
+        psi's rows times the column factors, tiled to h's rows, with the
+        exception columns written in."""
+        rows, scale, cols, extra = self.columns((self.N - self.l) // 2)
+        out = np.tile(rows * scale, (len(extra) // len(rows), 1))
+        out[:, cols] = extra
+        return out.ravel()
 
     def columns(self, s: int):
         """p^lam h in ``fourier_at``'s layout, w = a p^s + b: rows of psi

@@ -17,9 +17,10 @@ whole FFT.  The singular integral is such a transform too: its sphere
 part is F[h] of the annulus product h in ``distributions``, read at the
 words of the points at or inside the cutoff, and it vanishes for
 |xi|_p > p^{-l} because F[h] lives in D^{-N}_{-l}.  The partial transform
-takes its table as rows times a factor per column (``columns``), so it
-reads h off phi's own table with h's sphere factors folded in; only the
-whole FFT builds h.  Its roots and h's column index are kept (``_kept``).
+reads h in its columns layout, rows of phi's own table times a factor per
+column, with h's sphere factors folded in; the whole FFT reads the table
+laid out from the same columns.  Its roots and h's column index are kept
+(``_kept``).
 """
 
 from __future__ import annotations
@@ -88,11 +89,6 @@ class TestFunction:
         # only the digits above p^l select a coset
         return self.values[(words % p ** (level - self.l)) * p ** (self.N - level)]
 
-    def columns(self, s: int):
-        """The table in ``fourier_at``'s layout, word w = a p^s + b at row a
-        and column b: no column factor and no exception columns."""
-        return self.values.reshape(-1, self.prime.p**s), None, None, None
-
     def __repr__(self):
         return (
             f"TestFunction(p={self.prime.p}, N={self.N}, l={self.l}, "
@@ -120,8 +116,8 @@ def fourier(phi: TestFunction) -> TestFunction:
 PARTIAL_FLOOR = 4096
 
 
-def fourier_at(phi: TestFunction, words) -> np.ndarray:
-    """fourier(phi).values[words], up to rounding, for table words
+def fourier_at(h, words) -> np.ndarray:
+    """fourier(h).values[words], up to rounding, for table words
     0 <= j < p^n (n = N - l).  K distinct words of a table of at least
     PARTIAL_FLOOR words, K below the bit length of p^n, are read off a
     two-factor partial transform: with w = a B + b, B = p^(n//2),
@@ -131,16 +127,15 @@ def fourier_at(phi: TestFunction, words) -> np.ndarray:
     one product of p^n K multiply-adds, below the FFT's p^n log2(p^n).  It
     takes B K roots of order p^n and A of order A, each from its exact
     integer angle, kept by (p, n, words) when B K + A K <= 2^14; a one-digit
-    table (B = 1) takes the FFT.  ``phi.columns(n//2)`` gives H: rows whose
-    count divides A (H's row a is row a mod that count) times a factor per
+    table (B = 1) takes the FFT.  h is the annulus product of
+    ``distributions``, whose ``columns(n//2)`` gives H: rows whose count
+    divides A (H's row a is row a mod that count) times a factor per
     column, and the exception columns' entries apart, so that
     H @ R_j = rows @ (factor R_j) + exceptions @ R_j[exception columns].
-    A TestFunction's rows are its values, with no factor and no exception;
-    the annulus product of ``distributions`` gives phi's own rows and its
-    sphere factors, so its table is never built here.  Any other read
-    transforms the whole table (``fourier``) and gathers from it."""
+    Any other read transforms the whole table (``fourier``) and gathers
+    from it."""
     words = np.asarray(words, dtype=np.int64)
-    p, n = phi.prime.p, phi.N - phi.l
+    p, n = h.prime.p, h.N - h.l
     size = p**n
     if size >= PARTIAL_FLOOR and n >= 2:
         # a Python set sorts a few words faster than np.unique does
@@ -150,16 +145,15 @@ def fourier_at(phi: TestFunction, words) -> np.ndarray:
             index = {w: i for i, w in enumerate(distinct)}
             inverse = np.array([index[w] for w in listed], dtype=np.intp).reshape(words.shape)
             A = size // p ** (n // 2)
-            rows, scale, cols, extra = phi.columns(n // 2)
+            rows, scale, cols, extra = h.columns(n // 2)
             fine, coarse = _set_up(_roots, (A + size // A) * len(distinct), p, n, distinct)
-            head = rows @ (fine if scale is None else scale[:, None] * fine)
+            head = rows @ (scale[:, None] * fine)
             if len(head) < A:
                 head = np.tile(head, (A // len(head), 1))
-            if extra is not None:
-                head += extra @ fine[cols]
+            head += extra @ fine[cols]
             vals = np.einsum("ak,ak->k", head, coarse)
-            return phi.measure * vals[inverse]
-    return fourier(phi).values[words]
+            return h.measure * vals[inverse]
+    return fourier(h).values[words]
 
 
 def _roots(p: int, n: int, words: tuple) -> tuple[np.ndarray, np.ndarray]:

@@ -583,18 +583,19 @@ def test_j0_once_per_norm_sphere(monkeypatch):
     from padicfourier import distributions
 
     calls, powers = [], []
-    real_j0, real_power = distributions.j0_closed_form, distributions.p_power_jet
+    real_j0, real_power = distributions.j0_closed_form, distributions.p_power_term
 
     def counting_j0(*args):
         calls.append(args)
         return real_j0(*args)
 
-    def counting_power(p, c, alpha, order, b=0):
-        powers.append(c)
-        return real_power(p, c, alpha, order, b)
+    def counting_power(p, c, alpha, k, b=0):
+        if alpha == 1.5:  # J0's power; density_on_sphere passes alpha - 1
+            powers.append(c)
+        return real_power(p, c, alpha, k, b)
 
     monkeypatch.setattr(distributions, "j0_closed_form", counting_j0)
-    monkeypatch.setattr(distributions, "p_power_jet", counting_power)
+    monkeypatch.setattr(distributions, "p_power_term", counting_power)
     # split at l0 = l = -1, the resonant sphere gamma = 1 - M lies in B_l0
     # on the four spheres M = 2..5 of the eight M = -2..5
     phi = random_testfn(P2, 1, -1, seed=84)

@@ -352,20 +352,22 @@ def test_f_h_read_by_index_equals_the_transform_at_t(pi1):
             assert J == want, t
 
 
-def broadcast_annulus_product(f, phi, chr_, l0):
-    """The annulus product's values, each sphere's density times the cell
-    measure p^lam, with each sphere multiplied as one broadcast over rows
-    of p^k words, p - 1 words per numpy inner loop."""
+def sphere_factors(f, phi, chr_, l0):
+    """psi = phi - phi(0) 1_(B_l0) at each word w of h's table, and for
+    each sphere v < N - l (B_l has none) Python's product
+    density_on_sphere(S_(N-v)) pi_1(r) at each residue r mod p^k0, which
+    the words p^v w' read at r = w' mod p^k0, w' a unit."""
     prime = phi.prime
     p, N, l = prime.p, phi.N, phi.l
     k = max(chr_.k0, 1)
-    out = np.tile(phi.values, p ** (k - 1))
-    out[:: p ** (N - l0)] -= phi.values[0]
-    pi1 = np.resize(chr_.complex_table(), p**k).reshape(-1, p)[:, 1:]
-    for v in range(N - l):
-        sphere = out[:: p**v].reshape(-1, p ** (k - 1), p)[..., 1:]
-        sphere *= density_on_sphere(f, prime, N - v, l + 1 - k) * pi1
-    return out
+    w = np.arange(p ** (N - l - 1 + k))
+    psi = phi.values[w % len(phi.values)] - phi.at_zero * (w % p ** (N - l0) == 0)
+    table = chr_.complex_table()
+    factors = [
+        [density_on_sphere(f, prime, N - v, l + 1 - k) * complex(pi) for pi in table]
+        for v in range(N - l)
+    ]
+    return psi, factors
 
 
 def generated_character(prime, k0, g):
@@ -388,11 +390,14 @@ ANNULUS_CHARACTERS = {
 
 
 @pytest.mark.parametrize("p", sorted(ANNULUS_CHARACTERS))
-def test_annulus_product_keeps_the_broadcast_bits(p):
-    # the sphere multiply runs along the rows, not the residues; every word
-    # must still get the very product, to the bit, on every sphere down to
-    # the deepest (p - 1 words on a one-digit window) and at every l0
+def test_annulus_product_is_psi_times_its_sphere_factor_at_each_word(p):
+    # h, laid out from its columns, is 0 (of either sign) on the words of
+    # B_l, and each other word is within 4 eps of Python's complex product
+    # psi(w) factor(w), (ac - bd) + (ad + bc)i in real arithmetic, on every
+    # sphere down to the deepest (p - 1 words on a one-digit window) and at
+    # every l0
     prime = Prime(p)
+    eps = np.finfo(float).eps
     fs = [PLog(m) for m in (1, 2, 3)] + [
         PiAlphaLog(1.3 - 0.6j, chr_, m)
         for chr_ in ANNULUS_CHARACTERS[p]
@@ -404,9 +409,19 @@ def test_annulus_product_keeps_the_broadcast_bits(p):
         for f in fs:
             chr_ = char_of(f, prime)
             for l0 in range(phi.l, N + 1):
-                got = _AnnulusProduct(f, phi, chr_, l0)
-                want = broadcast_annulus_product(f, phi, chr_, l0)
-                assert got.values.tobytes() == want.tobytes(), (width, f, l0)
+                got = _AnnulusProduct(f, phi, chr_, l0).values
+                psi, factors = sphere_factors(f, phi, chr_, l0)
+                assert got.shape == psi.shape
+                assert not got[:: p**width].any(), (width, f, l0)  # B_l
+                for v, row in enumerate(factors):
+                    # the words p^v w', w' a unit, at w' mod p^k0
+                    on = np.arange(p**v, len(got), p**v)
+                    on = on[on % p ** (v + 1) != 0]
+                    fac = np.array(row)[on // p**v % len(row)]
+                    a, b, c, d = psi[on].real, psi[on].imag, fac.real, fac.imag
+                    want = (a * c - b * d) + 1j * (a * d + b * c)
+                    err = np.abs(got[on] - want)
+                    assert (err <= 4 * eps * np.abs(want)).all(), (width, f, l0, v)
 
 
 #: the characters each fold table is read with: every rank up to mod 25,

@@ -23,6 +23,7 @@ from padicfourier import (
     trivial_character,
     verify_stabilization,
 )
+from padicfourier.distributions import _AnnulusProduct
 from padicfourier.errors import BadWindow, ZeroArgument
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
@@ -200,17 +201,17 @@ def test_partial_transform_reads_the_full_table(monkeypatch, p, n):
     # A = B at even n, A = p B at odd n; word 0, the last word and repeats
     from padicfourier import testfn
 
-    phi = random_testfn(Prime(p), 1, 1 - n, seed=p * 100 + n)
+    h, norm = annulus(random_testfn(Prime(p), 1, 1 - n, seed=p * 100 + n))
     size = p**n
     words = np.array([0, size - 1, 1, size // 2, 1, 0, size // p, 7, size - 1])
-    want = fourier(phi).values[words]
-    bound = 2 * n * np.finfo(float).eps * l1_norm(phi)
+    want = fourier(h).values[words]
+    bound = 2 * n * np.finfo(float).eps * norm
 
     def unreachable(phi):
         raise AssertionError("a few-word read of a wide table ran the full FFT")
 
     monkeypatch.setattr(testfn, "fourier", unreachable)
-    got = testfn.fourier_at(phi, words)
+    got = testfn.fourier_at(h, words)
     assert got.shape == words.shape
     assert np.abs(got - want).max() <= bound
     assert got[4] == got[2] and got[5] == got[0] and got[8] == got[1]
@@ -223,27 +224,28 @@ def test_partial_transform_only_for_few_words_of_wide_tables(monkeypatch):
         raise AssertionError("full")
 
     wide = random_testfn(P3, 1, -8, seed=18)  # 3^9 words
+    h, norm = annulus(wide)
     size = len(wide.values)
     twelve = np.arange(12) * 1640 + 5
-    want = fourier(wide).values[twelve]
+    want = fourier(h).values[twelve]
     monkeypatch.setattr(testfn, "fourier", full)
-    bound = 2 * 9 * np.finfo(float).eps * l1_norm(wide)
-    assert np.abs(testfn.fourier_at(wide, twelve) - want).max() <= bound
+    bound = 2 * 9 * np.finfo(float).eps * norm
+    assert np.abs(testfn.fourier_at(h, twelve) - want).max() <= bound
     # as many distinct words as p^n has bits, a 1024-row sweep, and any
     # table under the floor, even read at one word, take the full FFT
     with pytest.raises(AssertionError, match="full"):
-        testfn.fourier_at(wide, np.arange(size.bit_length()))
+        testfn.fourier_at(h, np.arange(size.bit_length()))
     f = PiAlphaLog(1.3, trivial_character(P3), 0)
     with pytest.raises(AssertionError, match="full"):
         verify_stabilization(f, wide, -wide.l - 255, -wide.l, 4, strict=False)
     for p, n in ((3, 7), (2, 11), (5, 5), (11, 3)):
-        narrow = random_testfn(Prime(p), 0, -n, seed=19)
-        assert len(narrow.values) < testfn.PARTIAL_FLOOR
+        narrow, _ = annulus(random_testfn(Prime(p), 0, -n, seed=19))
+        assert p ** (narrow.N - narrow.l) < testfn.PARTIAL_FLOOR
         with pytest.raises(AssertionError, match="full"):
             testfn.fourier_at(narrow, [1])
     # one digit of 4099 >= 4096 words: B = 1 would make the partial
     # transform a direct DFT of A x K roots, slower than the FFT
-    one_digit = random_testfn(Prime(4099), 0, -1, seed=20)
+    one_digit, _ = annulus(random_testfn(Prime(4099), 0, -1, seed=20))
     with pytest.raises(AssertionError, match="full"):
         testfn.fourier_at(one_digit, [1])
 
@@ -251,19 +253,17 @@ def test_partial_transform_only_for_few_words_of_wide_tables(monkeypatch):
 def test_partial_transform_gives_the_same_bits_cold_and_warm(monkeypatch):
     # the roots and h's column index are kept across calls: a warm read
     # hits them and gives the cold read's bits, within the l1 bound of the
-    # FFT.  A pi_1 of rank 2 (the cubic character mod 9) gives h exception
-    # columns
+    # FFT.  A pi_1 of rank 2 (the cubic character mod 9) gives h more
+    # exception columns
     from padicfourier import NormedMultChar, singular_fourier, testfn
-    from padicfourier.distributions import _AnnulusProduct
     from padicfourier.singular import SingularIntegralRequest
 
     eps = np.finfo(float).eps
     words = np.array([1, 5, 7, 2, 1, 4000, 0, 81])
     reads = []
     for p, n in ((3, 8), (2, 12)):
-        phi = random_testfn(Prime(p), 1, 1 - n, seed=n)
-        bound = 2 * n * eps * l1_norm(phi)
-        reads.append((lambda phi=phi: testfn.fourier_at(phi, words), bound, 1))
+        h, norm = annulus(random_testfn(Prime(p), 1, 1 - n, seed=n))
+        reads.append((lambda h=h: testfn.fourier_at(h, words), 2 * n * eps * norm))
     cubic = NormedMultChar(
         P3, 2, {1: Fr(0), 2: Fr(2, 3), 4: Fr(1, 3), 5: Fr(1, 3), 7: Fr(2, 3), 8: Fr(0)}
     )
@@ -274,21 +274,21 @@ def test_partial_transform_gives_the_same_bits_cold_and_warm(monkeypatch):
     ts = tuple(Fr(u, 3**M) for M in (7, 5, 3) for u in (1, 2, 4, 7))
     req = SingularIntegralRequest(f, phi, ts)
     bound = 2 * 8 * eps * float(np.abs(h.values).sum())
-    reads.append((lambda: np.array(singular_fourier(req)), bound, 2))
+    reads.append((lambda: np.array(singular_fourier(req)), bound))
 
     def full(phi):
         raise AssertionError("a few-word read of a wide table ran the full FFT")
 
-    for read, bound, kept in reads:
+    for read, bound in reads:
         monkeypatch.setattr(testfn, "PARTIAL_FLOOR", 10**9)
         want = read()  # the whole FFT
         monkeypatch.undo()
         monkeypatch.setattr(testfn, "fourier", full)
         testfn._kept.cache_clear()
         cold = read()
-        assert testfn._kept.cache_info().misses == kept  # roots, and h's index
+        assert testfn._kept.cache_info().misses == 2  # roots, and h's index
         warm = read()
-        assert testfn._kept.cache_info().hits == kept
+        assert testfn._kept.cache_info().hits == 2
         assert warm.tobytes() == cold.tobytes()
         assert np.abs(warm - want).max() <= bound + eps * np.abs(want).max()
         monkeypatch.undo()
@@ -296,35 +296,46 @@ def test_partial_transform_gives_the_same_bits_cold_and_warm(monkeypatch):
 
 def test_kept_set_up_is_read_only_and_bounded():
     from padicfourier import testfn
-    from padicfourier.distributions import _AnnulusProduct, _column_index
+    from padicfourier.distributions import _column_index
 
     testfn._kept.cache_clear()
-    phi = random_testfn(P3, 1, -7, seed=21)  # 3^8 words
+    h, _ = annulus(random_testfn(P3, 1, -7, seed=21))  # 3^8 words
     for w in range(70):
-        testfn.fourier_at(phi, [w, w + 1])
+        # each read keeps its words' roots; the first also h's column index
+        testfn.fourier_at(h, [w, w + 1])
         info = testfn._kept.cache_info()
-        assert info.currsize == min(w + 1, info.maxsize) <= 64
-    fine, coarse = testfn._kept(testfn._roots, 3, 8, (69, 70))
-    trivial = trivial_character(P3)
-    h = _AnnulusProduct(PiAlphaLog(1.3, trivial, 0), random_testfn(P3, 1, -8, seed=22), trivial, -8)
+        assert info.currsize == min(w + 2, info.maxsize) <= 64
+    h, _ = annulus(random_testfn(P3, 1, -8, seed=22))  # h.values: h.columns(4)
     assert h.N - h.l == 9
-    h.columns(4)  # e = 4: 2 x 3^5 index entries
-    v, unit = testfn._kept(_column_index, 3, 9, 1, 4)
-    assert testfn._kept.cache_info().hits == 2
+    hits = testfn._kept.cache_info().hits
+    fine, coarse = testfn._kept(testfn._roots, 3, 8, (69, 70))
+    v, unit = testfn._kept(_column_index, 3, 9, 1, 4)  # e = 4: 2 x 3^5 entries
+    assert testfn._kept.cache_info().hits == hits + 2
     for kept in (fine, coarse, v, unit):
         with pytest.raises(ValueError, match="read-only"):
             kept[0] = 0
     # over 2^14 entries: h's column index at s = 0 (2 x 3^9 entries) and the
     # roots of 17 words of a 2^18-word table ((512 + 512) 17 entries) are
-    # built per call and not kept
+    # built per call and not kept; that table's column index at s = 9
+    # (2 x 2^9 entries) is kept once, by h.values, and then hit twice
     testfn._kept.cache_clear()
     h.columns(0)
-    wide = random_testfn(P2, 1, -17, seed=23)
+    wide, norm = annulus(random_testfn(P2, 1, -17, seed=23))
     words = np.arange(17) * 15000 + 3
     got = testfn.fourier_at(wide, words)
-    assert testfn._kept.cache_info().misses == 0
-    bound = 2 * 18 * np.finfo(float).eps * l1_norm(wide)
+    testfn._kept(_column_index, 2, 18, 1, 9)
+    assert testfn._kept.cache_info()[:2] == (2, 1)  # hits, misses
+    bound = 2 * 18 * np.finfo(float).eps * norm
     assert np.abs(got - fourier(wide).values[words]).max() <= bound
+
+
+def annulus(phi):
+    """The annulus product h of phi split at l, f = |x|^0.3 and trivial
+    pi_1: a table of phi's width in the layout fourier_at reads, and
+    sum |h|, which carries the cell measure (h's measure is 1)."""
+    trivial = trivial_character(phi.prime)
+    h = _AnnulusProduct(PiAlphaLog(1.3, trivial, 0), phi, trivial, phi.l)
+    return h, float(np.abs(h.values).sum())
 
 
 def l1_norm(phi):

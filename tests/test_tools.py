@@ -164,21 +164,24 @@ def test_digest_sees_root_classes_keyed_too_coarsely(monkeypatch, tmp_path):
 
 def test_digest_sees_partial_transform_roots_keyed_too_coarsely(monkeypatch, tmp_path):
     # the partial transform's set-up kept by (p, n) without the words: the
-    # second read of the 3^8 table takes the first read's roots.  The run
+    # second read of h's 3^8 table takes the first read's roots.  The run
     # that keeps none computes them afresh, so the two digests differ
-    from padicfourier import Prime, random_testfn, testfn
+    from padicfourier import PiAlphaLog, Prime, random_testfn, testfn, trivial_character
+    from padicfourier.distributions import _AnnulusProduct
 
     build = testfn._kept.__wrapped__
     memo = {}
 
-    def kept(fn, p, n, words):
+    def kept(fn, p, n, *rest):
         if (fn, p, n) not in memo:
-            memo[fn, p, n] = build(fn, p, n, words)
+            memo[fn, p, n] = build(fn, p, n, *rest)
         return memo[fn, p, n]
 
     kept.__wrapped__ = build
+    trivial = trivial_character(Prime(3))
     phi = random_testfn(Prime(3), 1, -7, seed=5)
-    op = SimpleNamespace(run=lambda: [testfn.fourier_at(phi, [w, 2 * w]) for w in (1, 5)])
+    h = _AnnulusProduct(PiAlphaLog(1.3, trivial, 0), phi, trivial, phi.l)
+    op = SimpleNamespace(run=lambda: [testfn.fourier_at(h, [w, 2 * w]) for w in (1, 5)])
     assert same_outputs.digest(op, tmp_path, flags=False) is not None
     monkeypatch.setattr(testfn, "_kept", kept)
     assert same_outputs.digest(op, tmp_path, flags=False) is None
