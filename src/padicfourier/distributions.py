@@ -13,25 +13,27 @@ Three canonical variants exhaust the QAHDs up to lower-order terms:
 
 One core evaluates both the pairing <f, phi> and the singular integral
 J(t) = <f(x) chi_p(xt), phi(x)>: <f, phi> is J with chi_p == 1 (``apply``).
-Split at a level l0 in [l, N] (phi in D^l_N),
+The split J(t) = F[h](t) + phi(0) J0(l0, t), h = f (phi - phi(0) 1_{B_l0})
+off B_l, holds at any level l0; J and <f, phi> both split at phi's l
+(phi in D^l_N), where 1_{B_l} is 0 off B_l:
 
-    J(t) = F[h](t) + phi(0) * J0(l0, t),
-    h = f (phi - phi(0) 1_{B_{l0}}) on |x|_p > p^l, and 0 on B_l.
+    J(t) = F[h](t) + phi(0) * J0(l, t),
+    h = f phi off B_l, and 0 on B_l.
 
 h is a test function in D^lam_N with lam = l + 1 - max(k0, 1) (pi_1 of
 rank k0 is constant on cosets of B_{gamma-k0} inside S_gamma), so F[h] is
 one table of ``testfn.fourier``, read by ``testfn.fourier_at`` at the
 words of the batch's t, and it vanishes for |t|_p > p^-lam: beyond that
-J(t) = phi(0) J0(t), the cause of the stabilization theorem.  h is
-phi - phi(0) 1_{B_l0} times the density and pi_1 of each word's sphere
-(``_AnnulusProduct``), held in one layout: rows of phi's own table times a
-factor per column, save a few exception columns.  The partial transform
-reads that layout as it stands, and the whole FFT and ``apply`` lay h's
-table out from it.  At N = l no sphere lies outside B_l: h and F[h] are 0.
-F[h] carries the cell measure p^lam in each sphere's factor, never as a
-float.  <f, phi> is F[h](0) plus phi(0) J0 at |t|_p = p^-l0, where
-chi_p == 1 on B_{l0}.  J0 (``j0_closed_form``) is the continued integral
-of f chi_p over B_{l0}:
+J(t) = phi(0) J0(t), the cause of the stabilization theorem.  h is phi
+times the density and pi_1 of each word's sphere (``_AnnulusProduct``),
+held in one layout: rows of phi's own table times a factor per column,
+save a few exception columns.  The partial transform reads that layout
+as it stands, and the whole FFT and ``apply`` lay h's table out from it.
+At N = l no sphere lies outside B_l: h and F[h] are 0.  F[h] carries the
+cell measure p^lam in each sphere's factor, never as a float.  <f, phi>
+is F[h](0) plus phi(0) J0 at |t|_p = p^-l, where chi_p == 1 on B_l.  J0
+(``j0_closed_form``) is the continued integral of f chi_p over B_{l0},
+at the core's l0 = l:
 
 * |x|^{alpha-1} pi_1(x) log^m, any pi_1: the ball tail plus the one
   resonant sphere.  With |t|_p = p^M, k = max(k0, 1), gamma = k - M,
@@ -46,9 +48,8 @@ of f chi_p over B_{l0}:
   power-sum polynomials), plus the pinning correction
   (1-1/p) S_{m-1}(l0): the PLog regularization subtracts phi(0) over B_0,
   not B_{l0}, and the exact difference is the integral of the density
-  over the annulus between the two balls (it vanishes at l0 = 0 and makes
-  J independent of the split level).  For |t|_p > p^-l0 the two
-  S_{m-1}(l0) cancel, so J0 is the one quotient
+  over the annulus between the two balls (it vanishes at l0 = 0).  For
+  |t|_p > p^-l0 the two S_{m-1}(l0) cancel, so J0 is the one quotient
   -(1/p)(1-M)^{m-1} + (1-1/p) S_{m-1}(-M), rounded once.
 
 A point comes split once, t = u p^-M with |t|_p = p^M, as a request holds
@@ -56,9 +57,8 @@ it; F[h] is read off its table at a word of u, and one ``j0_closed_form``
 call takes the batch's points as they stand: it computes J0's radial part
 once per norm sphere M, its sphere integral (one Gauss sum) once per
 residue u mod p^k0, and the work that depends on neither (the pole check,
-the 1 - p^-alpha jet, the PLog S_{m-1}(l0)) once, in ints and floats.  J
-does not depend on l0; a level outside [l, N] is evaluated at the nearest
-end, so the table never exceeds p^(N-l+max(k0,1)-1) entries.
+the 1 - p^-alpha jet, the PLog S_{m-1}(l0)) once, in ints and floats.
+h's table has p^(N-l+max(k0,1)-1) entries.
 
 ``homogeneity_defect`` checks the graded scaling law.  The lower-order
 companion families are not printed in the source material; they are
@@ -161,15 +161,17 @@ def char_of(f: QahDistribution, prime: Prime) -> NormedMultChar:
 def j0_closed_form(
     f: QahDistribution, l0: int, points: list[tuple[int, int]], prime: Prime
 ) -> list[complex]:
-    """The continued integral of f(x) chi_p(xt) over B_{l0} (for the PLog
-    family: of the chi_p(xt) - 1 variant, plus the pinning correction), in
-    closed form, at every point (M, u) with t = u p^-M, as a request holds
-    them (u known modulo p^k0 at least): one J0 per point, with its radial
-    part computed once per norm sphere M and its sphere integral once per
-    residue u mod p^k0, and the pole check, the 1 - p^-alpha jet and the
-    PLog S_{m-1}(l0) once for all of them; NumericOverflow when a J0 is not
-    a finite float.  The point (-l0, 1) gives chi_p == 1 on B_l0; at
-    l0 = 0 that is I_0."""
+    """The continued integral of f(x) chi_p(xt) over the ball B_{l0} (for
+    the PLog family: of the chi_p(xt) - 1 variant, plus the pinning
+    correction), in closed form, at every point (M, u) with t = u p^-M, as
+    a request holds them (u known modulo p^k0 at least): one J0 per point,
+    with its radial part computed once per norm sphere M and its sphere
+    integral once per residue u mod p^k0, and the pole check, the
+    1 - p^-alpha jet and the PLog S_{m-1}(l0) once for all of them;
+    NumericOverflow when a J0 is not a finite float.  The pairing core
+    takes l0 = phi's l: h = f phi off B_l, and J and <f, phi> both split
+    there.  The point (-l0, 1) gives chi_p == 1 on B_l0; at l0 = 0 that
+    is I_0."""
     p = prime.p
     if isinstance(f, PLog):
         # exact rationals over one denominator p * den, S_{m-1} = S / den;
@@ -234,32 +236,26 @@ def j0_closed_form(
 
 
 class _AnnulusProduct:
-    """h = f (phi - phi(0) 1_{B_l0}) outside B_l and 0 on B_l, as a member
-    of D^lam_N, lam = l + 1 - max(k0, 1); l <= l0 <= N.  It is held as
-    psi = phi - phi(0) 1_{B_l0} on phi's own p^(N-l) words and the factor
-    p^lam h / psi on each sphere: each density carries the cell measure,
-    and ``measure`` is 1, so no transform or sum forms p^lam as a float.
-    ``columns`` is h's one layout, read by ``fourier_at``'s partial
-    transform; ``values`` lays p^lam h's table out from it (the FFT route
-    and ``apply``)."""
+    """h = f phi outside B_l and 0 on B_l (the split at phi's l, where J and
+    <f, phi> both split), as a member of D^lam_N, lam = l + 1 - max(k0, 1).
+    It is held as phi's own p^(N-l) words and the factor p^lam h / phi on
+    each sphere: each density carries the cell measure, and ``measure`` is
+    1, so no transform or sum forms p^lam as a float.  ``columns`` is h's
+    one layout, read by ``fourier_at``'s partial transform; ``values`` lays
+    p^lam h's table out from it (the FFT route and ``apply``)."""
 
     measure = 1.0
 
-    def __init__(self, f: QahDistribution, phi: TestFunction, chr_: NormedMultChar, l0: int):
+    def __init__(self, f: QahDistribution, phi: TestFunction, chr_: NormedMultChar):
         prime = phi.prime
         p, N, l = prime.p, phi.N, phi.l
         self.prime, self.N, self.k = prime, N, max(chr_.k0, 1)
         self.l = l + 1 - self.k
-        # word w of B_N / B_lam is x = w p^-N; h reads psi at w mod p^(N-l)
+        # word w of B_N / B_lam is x = w p^-N; h reads phi at w mod p^(N-l)
         qp.check_word_count(p, N - self.l)
-        # a copy only when l0 > l: at l0 = l the only such word is 0, which
-        # lies on B_l, where h is 0
-        self.psi = phi.values
-        if l0 > l:
-            self.psi = self.psi.copy()
-            self.psi[:: p ** (N - l0)] -= self.psi[0]
+        self.phi_values = phi.values
         # the word p^v w', w' a unit, lies on S_(N-v) and pi_1(x) is the
-        # table at w' mod p^k0: p^lam h / psi is factors[v, w' mod p^k], the
+        # table at w' mod p^k0: p^lam h / phi is factors[v, w' mod p^k], the
         # density times p^lam pi_1 on the spheres v < N - l, and 0 on B_l
         density = [density_on_sphere(f, prime, N - v, self.l) for v in range(N - l)]
         self.factors = np.zeros((N - self.l + 1, p**self.k), dtype=np.complex128)
@@ -268,7 +264,7 @@ class _AnnulusProduct:
     @property
     def values(self) -> np.ndarray:
         """p^lam h's p^(N-lam) words, laid out from ``columns`` at each read:
-        psi's rows times the column factors, tiled to h's rows, with the
+        phi's rows times the column factors, tiled to h's rows, with the
         exception columns written in."""
         rows, scale, cols, extra = self.columns((self.N - self.l) // 2)
         out = np.tile(rows * scale, (len(extra) // len(rows), 1))
@@ -276,23 +272,23 @@ class _AnnulusProduct:
         return out.ravel()
 
     def columns(self, s: int):
-        """p^lam h in ``fourier_at``'s layout, w = a p^s + b: rows of psi
-        (h's row a reads psi's row a mod their count), the factor of each
+        """p^lam h in ``fourier_at``'s layout, w = a p^s + b: rows of phi
+        (h's row a reads phi's row a mod their count), the factor of each
         column b, and the exception columns with their words.  Off
-        b = 0, h / psi depends on b alone, as v(w) = v(b) and pi_1 reads
+        b = 0, h / phi depends on b alone, as v(w) = v(b) and pi_1 reads
         w p^-v(w) mod p^k0, except where v(b) + k0 > s: there pi_1 reads
         digits of a too.  So the exceptions are the multiples of p^e,
-        e = s + 1 - max(k0, 1), and h / psi at p^e m is row e + v(m) at m's
+        e = s + 1 - max(k0, 1), and h / phi at p^e m is row e + v(m) at m's
         unit part, as at b = m it is row v(b)."""
         p, n, k = self.prime.p, self.N - self.l, self.k
         e = max(s + 1 - k, 0)
         v, unit = _set_up(_column_index, 2 * p ** (n - e), p, n, k, e)
         scale = self.factors[v[: p**s], unit[: p**s]]
         scale[:: p**e] = 0
-        # h's word p^e m reads psi at p^e m mod p^(N-l): psi[::p^e] repeated
-        psi = self.psi
-        extra = psi[:: p**e] * self.factors[v + e, unit].reshape(p ** (k - 1), -1)
-        rows = psi.reshape(-1, p**s) if len(psi) >= p**s else np.resize(psi, (1, p**s))
+        # h's word p^e m reads phi at p^e m mod p^(N-l): phi[::p^e] repeated
+        phi = self.phi_values
+        extra = phi[:: p**e] * self.factors[v + e, unit].reshape(p ** (k - 1), -1)
+        rows = phi.reshape(-1, p**s) if len(phi) >= p**s else np.resize(phi, (1, p**s))
         return rows, scale, np.arange(0, p**s, p**e), extra.reshape(p ** (n - s), -1)
 
 
@@ -305,33 +301,32 @@ def _column_index(p: int, n: int, k: int, e: int) -> tuple[np.ndarray, np.ndarra
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _pairing(
-    f: QahDistribution, phi: TestFunction, grid: Sequence | None, l0: int
-) -> list[complex]:
-    """<f(x) chi_p(xt), phi(x)> split at l0 (clamped into [l, N]), one value
-    per point (M, u) of ``grid`` (t = u p^-M), or <f, phi> when grid is None;
-    NumericOverflow when a value is not a finite float.  Both are linear in
-    phi: where the split leaves the float range on the way, phi 2^-e, e half
-    the binary exponent of phi's largest component, is evaluated once more
-    and its values multiplied by 2^e, which rounds nothing."""
+def _pairing(f: QahDistribution, phi: TestFunction, grid: Sequence | None) -> list[complex]:
+    """<f(x) chi_p(xt), phi(x)> split at phi's l (h = f phi off B_l), one
+    value per point (M, u) of ``grid`` (t = u p^-M), or <f, phi> when grid
+    is None; NumericOverflow when a value is not a finite float.  Both are
+    linear in phi: where the split leaves the float range on the way,
+    phi 2^-e, e half the binary exponent of phi's largest component, is
+    evaluated once more and its values multiplied by 2^e, which rounds
+    nothing."""
     if isinstance(f, DiracDelta):
         return [phi.at(0)] * (1 if grid is None else len(grid))
     prime = phi.prime
     p = prime.p
     chr_ = char_of(f, prime)
-    l0 = min(max(l0, phi.l), phi.N)
-    lam = phi.l + 1 - max(chr_.k0, 1)
+    l = phi.l
+    lam = l + 1 - max(chr_.k0, 1)
     what = "<f, phi>" if grid is None else "J(t)"
 
     def evaluate(phi):
         # N = l leaves no sphere outside B_l: h and F[h] are 0, and no
         # p^k-word row of pi_1 is built
-        phi0, annulus = phi.at_zero, phi.N > phi.l
+        phi0, annulus = phi.at_zero, phi.N > l
         if grid is None:
             s = 0
             if annulus:
-                s = _AnnulusProduct(f, phi, chr_, l0).values.sum()
-            values = [complex(s) + phi0 * j0_closed_form(f, l0, [(-l0, 1)], prime)[0]]
+                s = _AnnulusProduct(f, phi, chr_).values.sum()
+            values = [complex(s) + phi0 * j0_closed_form(f, l, [(-l, 1)], prime)[0]]
             return qp.check_finite(values, what)
         # F[h] lies in D^-lam_-N: at t = u p^-M, M <= -lam, it is the table's
         # word u p^(-lam-M) mod p^(N-lam) (one power per sphere, one int64
@@ -343,9 +338,9 @@ def _pairing(
             mod = p ** (phi.N - lam)
             shift = {M: pow(p, -lam - M, mod) for M in {grid[i][0] for i in inside}}
             words = np.array([(grid[i][1] % mod, shift[grid[i][0]]) for i in inside], np.int64)
-            h = _AnnulusProduct(f, phi, chr_, l0)
+            h = _AnnulusProduct(f, phi, chr_)
             split[inside] = fourier_at(h, words.prod(axis=1) % mod)
-        j0 = j0_closed_form(f, l0, grid, prime)
+        j0 = j0_closed_form(f, l, grid, prime)
         values = [s + phi0 * z for s, z in zip(split.tolist(), j0)]
         return qp.check_finite(values, what)
 
@@ -362,7 +357,7 @@ def _pairing(
 
 def apply(f: QahDistribution, phi: TestFunction) -> complex:
     """The regularized pairing <f, phi>, as an exact finite sum."""
-    return _pairing(f, phi, None, 0)[0]
+    return _pairing(f, phi, None)[0]
 
 
 def homogeneity_defect(

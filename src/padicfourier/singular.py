@@ -87,7 +87,7 @@ class SingularIntegralRequest:
 def singular_fourier(req: SingularIntegralRequest) -> complex | list[complex]:
     """J(t) = <f(x) chi_p(xt), phi(x)>, exactly (up to floating rounding).
     A tuple of t gives a list, one J per t, all read off one transform."""
-    return req._shaped(_pairing(req.f, req.phi, req._grid, req.phi.l))
+    return req._shaped(_pairing(req.f, req.phi, req._grid))
 
 
 @np.errstate(over="ignore", invalid="ignore")

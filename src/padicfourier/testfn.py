@@ -14,7 +14,8 @@ done by ``np.fft`` at any width; convolution is cyclic on Z/p^{N-l}.
 ``fourier_at`` reads the transform at a few words only: on a wide table
 a two-factor partial transform (one matrix product) stands in for the
 whole FFT.  The singular integral is such a transform too: its sphere
-part is F[h] of the annulus product h in ``distributions``, read at the
+part is F[h] of the annulus product h = f phi off B_l in
+``distributions`` (J and <f, phi> both split at phi's l), read at the
 words of the points at or inside the cutoff, and it vanishes for
 |xi|_p > p^{-l} because F[h] lives in D^{-N}_{-l}.  The partial transform
 reads h in its columns layout, rows of phi's own table times a factor per
@@ -123,7 +124,8 @@ def fourier_at(h, words) -> np.ndarray:
     two-factor partial transform: with w = a B + b, B = p^(n//2),
     A = p^n / B, H the values as an A x B matrix and
     R_j[b] = e^(2 pi i j b / p^n),
-    F[j] = p^l sum_a e^(2 pi i j a / A) (H @ R_j)[a],
+    F[j] = sum_a e^(2 pi i j a / A) (H @ R_j)[a],
+    unscaled, as h's values carry the cell measure (its ``measure`` is 1),
     one product of p^n K multiply-adds, below the FFT's p^n log2(p^n).  It
     takes B K roots of order p^n and A of order A, each from its exact
     integer angle, kept by (p, n, words) when B K + A K <= 2^14; a one-digit
@@ -152,7 +154,7 @@ def fourier_at(h, words) -> np.ndarray:
                 head = np.tile(head, (A // len(head), 1))
             head += extra @ fine[cols]
             vals = np.einsum("ak,ak->k", head, coarse)
-            return h.measure * vals[inverse]
+            return vals[inverse]
     return fourier(h).values[words]
 
 

@@ -1,13 +1,17 @@
 """Test-suite settings: hypothesis draws the same examples on every run,
 and a failure prints the blob that reproduces it.  Also the sphere
-references that more than one test module reads."""
+references that more than one test module reads, among them the per-cell
+reference of J split at any level l0 (``reference_j``), which the pairing
+core itself splits at phi's l alone."""
 
 import warnings
 from fractions import Fraction as Fr
 
 from hypothesis import settings
 
-from padicfourier import chi, enumerate_cosets, eval_pi1, valuation
+from padicfourier import PiAlphaLog, chi, enumerate_cosets, eval_pi1, j0_closed_form, valuation
+from padicfourier import qp
+from padicfourier.distributions import density_on_sphere
 
 settings.register_profile("padicfourier", derandomize=True, print_blob=True)
 settings.load_profile("padicfourier")
@@ -47,3 +51,47 @@ def brute_sphere_integral(chr_, gamma, t, depth=2):
             * float(Fr(prime.p) ** level)
         )
     return total
+
+
+def j0_at(f, l0, t, prime):
+    """J0 at one t, split at l0; t = None means chi_p == 1 on B_l0, the
+    point (-l0, 1)."""
+    k0 = f.pi1.k0 if isinstance(f, PiAlphaLog) else 0
+    point = (-l0, 1) if t is None else qp.split(t, prime, k0)
+    return j0_closed_form(f, l0, [point], prime)[0]
+
+
+def cell_level(phi, chr_, gamma, t):
+    """A level whose cells carry constant phi, pi_1 and chi_p(.t)."""
+    lam = min(phi.l, gamma - max(chr_.k0, 1))
+    return lam if t is None else min(lam, valuation(t, phi.prime))
+
+
+def split_spheres(phi, l0):
+    """The spheres of the split at l0: phi - phi(0) up to S_l0, phi beyond."""
+    return range(min(phi.l, l0) + 1, max(phi.N, l0) + 1)
+
+
+def p_power_denominator(x, p):
+    """The rational with a p-power denominator that x equals modulo Z_p."""
+    q = x.denominator
+    while q % p == 0:
+        q //= p
+    pk = x.denominator // q
+    return Fr(x.numerator * pow(q, -1, pk) % pk, pk)
+
+
+def reference_j(f, chr_, phi, t, l0):
+    """(J, sum of |terms|) split at l0: one exact-angle term per cell of every
+    sphere, plus phi(0) J0(l0, t); t = None is the pairing <f, phi>."""
+    prime = phi.prime
+    terms = [phi.at_zero * j0_at(f, l0, t, prime)]
+    for g in split_spheres(phi, l0):
+        lam = cell_level(phi, chr_, g, t)
+        weight = density_on_sphere(f, prime, g) * float(Fr(prime.p) ** lam)
+        for c in sphere_cosets(prime, g, lam):
+            value = phi.at(c) - (phi.at_zero if g <= l0 else 0)
+            if t is not None:
+                value *= chi(p_power_denominator(c * t, prime.p), prime).to_complex()
+            terms.append(weight * value * eval_pi1(chr_, c))
+    return sum(terms), sum(map(abs, terms))

@@ -34,10 +34,10 @@ from padicfourier import (
     trivial_character,
     verify_stabilization,
 )
-from padicfourier.distributions import _pairing
+from padicfourier.distributions import char_of
 from padicfourier.singular import j0_closed_form
 
-from conftest import sphere_cosets
+from conftest import reference_j, sphere_cosets
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 
@@ -265,8 +265,8 @@ def test_criterion_7_structural_identities():
                 scale = 1 + abs(apply(f, phi)) + abs(phi.at_zero)
                 assert abs(d) < 1e-10 * scale
     # vanishing lemma: the sphere part F[h] is an exact zero beyond p^-l
-    # (trivial pi_1), so J = phi(0) J0 exactly, at the splits l and l + 1
-    # (the pairing core's split level; a request splits at l)
+    # (trivial pi_1), so J, split at phi's l, is phi(0) J0 exactly; the
+    # per-cell reference split at l and at l + 1 agrees with it
     for p in (2, 3):
         prime = Prime(p)
         phi = random_testfn(prime, 1, -1, seed=7000 + p)
@@ -274,12 +274,11 @@ def test_criterion_7_structural_identities():
         for f in (PiAlphaLog(1.3, chr_, 1), PLog(2)):
             for M in (2, 4, 6):
                 t = Fr(p) ** (-M)
-                assert singular_fourier(SingularIntegralRequest(f, phi, t)) == (
-                    _pairing(f, phi, [(M, 1)], phi.l)[0]
-                )
+                J = singular_fourier(SingularIntegralRequest(f, phi, t))
+                assert J == phi.at_zero * j0_closed_form(f, phi.l, [(M, 1)], prime)[0]
                 for l0 in (phi.l, phi.l + 1):
-                    J = _pairing(f, phi, [(M, 1)], l0)[0]
-                    assert J == phi.at_zero * j0_closed_form(f, l0, [(M, 1)], prime)[0]
+                    want, mass = reference_j(f, chr_, phi, t, l0)
+                    assert abs(J - want) <= 1e-12 * mass, (f, t, l0)
     # log-Fourier identity on 10 pairings
     for p in (2, 3):
         prime = Prime(p)
@@ -320,10 +319,10 @@ def test_criterion_8_split_level_independence():
         phi = random_testfn(prime, 1, -1, seed=9000 + done)
         M = rng.randint(-1, 5)
         t = Fr(rng.choice([1, p + 1, 2 * p + 1])) * Fr(p) ** (-M)
-        req = SingularIntegralRequest(f, phi, t)
-        base = singular_fourier(req)
+        # J splits at phi's l; the per-cell reference splits at every l0
+        base = singular_fourier(SingularIntegralRequest(f, phi, t))
         for l0 in range(phi.l - 2, min(phi.N, phi.l + 2) + 1):
-            v = _pairing(f, phi, req._grid, l0)[0]
+            v, _ = reference_j(f, char_of(f, prime), phi, t, l0)
             assert abs(v - base) <= 1e-10 * (1 + abs(base)), (f, t, l0)
         done += 1
     passed(8, "split-level independence on 20 random requests, l0 in "

@@ -261,6 +261,32 @@ def test_apply_below_the_unit_ball_is_the_ball_jet():
         assert abs(got - want) <= 8 * eps * abs(want), (p, got, want)
 
 
+@pytest.mark.parametrize(
+    "p, alpha, N, l, seed", [(2, 3, -3, -10, 31), (5, 1, -3, -6, 39), (3, 2, -1, -5, 8)]
+)
+def test_apply_is_within_8_eps_of_the_exact_rational_pairing(p, alpha, N, l, seed):
+    # trivial pi_1, m = 0 and an integer alpha, with phi's floats read as
+    # Fractions: <f, phi> is the sum over the annulus B_N \ B_l of
+    # p^l p^(g (alpha - 1)) phi(w), w on S_g, plus phi(0) times the
+    # integral of |x|^(alpha-1) over B_l, (1 - 1/p) p^(l alpha) / (1 - p^-alpha),
+    # in exact rationals.  On these three a split at level 0 in place of
+    # phi's l cancels through I_0, 82 to 150 eps off
+    eps = np.finfo(float).eps
+    prime = Prime(p)
+    phi = random_testfn(prime, N, l, seed)
+    q = Fr(p)
+    re, im = [Fr(x) for x in phi.values.real], [Fr(x) for x in phi.values.imag]
+    ball = (1 - 1 / q) * q ** (l * alpha) / (1 - q**-alpha)
+    want = [part[0] * ball for part in (re, im)]
+    for w in range(1, len(re)):
+        weight = q**l * q ** ((N - qp.valuation(w, prime)) * (alpha - 1))
+        want[0] += weight * re[w]
+        want[1] += weight * im[w]
+    got = apply(PiAlphaLog(alpha, trivial_character(prime), 0), phi)
+    err = math.hypot(Fr(got.real) - want[0], Fr(got.imag) - want[1])
+    assert err <= 8 * eps * math.hypot(*want), err / eps / math.hypot(*want)
+
+
 def test_homogeneity_scale_overflow_is_a_numeric_error():
     # |t|_3^alpha = 3^2000 is beyond the floating range
     phi = random_testfn(P3, -10, -12, 1)
@@ -342,14 +368,24 @@ def test_f_h_read_by_index_equals_the_transform_at_t(pi1):
     f = PiAlphaLog(0.8 - 0.3j, pi1, 1)
     units = [1, 2, 4, 5, -7, Fr(2, 5), Fr(-11, 7)]
     for phi in (random_testfn(P3, 1, -2, seed=90), delta_indicator(P3, -1)):
-        l0 = phi.l
-        transform = fourier(_AnnulusProduct(f, phi, char_of(f, P3), l0))
+        transform = fourier(_AnnulusProduct(f, phi, char_of(f, P3)))
         ts = [Fr(u) * Fr(3) ** -M for M in range(-3, 7) for u in units]
-        got = _pairing(f, phi, SingularIntegralRequest(f, phi, ts)._grid, l0)
+        got = _pairing(f, phi, SingularIntegralRequest(f, phi, ts)._grid)
         for t, J in zip(ts, got):
             point = qp.split(t, P3, pi1.k0)
-            want = transform.at(t) + phi.at_zero * j0_closed_form(f, l0, [point], P3)[0]
+            want = transform.at(t) + phi.at_zero * j0_closed_form(f, phi.l, [point], P3)[0]
             assert J == want, t
+
+
+def split_at(phi, l0):
+    """phi - phi(0) (1_(B_l0) - 1_(B_l)), l <= l0 <= N: off B_l it is
+    phi - phi(0) 1_(B_l0), so its annulus product, f times it off B_l, is
+    h as the split at l0 has it."""
+    p, N = phi.prime.p, phi.N
+    values = phi.values.copy()
+    values[:: p ** (N - l0)] -= phi.at_zero
+    values[0] = phi.at_zero
+    return TestFunction(phi.prime, N, phi.l, values)
 
 
 def sphere_factors(f, phi, chr_, l0):
@@ -394,8 +430,8 @@ def test_annulus_product_is_psi_times_its_sphere_factor_at_each_word(p):
     # h, laid out from its columns, is 0 (of either sign) on the words of
     # B_l, and each other word is within 4 eps of Python's complex product
     # psi(w) factor(w), (ac - bd) + (ad + bc)i in real arithmetic, on every
-    # sphere down to the deepest (p - 1 words on a one-digit window) and at
-    # every l0
+    # sphere down to the deepest (p - 1 words on a one-digit window), for
+    # psi = phi - phi(0) 1_(B_l0) at every l0 (h of split_at(phi, l0))
     prime = Prime(p)
     eps = np.finfo(float).eps
     fs = [PLog(m) for m in (1, 2, 3)] + [
@@ -409,7 +445,7 @@ def test_annulus_product_is_psi_times_its_sphere_factor_at_each_word(p):
         for f in fs:
             chr_ = char_of(f, prime)
             for l0 in range(phi.l, N + 1):
-                got = _AnnulusProduct(f, phi, chr_, l0).values
+                got = _AnnulusProduct(f, split_at(phi, l0), chr_).values
                 psi, factors = sphere_factors(f, phi, chr_, l0)
                 assert got.shape == psi.shape
                 assert not got[:: p**width].any(), (width, f, l0)  # B_l
@@ -447,7 +483,8 @@ def test_folded_partial_transform_equals_the_transform_of_h(monkeypatch, prime, 
     # the sphere factors folded into the partial transform: within
     # fourier_at's 2 n eps ||p^lam h||_1 of the FFT of the built h (its
     # values carry the cell measure p^lam), for every family, at every
-    # split level and at words u p^s of every valuation
+    # split level (h of split_at(phi, l0)) and at words u p^s of every
+    # valuation
     from padicfourier import testfn
 
     p = prime.p
@@ -458,7 +495,7 @@ def test_folded_partial_transform_equals_the_transform_of_h(monkeypatch, prime, 
         chr_ = char_of(f, prime)
         phi = random_testfn(prime, 1, max(chr_.k0, 1) - n, seed=10 * n + chr_.k0)
         for l0 in (phi.l, phi.l + 1, phi.N):
-            h = _AnnulusProduct(f, phi, chr_, l0)
+            h = _AnnulusProduct(f, split_at(phi, l0), chr_)
             assert h.N - h.l == n
             values = h.values
             bound = 2 * n * np.finfo(float).eps * float(np.abs(values).sum())

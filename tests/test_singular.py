@@ -42,11 +42,18 @@ from padicfourier import (
 )
 from padicfourier import qp
 from padicfourier.characters import gauss_sum
-from padicfourier.distributions import _pairing, density_on_sphere
+from padicfourier.distributions import char_of, density_on_sphere
 from padicfourier.errors import BadWindow, NumericOverflow, PoleProximity, ZeroArgument
 from padicfourier.singular import _oracle_tail, _roots
 
-from conftest import sphere_cosets
+from conftest import (
+    cell_level,
+    j0_at,
+    p_power_denominator,
+    reference_j,
+    sphere_cosets,
+    split_spheres,
+)
 
 P2, P3, P5 = Prime(2), Prime(3), Prime(5)
 EPS = np.finfo(float).eps
@@ -58,23 +65,8 @@ def cubic_mod9():
     )
 
 
-def j0_at(f, l0, t, prime):
-    """J0 at one t, split as the pairing core splits it; t = None means
-    chi_p == 1 on B_l0, the point (-l0, 1)."""
-    k0 = f.pi1.k0 if isinstance(f, PiAlphaLog) else 0
-    point = (-l0, 1) if t is None else qp.split(t, prime, k0)
-    return j0_closed_form(f, l0, [point], prime)[0]
-
-
 def req(f, phi, t):
     return SingularIntegralRequest(f, phi, t)
-
-
-def split_at(f, phi, t, l0):
-    """J at t (a list for a tuple of t) split at l0 rather than at phi's l,
-    as the pairing core splits it."""
-    request = req(f, phi, t)
-    return request._shaped(_pairing(f, phi, request._grid, l0))
 
 
 def test_request_validation():
@@ -257,8 +249,9 @@ def test_j0_keeps_the_bits_of_the_fraction_closed_form():
 
 
 def test_vanishing_lemmas_exact():
-    # F[h] vanishes beyond p^-lam, lam = l + 1 - max(k0, 1), at any split
-    # l0 in [l, N]: there J is phi(0) J0 exactly, with no rounding
+    # F[h] vanishes beyond p^-lam, lam = l + 1 - max(k0, 1): there J, split
+    # at phi's l, is phi(0) J0 exactly, with no rounding; the per-cell
+    # reference split at l and at l + 1 agrees with it
     for p, seed in ((2, 51), (3, 52)):
         prime = Prime(p)
         phi = random_testfn(prime, 1, -1, seed=seed)
@@ -267,14 +260,16 @@ def test_vanishing_lemmas_exact():
             chars += [quadratic_character(prime), cubic_mod9()]
         variants = [PLog(2)] + [PiAlphaLog(1.3, c, 1) for c in chars]
         for f in variants:
-            k0 = f.pi1.k0 if isinstance(f, PiAlphaLog) else 0
-            lam = phi.l + 1 - max(k0, 1)
-            for l0 in (phi.l, phi.l + 1):
-                for M in (-lam + 1, -lam + 2, -lam + 4):
-                    for u in (1, -1, Fr(1, p + 1)):
-                        t = u * Fr(p) ** (-M)
-                        J = split_at(f, phi, t, l0)
-                        assert J == phi.at_zero * j0_at(f, l0, t, prime)
+            chr_ = char_of(f, prime)
+            lam = phi.l + 1 - max(chr_.k0, 1)
+            for M in (-lam + 1, -lam + 2, -lam + 4):
+                for u in (1, -1, Fr(1, p + 1)):
+                    t = u * Fr(p) ** (-M)
+                    J = singular_fourier(req(f, phi, t))
+                    assert J == phi.at_zero * j0_at(f, phi.l, t, prime)
+                    for l0 in (phi.l, phi.l + 1):
+                        want, mass = reference_j(f, chr_, phi, t, l0)
+                        assert abs(J - want) <= 1e-12 * mass, (f, t, l0)
 
 
 def test_split_level_independence():
@@ -299,10 +294,11 @@ def test_split_level_independence():
         M = rng.randint(-1, 4)
         t = Fr(rng.choice([1, p + 1])) * Fr(p) ** (-M)
         cases.append((f, phi, t))
+    # J splits at phi's l; the per-cell reference splits at every l0
     for f, phi, t in cases:
         base = singular_fourier(req(f, phi, t))
         for l0 in range(phi.l - 2, min(phi.N, phi.l + 2) + 1):
-            v = split_at(f, phi, t, l0)
+            v, _ = reference_j(f, char_of(f, phi.prime), phi, t, l0)
             assert abs(v - base) <= 1e-10 * (1 + abs(base)), (f, t, l0)
 
 
@@ -413,7 +409,7 @@ def test_a_few_word_sweep_of_a_wide_table_builds_no_h(monkeypatch):
     wants = []
     for f in cases:
         chr_ = distributions.char_of(f, P3)
-        h = distributions._AnnulusProduct(f, phi, chr_, phi.l)
+        h = distributions._AnnulusProduct(f, phi, chr_)
         n = h.N - h.l
         bound = 2 * n * np.finfo(float).eps * float(np.abs(h.values).sum())
         top = -h.l  # |t|_3 <= 3^-lam: M <= -lam
@@ -787,13 +783,12 @@ def whole_j_cases(draw):
     width = draw(st.integers(0, {2: 7, 3: 5, 5: 3}[p]))
     l = draw(st.integers(-3, 1))
     phi = random_testfn(prime, l + width, l, seed=draw(st.integers(0, 2**16)))
-    l0 = draw(st.integers(l, phi.N))
     k0 = f.pi1.k0 if isinstance(f, PiAlphaLog) else 0
     M = draw(st.integers(-phi.N - 2, -l + k0 + 2))  # threshold -l + k0 inside
     u = draw(st.sampled_from([1, 2, -1, Fr(1, 2 if p > 2 else 3)]))
     if u % p == 0:
         u = 1
-    return f, phi, l0, u * Fr(p) ** (-M)
+    return f, phi, u * Fr(p) ** (-M)
 
 
 def pairing_scale(f, phi, spheres):
@@ -806,13 +801,13 @@ def pairing_scale(f, phi, spheres):
 @settings(max_examples=150, deadline=None)
 @given(whole_j_cases())
 def test_whole_j_matches_the_oracle(case):
-    f, phi, l0, t = case
+    f, phi, t = case
     p = phi.prime.p
     M = -valuation(t, phi.prime)
     spheres = range(min(phi.l, -M) - 2, max(phi.N, 0) + 3)
     scale = pairing_scale(f, phi, spheres)
-    J = split_at(f, phi, t, l0)
-    assert abs(J - brute_force_oracle(req(f, phi, t))) <= 1e-12 * scale, (J, l0)
+    J = singular_fourier(req(f, phi, t))
+    assert abs(J - brute_force_oracle(req(f, phi, t))) <= 1e-12 * scale, J
     # the pairing is J where chi_p == 1 on B_max(N, 0)
     tiny = Fr(p) ** (max(phi.N, 0) + 1)
     assert abs(apply(f, phi) - brute_force_oracle(req(f, phi, tiny))) <= 1e-12 * scale
@@ -841,42 +836,6 @@ def character_of_kind(prime, kind):
     if kind == "quadratic":
         return quadratic_character(prime)
     return primitive_rank2(prime)
-
-
-def cell_level(phi, chr_, gamma, t):
-    """A level whose cells carry constant phi, pi_1 and chi_p(.t)."""
-    lam = min(phi.l, gamma - max(chr_.k0, 1))
-    return lam if t is None else min(lam, valuation(t, phi.prime))
-
-
-def split_spheres(phi, l0):
-    """The spheres of the split at l0: phi - phi(0) up to S_l0, phi beyond."""
-    return range(min(phi.l, l0) + 1, max(phi.N, l0) + 1)
-
-
-def p_power_denominator(x, p):
-    """The rational with a p-power denominator that x equals modulo Z_p."""
-    q = x.denominator
-    while q % p == 0:
-        q //= p
-    pk = x.denominator // q
-    return Fr(x.numerator * pow(q, -1, pk) % pk, pk)
-
-
-def reference_j(f, chr_, phi, t, l0):
-    """(J, sum of |terms|) split at l0: one exact-angle term per cell of every
-    sphere, plus phi(0) J0(l0, t); t = None is the pairing <f, phi>."""
-    prime = phi.prime
-    terms = [phi.at_zero * j0_at(f, l0, t, prime)]
-    for g in split_spheres(phi, l0):
-        lam = cell_level(phi, chr_, g, t)
-        weight = density_on_sphere(f, prime, g) * float(Fr(prime.p) ** lam)
-        for c in sphere_cosets(prime, g, lam):
-            value = phi.at(c) - (phi.at_zero if g <= l0 else 0)
-            if t is not None:
-                value *= chi(p_power_denominator(c * t, prime.p), prime).to_complex()
-            terms.append(weight * value * eval_pi1(chr_, c))
-    return sum(terms), sum(map(abs, terms))
 
 
 @st.composite
@@ -924,12 +883,13 @@ def batch_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(batch_cases())
 def test_batched_j_matches_exact_angle_reference(case):
+    # J and <f, phi> split at phi's l; the reference splits at the drawn l0
     f, chr_, phi, ts, l0 = case
     if ts is None:
         want, mass = reference_j(f, chr_, phi, None, l0)
         assert abs(apply(f, phi) - want) <= 1e-12 * mass, (apply(f, phi), want)
         return
-    got = split_at(f, phi, ts, l0)
+    got = singular_fourier(req(f, phi, ts))
     for t, J in zip(ts, got):
         want, mass = reference_j(f, chr_, phi, t, l0)
         assert abs(J - want) <= 1e-12 * mass, (t, J, want)

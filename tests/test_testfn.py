@@ -269,7 +269,7 @@ def test_partial_transform_gives_the_same_bits_cold_and_warm(monkeypatch):
     )
     f = PiAlphaLog(0.7 - 0.4j, cubic, 1)
     phi = random_testfn(P3, 1, -6, seed=9)  # h has 3^(N - l + 1) = 3^8 words
-    h = _AnnulusProduct(f, phi, cubic, phi.l)
+    h = _AnnulusProduct(f, phi, cubic)
     assert h.N - h.l == 8
     ts = tuple(Fr(u, 3**M) for M in (7, 5, 3) for u in (1, 2, 4, 7))
     req = SingularIntegralRequest(f, phi, ts)
@@ -334,7 +334,7 @@ def annulus(phi):
     pi_1: a table of phi's width in the layout fourier_at reads, and
     sum |h|, which carries the cell measure (h's measure is 1)."""
     trivial = trivial_character(phi.prime)
-    h = _AnnulusProduct(PiAlphaLog(1.3, trivial, 0), phi, trivial, phi.l)
+    h = _AnnulusProduct(PiAlphaLog(1.3, trivial, 0), phi, trivial)
     return h, float(np.abs(h.values).sum())
 
 

@@ -180,7 +180,7 @@ def test_digest_sees_partial_transform_roots_keyed_too_coarsely(monkeypatch, tmp
     kept.__wrapped__ = build
     trivial = trivial_character(Prime(3))
     phi = random_testfn(Prime(3), 1, -7, seed=5)
-    h = _AnnulusProduct(PiAlphaLog(1.3, trivial, 0), phi, trivial, phi.l)
+    h = _AnnulusProduct(PiAlphaLog(1.3, trivial, 0), phi, trivial)
     op = SimpleNamespace(run=lambda: [testfn.fourier_at(h, [w, 2 * w]) for w in (1, 5)])
     assert same_outputs.digest(op, tmp_path, flags=False) is not None
     monkeypatch.setattr(testfn, "_kept", kept)
